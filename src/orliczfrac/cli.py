@@ -9,9 +9,7 @@ function grammar is
 
 Invocation: `orliczfrac <command> --config <path> [--out <dir>]`. The
 command must match the config's `command` key. Exit status: 0 success,
-1 validation failure, 2 numeric failure. The environment variable
-OF_THREADS caps internal parallelism (the implementation is sequential, so
-any cap is honored).
+1 validation failure, 2 numeric failure.
 """
 
 from __future__ import annotations

@@ -144,8 +144,9 @@ class GridFunction:
 class QuadratureConfig:
     """Quadrature knobs for the seminorm kernel.
 
-    near_diagonal_order : Gauss points per element (pair blocks use the
-        tensor rule of this order).
+    near_diagonal_order : Gauss points per element (the far field and the
+        element pairs at offsets 1 and 2 use this order; separated pairs
+        use lower orders graded by their offset).
     tail_cutoff : far-field radius in units of the domain length; kept for
         interface compatibility, the implementation reduces the far field
         exactly so the cutoff never truncates anything.

@@ -17,6 +17,7 @@ callables for internal use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -286,15 +287,15 @@ def make_combination(mode: str, parts: Sequence[OrliczFunction],
                          children=parts, weights=weights)
 
     def fn(x):
-        vals = np.stack([ch.fn(x) for ch in parts])
-        return np.max(vals, axis=0)
+        return functools.reduce(np.maximum, [ch.fn(x) for ch in parts])
 
     def dfn(x):
-        vals = np.stack([ch.fn(x) for ch in parts])
-        ders = np.stack([ch.dfn(x) for ch in parts])
-        top = np.max(vals, axis=0)
-        on_top = vals >= top - 1e-14 * np.maximum(top, 1.0)
-        return np.max(np.where(on_top, ders, -np.inf), axis=0)
+        vals = [ch.fn(x) for ch in parts]
+        top = functools.reduce(np.maximum, vals)
+        floor = top - 1e-14 * np.maximum(top, 1.0)
+        return functools.reduce(np.maximum, [
+            np.where(val >= floor, ch.dfn(x), -np.inf)
+            for val, ch in zip(vals, parts)])
 
     label = "max(" + ", ".join(ch.label for ch in parts) + ")"
     kinks = sorted(set(kinks) | set(_crossovers(parts)))

@@ -26,7 +26,7 @@ from .errors import (
     InvalidParameterError,
     UniquenessWarning,
 )
-from .fractional import _core
+from .fractional import _at_gauss_points, _core, _pair_bands
 from .grid import GridFunction, QuadratureConfig, gradient_modular, modular
 from .limit_density import limit_density
 from .orlicz import OrliczFunction
@@ -303,7 +303,8 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     """Absolute-value dual pairing iint g(|D_s u|) |D_s v| dmu.
 
     This majorizes the weak-form pairing and is the quantity bounded by
-    (p - 1) Phi_s(u) + Phi_s(v) through the Young inequality.
+    (p - 1) Phi_s(u) + Phi_s(v) through the Young inequality. Element pairs
+    use the modular's graded rule with ``order`` at the nearest offsets.
     """
     if not (0.0 < s < 1.0):
         raise InvalidParameterError(f"fractional order must be in (0,1): {s}")
@@ -326,24 +327,16 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
         * np.sum(outer[None, :] * G.deriv(mu[:, None] * xi[None, :]),
                  axis=1)))
 
+    for _, band in _pair_bands(s, h, order, u.values, v.values):
+        for _, kern, block, (du, dv) in band:
+            val += float(np.sum(block * G.deriv(np.abs(du) * kern)
+                                * np.abs(dv) * kern))
+
     xg, wg = gauss_rule_01(order)
     starts = u.left + h * np.arange(ne)
     X = starts[:, None] + h * xg[None, :]
-    uu = u.values
-    vv = v.values
-    U = uu[:-1, None] * (1.0 - xg)[None, :] + uu[1:, None] * xg[None, :]
-    V = vv[:-1, None] * (1.0 - xg)[None, :] + vv[1:, None] * xg[None, :]
-    w2 = wg[:, None] * wg[None, :]
-
-    for k in range(ne - 1):
-        dist = X[k + 1:, :, None] - X[k][None, None, :]
-        du = U[k + 1:, :, None] - U[k][None, None, :]
-        dv = V[k + 1:, :, None] - V[k][None, None, :]
-        kern = dist ** (-s)
-        block = 2.0 * h * h * w2[None, :, :] / dist
-        val += float(np.sum(block * G.deriv(np.abs(du) * kern)
-                            * np.abs(dv) * kern))
-
+    U = _at_gauss_points(u.values, xg)
+    V = _at_gauss_points(v.values, xg)
     cu = np.abs(U)
     cv = np.abs(V)
     for d in (u.right - X, X - u.left):

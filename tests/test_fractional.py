@@ -13,11 +13,13 @@ from orliczfrac import (
     make_power,
     make_power_log,
 )
-from orliczfrac.fractional import _same_element
+from orliczfrac._quadrature import gauss_rule_01
+from orliczfrac.fractional import _far_field, _pair_orders, _same_element
 
 from conftest import brute_force_seminorm
 
 G2 = make_power(2.0)
+G23 = make_combination("max", [make_power(2.0), make_power(3.0)])
 
 
 def random_state(rng, n=33, amplitude=1.0):
@@ -104,17 +106,25 @@ class TestOracleAgreement:
 class TestGradient:
     @pytest.mark.parametrize("s", [0.5, 0.9])
     def test_finite_difference_consistency(self, s, rng):
+        # 33 nodes span all four pair-order bands of order 5. A central
+        # difference of a computed value carries a rounding error of about
+        # ulp(val) / eps, which the absolute floor of the newer cases
+        # admits: power_log(3) reaches val ~ 1e3 on this state, so a
+        # one-ulp change is 1e-7 in the difference quotient.
         u = random_state(rng, n=33)
-        val, grad = fractional_modular_with_gradient(G2, s, u)
         eps = 1e-6
-        for i in range(u.node_count):
-            vp = u.values.copy()
-            vm = u.values.copy()
-            vp[i] += eps
-            vm[i] -= eps
-            fd = (fractional_modular(G2, s, u.with_values(vp))
-                  - fractional_modular(G2, s, u.with_values(vm))) / (2 * eps)
-            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+        for G, ulps in ((G2, 0.0), (make_power_log(3.0), 4.0), (G23, 4.0)):
+            val, grad = fractional_modular_with_gradient(G, s, u)
+            atol = max(1e-10, ulps * np.spacing(val) / eps)
+            for i in range(u.node_count):
+                vp = u.values.copy()
+                vm = u.values.copy()
+                vp[i] += eps
+                vm[i] -= eps
+                fd = (fractional_modular(G, s, u.with_values(vp))
+                      - fractional_modular(G, s, u.with_values(vm))) \
+                    / (2 * eps)
+                assert grad[i] == pytest.approx(fd, rel=1e-5, abs=atol)
 
     def test_zero_state_gradient_vanishes(self):
         z = GridFunction.zeros(-1.0, 1.0, 33)
@@ -136,3 +146,54 @@ class TestToleranceMachinery:
             fractional_modular(G2, 0.9, u, cfg, check_tolerance=True)
         assert err.value.achieved == pytest.approx(
             fractional_modular(G2, 0.9, u), rel=1e-12)
+
+
+def uniform_pair_sum(G, s, u, order=5):
+    """Distinct-element pairs with the tensor Gauss rule of ``order`` on
+    every pair, row by row: the rule before the separation grading."""
+    h = u.spacing
+    ne = u.node_count - 1
+    x, w = gauss_rule_01(order)
+    X = u.left + h * (np.arange(ne)[:, None] + x[None, :])
+    U = u.values[:-1, None] * (1.0 - x) + u.values[1:, None] * x
+    total = 0.0
+    for k in range(ne - 1):
+        dist = X[k + 1:, :, None] - X[k][None, None, :]
+        du = U[k + 1:, :, None] - U[k][None, None, :]
+        total += float(np.sum(2.0 * h * h * np.outer(w, w) / dist
+                              * G(np.abs(du) * dist ** (-s))))
+    return total
+
+
+class TestSeparationGrading:
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("shape", ["hat", "bump"])
+    @pytest.mark.parametrize("G", [
+        make_power(1.5), G2, make_power(3.0), G23, make_power_log(3.0),
+    ], ids=lambda G: G.label)
+    def test_matches_uniform_order_five(self, G, shape, n):
+        if shape == "hat":
+            u = GridFunction.hat(-1.0, 1.0, n)
+        else:
+            u = GridFunction.from_callable(
+                lambda x: (1.0 - x * x) * (0.5 + np.sin(3.0 * x)),
+                -1.0, 1.0, n)
+        for s in (0.1, 0.5, 0.9, 0.99):
+            same, _ = _same_element(G, s, u.spacing, u.slopes,
+                                    want_grad=False)
+            far, _ = _far_field(G, s, u, 5, want_grad=False)
+            ref = same + uniform_pair_sum(G, s, u) + far
+            assert fractional_modular(G, s, u) == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("order", [2, 3, 5, 8])
+    @pytest.mark.parametrize("ne", [2, 3, 8, 32, 1024])
+    def test_order_rule(self, order, ne):
+        q = _pair_orders(ne, order)
+        assert q.shape == (ne - 1,)
+        assert np.all(q[:2] == order)
+        assert np.all(np.diff(q) <= 0)
+        assert q.min() >= 2
+
+    def test_order_bands_at_1024_elements(self):
+        counts = np.bincount(_pair_orders(1024, 5))
+        assert counts[2:].tolist() == [1002, 16, 3, 2]

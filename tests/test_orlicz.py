@@ -100,6 +100,26 @@ class TestCombinations:
         with pytest.raises(InvalidFunctionError):
             make_combination("max", [dent, make_power(3.0)])
 
+    @pytest.mark.parametrize("parts", [
+        [make_power(2.0), make_power(3.0)],
+        [make_power(2.0), make_power_log(3.0), make_power(3.0)],
+    ])
+    def test_max_matches_stacked_reference(self, parts):
+        # the reference stacks the branches and applies the tie rule at once
+        G = make_combination("max", parts)
+        x = np.logspace(-3.0, 3.0, 4001)
+        vals = np.stack([ch.fn(x) for ch in parts])
+        ders = np.stack([ch.dfn(x) for ch in parts])
+        top = np.max(vals, axis=0)
+        on_top = vals >= top - 1e-14 * np.maximum(top, 1.0)
+        assert np.array_equal(G(x), top)
+        assert np.array_equal(G.deriv(x),
+                              np.max(np.where(on_top, ders, -np.inf), axis=0))
+
+    def test_max_tie_takes_steeper_branch(self):
+        G = make_combination("max", [make_power(2.0), make_power(3.0)])
+        assert G.deriv(1.0) == 3.0
+
     def test_composition(self):
         G = compose(make_power(2.0), make_power(1.5))
         assert G(2.0) == pytest.approx(2.0 ** 3)
