@@ -20,11 +20,16 @@ is split into three pieces:
        than the configured order's bound at offset 2 (order 5 on 1024
        elements: 2 offsets at order 5, 3 at 4, 16 at 3, the rest at 2);
   (iii) the far field (one point outside the support), which reduces exactly
-       to the radial profile int_0^w G(v)/v dv -- no cutoff is needed.
+       to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
+       needed. I is half the n = 1 limit density: the closed form where
+       G has one (`tilde_closed_form(..., 1, w) / 2`), otherwise the shared
+       kink-split tanh-sinh rule `limit_density.radial_profile`. Its
+       derivative is the exact I'(w) = G(w)/w.
 
 The gradient returned by the *_with_gradient entry point is the exact
-derivative of the computed discrete value (same rules, same nodes), which is
-what makes finite-difference checks of the energy meaningful.
+derivative of the computed discrete value (same rules, same nodes) in
+pieces (i) and (ii), and the exact derivative of the profile in (iii), which
+is what makes finite-difference checks of the energy meaningful.
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run; element-pair blocks are independent and could
@@ -38,32 +43,12 @@ import numpy as np
 from ._quadrature import gauss_rule_01
 from .errors import InvalidParameterError, ToleranceNotMetError
 from .grid import GridFunction, QuadratureConfig
+from .limit_density import _closed_form_spec, radial_profile, tilde_closed_form
 from .orlicz import OrliczFunction
 
 _SAME_ELEMENT_ORDER = 48
-_PROFILE_ORDER = 64
 
 _DEFAULT_CONFIG = QuadratureConfig()
-
-
-def _radial_profile(G, w, want_deriv=False):
-    """I(w) = int_0^w G(v)/v dv elementwise; exact for pure powers.
-
-    The generic path integrates G(w*rho)/rho over rho in (0,1) with a fixed
-    Gauss rule, whose w-derivative is again a Gauss sum (so value and
-    derivative stay consistent).
-    """
-    w = np.asarray(w, dtype=float)
-    if G.kind == "power":
-        p = G.params[0]
-        val = w ** p / p
-        der = w ** (p - 1.0) if want_deriv else None
-        return val, der
-    rho, om = gauss_rule_01(_PROFILE_ORDER)
-    arg = w[..., None] * rho
-    val = np.sum(om / rho * G(arg), axis=-1)
-    der = np.sum(om * G.deriv(arg), axis=-1) if want_deriv else None
-    return val, der
 
 
 def _same_element(G, s, h, slopes, want_grad):
@@ -199,24 +184,32 @@ def _distinct_pairs(G, s, u, order, want_grad):
 
 
 def _far_field(G, s, u, order, want_grad):
-    """(iii): value (and nodal gradient) of the far field."""
+    """(iii): value (and nodal gradient) of the far field.
+
+    Both sides (partner beyond the right end, beyond the left end) go
+    through one profile evaluation.
+    """
     h = u.spacing
     ne = u.node_count - 1
     xg, wg = gauss_rule_01(order)
     starts = u.left + h * np.arange(ne)
     X = starts[:, None] + h * xg[None, :]
     U = _at_gauss_points(u.values, xg)
-    c = np.abs(U)
-    val = 0.0
-    grad = np.zeros(u.node_count) if want_grad else None
-    for d in (u.right - X, X - u.left):
-        warg = c * d ** (-s)
-        prof, dprof = _radial_profile(G, warg, want_deriv=want_grad)
-        val += (2.0 * h / s) * float(np.sum(wg[None, :] * prof))
-        if want_grad:
-            dc = (2.0 * h / s) * wg[None, :] * dprof * d ** (-s) * np.sign(U)
-            grad[:-1] += dc @ (1.0 - xg)
-            grad[1:] += dc @ xg
+    kern = np.stack([u.right - X, X - u.left]) ** (-s)
+    warg = np.abs(U) * kern
+    spec = _closed_form_spec(G)
+    if spec is None:
+        prof = radial_profile(G, warg)
+    else:
+        prof = tilde_closed_form(*spec, 1, warg) / 2.0
+    val = (2.0 * h / s) * float(np.sum(wg * prof))
+    if not want_grad:
+        return val, None
+    dprof = G(warg) / np.where(warg > 0.0, warg, 1.0)
+    dc = (2.0 * h / s) * wg * np.sum(dprof * kern, axis=0) * np.sign(U)
+    grad = np.zeros(u.node_count)
+    grad[:-1] += dc @ (1.0 - xg)
+    grad[1:] += dc @ xg
     return val, grad
 
 
@@ -251,7 +244,6 @@ def fractional_modular(G: OrliczFunction, s: float, u: GridFunction,
     if check_tolerance:
         low = QuadratureConfig(
             near_diagonal_order=max(2, cfg.near_diagonal_order - 2),
-            tail_cutoff=cfg.tail_cutoff,
             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
         ref, _ = _core(G, s, u, low, want_grad=False)
         err = abs(val - ref)

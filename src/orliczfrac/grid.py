@@ -147,21 +147,15 @@ class QuadratureConfig:
     near_diagonal_order : Gauss points per element (the far field and the
         element pairs at offsets 1 and 2 use this order; separated pairs
         use lower orders graded by their offset).
-    tail_cutoff : far-field radius in units of the domain length; kept for
-        interface compatibility, the implementation reduces the far field
-        exactly so the cutoff never truncates anything.
     """
 
     near_diagonal_order: int = 5
-    tail_cutoff: float = 64.0
     rel_tol: float = 1e-3
     abs_tol: float = 1e-12
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise InvalidParameterError("tolerances must be positive")
-        if self.tail_cutoff < 1:
-            raise InvalidParameterError("tail cutoff must be >= 1")
         if self.near_diagonal_order < 2:
             raise InvalidParameterError("need at least 2 Gauss points")
 

@@ -240,7 +240,7 @@ def make_power_abslog(p: float) -> OrliczFunction:
         out[m] = np.where(xm < 1.0, -core, core)
         return out
 
-    return _finalize("custom", (p,), fn, dfn, f"power_abslog({p:g})",
+    return _finalize("power_abslog", (p,), fn, dfn, f"power_abslog({p:g})",
                      kinks=(1.0,))
 
 

@@ -10,6 +10,7 @@ from orliczfrac import (
     fractional_modular,
     fractional_modular_with_gradient,
     make_combination,
+    make_custom,
     make_power,
     make_power_log,
 )
@@ -20,6 +21,8 @@ from conftest import brute_force_seminorm
 
 G2 = make_power(2.0)
 G23 = make_combination("max", [make_power(2.0), make_power(3.0)])
+# the same function without a closed-form limit density
+G23_PLAIN = make_custom(G23.fn, G23.dfn, kinks=G23.kinks)
 
 
 def random_state(rng, n=33, amplitude=1.0):
@@ -131,6 +134,68 @@ class TestGradient:
         val, grad = fractional_modular_with_gradient(G2, 0.5, z)
         assert val == 0.0
         assert not np.any(grad)
+
+
+def far_field_reference(profile, s, u, order=5):
+    """(iii) written out: the exact profile I at every element Gauss point,
+    for the partner beyond either end."""
+    h = u.spacing
+    x, w = gauss_rule_01(order)
+    X = u.left + h * (np.arange(u.node_count - 1)[:, None] + x[None, :])
+    U = u.values[:-1, None] * (1.0 - x) + u.values[1:, None] * x
+    return sum((2.0 * h / s) * float(np.sum(w * profile(np.abs(U) * d ** -s)))
+               for d in (u.right - X, X - u.left))
+
+
+def power_log3_profile(w):
+    """int_0^w v^2 (|log v| + 1) dv."""
+    lg = np.log(np.where(w > 0.0, w, 1.0))
+    cube = w ** 3 / 3.0
+    return np.where(w <= 1.0, cube * (4.0 / 3.0 - lg),
+                    cube * (2.0 / 3.0 + lg) + 2.0 / 9.0)
+
+
+class TestFarField:
+    """(iii) through the shared kink-split radial profile."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.9])
+    @pytest.mark.parametrize("G,profile", [
+        (make_power_log(3.0), power_log3_profile),
+        (G23_PLAIN, lambda w: np.where(w <= 1.0, w * w / 2.0,
+                                       w ** 3 / 3.0 + 1.0 / 6.0)),
+    ], ids=["power_log(3)", "max_without_closed_form"])
+    def test_generic_profile_matches_exact_profile(self, G, profile, s):
+        # 3 x hat puts the profile arguments on both sides of the kink at 1
+        u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
+        val, _ = _far_field(G, s, u, 5, want_grad=False)
+        assert val == pytest.approx(far_field_reference(profile, s, u),
+                                    rel=1e-12)
+
+    def test_closed_form_max_matches_generic_profile(self):
+        u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
+        val, grad = _far_field(G23, 0.6, u, 5, want_grad=True)
+        ref, ref_grad = _far_field(G23_PLAIN, 0.6, u, 5, want_grad=True)
+        assert val == pytest.approx(ref, rel=1e-12)
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    def test_finite_difference_across_the_kink(self, s):
+        # The far field alone: on this state some distinct-pair Gauss
+        # points of (ii) sit exactly on the kink of G at s = 0.5, where the
+        # discrete value itself has a kink.
+        G = make_power_log(3.0)
+        u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
+        eps = 1e-6
+        _, grad = _far_field(G, s, u, 5, want_grad=True)
+        for i in range(u.node_count):
+            vp = u.values.copy()
+            vm = u.values.copy()
+            vp[i] += eps
+            vm[i] -= eps
+            fd = (_far_field(G, s, u.with_values(vp), 5, False)[0]
+                  - _far_field(G, s, u.with_values(vm), 5, False)[0]) \
+                / (2 * eps)
+            assert grad[i] == pytest.approx(fd, rel=1e-7, abs=1e-10)
 
 
 class TestToleranceMachinery:

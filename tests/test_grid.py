@@ -220,6 +220,4 @@ class TestQuadratureConfig:
         with pytest.raises(InvalidParameterError):
             QuadratureConfig(rel_tol=-1.0)
         with pytest.raises(InvalidParameterError):
-            QuadratureConfig(tail_cutoff=0.5)
-        with pytest.raises(InvalidParameterError):
             QuadratureConfig(near_diagonal_order=1)

@@ -6,6 +6,7 @@ import pytest
 from orliczfrac import (
     InvalidParameterError,
     UnsupportedDimensionError,
+    compose,
     equivalence_constants,
     limit_density,
     make_combination,
@@ -18,6 +19,7 @@ from orliczfrac import (
     tilde_eval,
     tilde_prelimit,
 )
+from orliczfrac.limit_density import radial_profile
 
 
 class TestSphereMoments:
@@ -192,3 +194,102 @@ class TestLimitDensityObject:
     def test_closed_form_refused_when_unavailable(self):
         with pytest.raises(InvalidParameterError):
             limit_density(make_power_log(2.0), 1, backing="closed_form")
+
+
+def _abslog_antiderivative(a, p):
+    """int_0^a v^(p-1) |log v| dv, from the explicit antiderivative."""
+    if a <= 1.0:
+        return (a ** p / p) * (1.0 / p - math.log(a))
+    return 2.0 / p ** 2 + (a ** p / p) * (math.log(a) - 1.0 / p)
+
+
+PROFILE_POINTS = [1e-3, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5, 2.5, 10.0, 40.0]
+PROFILE_CASES = [
+    (make_power(1.1), lambda a: a ** 1.1 / 1.1),
+    (make_power(3.0), lambda a: a ** 3 / 3.0),
+    (make_power_abslog(2.0), lambda a: _abslog_antiderivative(a, 2.0)),
+    (make_power_log(3.0),
+     lambda a: a ** 3 / 3.0 + _abslog_antiderivative(a, 3.0)),
+    (make_combination("max", [make_power(2.0), make_power(3.0)]),
+     lambda a: a * a / 2.0 if a <= 1.0 else a ** 3 / 3.0 + 1.0 / 6.0),
+]
+
+
+class TestRadialProfile:
+    """The n = 1 profile int_0^a G(v)/v dv, tilde_G = 2 * profile."""
+
+    @pytest.mark.parametrize("G,exact", PROFILE_CASES,
+                             ids=[G.label for G, _ in PROFILE_CASES])
+    def test_matches_exact_values(self, G, exact):
+        a = np.array(PROFILE_POINTS)
+        ref = np.array([exact(x) for x in PROFILE_POINTS])
+        assert radial_profile(G, a) == pytest.approx(ref, rel=1e-12, abs=0)
+        assert tilde_eval(G, 1, a) == pytest.approx(2.0 * ref, rel=1e-12,
+                                                    abs=0)
+
+    def test_kink_above_every_argument_is_dropped(self):
+        G = make_power_log(3.0)
+        a = np.array([0.2, 0.7])
+        ref = np.array([a[0] ** 3 / 3.0 + _abslog_antiderivative(a[0], 3.0),
+                        a[1] ** 3 / 3.0 + _abslog_antiderivative(a[1], 3.0)])
+        assert radial_profile(G, a) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_array_and_scalar_agree(self):
+        G = make_power_log(3.0)
+        a = np.array(PROFILE_POINTS).reshape(2, 5)
+        vals = tilde_eval(G, 1, a)
+        assert vals.shape == (2, 5)
+        for x, v in zip(a.ravel(), vals.ravel()):
+            scalar = tilde_eval(G, 1, float(x))
+            assert isinstance(scalar, float)
+            assert v == pytest.approx(scalar, rel=1e-14)
+        assert tilde_eval(G, 1, np.array([0.0, 1.0]))[0] == 0.0
+
+    @pytest.mark.parametrize("bad", [[1.0, -0.5], [0.5, np.nan],
+                                     [np.inf], -1e-300])
+    def test_bad_entries_rejected(self, bad):
+        G = make_power_log(3.0)
+        with pytest.raises(InvalidParameterError):
+            tilde_eval(G, 1, np.array(bad))
+        with pytest.raises(InvalidParameterError):
+            tilde_closed_form("power", (2.0,), 1, np.array(bad))
+
+    @pytest.mark.parametrize("G", [
+        make_power_log(3.0), compose(make_power(2.0), make_power_log(3.0)),
+    ], ids=lambda G: G.label)
+    def test_matches_independent_prelimit(self, G):
+        # the literal r-integral at s = 0.5 shares no rule with the profile
+        for a in (0.3, 1.0, 2.5):
+            assert tilde_eval(G, 1, a) == pytest.approx(
+                tilde_prelimit(G, 1, a, 0.5), rel=1e-8)
+
+    def test_density_object_on_arrays(self):
+        G = make_power_log(3.0)
+        dens = limit_density(G, 1)
+        a = np.array([0.0, 0.4, 1.0, 3.0])
+        assert dens.value(a) == pytest.approx(
+            [dens.value(float(x)) for x in a], rel=1e-14)
+        expected = np.concatenate([[0.0], 2.0 * G(a[1:]) / a[1:]])
+        assert np.array_equal(dens.deriv(a), expected)
+        assert dens.deriv(1.5) == 2.0 * float(G(1.5)) / 1.5
+        tilde = dens.as_orlicz()
+        assert np.array_equal(tilde(a), dens.value(a))
+        assert np.array_equal(tilde.deriv(a), dens.deriv(a))
+
+    def test_closed_form_on_arrays(self):
+        a = np.array([0.25, 1.0, 2.0])
+        vals = tilde_closed_form("max_powers", (2.0, 3.0), 1, a)
+        assert vals == pytest.approx(
+            [tilde_closed_form("max_powers", (2.0, 3.0), 1, float(x))
+             for x in a], rel=1e-15)
+        assert tilde_closed_form("power_abslog", (2.0,), 2, a) == \
+            pytest.approx([tilde_closed_form("power_log", (2.0,), 2, float(x))
+                           for x in a], rel=1e-15)
+
+    def test_abslog_has_its_own_kind(self):
+        G = make_power_abslog(2.0)
+        assert G.kind == "power_abslog"
+        dens = limit_density(G, 1)
+        assert dens.backing == "closed_form"
+        assert dens.value(2.0) == pytest.approx(4.0 * math.log(2.0) - 1.0,
+                                                rel=1e-12)
