@@ -14,10 +14,13 @@ from .errors import (
     UniquenessWarning,
     UnsupportedDimensionError,
 )
-from .fractional import fractional_modular, fractional_modular_with_gradient
+from .fractional import (
+    fractional_modular,
+    fractional_modular_with_gradient,
+    pairing_abs,
+)
 from .grid import (
     GridFunction,
-    QuadratureConfig,
     gradient_modular,
     luxemburg_norm,
     modular,
@@ -68,7 +71,6 @@ from .solver import (
     energy,
     energy_gradient,
     gamma_run,
-    pairing_abs,
     solve,
     weak_residual,
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -29,7 +29,7 @@ from .errors import (
     OrliczFracError,
     ToleranceNotMetError,
 )
-from .grid import GridFunction, QuadratureConfig, modular
+from .grid import GridFunction, modular
 from .limit_density import limit_density, tilde_closed_form, tilde_eval, _closed_form_spec
 from .limits import bbm_curve, poincare_check
 from .orlicz import (
@@ -153,8 +153,6 @@ class ExperimentConfig:
     rhs_spec: str = "constant(1)"
     a_list: Tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
     scaling: str = "bbm_scaled"
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-12
     seed: int = 0
     count: int = 20
     out: str = ""
@@ -172,9 +170,6 @@ class ExperimentConfig:
         if spec == "sin":
             return lambda x: np.sin(np.pi * x)
         raise InvalidParameterError(f"unknown rhs spec {spec!r}")
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
 def _parse_floats(value, count=None):
@@ -220,7 +215,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 if not a < b:
                     raise ValueError("domain must satisfy left < right")
                 fields["domain"] = (a, b)
-            elif key == "n_nodes" or key == "nodes" or key == "n_mesh":
+            elif key == "nodes":
                 fields["nodes"] = int(value)
             elif key == "rhs":
                 fields["rhs_spec"] = value
@@ -230,10 +225,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 if value not in ("bbm_scaled", "unscaled"):
                     raise ValueError("scaling must be bbm_scaled|unscaled")
                 fields["scaling"] = value
-            elif key == "rel_tol":
-                fields["rel_tol"] = float(value)
-            elif key == "abs_tol":
-                fields["abs_tol"] = float(value)
             elif key == "seed":
                 fields["seed"] = int(value)
             elif key == "count":
@@ -276,7 +267,7 @@ def _run_bbm(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
     G = cfg.growth()
     s_list = cfg.s_list or (0.9, 0.95, 0.99)
     u = GridFunction.hat(cfg.domain[0], cfg.domain[1], cfg.nodes)
-    curve = bbm_curve(G, u, s_list, cfg.quadrature())
+    curve = bbm_curve(G, u, s_list)
     lines = ["s,scaled_modular,target,rel_gap"]
     for s, y in curve.entries:
         gap = abs(y - curve.target) / max(abs(curve.target), 1e-300)
@@ -298,7 +289,7 @@ def _run_poincare(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
     lines = ["s,max_ratio,budget,ok"]
     all_ok = True
     for s in s_list:
-        reports = [poincare_check(G, s, u, cfg.quadrature()) for u in funcs]
+        reports = [poincare_check(G, s, u) for u in funcs]
         worst = max(reports, key=lambda r: r.ratio)
         ok = all(r.within_budget for r in reports)
         all_ok &= ok
@@ -316,8 +307,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
         raise InvalidParameterError("solve needs the key 's'")
     problem = DirichletProblem(
         omega=cfg.domain, rhs=cfg.rhs(), G=cfg.growth(), s=cfg.s,
-        scaling=cfg.scaling, mesh_nodes=cfg.nodes,
-        quadrature=cfg.quadrature())
+        scaling=cfg.scaling, mesh_nodes=cfg.nodes)
     result = solve(problem)
     u_path = out_dir / f"{cfg.out}_u.csv"
     u_path.write_text(result.u.to_csv())
@@ -342,8 +332,7 @@ def _run_gamma(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
     s_list = cfg.s_list or (0.6, 0.8, 0.9, 0.99)
     template = DirichletProblem(
         omega=cfg.domain, rhs=cfg.rhs(), G=cfg.growth(), s=s_list[0],
-        scaling="bbm_scaled", mesh_nodes=cfg.nodes,
-        quadrature=cfg.quadrature())
+        scaling="bbm_scaled", mesh_nodes=cfg.nodes)
     report = gamma_run(template, s_list)
     lines = ["s,lux_gap,energy_gap,midpoint"]
     for e in report.entries:

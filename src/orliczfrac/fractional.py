@@ -13,23 +13,25 @@ is split into three pieces:
   (ii) distinct-element blocks by tensor Gauss quadrature, looped over the
        element offset j: the pairs at one offset share their distances, so
        the kernel tables dist**(-s) and 2 h^2 w_a w_b / dist are built once
-       per offset (and per call). Offsets 1 and 2 use the configured order;
+       per offset (and per call). Offsets 1 and 2 use order 5 (`_ORDER`);
        a further offset j gets the smallest order q >= 2 whose Gauss error
        bound rho_j**(-2q), with rho_j = (2j-1) + sqrt((2j-1)**2 - 1) the
        Bernstein-ellipse radius of the kernel singularity, is no larger
-       than the configured order's bound at offset 2 (order 5 on 1024
-       elements: 2 offsets at order 5, 3 at 4, 16 at 3, the rest at 2);
+       than the order-5 bound at offset 2 (on 1024 elements: 2 offsets at
+       order 5, 3 at 4, 16 at 3, the rest at 2);
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density: the closed form where
        G has one (`tilde_closed_form(..., 1, w) / 2`), otherwise the shared
-       kink-split tanh-sinh rule `limit_density.radial_profile`. Its
-       derivative is the exact I'(w) = G(w)/w.
+       kink-split tanh-sinh rule `limit_density.radial_profile`, at the
+       order-5 Gauss points of every element. Its derivative is the exact
+       I'(w) = G(w)/w.
 
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed discrete value (same rules, same nodes) in
 pieces (i) and (ii), and the exact derivative of the profile in (iii), which
-is what makes finite-difference checks of the energy meaningful.
+is what makes finite-difference checks of the energy meaningful. The
+absolute pairing `pairing_abs` is built from the same three pieces.
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run; element-pair blocks are independent and could
@@ -41,14 +43,13 @@ from __future__ import annotations
 import numpy as np
 
 from ._quadrature import gauss_rule_01
-from .errors import InvalidParameterError, ToleranceNotMetError
-from .grid import GridFunction, QuadratureConfig
+from .errors import InvalidInputError, InvalidParameterError
+from .grid import GridFunction
 from .limit_density import _closed_form_spec, radial_profile, tilde_closed_form
 from .orlicz import OrliczFunction
 
 _SAME_ELEMENT_ORDER = 48
-
-_DEFAULT_CONFIG = QuadratureConfig()
+_ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
 
 
 def _same_element(G, s, h, slopes, want_grad):
@@ -183,6 +184,28 @@ def _distinct_pairs(G, s, u, order, want_grad):
     return val, grad
 
 
+def _far_points(s, u, order):
+    """Gauss points of the far field: the rule (xg, wg) on (0, 1), u at the
+    points of every element (U, elements x points) and the kernel
+    dist**(-s) to the right and the left end of the support (kern,
+    2 x elements x points)."""
+    h = u.spacing
+    ne = u.node_count - 1
+    xg, wg = gauss_rule_01(order)
+    starts = u.left + h * np.arange(ne)
+    X = starts[:, None] + h * xg[None, :]
+    kern = np.stack([u.right - X, X - u.left]) ** (-s)
+    return xg, wg, _at_gauss_points(u.values, xg), kern
+
+
+def _far_flux(G, s, h, wg, U, kern):
+    """Derivative of the far-field value with respect to U, per element
+    Gauss point: both sides through the exact I'(w) = G(w)/w."""
+    warg = np.abs(U) * kern
+    dprof = G(warg) / np.where(warg > 0.0, warg, 1.0)
+    return (2.0 * h / s) * wg * np.sum(dprof * kern, axis=0) * np.sign(U)
+
+
 def _far_field(G, s, u, order, want_grad):
     """(iii): value (and nodal gradient) of the far field.
 
@@ -190,12 +213,7 @@ def _far_field(G, s, u, order, want_grad):
     through one profile evaluation.
     """
     h = u.spacing
-    ne = u.node_count - 1
-    xg, wg = gauss_rule_01(order)
-    starts = u.left + h * np.arange(ne)
-    X = starts[:, None] + h * xg[None, :]
-    U = _at_gauss_points(u.values, xg)
-    kern = np.stack([u.right - X, X - u.left]) ** (-s)
+    xg, wg, U, kern = _far_points(s, u, order)
     warg = np.abs(U) * kern
     spec = _closed_form_spec(G)
     if spec is None:
@@ -205,20 +223,18 @@ def _far_field(G, s, u, order, want_grad):
     val = (2.0 * h / s) * float(np.sum(wg * prof))
     if not want_grad:
         return val, None
-    dprof = G(warg) / np.where(warg > 0.0, warg, 1.0)
-    dc = (2.0 * h / s) * wg * np.sum(dprof * kern, axis=0) * np.sign(U)
+    dc = _far_flux(G, s, h, wg, U, kern)
     grad = np.zeros(u.node_count)
     grad[:-1] += dc @ (1.0 - xg)
     grad[1:] += dc @ xg
     return val, grad
 
 
-def _core(G, s, u, cfg, want_grad):
+def _core(G, s, u, want_grad):
     h = u.spacing
-    order = cfg.near_diagonal_order
     val, ders = _same_element(G, s, h, u.slopes, want_grad)
-    pairs, pair_grad = _distinct_pairs(G, s, u, order, want_grad)
-    far, far_grad = _far_field(G, s, u, order, want_grad)
+    pairs, pair_grad = _distinct_pairs(G, s, u, _ORDER, want_grad)
+    far, far_grad = _far_field(G, s, u, _ORDER, want_grad)
     val += pairs + far
     if not want_grad:
         return val, None
@@ -228,36 +244,47 @@ def _core(G, s, u, cfg, want_grad):
     return val, grad
 
 
-def fractional_modular(G: OrliczFunction, s: float, u: GridFunction,
-                       config: QuadratureConfig | None = None,
-                       check_tolerance: bool = False) -> float:
-    """Fractional modular of a grid function for s in (0, 1).
-
-    With ``check_tolerance`` a second pass at lower quadrature order provides
-    an error estimate; a relative discrepancy beyond config.rel_tol raises
-    ToleranceNotMetError carrying the better value.
-    """
+def _check_s(s):
     if not (0.0 < s < 1.0):
         raise InvalidParameterError(f"fractional order must be in (0,1): {s}")
-    cfg = config or _DEFAULT_CONFIG
-    val, _ = _core(G, s, u, cfg, want_grad=False)
-    if check_tolerance:
-        low = QuadratureConfig(
-            near_diagonal_order=max(2, cfg.near_diagonal_order - 2),
-            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
-        ref, _ = _core(G, s, u, low, want_grad=False)
-        err = abs(val - ref)
-        if err > cfg.rel_tol * max(abs(val), 1e-300) and err > cfg.abs_tol:
-            raise ToleranceNotMetError(
-                f"seminorm quadrature error estimate {err:.3g} exceeds "
-                f"rel_tol={cfg.rel_tol}", achieved=val)
-    return val
+
+
+def fractional_modular(G: OrliczFunction, s: float, u: GridFunction) -> float:
+    """Fractional modular of a grid function for s in (0, 1)."""
+    _check_s(s)
+    return _core(G, s, u, want_grad=False)[0]
 
 
 def fractional_modular_with_gradient(G: OrliczFunction, s: float,
-                                     u: GridFunction,
-                                     config: QuadratureConfig | None = None):
+                                     u: GridFunction):
     """(value, nodal gradient) of the discrete fractional modular."""
-    if not (0.0 < s < 1.0):
-        raise InvalidParameterError(f"fractional order must be in (0,1): {s}")
-    return _core(G, s, u, config or _DEFAULT_CONFIG, want_grad=True)
+    _check_s(s)
+    return _core(G, s, u, want_grad=True)
+
+
+def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
+                v: GridFunction) -> float:
+    """Absolute-value dual pairing iint g(|D_s u|) |D_s v| dmu.
+
+    This majorizes the weak-form pairing and is the quantity bounded by
+    (p - 1) Phi_s(u) + Phi_s(v) through the Young inequality. Each piece of
+    the modular's rule contributes |d Phi_s(u)| times |v| at its own
+    quadrature values: the element slopes, the pair differences and the
+    far-field Gauss points. The pairing and the modular thus share one rule:
+    the Young bound holds node by node, and for v = u and G = t^p the
+    pairing is p Phi_s(u) up to roundoff.
+    """
+    _check_s(s)
+    if (u.left, u.right, u.node_count) != (v.left, v.right, v.node_count):
+        raise InvalidInputError("u and v must share a mesh")
+    h = u.spacing
+    _, ders = _same_element(G, s, h, u.slopes, want_grad=True)
+    val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
+    for _, band in _pair_bands(s, h, _ORDER, u.values, v.values):
+        for _, kern, block, (du, dv) in band:
+            val += float(np.sum(block * G.deriv(np.abs(du) * kern)
+                                * np.abs(dv) * kern))
+    xg, wg, U, kern = _far_points(s, u, _ORDER)
+    flux = _far_flux(G, s, h, wg, U, kern)
+    val += float(np.sum(np.abs(flux) * np.abs(_at_gauss_points(v.values, xg))))
+    return val

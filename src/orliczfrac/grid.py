@@ -11,8 +11,8 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -138,26 +138,6 @@ class GridFunction:
         rows = [ln for ln in text.strip().splitlines()[1:] if ln]
         xs, vs = zip(*(map(float, ln.split(",")) for ln in rows))
         return GridFunction(xs[0], xs[-1], np.asarray(vs))
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Quadrature knobs for the seminorm kernel.
-
-    near_diagonal_order : Gauss points per element (the far field and the
-        element pairs at offsets 1 and 2 use this order; separated pairs
-        use lower orders graded by their offset).
-    """
-
-    near_diagonal_order: int = 5
-    rel_tol: float = 1e-3
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InvalidParameterError("tolerances must be positive")
-        if self.near_diagonal_order < 2:
-            raise InvalidParameterError("need at least 2 Gauss points")
 
 
 def modular(G: OrliczFunction, u: GridFunction) -> float:

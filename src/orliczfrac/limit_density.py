@@ -394,11 +394,14 @@ class LimitDensity:
 
     base: OrliczFunction
     dimension: int
-    backing: str
     _spec: Tuple = None
 
+    @property
+    def backing(self):
+        return "quadrature" if self._spec is None else "closed_form"
+
     def value(self, a):
-        if self.backing == "closed_form":
+        if self._spec is not None:
             kind, params = self._spec
             return tilde_closed_form(kind, params, self.dimension, a)
         return tilde_eval(self.base, self.dimension, a)
@@ -432,19 +435,11 @@ class LimitDensity:
                            constants=constants)
 
 
-def limit_density(G: OrliczFunction, n: int, backing: str = "auto"
-                  ) -> LimitDensity:
-    """Build the limit density, preferring closed forms when available."""
+def limit_density(G: OrliczFunction, n: int) -> LimitDensity:
+    """Build the limit density: the closed form where G's family has one,
+    quadrature otherwise."""
     _check_dim(n)
-    spec = _closed_form_spec(G)
-    if backing == "auto":
-        backing = "closed_form" if spec is not None else "quadrature"
-    if backing == "closed_form" and spec is None:
-        raise InvalidParameterError(
-            f"no closed form available for {G.label}")
-    if backing not in ("closed_form", "quadrature"):
-        raise InvalidParameterError(f"unknown backing {backing!r}")
-    return LimitDensity(base=G, dimension=n, backing=backing, _spec=spec)
+    return LimitDensity(base=G, dimension=n, _spec=_closed_form_spec(G))
 
 
 def equivalence_constants(G: OrliczFunction, n: int) -> Tuple[float, float]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UndefinedRatioError
 from .fractional import fractional_modular
-from .grid import GridFunction, QuadratureConfig, gradient_modular, modular
+from .grid import GridFunction, gradient_modular, modular
 from .limit_density import limit_density, sphere_surface
 from .orlicz import OrliczFunction
 
@@ -47,8 +47,8 @@ def _validate_s_list(s_list):
     return s_list
 
 
-def bbm_curve(G: OrliczFunction, u: GridFunction, s_list: Sequence[float],
-              config: QuadratureConfig | None = None) -> LimitCurve:
+def bbm_curve(G: OrliczFunction, u: GridFunction,
+              s_list: Sequence[float]) -> LimitCurve:
     """Sample (1-s) Phi_s(u) along s_list and extrapolate to s = 1.
 
     Extrapolation is linear in (1-s) through the last two samples; the
@@ -61,7 +61,7 @@ def bbm_curve(G: OrliczFunction, u: GridFunction, s_list: Sequence[float],
 
     entries = []
     for s in s_list:
-        entries.append((s, (1.0 - s) * fractional_modular(G, s, u, config)))
+        entries.append((s, (1.0 - s) * fractional_modular(G, s, u)))
 
     if len(entries) >= 2:
         (s1, y1), (s2, y2) = entries[-2], entries[-1]
@@ -101,15 +101,15 @@ def poincare_budget(G: OrliczFunction, s: float, diameter: float) -> float:
         / (sphere_surface(1) * (1.0 - s))
 
 
-def poincare_check(G: OrliczFunction, s: float, u: GridFunction,
-                   config: QuadratureConfig | None = None) -> PoincareReport:
+def poincare_check(G: OrliczFunction, s: float,
+                   u: GridFunction) -> PoincareReport:
     """ratio Phi_G(u) / ((1-s) Phi_s(u)) against the explicit budget."""
     if not (0.0 < s < 1.0):
         raise InvalidParameterError(f"fractional order must be in (0,1): {s}")
     if not np.any(u.values):
         raise UndefinedRatioError("Poincare ratio undefined for zero input")
     num = modular(G, u)
-    den = (1.0 - s) * fractional_modular(G, s, u, config)
+    den = (1.0 - s) * fractional_modular(G, s, u)
     return PoincareReport(s=s, ratio=num / den,
                           budget=poincare_budget(G, s, u.right - u.left))
 
@@ -130,8 +130,7 @@ class SequenceLimitReport:
 
 def sequence_limit_demo(G: OrliczFunction, base: GridFunction,
                         s_list: Sequence[float],
-                        perturbation: GridFunction | None = None,
-                        config: QuadratureConfig | None = None
+                        perturbation: GridFunction | None = None
                         ) -> SequenceLimitReport:
     """Evaluate (1-s_k) Phi_{s_k}(u_k) for u_k = base + perturbation/k.
 
@@ -148,7 +147,7 @@ def sequence_limit_demo(G: OrliczFunction, base: GridFunction,
     entries = []
     for k, s in enumerate(s_list, start=1):
         u_k = base + perturbation * (1.0 / k)
-        entries.append((s, (1.0 - s) * fractional_modular(G, s, u_k, config)))
+        entries.append((s, (1.0 - s) * fractional_modular(G, s, u_k)))
 
     tilde = limit_density(G, 1).as_orlicz()
     target = gradient_modular(tilde, base)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -26,12 +26,15 @@ from .errors import (
     InvalidParameterError,
     UniquenessWarning,
 )
-from .fractional import _at_gauss_points, _core, _pair_bands
-from .grid import GridFunction, QuadratureConfig, gradient_modular, modular
+from .fractional import _check_s, _core
+from .grid import GridFunction, modular
 from .limit_density import limit_density
 from .orlicz import OrliczFunction
 
 RhsSpec = Union[float, Callable[[np.ndarray], np.ndarray], GridFunction]
+
+_ARMIJO = 1e-4     # sufficient-decrease constant of the line search
+_BACKTRACK = 0.5   # step reduction per rejected trial
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class DirichletProblem:
     s: float
     scaling: str = "bbm_scaled"
     mesh_nodes: int = 257
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         a, b = self.omega
@@ -108,11 +110,7 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    tol: Optional[float] = None
     max_iter: int = 500
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    verbose: bool = False
 
 
 def _seminorm_value_grad(problem, u, want_grad):
@@ -127,7 +125,7 @@ def _seminorm_value_grad(problem, u, want_grad):
         grad[:-1] -= dm
         grad[1:] += dm
         return val, grad
-    return _core(problem.G, problem.s, u, problem.quadrature, want_grad)
+    return _core(problem.G, problem.s, u, want_grad=want_grad)
 
 
 def energy(problem: DirichletProblem, u: GridFunction) -> float:
@@ -176,7 +174,7 @@ def solve(problem: DirichletProblem,
     restarts, tridiagonal local-stiffness preconditioner) with a
     secant-initialized backtracking line search; descent is monotone by the
     sufficient-decrease test. Stops when the sup-norm of the interior
-    gradient falls below the tolerance.
+    gradient falls below 1e-8 * max(1, |E|).
     """
     opts = opts or SolveOptions()
     _screen_strict_convexity(problem.G)
@@ -197,8 +195,7 @@ def solve(problem: DirichletProblem,
     history = [E]
 
     def tol_for(E_now):
-        return opts.tol if opts.tol is not None \
-            else 1e-8 * max(1.0, abs(E_now))
+        return 1e-8 * max(1.0, abs(E_now))
 
     d = None
     z_old = None
@@ -246,16 +243,16 @@ def solve(problem: DirichletProblem,
 
         accepted = None
         for _ in range(60):
-            if step == probe and E_try <= E + opts.armijo * step * gd:
+            if step == probe and E_try <= E + _ARMIJO * step * gd:
                 accepted = (u_try, E_try, g_try_full)
                 break
             u_new = u.with_values(
                 np.concatenate([[0.0], u.values[1:-1] + step * d, [0.0]]))
             E_new, g_new_full = _energy_and_gradient(problem, u_new, F)
-            if E_new <= E + opts.armijo * step * gd:
+            if E_new <= E + _ARMIJO * step * gd:
                 accepted = (u_new, E_new, g_new_full)
                 break
-            step *= opts.backtrack
+            step *= _BACKTRACK
         if accepted is None:
             message = "line search failed to decrease the energy"
             break
@@ -265,9 +262,6 @@ def solve(problem: DirichletProblem,
         history.append(E)
         alpha = step
         iterations += 1
-        if opts.verbose:
-            print(f"  iter {iterations:4d}  E={E:+.12e}  "
-                  f"|g|={np.max(np.abs(g)):.3e}  step={step:.3e}")
         g_norm_prev = float(np.max(np.abs(g_old)))
         g_norm = float(np.max(np.abs(g)))
         if g_norm <= tol_for(E):
@@ -298,55 +292,6 @@ def solve(problem: DirichletProblem,
     )
 
 
-def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
-                v: GridFunction, order: int = 8) -> float:
-    """Absolute-value dual pairing iint g(|D_s u|) |D_s v| dmu.
-
-    This majorizes the weak-form pairing and is the quantity bounded by
-    (p - 1) Phi_s(u) + Phi_s(v) through the Young inequality. Element pairs
-    use the modular's graded rule with ``order`` at the nearest offsets.
-    """
-    if not (0.0 < s < 1.0):
-        raise InvalidParameterError(f"fractional order must be in (0,1): {s}")
-    if (u.left, u.right, u.node_count) != (v.left, v.right, v.node_count):
-        raise InvalidInputError("u and v must share a mesh")
-    h = u.spacing
-    ne = u.node_count - 1
-
-    # same-element blocks after the flattening substitution
-    x48, w48 = gauss_rule_01(48)
-    H = h ** (1.0 - s)
-    xi = H * x48
-    with np.errstate(under="ignore"):
-        back = xi ** (1.0 / (1.0 - s))
-    outer = (H * w48) * (h - back)
-    mu = np.abs(u.slopes)
-    mv = np.abs(v.slopes)
-    val = float(np.sum(
-        (2.0 / (1.0 - s)) * mv
-        * np.sum(outer[None, :] * G.deriv(mu[:, None] * xi[None, :]),
-                 axis=1)))
-
-    for _, band in _pair_bands(s, h, order, u.values, v.values):
-        for _, kern, block, (du, dv) in band:
-            val += float(np.sum(block * G.deriv(np.abs(du) * kern)
-                                * np.abs(dv) * kern))
-
-    xg, wg = gauss_rule_01(order)
-    starts = u.left + h * np.arange(ne)
-    X = starts[:, None] + h * xg[None, :]
-    U = _at_gauss_points(u.values, xg)
-    V = _at_gauss_points(v.values, xg)
-    cu = np.abs(U)
-    cv = np.abs(V)
-    for d in (u.right - X, X - u.left):
-        warg = cu * d ** (-s)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.where(cu > 0.0, G(warg) / np.where(cu > 0.0, cu, 1.0), 0.0)
-        val += (2.0 * h / s) * float(np.sum(wg[None, :] * cv * t))
-    return val
-
-
 def apply_pointwise_eps(G: OrliczFunction, s: float, u: GridFunction,
                         x: float, eps: float) -> float:
     """Truncated principal-value application of the nonlocal operator at x.
@@ -359,8 +304,7 @@ def apply_pointwise_eps(G: OrliczFunction, s: float, u: GridFunction,
         raise InvalidParameterError("truncation radius must be positive")
     if not (u.left < x < u.right):
         raise InvalidParameterError("evaluation point must lie in the domain")
-    if not (0.0 < s < 1.0):
-        raise InvalidParameterError(f"fractional order must be in (0,1): {s}")
+    _check_s(s)
     ux = float(u(x))
     xq, wq = gauss_rule_01(16)
 

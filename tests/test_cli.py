@@ -162,6 +162,16 @@ class TestMain:
         cfg = self._write(tmp_path, "command = bbm\nnodes = 33\n")
         assert main(["solve", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("line", ["rel_tol = 1e-6", "n_mesh = 33"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, line):
+        text = f"command = bbm\n{line}\n"
+        key = line.split()[0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [(2, f"unknown key {key!r}")]
+        assert main(["bbm", "--config", self._write(tmp_path, text)]) == 1
+        assert f"line 2: unknown key {key!r}" in capsys.readouterr().err
+
     def test_numeric_failure_exit_two(self, tmp_path, capsys):
         # the log-weight family without the +1 shift fails the monotonicity
         # screening, so `check` must exit with the numeric-failure status

@@ -5,8 +5,6 @@ from scipy import integrate
 from orliczfrac import (
     GridFunction,
     InvalidParameterError,
-    QuadratureConfig,
-    ToleranceNotMetError,
     fractional_modular,
     fractional_modular_with_gradient,
     make_combination,
@@ -196,21 +194,6 @@ class TestFarField:
                   - _far_field(G, s, u.with_values(vm), 5, False)[0]) \
                 / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-7, abs=1e-10)
-
-
-class TestToleranceMachinery:
-    def test_tolerance_check_passes_on_smooth_input(self):
-        u = GridFunction.hat(-1.0, 1.0, 65)
-        val = fractional_modular(G2, 0.5, u, check_tolerance=True)
-        assert val > 0.0
-
-    def test_tolerance_failure_reports_achieved(self):
-        u = GridFunction.hat(-1.0, 1.0, 65)
-        cfg = QuadratureConfig(rel_tol=1e-16)
-        with pytest.raises(ToleranceNotMetError) as err:
-            fractional_modular(G2, 0.9, u, cfg, check_tolerance=True)
-        assert err.value.achieved == pytest.approx(
-            fractional_modular(G2, 0.9, u), rel=1e-12)
 
 
 def uniform_pair_sum(G, s, u, order=5):

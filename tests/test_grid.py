@@ -8,7 +8,6 @@ from orliczfrac import (
     GridFunction,
     InvalidInputError,
     InvalidParameterError,
-    QuadratureConfig,
     fractional_modular,
     gradient_modular,
     luxemburg_norm,
@@ -214,10 +213,3 @@ class TestTruncate:
         with pytest.raises(InvalidParameterError):
             truncate(GridFunction.hat(-1.0, 1.0, 17), 0.0)
 
-
-class TestQuadratureConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(InvalidParameterError):
-            QuadratureConfig(near_diagonal_order=1)

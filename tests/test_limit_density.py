@@ -160,7 +160,7 @@ class TestStructure:
             assert val <= c2 * ga * (1.0 + 1e-9)
 
     def test_density_is_monotone_convex_on_grid(self):
-        dens = limit_density(make_power_log(3.0), 1, backing="quadrature")
+        dens = limit_density(make_power_log(3.0), 1)
         a = np.linspace(0.05, 5.0, 41)
         vals = np.array([dens.value(x) for x in a])
         assert np.all(np.diff(vals) > 0.0)
@@ -190,10 +190,6 @@ class TestLimitDensityObject:
         x = np.array([0.0, 0.5, 2.0])
         assert tilde(x) == pytest.approx([0.0, 0.25, 4.0])
         assert tilde.doubling_constant == pytest.approx(4.0)
-
-    def test_closed_form_refused_when_unavailable(self):
-        with pytest.raises(InvalidParameterError):
-            limit_density(make_power_log(2.0), 1, backing="closed_form")
 
 
 def _abslog_antiderivative(a, p):

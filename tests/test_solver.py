@@ -12,8 +12,10 @@ from orliczfrac import (
     energy_gradient,
     fractional_modular,
     gamma_run,
+    make_combination,
     make_custom,
     make_power,
+    make_power_log,
     pairing_abs,
     solve,
 )
@@ -176,6 +178,39 @@ class TestPairingBound:
             rhs = (p - 1.0) * fractional_modular(G2, s, u) \
                 + fractional_modular(G2, s, v)
             assert lhs <= rhs * (1.0 + 1e-9)
+
+
+class TestPairingSharesTheModularRule:
+    # For G = t^p, g(a) a = p G(a) at every quadrature value, and the far
+    # field's profile I(w) = w^p / p has w I'(w) = p I(w); so a pairing that
+    # uses the modular's own rule gives exactly p Phi_s(u) for v = u.
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [9, 33, 129])
+    def test_self_pairing_of_a_power(self, p, n):
+        G = make_power(p)
+        u = GridFunction.hat(-1.0, 1.0, n)
+        for s in (0.1, 0.5, 0.9, 0.99):
+            assert pairing_abs(G, s, u, u) == pytest.approx(
+                p * fractional_modular(G, s, u), rel=1e-12)
+
+    # Young's inequality g(a) b <= (p-1) G(a) + G(b) holds at every
+    # quadrature value, so it holds for the computed numbers up to roundoff.
+    @pytest.mark.parametrize("G", [
+        make_power_log(3.0),
+        make_combination("max", [make_power(2.0), make_power(3.0)]),
+        make_power(1.5),
+    ], ids=lambda G: G.label)
+    @pytest.mark.parametrize("s", [0.4, 0.7, 0.95])
+    def test_young_bound_to_roundoff(self, G, s, rng):
+        prob = problem(s, n=33)
+        p = G.upper_exponent
+        for _ in range(3):
+            u = random_state(prob, rng)
+            for v in (random_state(prob, rng), u):
+                lhs = pairing_abs(G, s, u, v)
+                rhs = (p - 1.0) * fractional_modular(G, s, u) \
+                    + fractional_modular(G, s, v)
+                assert lhs <= rhs * (1.0 + 1e-12)
 
 
 class TestPointwiseOperator:
