@@ -44,8 +44,3 @@ def tanh_sinh_rule_01(steps, span):
     weights.flags.writeable = False
     return nodes, weights
 
-
-def gauss_integrate(f, a, b, order=32):
-    """Fixed-order Gauss-Legendre integral of a vectorized f over (a, b)."""
-    x, w = gauss_rule_01(order)
-    return (b - a) * float(w @ f(a + (b - a) * x))

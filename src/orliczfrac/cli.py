@@ -29,8 +29,8 @@ from .errors import (
     OrliczFracError,
     ToleranceNotMetError,
 )
-from .grid import GridFunction, modular
-from .limit_density import limit_density, tilde_closed_form, tilde_eval, _closed_form_spec
+from .grid import GridFunction
+from .limit_density import _closed_form_spec, tilde_closed_form, tilde_eval
 from .limits import bbm_curve, poincare_check
 from .orlicz import (
     OrliczFunction,

@@ -2,16 +2,17 @@
 
 For a growth function G and dimension n, the limit density is
 
-    tilde_G(a) = integral over tau in (0,1) and the unit sphere of
-                 G(a * |w_n| * tau) dS_w dtau/tau,
+    tilde_G(a) = int_0^1 int_S G(a |w_n| r) dS_w dr/r = int_S I(a |w_n|) dS_w,
 
-obtained from the scaled pre-limit (1-s) * int_0^1 int_S G(a |w_n| r^(1-s))
-dS dr/r through the exact change of variables tau = r^(1-s), which removes
-the s-dependence altogether. In n = 1 the sphere is two points and the
-density is twice the radial profile I(a) = int_0^a G(v)/v dv, which the far
-field of the fractional modular needs as well (`radial_profile`). Closed
-forms are available for pure powers, the log-weight family t^p |log t|, and
-maxima of two powers; everything else goes through quadrature.
+with the radial profile I(c) = int_0^c G(v)/v dv (substitute v = a |w_n| r).
+The scaled pre-limit (1-s) int_0^1 int_S G(a |w_n| r^(1-s)) dS dr/r equals
+it for every s, through the change of variables r -> r^(1-s). The profile
+is one fixed rule (`radial_profile`), shared with the far field of the
+fractional modular, and `sphere_integral` is the only place where the
+dimension enters: the density, its derivative and the closed forms for
+a > 1 are all sphere integrals of a radial function. Closed forms are
+available for pure powers, the log-weight family t^p |log t|, and maxima of
+two powers; everything else goes through quadrature.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .orlicz import OrliczFunction, make_custom
 
 _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 _SPHERE_ORDER = 120  # Gauss order for the polar reduction of sphere integrals
-_TAU_FLOOR = 1e-12
 # Tanh-sinh rule of the radial profile: 2*20+1 nodes per piece, last node at
 # t = 3.1. Against exact values for powers (p = 1.01 .. 8), power_log(3),
 # power_abslog(2) and max(power(2), power(3)) on a in [1e-3, 40] it is within
@@ -97,34 +97,38 @@ def sphere_log_moment(n: int, p: float) -> float:
     return 4.0 * math.pi * val
 
 
-def sphere_integral(G, n: int, c: float) -> float:
-    """int over the unit sphere of G(c * |w_n|) dS for scalar c >= 0.
+def sphere_integral(f, n: int, c, kinks) -> np.ndarray:
+    """int over the unit sphere of f(c |w_n|) dS, elementwise for an array
+    c >= 0 and a vectorized f with derivative kinks at `kinks`.
 
-    The polar reduction is integrated piecewise between the preimages of
-    G's derivative kinks (where c * |w_n| crosses them), so the fixed-order
-    Gauss rule keeps its accuracy for kinked growth functions.
+    n = 1: the sphere is the two points +-1, so the value is 2 f(c).
+    n = 2, 3: the polar reductions 4 int_0^(pi/2) f(c sin t) dt and
+    4 pi int_0^1 f(c t) dt, split per entry where c |w_n| crosses a kink,
+    with the fixed Gauss rule on every piece, so the rule keeps its
+    accuracy for kinked f. A kink at or above every entry is dropped (a
+    kink above one entry gives it a piece of width zero), and f is
+    evaluated once per piece, for all entries together.
     """
     _check_dim(n)
-    if c == 0.0:
-        return 0.0
+    c = np.asarray(c, dtype=float)
     if n == 1:
-        return 2.0 * float(G(np.asarray(c, dtype=float)))
+        return 2.0 * f(c)
     x, w = gauss_rule_01(_SPHERE_ORDER)
-    kinks = getattr(G, "kinks", ())
-    cuts = sorted({k / c for k in kinks if 0.0 < k / c < 1.0})
+    top = float(np.max(c, initial=0.0))
+    with np.errstate(divide="ignore"):
+        cuts = [np.minimum(k / c, 1.0) for k in sorted(set(kinks))
+                if 0.0 < k < top]
     if n == 2:
-        edges = [0.0, *(math.asin(t) for t in cuts), 0.5 * math.pi]
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            theta = lo + (hi - lo) * x
-            total += (hi - lo) * float(w @ G(c * np.sin(theta)))
-        return 4.0 * total
-    edges = [0.0, *cuts, 1.0]
-    total = 0.0
+        cuts, end, scale = [np.arcsin(t) for t in cuts], 0.5 * math.pi, 4.0
+    else:
+        end, scale = 1.0, 4.0 * math.pi
+    edges = [np.zeros_like(c), *cuts, np.full_like(c, end)]
+    total = np.zeros_like(c)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        t = lo + (hi - lo) * x
-        total += (hi - lo) * float(w @ G(c * t))
-    return 4.0 * math.pi * total
+        t = lo[..., None] + (hi - lo)[..., None] * x
+        total += (hi - lo) * (f(c[..., None] * (np.sin(t) if n == 2 else t))
+                              @ w)
+    return scale * total
 
 
 def _density_argument(a):
@@ -138,13 +142,6 @@ def _density_argument(a):
 def _scalar_or_array(out):
     out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
-
-
-def _elementwise(f, a):
-    """f applied to every entry of the array a; a float for a 0-d a."""
-    if a.ndim == 0:
-        return f(float(a))
-    return np.array([f(float(x)) for x in a.ravel()]).reshape(a.shape)
 
 
 def radial_profile(G: OrliczFunction, w) -> np.ndarray:
@@ -170,49 +167,18 @@ def radial_profile(G: OrliczFunction, w) -> np.ndarray:
     return np.sum(width * (f @ om), axis=-1)
 
 
-def _sphere_tilde(G, n, a):
-    """tilde_G(a) for scalar a > 0, n in {2, 3}: adaptive tau quadrature
-    over the sphere integral.
-
-    The tau integrand extends continuously by 0 at tau = 0; the sliver
-    (0, 1e-12) is added as its trapezoid estimate (bounded through the
-    small-slope constant), the rest goes to adaptive quadrature.
-    """
-    if a == 0.0:
-        return 0.0
-
-    def integrand(tau):
-        return sphere_integral(G, n, a * tau) / tau
-
-    # The sphere integrand changes analytic branch where a*tau crosses the
-    # kinks of G; telling the adaptive rule about those points keeps its
-    # extrapolation stable on top of the fixed-order inner rule.
-    breaks = sorted({k / a for k in (1.0, *G.kinks)
-                     if _TAU_FLOOR < k / a < 1.0})
-    val, err = integrate.quad(integrand, _TAU_FLOOR, 1.0,
-                              epsabs=1e-14, epsrel=1e-9, limit=400,
-                              points=breaks or None)
-    val += 0.5 * integrand(_TAU_FLOOR) * _TAU_FLOOR
-    if not np.isfinite(val) or (err > 1e-7 * max(abs(val), 1e-300)
-                                and err > 1e-11):
-        raise ToleranceNotMetError(
-            f"density quadrature failed at a = {a}", achieved=val)
-    return val
-
-
 def tilde_eval(G: OrliczFunction, n: int, a):
     """Limit density at a (a float, or an array of the shape of a).
 
-    n = 1: twice the radial profile, a fixed kink-split tanh-sinh rule
-    evaluated for all entries at once. n = 2, 3: the s-free substituted
-    double integral, by adaptive quadrature per entry. Never dispatches to
-    a closed form, so it can be checked against `tilde_closed_form`.
+    The sphere integral of the radial profile, int_S I(a |w_n|) dS, both by
+    fixed rules, for all entries at once (2 I(a) in n = 1). Never
+    dispatches to a closed form, so it can be checked against
+    `tilde_closed_form`.
     """
     _check_dim(n)
     a = _density_argument(a)
-    if n == 1:
-        return _scalar_or_array(2.0 * radial_profile(G, a))
-    return _elementwise(lambda x: _sphere_tilde(G, n, x), a)
+    return _scalar_or_array(
+        sphere_integral(lambda c: radial_profile(G, c), n, a, G.kinks))
 
 
 def tilde_prelimit(G: OrliczFunction, n: int, a: float, s: float) -> float:
@@ -233,7 +199,8 @@ def tilde_prelimit(G: OrliczFunction, n: int, a: float, s: float) -> float:
         return 0.0
 
     def integrand(y):
-        return sphere_integral(G, n, a * math.exp(-(1.0 - s) * y))
+        return float(sphere_integral(G, n, a * math.exp(-(1.0 - s) * y),
+                                     G.kinks))
 
     # Split where the sphere argument crosses the kinks of G, then a final
     # infinite piece for the decaying tail.
@@ -260,14 +227,6 @@ def tilde_prelimit(G: OrliczFunction, n: int, a: float, s: float) -> float:
     return val
 
 
-def _piece_integral(f, lo, hi, order=_SPHERE_ORDER):
-    if hi <= lo:
-        return 0.0
-    x, w = gauss_rule_01(order)
-    t = lo + (hi - lo) * x
-    return (hi - lo) * float(w @ f(t))
-
-
 def _abslog_profile(c, p):
     """int_0^c u^(p-1) |log u| du, elementwise for c >= 0."""
     c = np.asarray(c, dtype=float)
@@ -281,65 +240,12 @@ def _abslog_profile(c, p):
 
 
 def _closed_profile(kind, params, a):
-    """Radial profile int_0^a G(v)/v dv of a closed-form family, elementwise
-    (tilde_G = 2 * profile in n = 1)."""
-    if kind == "power":
-        (p,) = params
-        return a ** p / p
-    if kind in ("power_log", "power_abslog"):
+    """Radial profile int_0^a G(v)/v dv of a kinked closed-form family,
+    elementwise."""
+    if kind != "max_powers":
         return _abslog_profile(a, params[0])
     q, p = params
     return np.where(a <= 1.0, a ** q / q, a ** p / p + (1.0 / q - 1.0 / p))
-
-
-def _sphere_closed_form(kind, params, n, a):
-    """tilde_closed_form for scalar a >= 0 and n in {2, 3}."""
-    if a == 0.0:
-        return 0.0
-
-    if kind == "power":
-        (p,) = params
-        return sphere_moment(n, p) * a ** p / p
-
-    if kind in ("power_log", "power_abslog"):
-        (p,) = params
-        if a <= 1.0:
-            K = sphere_moment(n, p)
-            Klog = sphere_log_moment(n, p)
-            return (a ** p / p) * (K * abs(math.log(a)) + Klog + K / p)
-        c = 1.0 / a
-        if n == 2:
-            theta_c = math.asin(c)
-
-            def f(theta):
-                return _abslog_profile(a * np.sin(theta), p)
-
-            return 4.0 * (_piece_integral(f, 0.0, theta_c)
-                          + _piece_integral(f, theta_c, math.pi / 2.0))
-
-        def f(t):
-            return _abslog_profile(a * t, p)
-
-        return 4.0 * math.pi * (_piece_integral(f, 0.0, c)
-                                + _piece_integral(f, c, 1.0))
-
-    q, p = params
-    if a <= 1.0:
-        return sphere_moment(n, q) * a ** q / q
-    c = 1.0 / a
-    if n == 2:
-        theta_c = math.asin(c)
-        below = 4.0 * _piece_integral(
-            lambda t: np.sin(t) ** q, 0.0, theta_c)
-        above = 4.0 * _piece_integral(
-            lambda t: np.sin(t) ** p, theta_c, math.pi / 2.0)
-        area = 2.0 * math.pi - 4.0 * theta_c
-    else:
-        below = 4.0 * math.pi * c ** (q + 1.0) / (q + 1.0)
-        above = 4.0 * math.pi * (1.0 - c ** (p + 1.0)) / (p + 1.0)
-        area = 4.0 * math.pi * (1.0 - c)
-    return (a ** q / q) * below + (a ** p / p) * above \
-        + (1.0 / q - 1.0 / p) * area
 
 
 def tilde_closed_form(kind: str, params, n: int, a):
@@ -350,13 +256,13 @@ def tilde_closed_form(kind: str, params, n: int, a):
                            ('power_log' is accepted as an alias)
     kind = 'max_powers'    params (q, p)   base G(t) = max(t^q, t^p), 1 < q < p
 
-    a is a float or an array (entrywise; vectorized in n = 1, where the
-    density is twice the explicit radial profile). For the log-weight family
-    the literature formula (a^p/p) (K_{n,p} |log a| + K_{log,n,p} + K_{n,p}/p)
-    is exact only for a <= 1 (all logarithms share a sign there); for a > 1
-    the exact value is the sphere integral of the explicit radial
-    antiderivative, split at |w_n| = 1/a, mirroring the a > 1 branch of the
-    max-of-powers family.
+    a is a float or an array (entrywise). Pure powers give K_{n,p} a^p / p
+    with the sphere moment K_{n,p}. The kinked families have their kink at
+    1, so for a <= 1 the moment formulas are exact: K_{n,q} a^q / q for the
+    max of powers, and (a^p/p) (K_{n,p} |log a| + K_{log,n,p} + K_{n,p}/p)
+    for the log-weight family (all logarithms share a sign there). For
+    a > 1 the value is the sphere integral of the explicit radial profile,
+    split where a |w_n| = 1.
     """
     _check_dim(n)
     a = _density_argument(a)
@@ -365,9 +271,21 @@ def tilde_closed_form(kind: str, params, n: int, a):
     if kind == "max_powers" and not (1.0 < params[0] < params[1]):
         raise InvalidParameterError(
             f"max_powers needs 1 < q < p, got q={params[0]}, p={params[1]}")
-    if n == 1:
-        return _scalar_or_array(2.0 * _closed_profile(kind, params, a))
-    return _elementwise(lambda x: _sphere_closed_form(kind, params, n, x), a)
+    p = params[0]
+    K = sphere_moment(n, p)
+    if kind == "power":
+        return _scalar_or_array(K * a ** p / p)
+    out = np.zeros_like(a)
+    low, high = (a > 0.0) & (a <= 1.0), a > 1.0
+    x = a[low]
+    if kind == "max_powers":
+        out[low] = K * x ** p / p
+    else:
+        out[low] = (x ** p / p) * (K * np.abs(np.log(x))
+                                   + sphere_log_moment(n, p) + K / p)
+    out[high] = sphere_integral(lambda c: _closed_profile(kind, params, c),
+                                n, a[high], (1.0,))
+    return _scalar_or_array(out)
 
 
 def _closed_form_spec(G: OrliczFunction):
@@ -388,8 +306,8 @@ class LimitDensity:
 
     `backing` records whether values come from a closed form or quadrature.
     `value` and `deriv` take a float or an array (entrywise). The derivative
-    is always cheap: d/da tilde_G(a) = (1/a) * int_S G(a |w_n|) dS, which in
-    n = 1 is 2 G(a)/a, evaluated for all entries at once.
+    is always cheap: d/da tilde_G(a) = (1/a) int_S G(a |w_n|) dS, one sphere
+    integral of G itself (2 G(a)/a in n = 1), for all entries at once.
     """
 
     base: OrliczFunction
@@ -408,13 +326,10 @@ class LimitDensity:
 
     def deriv(self, a):
         a = np.asarray(a, dtype=float)
-        if self.dimension == 1:
-            pos = a > 0.0
-            return _scalar_or_array(np.where(
-                pos, 2.0 * self.base(a) / np.where(pos, a, 1.0), 0.0))
-        return _elementwise(
-            lambda x: sphere_integral(self.base, self.dimension, x) / x
-            if x > 0.0 else 0.0, a)
+        pos = a > 0.0
+        flux = sphere_integral(self.base, self.dimension, a, self.base.kinks)
+        return _scalar_or_array(
+            np.where(pos, flux / np.where(pos, a, 1.0), 0.0))
 
     def as_orlicz(self) -> OrliczFunction:
         """Wrap as a growth function usable by modulars and the solver.

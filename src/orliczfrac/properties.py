@@ -14,7 +14,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .fractional import fractional_modular
 from .grid import (
     GridFunction,

@@ -102,10 +102,19 @@ class SolveResult:
     energy: float
     iterations: int
     grad_norm: float
-    weak_residual: float
     converged: bool
     message: str = ""
     energy_history: Tuple[float, ...] = ()
+
+    @property
+    def weak_residual(self) -> float:
+        """`weak_residual(problem, u)` at the returned iterate.
+
+        Equal to `grad_norm`: the solver keeps the interior gradient of the
+        energy at its current iterate, and that gradient is the discrete
+        weak form, so recomputing it would give the same number.
+        """
+        return self.grad_norm
 
 
 @dataclass(frozen=True)
@@ -285,7 +294,6 @@ def solve(problem: DirichletProblem,
         energy=E,
         iterations=iterations,
         grad_norm=grad_norm,
-        weak_residual=weak_residual(problem, u),
         converged=converged,
         message=message,
         energy_history=tuple(history),

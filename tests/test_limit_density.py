@@ -185,6 +185,19 @@ class TestLimitDensityObject:
         dens = limit_density(make_power(2.0), 1)
         assert dens.deriv(1.5) == pytest.approx(3.0, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("G", [
+        make_power_log(3.0),
+        make_combination("max", [make_power(2.0), make_power(3.0)]),
+    ], ids=lambda G: G.label)
+    def test_derivative_matches_central_difference(self, G, n):
+        dens = limit_density(G, n)
+        a = np.array([0.3, 0.999, 1.5, 4.0])
+        h = 1e-5 * a
+        fd = (tilde_eval(G, n, a + h) - tilde_eval(G, n, a - h)) / (2.0 * h)
+        assert dens.deriv(a) == pytest.approx(fd, rel=1e-8, abs=0)
+        assert dens.deriv(1.5) == pytest.approx(fd[2], rel=1e-8)
+
     def test_wrapping_keeps_growth_interface(self):
         tilde = limit_density(make_power(2.0), 1).as_orlicz()
         x = np.array([0.0, 0.5, 2.0])
@@ -230,16 +243,17 @@ class TestRadialProfile:
                         a[1] ** 3 / 3.0 + _abslog_antiderivative(a[1], 3.0)])
         assert radial_profile(G, a) == pytest.approx(ref, rel=1e-12, abs=0)
 
-    def test_array_and_scalar_agree(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_and_scalar_agree(self, n):
         G = make_power_log(3.0)
         a = np.array(PROFILE_POINTS).reshape(2, 5)
-        vals = tilde_eval(G, 1, a)
+        vals = tilde_eval(G, n, a)
         assert vals.shape == (2, 5)
         for x, v in zip(a.ravel(), vals.ravel()):
-            scalar = tilde_eval(G, 1, float(x))
+            scalar = tilde_eval(G, n, float(x))
             assert isinstance(scalar, float)
             assert v == pytest.approx(scalar, rel=1e-14)
-        assert tilde_eval(G, 1, np.array([0.0, 1.0]))[0] == 0.0
+        assert tilde_eval(G, n, np.array([0.0, 1.0]))[0] == 0.0
 
     @pytest.mark.parametrize("bad", [[1.0, -0.5], [0.5, np.nan],
                                      [np.inf], -1e-300])
@@ -250,14 +264,15 @@ class TestRadialProfile:
         with pytest.raises(InvalidParameterError):
             tilde_closed_form("power", (2.0,), 1, np.array(bad))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("G", [
         make_power_log(3.0), compose(make_power(2.0), make_power_log(3.0)),
     ], ids=lambda G: G.label)
-    def test_matches_independent_prelimit(self, G):
+    def test_matches_independent_prelimit(self, G, n):
         # the literal r-integral at s = 0.5 shares no rule with the profile
         for a in (0.3, 1.0, 2.5):
-            assert tilde_eval(G, 1, a) == pytest.approx(
-                tilde_prelimit(G, 1, a, 0.5), rel=1e-8)
+            assert tilde_eval(G, n, a) == pytest.approx(
+                tilde_prelimit(G, n, a, 0.5), rel=1e-8)
 
     def test_density_object_on_arrays(self):
         G = make_power_log(3.0)

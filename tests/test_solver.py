@@ -18,6 +18,7 @@ from orliczfrac import (
     make_power_log,
     pairing_abs,
     solve,
+    weak_residual,
 )
 
 G2 = make_power(2.0)
@@ -127,6 +128,17 @@ class TestSolve:
     def test_weak_residual_at_minimizer(self):
         res = solve(problem(0.7, n=65))
         assert res.weak_residual <= 10.0 * 1e-8
+
+    @pytest.mark.parametrize("case,stop", [
+        (dict(s=0.5, n=33), "gradient tolerance"),
+        (dict(s=0.7, n=33, rhs=3.0, G=G3), "gradient floor"),
+    ])
+    def test_reported_weak_residual_matches_fresh_evaluation(self, case, stop):
+        # the result reports the gradient it kept, not a fresh evaluation
+        prob = problem(**case)
+        res = solve(prob)
+        assert stop in res.message
+        assert res.weak_residual == weak_residual(prob, res.u)
 
     def test_boundary_stays_zero(self):
         res = solve(problem(0.5, n=65))
