@@ -67,6 +67,7 @@ from .solver import (
     GammaReport,
     SolveOptions,
     SolveResult,
+    StopReason,
     apply_pointwise_eps,
     energy,
     energy_gradient,

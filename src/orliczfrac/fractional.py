@@ -30,8 +30,11 @@ is split into three pieces:
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed discrete value (same rules, same nodes) in
 pieces (i) and (ii), and the exact derivative of the profile in (iii), which
-is what makes finite-difference checks of the energy meaningful. The
-absolute pairing `pairing_abs` is built from the same three pieces.
+is what makes finite-difference checks of the energy meaningful. With
+``want_hess`` the same passes also assemble the exact Hessian of the
+computed value (of the profile's exact derivative in (iii)), for the
+solver's Newton steps. The absolute pairing `pairing_abs` is built from the
+same three pieces.
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run; element-pair blocks are independent and could
@@ -39,6 +42,8 @@ be farmed out, provided the reduction order is preserved.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -52,8 +57,10 @@ _SAME_ELEMENT_ORDER = 48
 _ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
 
 
-def _same_element(G, s, h, slopes, want_grad):
-    """Sum over elements of 2*int_0^h (h-t) G(|m| t^(1-s)) dt/t (+ d/dm).
+def _same_element(G, s, h, slopes, want_grad, want_hess=False):
+    """Sum over elements of 2*int_0^h (h-t) G(|m| t^(1-s)) dt/t, and its
+    derivative in m per element (or None); with ``want_hess`` also the
+    second derivative per element, as a third entry.
 
     Pure powers get the explicit antiderivative. Otherwise the substitution
     xi = t^(1-s) flattens the kernel and a fixed Gauss rule integrates each
@@ -68,6 +75,8 @@ def _same_element(G, s, h, slopes, want_grad):
         coef = 2.0 * h ** (beta + 1.0) / (beta * (beta + 1.0))
         vals = coef * m ** p
         ders = coef * p * m ** (p - 1.0) * sgn if want_grad else None
+        if want_hess:
+            return float(np.sum(vals)), ders, coef * G.d2(m)
         return float(np.sum(vals)), ders
 
     x, w = gauss_rule_01(_SAME_ELEMENT_ORDER)
@@ -81,6 +90,7 @@ def _same_element(G, s, h, slopes, want_grad):
     scale = 2.0 / (1.0 - s)
     vals = np.zeros_like(m)
     ders = np.zeros_like(m) if want_grad else None
+    curv = np.zeros_like(m) if want_hess else None
     for lo, hi in zip(edges[:-1], edges[1:]):
         width = np.maximum(hi - lo, 0.0)
         xi = lo[:, None] + width[:, None] * x[None, :]
@@ -92,8 +102,21 @@ def _same_element(G, s, h, slopes, want_grad):
         vals += scale * np.sum(outer * core, axis=1)
         if want_grad:
             ders += scale * np.sum(outer * G.deriv(m[:, None] * xi), axis=1)
+        if want_hess:
+            curv += scale * np.sum(outer * xi * G.d2(m[:, None] * xi), axis=1)
+    if want_hess:
+        # G' jumps by J at a kink k, which moves with m: the cut xi = k/m
+        # adds scale (h - xi^(1/(1-s))) J k / m^2 while it lies inside.
+        for k, cut in zip(sorted(G.kinks), cuts):
+            jump = float(G.deriv(k * (1.0 + 1e-9)) - G.deriv(k * (1.0 - 1e-9)))
+            inside = (cut > 0.0) & (cut < H)
+            msafe = np.where(inside, m, 1.0)
+            curv += np.where(inside, scale * (h - cut ** (1.0 / (1.0 - s)))
+                             * jump * k / (msafe * msafe), 0.0)
     if want_grad:
         ders *= sgn
+    if want_hess:
+        return float(np.sum(vals)), ders, curv
     return float(np.sum(vals)), ders
 
 
@@ -158,11 +181,18 @@ def _band(offsets, kern, block, rows):
         yield j, kj, bj, [R[:, j:] - L[:, :-j] for R, L in rows]
 
 
-def _distinct_pairs(G, s, u, order, want_grad):
+def _distinct_pairs(G, s, u, order, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks.
 
     The gradient is accumulated per element and Gauss point of a band and
-    scattered to the nodes once per band.
+    scattered to the nodes once per band. Given ``hess`` (the upper
+    triangle of a nodal matrix), the Hessian is added to it: a pair
+    contributes c = block kern^2 G''(arg) times the outer product of its
+    difference's nodal weights. One matrix product per offset folds c into
+    its sums per right and per left Gauss point, which are accumulated per
+    element like the gradient and land on diagonals 0 and 1 once per band,
+    and into its four hat-weight moments, the cross part, which lands on
+    diagonals j-1, j and j+1.
     """
     val = 0.0
     grad = np.zeros(u.node_count) if want_grad else None
@@ -170,6 +200,12 @@ def _distinct_pairs(G, s, u, order, want_grad):
         q = x.size
         if want_grad:
             gU = np.zeros((q, u.node_count - 1))
+        if hess is not None:
+            hU = np.zeros((q, u.node_count - 1))
+            hat = np.stack([1.0 - x, x])
+            fold = np.vstack([np.kron(np.eye(q), np.ones((1, q))),
+                              np.kron(np.ones((1, q)), np.eye(q)),
+                              np.kron(hat, hat)])
         for j, kern, block, (du,) in band:
             arg = np.abs(du) * kern
             val += float(np.sum(block * G(arg)))
@@ -178,10 +214,40 @@ def _distinct_pairs(G, s, u, order, want_grad):
                         * np.sign(du)).reshape(q, q, -1)
                 gU[:, j:] += np.sum(coef, axis=1)
                 gU[:, :-j] -= np.sum(coef, axis=0)
+            if hess is not None:
+                folded = fold @ (block * kern * kern * G.d2(arg))
+                hU[:, j:] += folded[:q]
+                hU[:, :-j] += folded[q:2 * q]
+                # row 2 r + l of cross pairs node r of the right element
+                # with node l of the left one
+                cross = folded[2 * q:]
+                _add_diagonal(hess, j, 0, -cross[0])
+                _add_diagonal(hess, j, 1, -cross[3])
+                _add_diagonal(hess, j + 1, 0, -cross[2])
+                # at j = 1 this term and its transpose share the diagonal
+                _add_diagonal(hess, j - 1, 1,
+                              -cross[1] * (2.0 if j == 1 else 1.0))
         if want_grad:
             grad[:-1] += (1.0 - x) @ gU
             grad[1:] += x @ gU
+        if hess is not None:
+            _add_element_blocks(hess, x, hU)
     return val, grad
+
+
+def _add_diagonal(hess, k, row, vals):
+    """hess[row + i, row + k + i] += vals[i]."""
+    n = hess.shape[0]
+    hess.reshape(-1)[row * (n + 1) + k::n + 1][:vals.size] += vals
+
+
+def _add_element_blocks(hess, x, W):
+    """Add, per element e, sum_g W[g, e] phi_g phi_g^T on the nodes
+    (e, e+1) to the upper triangle, with the hat weights
+    phi_g = (1 - x_g, x_g) of the points x on (0, 1)."""
+    _add_diagonal(hess, 0, 0, (1.0 - x) ** 2 @ W)
+    _add_diagonal(hess, 1, 0, ((1.0 - x) * x) @ W)
+    _add_diagonal(hess, 0, 1, x ** 2 @ W)
 
 
 def _far_points(s, u, order):
@@ -206,8 +272,21 @@ def _far_flux(G, s, h, wg, U, kern):
     return (2.0 * h / s) * wg * np.sum(dprof * kern, axis=0) * np.sign(U)
 
 
-def _far_field(G, s, u, order, want_grad):
-    """(iii): value (and nodal gradient) of the far field.
+def _far_curvature(G, s, h, wg, U, kern):
+    """Second derivative of the far-field value with respect to U, per
+    element Gauss point, through the exact I''(w) = (w G'(w) - G(w)) / w^2,
+    whose limit at w = 0 is G''(0) / 2."""
+    warg = np.abs(U) * kern
+    pos = warg > 0.0
+    wsafe = np.where(pos, warg, 1.0)
+    curv = np.where(pos, (warg * G.deriv(warg) - G(warg)) / (wsafe * wsafe),
+                    float(G.d2(0.0)) / 2.0)
+    return (2.0 * h / s) * wg * np.sum(curv * kern * kern, axis=0)
+
+
+def _far_field(G, s, u, order, want_grad, hess=None):
+    """(iii): value (and nodal gradient) of the far field; given ``hess``,
+    its Hessian is added there.
 
     Both sides (partner beyond the right end, beyond the left end) go
     through one profile evaluation.
@@ -227,21 +306,44 @@ def _far_field(G, s, u, order, want_grad):
     grad = np.zeros(u.node_count)
     grad[:-1] += dc @ (1.0 - xg)
     grad[1:] += dc @ xg
+    if hess is not None:
+        _add_element_blocks(hess, xg, _far_curvature(G, s, h, wg, U, kern).T)
     return val, grad
 
 
-def _core(G, s, u, want_grad):
+def _core(G, s, u, want_grad, want_hess=False):
+    """(value, nodal gradient or None) of the discrete modular; with
+    ``want_hess`` (which needs ``want_grad``) also its nodal Hessian, a
+    dense symmetric matrix, assembled in the same passes."""
     h = u.spacing
-    val, ders = _same_element(G, s, h, u.slopes, want_grad)
-    pairs, pair_grad = _distinct_pairs(G, s, u, _ORDER, want_grad)
-    far, far_grad = _far_field(G, s, u, _ORDER, want_grad)
+    hess = np.zeros((u.node_count, u.node_count)) if want_hess else None
+    # G''(0) = inf (t^p, p < 2) gives inf - inf = nan Hessian entries,
+    # which the solver reads as "no Newton step here".
+    with np.errstate(invalid="ignore") if want_hess else nullcontext():
+        val, ders, *curv = _same_element(G, s, h, u.slopes, want_grad,
+                                         want_hess)
+        pairs, pair_grad = _distinct_pairs(G, s, u, _ORDER, want_grad, hess)
+        far, far_grad = _far_field(G, s, u, _ORDER, want_grad, hess)
+        if want_hess:
+            _add_slope_blocks(hess, curv[0] / (h * h))
     val += pairs + far
     if not want_grad:
         return val, None
     grad = pair_grad + far_grad
     grad[:-1] -= ders / h
     grad[1:] += ders / h
-    return val, grad
+    if not want_hess:
+        return val, grad
+    hess += np.triu(hess, 1).T
+    return val, grad, hess
+
+
+def _add_slope_blocks(hess, k):
+    """Add k[e] [[1, -1], [-1, 1]] on the nodes (e, e+1) to the upper
+    triangle: the Hessian of a sum of functions of the element slopes."""
+    _add_diagonal(hess, 0, 0, k)
+    _add_diagonal(hess, 1, 0, -k)
+    _add_diagonal(hess, 0, 1, k)
 
 
 def _check_s(s):

@@ -23,6 +23,7 @@ from typing import Tuple
 
 import numpy as np
 from scipy import integrate
+from scipy.special import digamma
 
 from ._quadrature import gauss_rule_01, tanh_sinh_rule_01
 from .errors import (
@@ -61,40 +62,29 @@ def _check_dim(n):
 
 
 def sphere_moment(n: int, p: float) -> float:
-    """Moment K = int over the unit sphere of |w_n|^p dS.
+    """Moment K = int over the unit sphere of |w_n|^p dS, in closed form:
 
-    n = 1 is the two-point sphere (K = 2); n = 2 reduces to the angle
-    integral of |sin|^p; n = 3 reduces to the polar angle.
+        K = 2 pi^((n-1)/2) Gamma((p+1)/2) / Gamma((n+p)/2),
+
+    the Beta integral of the polar reduction (K = 2 for the two-point
+    sphere n = 1).
     """
     _check_dim(n)
     if not (np.isfinite(p) and p >= 0.0):
         raise InvalidParameterError(f"moment exponent must be >= 0: {p}")
-    if n == 1:
-        return 2.0
-    if n == 2:
-        val, _ = integrate.quad(lambda t: np.sin(t) ** p, 0.0, math.pi / 2.0,
-                                epsabs=1e-14, epsrel=1e-12)
-        return 4.0 * val
-    val, _ = integrate.quad(
-        lambda phi: np.abs(np.cos(phi)) ** p * np.sin(phi), 0.0, math.pi,
-        epsabs=1e-14, epsrel=1e-12)
-    return 2.0 * math.pi * val
+    return (2.0 * math.pi ** ((n - 1) / 2.0) * math.gamma((p + 1.0) / 2.0)
+            / math.gamma((n + p) / 2.0))
 
 
 def sphere_log_moment(n: int, p: float) -> float:
-    """int over the sphere of |w_n|^p * |log|w_n|| dS (zero for n = 1)."""
+    """int over the sphere of |w_n|^p * |log|w_n|| dS (zero for n = 1).
+
+    Minus half the p-derivative of the moment, since |w_n| <= 1:
+    -K(p) (psi((p+1)/2) - psi((n+p)/2)) / 2 with the digamma function psi.
+    """
     _check_dim(n)
-    if n == 1:
-        return 0.0
-    if n == 2:
-        val, _ = integrate.quad(
-            lambda t: np.sin(t) ** p * np.abs(np.log(np.sin(t))),
-            0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-12)
-        return 4.0 * val
-    val, _ = integrate.quad(
-        lambda u: u ** p * np.abs(np.log(u)), 0.0, 1.0,
-        epsabs=1e-14, epsrel=1e-12)
-    return 4.0 * math.pi * val
+    return -sphere_moment(n, p) * (digamma((p + 1.0) / 2.0)
+                                   - digamma((n + p) / 2.0)) / 2.0
 
 
 def sphere_integral(f, n: int, c, kinks) -> np.ndarray:
@@ -305,9 +295,12 @@ class LimitDensity:
     """Limit density of a base growth function in dimension n.
 
     `backing` records whether values come from a closed form or quadrature.
-    `value` and `deriv` take a float or an array (entrywise). The derivative
-    is always cheap: d/da tilde_G(a) = (1/a) int_S G(a |w_n|) dS, one sphere
-    integral of G itself (2 G(a)/a in n = 1), for all entries at once.
+    `value`, `deriv` and `deriv2` take a float or an array (entrywise). The
+    derivatives are always cheap: d/da tilde_G(a) = (1/a) int_S G(a |w_n|) dS
+    is one sphere integral of G itself (2 G(a)/a in n = 1), and
+    d^2/da^2 tilde_G(a) = (1/a^2) int_S (t G'(t) - G(t))|_{t = a |w_n|} dS
+    one of t G'(t) - G(t) (2 (a G'(a) - G(a)) / a^2 in n = 1), for all
+    entries at once.
     """
 
     base: OrliczFunction
@@ -331,23 +324,35 @@ class LimitDensity:
         return _scalar_or_array(
             np.where(pos, flux / np.where(pos, a, 1.0), 0.0))
 
+    def deriv2(self, a):
+        a = np.asarray(a, dtype=float)
+        pos = a > 0.0
+        G = self.base
+        curv = sphere_integral(lambda t: t * G.deriv(t) - G(t),
+                               self.dimension, a, G.kinks)
+        # at a = 0 the limit is G''(0)/2 times int_S |w_n|^2 dS
+        at_zero = float(G.d2(0.0)) / 2.0 * sphere_moment(self.dimension, 2.0)
+        return _scalar_or_array(
+            np.where(pos, curv / np.where(pos, a * a, 1.0), at_zero))
+
     def as_orlicz(self) -> OrliczFunction:
         """Wrap as a growth function usable by modulars and the solver.
 
-        The wrapper hands whole arrays to `value` and `deriv`, looked up on
-        every call (so a wrapper later installed on the class, such as a
-        tracing span, sees them). The structural constants are inherited
-        from the base function: the doubling ratio and the exponent bound
-        survive the averaging that defines the density, and the small-slope
-        constant is the value at 1 (the density is again a growth function,
-        so G(x)/x is monotone).
+        The wrapper hands whole arrays to `value`, `deriv` and `deriv2`,
+        looked up on every call (so a wrapper later installed on the class,
+        such as a tracing span, sees them). The structural constants are
+        inherited from the base function: the doubling ratio and the
+        exponent bound survive the averaging that defines the density, and
+        the small-slope constant is the value at 1 (the density is again a
+        growth function, so G(x)/x is monotone).
         """
         g = self.base
         constants = (g.doubling_constant, g.upper_exponent,
                      g.lower_exponent, self.value(1.0))
         return make_custom(lambda x: self.value(x), lambda x: self.deriv(x),
                            label=f"tilde({g.label}; n={self.dimension})",
-                           constants=constants)
+                           constants=constants,
+                           d2fn=lambda x: self.deriv2(x))
 
 
 def limit_density(G: OrliczFunction, n: int) -> LimitDensity:

@@ -40,14 +40,16 @@ class OrliczFunction:
     """Immutable growth function with cached structural constants.
 
     Instances are callable (vectorized over numpy arrays) and expose the
-    derivative through :meth:`deriv`. All operations are pure; instances can
-    be shared freely across threads.
+    first and second derivatives through :meth:`deriv` and :meth:`d2`. At a
+    kink both take the branch on the same side. All operations are pure;
+    instances can be shared freely across threads.
     """
 
     kind: str
     params: Tuple[float, ...]
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray]
+    d2fn: Callable[[np.ndarray], np.ndarray]
     doubling_constant: float
     upper_exponent: float
     lower_exponent: float
@@ -63,6 +65,9 @@ class OrliczFunction:
 
     def deriv(self, x):
         return self.dfn(np.asarray(x, dtype=float))
+
+    def d2(self, x):
+        return self.d2fn(np.asarray(x, dtype=float))
 
     def __repr__(self):
         return self.label
@@ -133,8 +138,8 @@ def estimate_constants(G: OrliczFunction):
     return _estimate_from_callables(G.fn, G.dfn, G.kinks)
 
 
-def _finalize(kind, params, fn, dfn, label, kinks=(), children=(), weights=(),
-              exact=None):
+def _finalize(kind, params, fn, dfn, d2fn, label, kinks=(), children=(),
+              weights=(), exact=None):
     if exact is not None:
         doubling, upper, lower, gsup = exact
     else:
@@ -145,6 +150,7 @@ def _finalize(kind, params, fn, dfn, label, kinks=(), children=(), weights=(),
         params=tuple(float(v) for v in params),
         fn=fn,
         dfn=dfn,
+        d2fn=d2fn,
         doubling_constant=doubling,
         upper_exponent=upper,
         lower_exponent=lower,
@@ -169,8 +175,22 @@ def make_power(p: float) -> OrliczFunction:
     def dfn(x):
         return p * np.abs(x) ** (p - 1.0)
 
-    return _finalize("power", (p,), fn, dfn, f"power({p:g})",
+    def d2fn(x):
+        with np.errstate(divide="ignore"):
+            return p * (p - 1.0) * np.abs(x) ** (p - 2.0)
+
+    return _finalize("power", (p,), fn, dfn, d2fn, f"power({p:g})",
                      exact=(2.0 ** p, p, p, 1.0))
+
+
+def _log_split(x, p):
+    """(x, x > 0 entries, their logs, output) for the second derivative of
+    the log-weight families: at x = 0 it tends to 0 for p > 2 and to
+    +inf for p <= 2, which fills the output there."""
+    x = np.asarray(x, dtype=float)
+    xm = x[x > 0.0]
+    out = np.full_like(x, 0.0 if p > 2.0 else np.inf)
+    return x, xm, np.log(xm), out
 
 
 def make_power_log(p: float) -> OrliczFunction:
@@ -204,7 +224,14 @@ def make_power_log(p: float) -> OrliczFunction:
         out[m] = np.where(xm < 1.0, below, above)
         return out
 
-    return _finalize("power_log", (p,), fn, dfn, f"power_log({p:g})",
+    def d2fn(x):
+        x, xm, lg, out = _log_split(x, p)
+        below = xm ** (p - 2.0) * ((p - 1.0) * (p - 1.0 - p * lg) - p)
+        above = xm ** (p - 2.0) * ((p - 1.0) * (p + 1.0 + p * lg) + p)
+        out[x > 0.0] = np.where(xm < 1.0, below, above)
+        return out
+
+    return _finalize("power_log", (p,), fn, dfn, d2fn, f"power_log({p:g})",
                      kinks=(1.0,))
 
 
@@ -240,7 +267,14 @@ def make_power_abslog(p: float) -> OrliczFunction:
         out[m] = np.where(xm < 1.0, -core, core)
         return out
 
-    return _finalize("power_abslog", (p,), fn, dfn, f"power_abslog({p:g})",
+    def d2fn(x):
+        x, xm, lg, out = _log_split(x, p)
+        core = xm ** (p - 2.0) * ((p - 1.0) * (p * lg + 1.0) + p)
+        out[x > 0.0] = np.where(xm < 1.0, -core, core)
+        return out
+
+    return _finalize("power_abslog", (p,), fn, dfn, d2fn,
+                     f"power_abslog({p:g})",
                      kinks=(1.0,))
 
 
@@ -281,25 +315,36 @@ def make_combination(mode: str, parts: Sequence[OrliczFunction],
         def dfn(x):
             return sum(w * ch.dfn(x) for w, ch in live)
 
+        def d2fn(x):
+            return sum(w * ch.d2fn(x) for w, ch in live)
+
         label = "sum(" + ", ".join(
             f"{w:g}*{ch.label}" for w, ch in zip(weights, parts)) + ")"
-        return _finalize("weighted_sum", (), fn, dfn, label, kinks=kinks,
+        return _finalize("weighted_sum", (), fn, dfn, d2fn, label, kinks=kinks,
                          children=parts, weights=weights)
 
     def fn(x):
         return functools.reduce(np.maximum, [ch.fn(x) for ch in parts])
 
-    def dfn(x):
+    def attaining(x):
+        """Branch derivatives where the branch attains the max, else -inf."""
         vals = [ch.fn(x) for ch in parts]
         top = functools.reduce(np.maximum, vals)
         floor = top - 1e-14 * np.maximum(top, 1.0)
-        return functools.reduce(np.maximum, [
-            np.where(val >= floor, ch.dfn(x), -np.inf)
-            for val, ch in zip(vals, parts)])
+        return [np.where(val >= floor, ch.dfn(x), -np.inf)
+                for val, ch in zip(vals, parts)]
+
+    def dfn(x):
+        return functools.reduce(np.maximum, attaining(x))
+
+    def d2fn(x):
+        # the branch whose derivative dfn returns
+        pick = np.argmax(attaining(x), axis=0)
+        return np.choose(pick, [ch.d2fn(x) for ch in parts])
 
     label = "max(" + ", ".join(ch.label for ch in parts) + ")"
     kinks = sorted(set(kinks) | set(_crossovers(parts)))
-    G = _finalize("pointwise_max", (), fn, dfn, label, kinks=kinks,
+    G = _finalize("pointwise_max", (), fn, dfn, d2fn, label, kinks=kinks,
                   children=parts)
     report = verify_orlicz(G, grid_size=256)
     if not report.h1.passed:
@@ -319,24 +364,39 @@ def compose(outer: OrliczFunction, inner: OrliczFunction) -> OrliczFunction:
         iv = np.asarray(inner.fn(x), dtype=float)
         return outer.dfn(iv) * inner.dfn(x)
 
+    def d2fn(x):
+        iv = np.asarray(inner.fn(x), dtype=float)
+        di = inner.dfn(x)
+        return outer.d2fn(iv) * di * di + outer.dfn(iv) * inner.d2fn(x)
+
     label = f"compose({outer.label}, {inner.label})"
-    return _finalize("composition", (), fn, dfn, label,
+    return _finalize("composition", (), fn, dfn, d2fn, label,
                      kinks=sorted(set(outer.kinks) | set(inner.kinks)),
                      children=(outer, inner))
 
 
 def make_custom(fn, dfn=None, label="custom", kinks=(),
-                constants=None) -> OrliczFunction:
-    """Wrap raw callables; derivative falls back to a central difference."""
+                constants=None, d2fn=None) -> OrliczFunction:
+    """Wrap raw callables; a missing derivative falls back to a central
+    difference of the function, a missing second derivative to one of the
+    derivative."""
     if dfn is None:
-        def dfn(x, _fn=fn):
-            x = np.asarray(x, dtype=float)
-            h = np.maximum(1e-6, 1e-6 * np.abs(x))
-            lo = np.maximum(x - h, 0.0)
-            return (_fn(x + h) - _fn(lo)) / (x + h - lo)
-
-    return _finalize("custom", (), fn, dfn, label, kinks=kinks,
+        dfn = _central_difference(fn, 1e-6)
+    if d2fn is None:
+        d2fn = _central_difference(dfn, 1e-5)
+    return _finalize("custom", (), fn, dfn, d2fn, label, kinks=kinks,
                      exact=constants)
+
+
+def _central_difference(f, rel):
+    """x -> (f(x + h) - f(x - h)) / 2h with h = rel * max(1, |x|), one-sided
+    where x - h would leave the half line."""
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        h = rel * np.maximum(1.0, np.abs(x))
+        lo = np.maximum(x - h, 0.0)
+        return (f(x + h) - f(lo)) / (x + h - lo)
+    return df
 
 
 def _crossovers(parts, lo=1e-4, hi=1e4, samples=400):

@@ -12,13 +12,14 @@ term is the modular of the slope.
 
 from __future__ import annotations
 
+import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_banded
 
 from ._quadrature import gauss_rule_01
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     InvalidParameterError,
     UniquenessWarning,
 )
-from .fractional import _check_s, _core
+from .fractional import _add_slope_blocks, _check_s, _core
 from .grid import GridFunction, modular
 from .limit_density import limit_density
 from .orlicz import OrliczFunction
@@ -96,15 +97,42 @@ class DirichletProblem:
             raise InvalidInputError("state is not on the problem mesh")
 
 
+class StopReason(enum.Enum):
+    """Why `solve` stopped; the first two mean converged."""
+
+    INITIAL = "converged at initial iterate"
+    TOLERANCE = "gradient tolerance reached"
+    FLAT = "directional derivative flat at roundoff scale"
+    LINE_SEARCH = "line search failed to decrease the energy"
+    FLOOR = "energy progress below roundoff; gradient floor"
+    BUDGET = "iteration budget exhausted"
+
+
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's last iterate and how it got there: `evaluations` counts
+    the value+gradient assemblies, `hessians` those that also assembled
+    the Hessian."""
+
     u: GridFunction
     energy: float
     iterations: int
     grad_norm: float
-    converged: bool
-    message: str = ""
+    stop_reason: StopReason
+    evaluations: int = 0
+    hessians: int = 0
     energy_history: Tuple[float, ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in (StopReason.INITIAL, StopReason.TOLERANCE)
+
+    @property
+    def message(self) -> str:
+        """`stop_reason` as a sentence."""
+        if self.stop_reason is StopReason.TOLERANCE:
+            return f"{self.stop_reason.value} in {self.iterations} iterations"
+        return self.stop_reason.value
 
     @property
     def weak_residual(self) -> float:
@@ -122,7 +150,9 @@ class SolveOptions:
     max_iter: int = 500
 
 
-def _seminorm_value_grad(problem, u, want_grad):
+def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
+    """(value, gradient[, Hessian]) of the seminorm term; the Hessian (a
+    dense nodal matrix) only with ``want_hess``."""
     if problem.s >= 1.0:
         h = u.spacing
         m = u.slopes
@@ -133,7 +163,14 @@ def _seminorm_value_grad(problem, u, want_grad):
         grad = np.zeros(u.node_count)
         grad[:-1] -= dm
         grad[1:] += dm
-        return val, grad
+        if not want_hess:
+            return val, grad
+        hess = np.zeros((u.node_count, u.node_count))
+        _add_slope_blocks(hess, problem.G.d2(np.abs(m)) / h)
+        hess += np.triu(hess, 1).T
+        return val, grad, hess
+    if want_hess:
+        return _core(problem.G, problem.s, u, want_grad=True, want_hess=True)
     return _core(problem.G, problem.s, u, want_grad=want_grad)
 
 
@@ -149,11 +186,6 @@ def energy_gradient(problem: DirichletProblem, u: GridFunction) -> np.ndarray:
     problem._check_state(u)
     _, grad = _seminorm_value_grad(problem, u, want_grad=True)
     return problem.sigma * grad - problem.load_vector()
-
-
-def _energy_and_gradient(problem, u, F):
-    val, grad = _seminorm_value_grad(problem, u, want_grad=True)
-    return problem.sigma * val - float(F @ u.values), problem.sigma * grad - F
 
 
 def weak_residual(problem: DirichletProblem, u: GridFunction) -> float:
@@ -175,19 +207,64 @@ def _screen_strict_convexity(G):
             "the minimizer may not be unique", UniquenessWarning)
 
 
+class _Energy:
+    """The energy and its derivatives at interior values, with counts."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.F = problem.load_vector()
+        self.evaluations = 0
+        self.hessians = 0
+
+    def state(self, interior):
+        return self.problem.zero_state().with_values(
+            np.concatenate([[0.0], interior, [0.0]]))
+
+    def __call__(self, interior, want_hess=False):
+        """(E, interior gradient, interior Hessian or None) at the state
+        with these interior values."""
+        prob = self.problem
+        u = self.state(interior)
+        self.evaluations += 1
+        self.hessians += int(want_hess)
+        out = _seminorm_value_grad(prob, u, want_grad=True,
+                                   want_hess=want_hess)
+        E = prob.sigma * out[0] - float(self.F @ u.values)
+        g = (prob.sigma * out[1] - self.F)[1:-1]
+        H = prob.sigma * out[2][1:-1, 1:-1] if want_hess else None
+        return E, g, H
+
+
+def _newton_direction(H, g):
+    """-H^{-1} g by Cholesky, or None where H is not positive definite or
+    the direction is not finite."""
+    if H is None:
+        return None
+    try:
+        d = -cho_solve(cho_factor(H), g)
+    except (LinAlgError, ValueError):
+        return None
+    return d if np.all(np.isfinite(d)) else None
+
+
 def solve(problem: DirichletProblem,
           opts: SolveOptions | None = None) -> SolveResult:
     """Minimize the discrete energy over the zero-boundary cone.
 
-    Preconditioned nonlinear conjugate gradients (Polak-Ribiere with
-    restarts, tridiagonal local-stiffness preconditioner) with a
-    secant-initialized backtracking line search; descent is monotone by the
-    sufficient-decrease test. Stops when the sup-norm of the interior
-    gradient falls below 1e-8 * max(1, |E|).
+    Damped Newton on the exact discrete Hessian: the direction solves
+    sigma H d = -g on the interior nodes by Cholesky, the step starts at 1
+    and Armijo backtracking keeps the descent monotone (up to the roundoff
+    of E, once the predicted decrease is below it). Where the Hessian is
+    not positive definite or the direction not finite (the zero start when
+    G''(0) is 0 or infinite, as for t^p with p != 2) or the Newton step
+    fails, the step is one of preconditioned nonlinear conjugate gradients
+    instead (Polak-Ribiere with restarts, tridiagonal local-stiffness
+    preconditioner, secant-initialized backtracking). Stops when the
+    sup-norm of the interior gradient falls below 1e-8 * max(1, |E|);
+    `stop_reason` says why it stopped.
     """
     opts = opts or SolveOptions()
     _screen_strict_convexity(problem.G)
-    F = problem.load_vector()
     n = problem.mesh_nodes
     h = (problem.omega[1] - problem.omega[0]) / (n - 1)
 
@@ -198,9 +275,13 @@ def solve(problem: DirichletProblem,
     band[1, :] = 2.0 / h
     band[2, :-1] = -1.0 / h
 
-    u = problem.zero_state()
-    E, g_full = _energy_and_gradient(problem, u, F)
-    g = g_full[1:-1]
+    energy_at = _Energy(problem)
+    # For t^2 the energy is quadratic: its Hessian is assembled once.
+    quadratic = problem.G.kind == "power" and problem.G.params[0] == 2.0
+    v = np.zeros(ni)
+    # G''(0) of 0 or infinity makes the Hessian at the zero state singular
+    # or infinite, so it is not assembled there.
+    E, g, H = energy_at(v, want_hess=0.0 < float(problem.G.d2(0.0)) < np.inf)
     history = [E]
 
     def tol_for(E_now):
@@ -209,93 +290,130 @@ def solve(problem: DirichletProblem,
     d = None
     z_old = None
     g_old = None
+    contraction = None
+    newton_live = True
     alpha = 1.0
     iterations = 0
     no_progress = 0
     eps_E = 8.0 * np.finfo(float).eps
-    converged = float(np.max(np.abs(g))) <= tol_for(E) if ni else True
-    message = "converged at initial iterate" if converged else ""
+    stop = None
+    if not ni or float(np.max(np.abs(g))) <= tol_for(E):
+        stop = StopReason.INITIAL
 
-    while not converged and iterations < opts.max_iter:
-        z = solve_banded((1, 1), band, g)
-        if d is None:
-            d = -z
-        else:
-            beta = float(g @ (z - z_old)) / float(g_old @ z_old)
-            d = -z + max(beta, 0.0) * d
-        gd = float(g @ d)
-        if gd >= 0.0:
-            d = -z
-            gd = float(g @ d)
-        g_old, z_old = g, z
+    def armijo(E_try, step, gd):
+        return E_try <= E + _ARMIJO * step * gd
 
-        # Secant guess for the step from the directional derivative, then
-        # Armijo backtracking as the monotonicity safeguard.
-        probe = min(max(alpha, 1e-12), 1e12)
-        flat = False
-        for _ in range(12):
-            u_try = u.with_values(
-                np.concatenate([[0.0], u.values[1:-1] + probe * d, [0.0]]))
-            E_try, g_try_full = _energy_and_gradient(problem, u_try, F)
-            gd_try = float(g_try_full[1:-1] @ d)
-            if gd_try > gd * (1.0 - 1e-9):
-                flat = abs(gd_try - gd) <= 1e-9 * abs(gd)
-                break
-            probe *= 4.0
-        else:
-            flat = True
-        if flat:
-            message = "directional derivative flat at roundoff scale"
-            break
-        step = probe * gd / (gd - gd_try)
-        step = min(max(step, 1e-14 * probe), 1e6 * probe)
-
+    while stop is None and iterations < opts.max_iter:
         accepted = None
-        for _ in range(60):
-            if step == probe and E_try <= E + _ARMIJO * step * gd:
-                accepted = (u_try, E_try, g_try_full)
-                break
-            u_new = u.with_values(
-                np.concatenate([[0.0], u.values[1:-1] + step * d, [0.0]]))
-            E_new, g_new_full = _energy_and_gradient(problem, u_new, F)
-            if E_new <= E + _ARMIJO * step * gd:
-                accepted = (u_new, E_new, g_new_full)
-                break
-            step *= _BACKTRACK
+        full_step = False
+        newton = _newton_direction(H, g) if newton_live else None
+        if newton is not None:
+            # Full step first, then halving. The full step carries the
+            # next Hessian, unless the contraction |g_new| = K |g|^2 of
+            # the last full step predicts convergence. Where the model's
+            # decrease -gd/2 is below the roundoff of E, E cannot rank the
+            # points: the full step is taken if it reduces the gradient
+            # without raising E beyond roundoff, else conjugate gradients
+            # take over for the rest of the solve (no more Hessians).
+            gd = float(g @ newton)
+            noise = eps_E * max(1.0, abs(E))
+            blind = -0.5 * gd <= noise
+            last = (contraction is not None and contraction
+                    * float(np.max(np.abs(g))) ** 2 <= 0.1 * tol_for(E))
+            step = 1.0
+            for _ in range(60):
+                trial = v + step * newton
+                E_try, g_try, H_try = energy_at(
+                    trial, want_hess=step == 1.0 and not (quadratic or last))
+                if armijo(E_try, step, gd) or (
+                        blind and E_try <= E + noise
+                        and np.max(np.abs(g_try)) < np.max(np.abs(g))):
+                    accepted = (trial, E_try, g_try,
+                                H if quadratic else H_try)
+                    full_step = step == 1.0
+                    break
+                if blind:
+                    newton_live = False
+                    break
+                step *= _BACKTRACK
+            if accepted is not None:
+                d = None
         if accepted is None:
-            message = "line search failed to decrease the energy"
-            break
-        E_prev = E
-        u, E, g_full = accepted
-        g = g_full[1:-1]
+            z = solve_banded((1, 1), band, g)
+            if d is None:
+                d = -z
+            else:
+                beta = float(g @ (z - z_old)) / float(g_old @ z_old)
+                d = -z + max(beta, 0.0) * d
+            gd = float(g @ d)
+            if gd >= 0.0:
+                d = -z
+                gd = float(g @ d)
+            g_old, z_old = g, z
+
+            # Secant guess for the step from the directional derivative,
+            # then Armijo backtracking as the monotonicity safeguard.
+            probe = min(max(alpha, 1e-12), 1e12)
+            flat = False
+            for _ in range(12):
+                v_try = v + probe * d
+                E_try, g_try, _ = energy_at(v_try)
+                gd_try = float(g_try @ d)
+                if gd_try > gd * (1.0 - 1e-9):
+                    flat = abs(gd_try - gd) <= 1e-9 * abs(gd)
+                    break
+                probe *= 4.0
+            else:
+                flat = True
+            if flat:
+                stop = StopReason.FLAT
+                break
+            step = probe * gd / (gd - gd_try)
+            step = min(max(step, 1e-14 * probe), 1e6 * probe)
+
+            for _ in range(60):
+                if step == probe and armijo(E_try, step, gd):
+                    accepted = (v_try, E_try, g_try, None)
+                    break
+                v_new = v + step * d
+                E_new, g_new, _ = energy_at(v_new)
+                if armijo(E_new, step, gd):
+                    accepted = (v_new, E_new, g_new, None)
+                    break
+                step *= _BACKTRACK
+            if accepted is None:
+                stop = StopReason.LINE_SEARCH
+                break
+            alpha = step
+        E_prev, g_prev = E, g
+        v, E, g, H = accepted
         history.append(E)
-        alpha = step
         iterations += 1
-        g_norm_prev = float(np.max(np.abs(g_old)))
+        g_norm_prev = float(np.max(np.abs(g_prev)))
         g_norm = float(np.max(np.abs(g)))
+        contraction = g_norm / g_norm_prev ** 2 if full_step else None
         if g_norm <= tol_for(E):
-            converged = True
-            message = f"gradient tolerance reached in {iterations} iterations"
+            stop = StopReason.TOLERANCE
             break
         if (E_prev - E <= eps_E * max(1.0, abs(E_prev))
                 and g_norm >= 0.9 * g_norm_prev):
             no_progress += 1
             if no_progress >= 2:
-                message = "energy progress below roundoff; gradient floor"
+                stop = StopReason.FLOOR
                 break
         else:
             no_progress = 0
+        if H is None and newton_live and iterations < opts.max_iter:
+            E, g, H = energy_at(v, want_hess=True)
 
-    if not converged and not message:
-        message = "iteration budget exhausted"
-    grad_norm = float(np.max(np.abs(g))) if ni else 0.0
     return SolveResult(
-        u=u,
+        u=energy_at.state(v),
         energy=E,
         iterations=iterations,
-        grad_norm=grad_norm,
-        converged=converged,
-        message=message,
+        grad_norm=float(np.max(np.abs(g))) if ni else 0.0,
+        stop_reason=stop or StopReason.BUDGET,
+        evaluations=energy_at.evaluations,
+        hessians=energy_at.hessians,
         energy_history=tuple(history),
     )
 

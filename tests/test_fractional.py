@@ -13,7 +13,12 @@ from orliczfrac import (
     make_power_log,
 )
 from orliczfrac._quadrature import gauss_rule_01
-from orliczfrac.fractional import _far_field, _pair_orders, _same_element
+from orliczfrac.fractional import (
+    _core,
+    _far_field,
+    _pair_orders,
+    _same_element,
+)
 
 from conftest import brute_force_seminorm
 
@@ -151,6 +156,43 @@ def power_log3_profile(w):
     cube = w ** 3 / 3.0
     return np.where(w <= 1.0, cube * (4.0 / 3.0 - lg),
                     cube * (2.0 / 3.0 + lg) + 2.0 / 9.0)
+
+
+class TestHessian:
+    """`_core(..., want_hess=True)` is the derivative of its own gradient."""
+
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    @pytest.mark.parametrize("G", [
+        G2, make_power(3.0), make_power_log(3.0), G23,
+    ], ids=lambda G: G.label)
+    def test_matches_central_difference_of_gradient(self, G, s, rng):
+        u = random_state(rng, n=33, amplitude=0.4)
+        val, grad, hess = _core(G, s, u, want_grad=True, want_hess=True)
+        ref_val, ref_grad = _core(G, s, u, want_grad=True)
+        assert val == ref_val and np.array_equal(grad, ref_grad)
+        assert np.array_equal(hess, hess.T)
+        eps = 1e-6
+        fd = np.empty_like(hess)
+        for i in range(u.node_count):
+            vp = u.values.copy()
+            vm = u.values.copy()
+            vp[i] += eps
+            vm[i] -= eps
+            fd[:, i] = (_core(G, s, u.with_values(vp), want_grad=True)[1]
+                        - _core(G, s, u.with_values(vm), want_grad=True)[1]
+                        ) / (2.0 * eps)
+        assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
+
+    def test_square_hessian_is_constant(self, rng):
+        # for t^2 the modular is a quadratic form, so its Hessian does not
+        # depend on u and Phi_s(u) = u^T H u / 2
+        u = random_state(rng, n=17)
+        hess = _core(G2, 0.6, u, want_grad=True, want_hess=True)[2]
+        zero = _core(G2, 0.6, u.with_values(0.0 * u.values),
+                     want_grad=True, want_hess=True)[2]
+        assert hess == pytest.approx(zero, rel=1e-12, abs=1e-12)
+        assert fractional_modular(G2, 0.6, u) == pytest.approx(
+            0.5 * u.values @ hess @ u.values, rel=1e-12)
 
 
 class TestFarField:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from orliczfrac import (
     InvalidParameterError,
@@ -48,6 +49,28 @@ class TestSphereMoments:
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             sphere_moment(4, 2.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [0.0, 1.5, 3.0, 4.7])
+    def test_closed_forms_match_adaptive_quadrature(self, n, p):
+        # the polar reductions, integrated by adaptive quadrature
+        if n == 2:
+            moment = 4.0 * integrate.quad(
+                lambda t: np.sin(t) ** p, 0.0, math.pi / 2.0,
+                epsabs=1e-14, epsrel=1e-12)[0]
+            log_moment = 4.0 * integrate.quad(
+                lambda t: np.sin(t) ** p * np.abs(np.log(np.sin(t))),
+                0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-12)[0]
+        else:
+            moment = 2.0 * math.pi * integrate.quad(
+                lambda phi: np.abs(np.cos(phi)) ** p * np.sin(phi),
+                0.0, math.pi, epsabs=1e-14, epsrel=1e-12)[0]
+            log_moment = 4.0 * math.pi * integrate.quad(
+                lambda u: u ** p * np.abs(np.log(u)), 0.0, 1.0,
+                epsabs=1e-14, epsrel=1e-12)[0]
+        assert sphere_moment(n, p) == pytest.approx(moment, rel=1e-13)
+        assert sphere_log_moment(n, p) == pytest.approx(log_moment,
+                                                        rel=1e-13)
 
 
 class TestTildeEval:
@@ -197,6 +220,27 @@ class TestLimitDensityObject:
         fd = (tilde_eval(G, n, a + h) - tilde_eval(G, n, a - h)) / (2.0 * h)
         assert dens.deriv(a) == pytest.approx(fd, rel=1e-8, abs=0)
         assert dens.deriv(1.5) == pytest.approx(fd[2], rel=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("G", [
+        make_power_log(3.0),
+        make_combination("max", [make_power(2.0), make_power(3.0)]),
+    ], ids=lambda G: G.label)
+    def test_second_derivative_matches_central_difference(self, G, n):
+        tilde = limit_density(G, n).as_orlicz()
+        a = np.array([0.3, 0.98, 1.5, 4.0])
+        h = 1e-6 * a
+        fd = (tilde.deriv(a + h) - tilde.deriv(a - h)) / (2.0 * h)
+        assert tilde.d2(a) == pytest.approx(fd, rel=1e-7, abs=0)
+        assert tilde.d2(1.5) == pytest.approx(fd[2], rel=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_second_derivative_of_the_square(self, n):
+        # tilde(a) = K_{n,2} a^2 / 2, also at a = 0 through G''(0) / 2
+        dens = limit_density(make_power(2.0), n)
+        K = sphere_moment(n, 2.0)
+        assert dens.deriv2(np.array([0.0, 0.5, 3.0])) == pytest.approx(
+            [K, K, K], rel=1e-12)
 
     def test_wrapping_keeps_growth_interface(self):
         tilde = limit_density(make_power(2.0), 1).as_orlicz()

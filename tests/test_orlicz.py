@@ -233,3 +233,47 @@ def test_doubling_holds_on_sampled_grid():
     for G in builtin_suite_functions():
         assert np.all(G(2.0 * x) <= G.doubling_constant * G(x)
                       * (1.0 + 1e-12)), G.label
+
+
+D2_CASES = [
+    make_power(1.5),
+    make_power(2.0),
+    make_power(3.0),
+    make_power_log(3.0),
+    make_power_log(1.5),
+    make_power_abslog(3.0),
+    make_power_abslog(1.5),
+    make_combination("sum", [make_power(2.0), make_power_log(3.0)],
+                     [0.5, 2.0]),
+    make_combination("max", [make_power(2.0), make_power(3.0)]),
+    compose(make_power(2.0), make_power_log(3.0)),
+    make_custom(lambda x: np.asarray(x, float) ** 3,
+                lambda x: 3.0 * np.asarray(x, float) ** 2, label="cube"),
+]
+
+
+@pytest.mark.parametrize("G", D2_CASES, ids=lambda G: G.label)
+def test_second_derivative_matches_central_difference(G):
+    x = np.logspace(-3, 2, 41)
+    x = x[np.abs(x - 1.0) > 1e-2]       # every kink of the cases sits at 1
+    h = 1e-6 * x
+    fd = (G.deriv(x + h) - G.deriv(x - h)) / (2.0 * h)
+    assert G.d2(x) == pytest.approx(fd, rel=1e-6, abs=1e-12)
+    assert G.d2(float(x[5])) == pytest.approx(fd[5], rel=1e-6)
+
+
+def test_second_derivative_at_kink_takes_the_derivative_branch():
+    # deriv is right-continuous at t = 1; so is d2
+    G = make_power_log(3.0)
+    h = 1e-7
+    right = (G.deriv(1.0 + 2 * h) - G.deriv(1.0)) / (2 * h)
+    assert G.d2(1.0) == pytest.approx(right, rel=1e-5)
+
+
+@pytest.mark.parametrize("p,at_zero", [(1.5, math.inf), (2.0, 2.0),
+                                       (3.0, 0.0)])
+def test_second_derivative_at_zero(p, at_zero):
+    assert make_power(p).d2(0.0) == at_zero
+    log_at_zero = 0.0 if p > 2.0 else math.inf
+    assert make_power_log(p).d2(0.0) == log_at_zero
+    assert make_power_abslog(p).d2(0.0) == log_at_zero

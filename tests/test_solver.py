@@ -6,6 +6,7 @@ from orliczfrac import (
     GridFunction,
     InvalidInputError,
     SolveOptions,
+    StopReason,
     UniquenessWarning,
     apply_pointwise_eps,
     energy,
@@ -20,9 +21,11 @@ from orliczfrac import (
     solve,
     weak_residual,
 )
+from orliczfrac.solver import _seminorm_value_grad
 
 G2 = make_power(2.0)
 G3 = make_power(3.0)
+G15 = make_power(1.5)
 
 
 def problem(s, n=65, rhs=1.0, G=G2, scaling="bbm_scaled"):
@@ -130,14 +133,14 @@ class TestSolve:
         assert res.weak_residual <= 10.0 * 1e-8
 
     @pytest.mark.parametrize("case,stop", [
-        (dict(s=0.5, n=33), "gradient tolerance"),
-        (dict(s=0.7, n=33, rhs=3.0, G=G3), "gradient floor"),
-    ])
+        (dict(s=0.5, n=33), StopReason.TOLERANCE),
+        (dict(s=0.7, n=33, G=G15), StopReason.FLOOR),
+    ], ids=["case0-gradient tolerance", "case1-gradient floor"])
     def test_reported_weak_residual_matches_fresh_evaluation(self, case, stop):
         # the result reports the gradient it kept, not a fresh evaluation
         prob = problem(**case)
         res = solve(prob)
-        assert stop in res.message
+        assert res.stop_reason is stop
         assert res.weak_residual == weak_residual(prob, res.u)
 
     def test_boundary_stays_zero(self):
@@ -145,9 +148,19 @@ class TestSolve:
         assert res.u.values[0] == 0.0 and res.u.values[-1] == 0.0
 
     def test_budget_exhaustion_flagged(self):
-        res = solve(problem(0.5, n=65), SolveOptions(max_iter=1))
+        res = solve(problem(0.5, n=65, G=G15), SolveOptions(max_iter=1))
         assert not res.converged
         assert res.iterations == 1
+        assert res.stop_reason is StopReason.BUDGET
+
+    def test_message_renders_stop_reason(self):
+        res = solve(problem(0.5, n=33))
+        assert res.stop_reason is StopReason.TOLERANCE and res.converged
+        assert res.message == (f"{StopReason.TOLERANCE.value} in "
+                               f"{res.iterations} iterations")
+        res = solve(problem(0.5, rhs=0.0))
+        assert res.stop_reason is StopReason.INITIAL and res.converged
+        assert res.message == StopReason.INITIAL.value
 
     def test_unscaled_mode_rescales_quadratic_minimizer(self):
         # for the quadratic kernel the scaled and unscaled minimizers are
@@ -175,6 +188,56 @@ class TestSolve:
         prob = problem(0.5, n=17, G=flat)
         with pytest.warns(UniquenessWarning):
             solve(prob, SolveOptions(max_iter=2))
+
+
+class TestNewton:
+    # The direction solves with the exact Hessian, so a quadratic energy
+    # is minimized by one full step: the zero state (with the Hessian) and
+    # the accepted step.
+    def test_square_solves_in_one_step(self):
+        res = solve(problem(0.5, n=257))
+        assert res.converged and res.iterations == 1
+        assert res.evaluations <= 3
+        assert res.hessians == 1
+
+    def test_cube_solve_assemblies(self):
+        # the solve workload's power(3) case
+        prob = DirichletProblem(omega=(-1.0, 1.0), rhs=1.0, G=G3, s=0.7,
+                                mesh_nodes=129)
+        res = solve(prob)
+        assert res.converged
+        assert res.evaluations <= 12
+
+    def test_local_hessian_matches_central_difference(self, rng):
+        # the s = 1 path: tridiagonal G''(|m|) / h
+        for G in (G3, make_power_log(3.0)):
+            prob = problem(1.0, n=33, G=G)
+            u = random_state(prob, rng)
+            _, grad, hess = _seminorm_value_grad(prob, u, want_grad=True,
+                                                 want_hess=True)
+            assert np.array_equal(hess, hess.T)
+            assert np.count_nonzero(np.triu(hess, 2)) == 0
+            eps = 1e-6
+            fd = np.empty_like(hess)
+            for i in range(prob.mesh_nodes):
+                vp = u.values.copy()
+                vm = u.values.copy()
+                vp[i] += eps
+                vm[i] -= eps
+                fd[:, i] = (
+                    _seminorm_value_grad(prob, u.with_values(vp), True)[1]
+                    - _seminorm_value_grad(prob, u.with_values(vm), True)[1]
+                ) / (2.0 * eps)
+            assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
+
+    def test_newton_and_ncg_reach_the_same_minimizer(self):
+        # G''(0) = 0 for t^3: the first step is conjugate gradients, the
+        # rest Newton; the minimizer satisfies the weak form
+        prob = problem(0.6, n=65, G=G3, rhs=2.0)
+        res = solve(prob)
+        assert res.converged and res.hessians >= 1
+        assert res.evaluations > res.hessians
+        assert weak_residual(prob, res.u) <= 1e-8 * max(1.0, abs(res.energy))
 
 
 class TestPairingBound:
