@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import digamma
 
-from ._quadrature import gauss_rule_01, tanh_sinh_rule_01
+from ._quadrature import tanh_sinh_rule_01
 from .errors import (
     InvalidParameterError,
     ToleranceNotMetError,
@@ -34,11 +34,11 @@ from .errors import (
 from .orlicz import OrliczFunction, make_custom
 
 _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-_SPHERE_ORDER = 120  # Gauss order for the polar reduction of sphere integrals
-# Tanh-sinh rule of the radial profile: 2*20+1 nodes per piece, last node at
-# t = 3.1. Against exact values for powers (p = 1.01 .. 8), power_log(3),
-# power_abslog(2) and max(power(2), power(3)) on a in [1e-3, 40] it is within
-# 3e-15 relative; span 3.0 loses a digit, 2.9 two.
+# Tanh-sinh rule of the radial profile and of the sphere integral's pieces:
+# 2*20+1 nodes per piece, last node at t = 3.1. For the profile, against
+# exact values for powers (p = 1.01 .. 8), power_log(3), power_abslog(2) and
+# max(power(2), power(3)) on a in [1e-3, 40] it is within 3e-15 relative;
+# span 3.0 loses a digit, 2.9 two.
 _PROFILE_STEPS = 20
 _PROFILE_SPAN = 3.1
 
@@ -94,16 +94,17 @@ def sphere_integral(f, n: int, c, kinks) -> np.ndarray:
     n = 1: the sphere is the two points +-1, so the value is 2 f(c).
     n = 2, 3: the polar reductions 4 int_0^(pi/2) f(c sin t) dt and
     4 pi int_0^1 f(c t) dt, split per entry where c |w_n| crosses a kink,
-    with the fixed Gauss rule on every piece, so the rule keeps its
-    accuracy for kinked f. A kink at or above every entry is dropped (a
-    kink above one entry gives it a piece of width zero), and f is
-    evaluated once per piece, for all entries together.
+    with the profile's tanh-sinh rule on every piece, so the rule keeps its
+    accuracy for kinked f and for f(c |w_n|) ~ |w_n|^p at |w_n| = 0. A kink
+    at or above every entry is dropped (a kink above one entry gives it a
+    piece of width zero), and f is evaluated once per piece, for all
+    entries together.
     """
     _check_dim(n)
     c = np.asarray(c, dtype=float)
     if n == 1:
         return 2.0 * f(c)
-    x, w = gauss_rule_01(_SPHERE_ORDER)
+    x, w = tanh_sinh_rule_01(_PROFILE_STEPS, _PROFILE_SPAN)
     top = float(np.max(c, initial=0.0))
     with np.errstate(divide="ignore"):
         cuts = [np.minimum(k / c, 1.0) for k in sorted(set(kinks))

@@ -30,6 +30,7 @@ from .errors import (
 from .fractional import _add_slope_blocks, _check_s, _core
 from .grid import GridFunction, modular
 from .limit_density import limit_density
+from .limits import _validate_s_list
 from .orlicz import OrliczFunction
 
 RhsSpec = Union[float, Callable[[np.ndarray], np.ndarray], GridFunction]
@@ -98,11 +99,14 @@ class DirichletProblem:
 
 
 class StopReason(enum.Enum):
-    """Why `solve` stopped; the first two mean converged."""
+    """Why `solve` stopped; the first two mean converged. LINE_SEARCH: no
+    halved step passed the Armijo test, or the gradient step's probes never
+    saw the directional derivative rise. FLOOR: E no longer ranks the
+    iterates (two steps without progress, or a Newton step predicted below
+    the roundoff of E that does not reduce the gradient)."""
 
     INITIAL = "converged at initial iterate"
     TOLERANCE = "gradient tolerance reached"
-    FLAT = "directional derivative flat at roundoff scale"
     LINE_SEARCH = "line search failed to decrease the energy"
     FLOOR = "energy progress below roundoff; gradient floor"
     BUDGET = "iteration budget exhausted"
@@ -247,33 +251,43 @@ def _newton_direction(H, g):
     return d if np.all(np.isfinite(d)) else None
 
 
+def _secant_step(energy_at, v, d, gd):
+    """Step along the descent direction d (gd = g.d < 0) where the secant
+    of the directional derivative vanishes, from the first of the probes
+    1, 4, 16, ... at which it rises; None if it never rises."""
+    probe = 1.0
+    for _ in range(12):
+        gd_try = float(energy_at(v + probe * d)[1] @ d)
+        if gd_try > gd * (1.0 - 1e-9):
+            step = probe * gd / (gd - gd_try)
+            return min(max(step, 1e-14 * probe), 1e6 * probe)
+        probe *= 4.0
+    return None
+
+
 def solve(problem: DirichletProblem,
           opts: SolveOptions | None = None) -> SolveResult:
     """Minimize the discrete energy over the zero-boundary cone.
 
     Damped Newton on the exact discrete Hessian: the direction solves
-    sigma H d = -g on the interior nodes by Cholesky, the step starts at 1
-    and Armijo backtracking keeps the descent monotone (up to the roundoff
-    of E, once the predicted decrease is below it). Where the Hessian is
-    not positive definite or the direction not finite (the zero start when
-    G''(0) is 0 or infinite, as for t^p with p != 2) or the Newton step
-    fails, the step is one of preconditioned nonlinear conjugate gradients
-    instead (Polak-Ribiere with restarts, tridiagonal local-stiffness
-    preconditioner, secant-initialized backtracking). Stops when the
-    sup-norm of the interior gradient falls below 1e-8 * max(1, |E|);
-    `stop_reason` says why it stopped.
+    sigma H d = -g on the interior nodes by Cholesky and the step starts at
+    1. Where the Hessian is not positive definite or the direction not
+    finite (the zero start when G''(0) is 0 or infinite, as for t^p with
+    p != 2), the direction is the gradient preconditioned by the
+    tridiagonal local stiffness K, d = -K^{-1} g, and the step starts at a
+    secant guess. Either step is halved until the Armijo test holds, which
+    keeps the descent monotone (up to the roundoff of E, once Newton's
+    predicted decrease is below it). Stops when the sup-norm of the
+    interior gradient falls below 1e-8 * max(1, |E|); `stop_reason` says
+    why it stopped.
     """
     opts = opts or SolveOptions()
     _screen_strict_convexity(problem.G)
-    n = problem.mesh_nodes
-    h = (problem.omega[1] - problem.omega[0]) / (n - 1)
-
-    # Tridiagonal 1D stiffness on interior nodes as preconditioner.
-    ni = n - 2
-    band = np.zeros((3, ni))
-    band[0, 1:] = -1.0 / h
-    band[1, :] = 2.0 / h
-    band[2, :-1] = -1.0 / h
+    # Tridiagonal 1D stiffness on interior nodes as preconditioner, in
+    # solve_banded's layout (which does not read its two corner entries).
+    ni = problem.mesh_nodes - 2
+    h = (problem.omega[1] - problem.omega[0]) / (ni + 1)
+    band = np.outer([-1.0, 2.0, -1.0], np.ones(ni)) / h
 
     energy_at = _Energy(problem)
     # For t^2 the energy is quadratic: its Hessian is assembled once.
@@ -287,12 +301,7 @@ def solve(problem: DirichletProblem,
     def tol_for(E_now):
         return 1e-8 * max(1.0, abs(E_now))
 
-    d = None
-    z_old = None
-    g_old = None
     contraction = None
-    newton_live = True
-    alpha = 1.0
     iterations = 0
     no_progress = 0
     eps_E = 8.0 * np.finfo(float).eps
@@ -300,98 +309,50 @@ def solve(problem: DirichletProblem,
     if not ni or float(np.max(np.abs(g))) <= tol_for(E):
         stop = StopReason.INITIAL
 
-    def armijo(E_try, step, gd):
-        return E_try <= E + _ARMIJO * step * gd
-
     while stop is None and iterations < opts.max_iter:
+        d = _newton_direction(H, g)
+        newton = d is not None
+        if not newton:
+            d = -solve_banded((1, 1), band, g)
+        gd = float(g @ d)
+        step = 1.0 if newton else _secant_step(energy_at, v, d, gd)
+        if step is None:
+            stop = StopReason.LINE_SEARCH
+            break
+        # The first trial carries the next Hessian, unless the contraction
+        # |g_new| = K |g|^2 of the last full Newton step predicts
+        # convergence. Where Newton's model decrease -gd/2 is below the
+        # roundoff of E, E cannot rank the points: the full step is taken
+        # if it reduces the gradient without raising E beyond roundoff,
+        # else the solve is at its floor.
+        noise = eps_E * max(1.0, abs(E))
+        blind = newton and -0.5 * gd <= noise
+        last = newton and (contraction is not None and contraction
+                           * float(np.max(np.abs(g))) ** 2
+                           <= 0.1 * tol_for(E))
         accepted = None
-        full_step = False
-        newton = _newton_direction(H, g) if newton_live else None
-        if newton is not None:
-            # Full step first, then halving. The full step carries the
-            # next Hessian, unless the contraction |g_new| = K |g|^2 of
-            # the last full step predicts convergence. Where the model's
-            # decrease -gd/2 is below the roundoff of E, E cannot rank the
-            # points: the full step is taken if it reduces the gradient
-            # without raising E beyond roundoff, else conjugate gradients
-            # take over for the rest of the solve (no more Hessians).
-            gd = float(g @ newton)
-            noise = eps_E * max(1.0, abs(E))
-            blind = -0.5 * gd <= noise
-            last = (contraction is not None and contraction
-                    * float(np.max(np.abs(g))) ** 2 <= 0.1 * tol_for(E))
-            step = 1.0
-            for _ in range(60):
-                trial = v + step * newton
-                E_try, g_try, H_try = energy_at(
-                    trial, want_hess=step == 1.0 and not (quadratic or last))
-                if armijo(E_try, step, gd) or (
-                        blind and E_try <= E + noise
-                        and np.max(np.abs(g_try)) < np.max(np.abs(g))):
-                    accepted = (trial, E_try, g_try,
-                                H if quadratic else H_try)
-                    full_step = step == 1.0
-                    break
-                if blind:
-                    newton_live = False
-                    break
-                step *= _BACKTRACK
-            if accepted is not None:
-                d = None
+        for trial_no in range(60):
+            trial = v + step * d
+            E_try, g_try, H_try = energy_at(
+                trial, want_hess=trial_no == 0 and not (quadratic or last))
+            if E_try <= E + _ARMIJO * step * gd or (
+                    blind and E_try <= E + noise
+                    and np.max(np.abs(g_try)) < np.max(np.abs(g))):
+                accepted = (trial, E_try, g_try, H if quadratic else H_try)
+                break
+            if blind:
+                break
+            step *= _BACKTRACK
         if accepted is None:
-            z = solve_banded((1, 1), band, g)
-            if d is None:
-                d = -z
-            else:
-                beta = float(g @ (z - z_old)) / float(g_old @ z_old)
-                d = -z + max(beta, 0.0) * d
-            gd = float(g @ d)
-            if gd >= 0.0:
-                d = -z
-                gd = float(g @ d)
-            g_old, z_old = g, z
-
-            # Secant guess for the step from the directional derivative,
-            # then Armijo backtracking as the monotonicity safeguard.
-            probe = min(max(alpha, 1e-12), 1e12)
-            flat = False
-            for _ in range(12):
-                v_try = v + probe * d
-                E_try, g_try, _ = energy_at(v_try)
-                gd_try = float(g_try @ d)
-                if gd_try > gd * (1.0 - 1e-9):
-                    flat = abs(gd_try - gd) <= 1e-9 * abs(gd)
-                    break
-                probe *= 4.0
-            else:
-                flat = True
-            if flat:
-                stop = StopReason.FLAT
-                break
-            step = probe * gd / (gd - gd_try)
-            step = min(max(step, 1e-14 * probe), 1e6 * probe)
-
-            for _ in range(60):
-                if step == probe and armijo(E_try, step, gd):
-                    accepted = (v_try, E_try, g_try, None)
-                    break
-                v_new = v + step * d
-                E_new, g_new, _ = energy_at(v_new)
-                if armijo(E_new, step, gd):
-                    accepted = (v_new, E_new, g_new, None)
-                    break
-                step *= _BACKTRACK
-            if accepted is None:
-                stop = StopReason.LINE_SEARCH
-                break
-            alpha = step
-        E_prev, g_prev = E, g
+            stop = StopReason.FLOOR if blind else StopReason.LINE_SEARCH
+            break
+        E_prev, g_norm_prev = E, float(np.max(np.abs(g)))
         v, E, g, H = accepted
         history.append(E)
         iterations += 1
-        g_norm_prev = float(np.max(np.abs(g_prev)))
         g_norm = float(np.max(np.abs(g)))
-        contraction = g_norm / g_norm_prev ** 2 if full_step else None
+        full_newton = newton and trial_no == 0
+        contraction = g_norm / g_norm_prev ** 2 if full_newton else None
         if g_norm <= tol_for(E):
             stop = StopReason.TOLERANCE
             break
@@ -403,7 +364,8 @@ def solve(problem: DirichletProblem,
                 break
         else:
             no_progress = 0
-        if H is None and newton_live and iterations < opts.max_iter:
+        # Only a damped step or a mispredicted last step lacks the Hessian.
+        if H is None and iterations < opts.max_iter:
             E, g, H = energy_at(v, want_hess=True)
 
     return SolveResult(
@@ -489,11 +451,7 @@ def gamma_run(problem_template: DirichletProblem, s_list,
     sets s = 1; gaps are reported in the gauge norm of the plain modular and
     as energy differences.
     """
-    s_list = [float(s) for s in s_list]
-    if any(not 0.0 < s < 1.0 for s in s_list) or \
-            any(b <= a for a, b in zip(s_list, s_list[1:])):
-        raise InvalidParameterError("s_list must increase strictly in (0,1)")
-
+    s_list = _validate_s_list(s_list)
     tilde = limit_density(problem_template.G, 1).as_orlicz()
     local_problem = replace(problem_template, s=1.0, G=tilde)
     local = solve(local_problem, opts)

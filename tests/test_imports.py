@@ -1,6 +1,8 @@
-"""Every module-level import in the package is read somewhere in its module."""
+"""Every module-level import in the package is read somewhere in its module,
+and every module-level private name somewhere in the repository."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,75 @@ def test_no_unused_module_imports(path):
 def test_detects_an_unused_import():
     src = "from os import path, sep\nimport numpy as np\nprint(sep)\n"
     assert _unused_imports(src) == [(1, "path"), (2, "np")]
+
+
+# Module-level private names (functions, classes, assigned constants) must
+# be read somewhere in the source, the tests or the benchmark, outside their
+# own definition. A string equal to the name counts as a read, since the
+# benchmark's tracing patches functions by name.
+REPO = PACKAGE.parents[1]
+SOURCES = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (REPO / d).rglob("*.py"))
+
+
+def _private_definitions(tree):
+    """(name, statement) of each module-level private definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            lhs = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            targets = [n.id for t in lhs for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(node):
+    """Names read in a subtree: loads, attributes, imports, strings."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _file_reads(path):
+    return frozenset(_reads(ast.parse(path.read_text())))
+
+
+def _dead_private_names(module_source, elsewhere):
+    """Private names of the module read neither in its other statements
+    nor in `elsewhere`."""
+    tree = ast.parse(module_source)
+    dead = []
+    for name, stmt in _private_definitions(tree):
+        here = set().union(*(_reads(s) for s in tree.body if s is not stmt))
+        if name not in here | elsewhere:
+            dead.append(name)
+    return dead
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    elsewhere = set().union(*(_file_reads(p) for p in SOURCES if p != path))
+    assert _dead_private_names(path.read_text(), elsewhere) == []
+
+
+def test_detects_a_dead_private_name():
+    src = ("_USED = 1\n_UNUSED = 2\n_A, _B = 3, 4\n"
+           "def _helper():\n    return _helper()\n"
+           "def f():\n    return _USED + _A\n")
+    assert _dead_private_names(src, {"x", "_B"}) == ["_UNUSED", "_helper"]

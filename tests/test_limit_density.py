@@ -162,6 +162,21 @@ class TestClosedForms:
         closed = tilde_closed_form("power_log", (1.5,), n, a)
         assert quad == pytest.approx(closed, rel=1e-7)
 
+    # For a <= 1 the closed form is the exact moment formula, so it checks
+    # the sphere rule where f(c |w_n|) behaves like |w_n|^p |log|w_n||.
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
+    def test_sphere_rule_matches_exact_moments(self, n, a):
+        quad = tilde_eval(make_power_abslog(1.5), n, a)
+        closed = tilde_closed_form("power_abslog", (1.5,), n, a)
+        assert quad == pytest.approx(closed, rel=1e-13)
+
+    def test_max_large_argument_in_three_dimensions(self):
+        # 4 pi int_0^1 I(2t) dt = 2 pi int_0^2 I(c) dc = 67 pi / 15 (mpmath,
+        # 30 digits), with I the profile of max(t^1.5, t^4)
+        assert tilde_closed_form("max_powers", (1.5, 4.0), 3, 2.0) == \
+            pytest.approx(14.032447186034409798, rel=1e-13)
+
 
 class TestStructure:
     def test_linearity(self):
