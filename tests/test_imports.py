@@ -51,8 +51,7 @@ def _private_definitions(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            lhs = node.targets if isinstance(node, ast.Assign) else [
-                node.target]
+            lhs = getattr(node, "targets", None) or [node.target]
             targets = [n.id for t in lhs for n in ast.walk(t)
                        if isinstance(n, ast.Name)]
         else:

@@ -243,7 +243,6 @@ class TestNewton:
         assert res.evaluations > res.hessians
         assert weak_residual(prob, res.u) <= 1e-8 * max(1.0, abs(res.energy))
 
-
     # The preconditioned gradient direction takes the zero start, where
     # G''(0) is 0 or infinite, and any iterate whose Hessian Cholesky
     # rejects (power(1.5)); p < 2 solves end at the gradient floor.
@@ -258,11 +257,9 @@ class TestNewton:
         prob = DirichletProblem(omega=omega, rhs=1.0, G=G, s=s,
                                 mesh_nodes=33)
         res = solve(prob)
-        hist = np.array(res.energy_history)
-        rise = np.diff(hist)
-        roundoff = 8.0 * np.finfo(float).eps * np.maximum(1.0,
-                                                          np.abs(hist[:-1]))
-        assert np.all(rise <= roundoff)
+        E = np.array(res.energy_history)
+        eps = 8.0 * np.finfo(float).eps
+        assert np.all(np.diff(E) <= eps * np.maximum(1.0, np.abs(E[:-1])))
         assert res.stop_reason is stop
         assert res.weak_residual == weak_residual(prob, res.u)
 
