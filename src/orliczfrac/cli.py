@@ -30,7 +30,7 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .grid import GridFunction
-from .limit_density import _closed_form_spec, tilde_closed_form, tilde_eval
+from .limit_density import limit_density, tilde_eval
 from .limits import bbm_curve, poincare_check
 from .orlicz import (
     OrliczFunction,
@@ -247,12 +247,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _run_tilde(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
     G = cfg.growth()
-    spec = _closed_form_spec(G)
+    density = limit_density(G, cfg.n)
     lines = ["a,tilde_quadrature,tilde_closed_form,rel_diff"]
     for a in cfg.a_list:
         quad = tilde_eval(G, cfg.n, a)
-        if spec is not None:
-            closed = tilde_closed_form(spec[0], spec[1], cfg.n, a)
+        if density.backing == "closed_form":
+            closed = density.value(a)
             denom = max(abs(closed), 1e-300)
             lines.append(f"{_fmt(a)},{_fmt(quad)},{_fmt(closed)},"
                          f"{_fmt(abs(quad - closed) / denom)}")

@@ -21,11 +21,11 @@ is split into three pieces:
        order 5, 3 at 4, 16 at 3, the rest at 2);
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
-       needed. I is half the n = 1 limit density: the closed form where
-       G has one (`tilde_closed_form(..., 1, w) / 2`), otherwise the shared
-       kink-split tanh-sinh rule `limit_density.radial_profile`, at the
-       order-5 Gauss points of every element. Its derivative is the exact
-       I'(w) = G(w)/w.
+       needed. I is half the n = 1 limit density, so I, I' and I'' are
+       `limit_density(G, 1).value`, `.deriv` and `.deriv2` halved, at the
+       order-5 Gauss points of every element: the closed form or the
+       shared quadrature for I, as `LimitDensity` chooses, and the exact
+       derivatives of the profile, which need no quadrature.
 
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed discrete value (same rules, same nodes) in
@@ -49,8 +49,8 @@ import numpy as np
 
 from ._quadrature import gauss_rule_01
 from .errors import InvalidInputError, InvalidParameterError
-from .grid import GridFunction
-from .limit_density import _closed_form_spec, radial_profile, tilde_closed_form
+from .grid import GridFunction, _at_gauss_points
+from .limit_density import limit_density
 from .orlicz import OrliczFunction
 
 _SAME_ELEMENT_ORDER = 48
@@ -118,12 +118,6 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
     if want_hess:
         return float(np.sum(vals)), ders, curv
     return float(np.sum(vals)), ders
-
-
-def _at_gauss_points(v, x):
-    """Piecewise-linear nodal values v at the points x (in (0, 1)) of
-    every element: an (elements, points) array."""
-    return v[:-1, None] * (1.0 - x)[None, :] + v[1:, None] * x[None, :]
 
 
 def _pair_orders(ne, order):
@@ -264,23 +258,18 @@ def _far_points(s, u, order):
     return xg, wg, _at_gauss_points(u.values, xg), kern
 
 
-def _far_flux(G, s, h, wg, U, kern):
+def _far_flux(tilde, s, h, wg, U, kern):
     """Derivative of the far-field value with respect to U, per element
-    Gauss point: both sides through the exact I'(w) = G(w)/w."""
-    warg = np.abs(U) * kern
-    dprof = G(warg) / np.where(warg > 0.0, warg, 1.0)
+    Gauss point: both sides through I' = tilde_G' / 2, for the n = 1 limit
+    density ``tilde``."""
+    dprof = tilde.deriv(np.abs(U) * kern) / 2.0
     return (2.0 * h / s) * wg * np.sum(dprof * kern, axis=0) * np.sign(U)
 
 
-def _far_curvature(G, s, h, wg, U, kern):
+def _far_curvature(tilde, s, h, wg, U, kern):
     """Second derivative of the far-field value with respect to U, per
-    element Gauss point, through the exact I''(w) = (w G'(w) - G(w)) / w^2,
-    whose limit at w = 0 is G''(0) / 2."""
-    warg = np.abs(U) * kern
-    pos = warg > 0.0
-    wsafe = np.where(pos, warg, 1.0)
-    curv = np.where(pos, (warg * G.deriv(warg) - G(warg)) / (wsafe * wsafe),
-                    float(G.d2(0.0)) / 2.0)
+    element Gauss point, through I'' = tilde_G'' / 2."""
+    curv = tilde.deriv2(np.abs(U) * kern) / 2.0
     return (2.0 * h / s) * wg * np.sum(curv * kern * kern, axis=0)
 
 
@@ -293,21 +282,18 @@ def _far_field(G, s, u, order, want_grad, hess=None):
     """
     h = u.spacing
     xg, wg, U, kern = _far_points(s, u, order)
-    warg = np.abs(U) * kern
-    spec = _closed_form_spec(G)
-    if spec is None:
-        prof = radial_profile(G, warg)
-    else:
-        prof = tilde_closed_form(*spec, 1, warg) / 2.0
+    tilde = limit_density(G, 1)
+    prof = tilde.value(np.abs(U) * kern) / 2.0
     val = (2.0 * h / s) * float(np.sum(wg * prof))
     if not want_grad:
         return val, None
-    dc = _far_flux(G, s, h, wg, U, kern)
+    dc = _far_flux(tilde, s, h, wg, U, kern)
     grad = np.zeros(u.node_count)
     grad[:-1] += dc @ (1.0 - xg)
     grad[1:] += dc @ xg
     if hess is not None:
-        _add_element_blocks(hess, xg, _far_curvature(G, s, h, wg, U, kern).T)
+        _add_element_blocks(hess, xg,
+                            _far_curvature(tilde, s, h, wg, U, kern).T)
     return val, grad
 
 
@@ -387,6 +373,6 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
             val += float(np.sum(block * G.deriv(np.abs(du) * kern)
                                 * np.abs(dv) * kern))
     xg, wg, U, kern = _far_points(s, u, _ORDER)
-    flux = _far_flux(G, s, h, wg, U, kern)
+    flux = _far_flux(limit_density(G, 1), s, h, wg, U, kern)
     val += float(np.sum(np.abs(flux) * np.abs(_at_gauss_points(v.values, xg))))
     return val

@@ -140,11 +140,16 @@ class GridFunction:
         return GridFunction(xs[0], xs[-1], np.asarray(vs))
 
 
+def _at_gauss_points(v, x):
+    """Piecewise-linear nodal values v at the points x (in (0, 1)) of
+    every element: an (elements, points) array."""
+    return v[:-1, None] * (1.0 - x)[None, :] + v[1:, None] * x[None, :]
+
+
 def modular(G: OrliczFunction, u: GridFunction) -> float:
     """Plain modular: integral of G(|u|) via per-element Gauss quadrature."""
     x, w = gauss_rule_01(_MODULAR_ORDER)
-    v = u.values
-    vals = v[:-1, None] * (1.0 - x)[None, :] + v[1:, None] * x[None, :]
+    vals = _at_gauss_points(u.values, x)
     return u.spacing * float(np.sum(w[None, :] * G(np.abs(vals))))
 
 

@@ -7,8 +7,9 @@ For a growth function G and dimension n, the limit density is
 with the radial profile I(c) = int_0^c G(v)/v dv (substitute v = a |w_n| r).
 The scaled pre-limit (1-s) int_0^1 int_S G(a |w_n| r^(1-s)) dS dr/r equals
 it for every s, through the change of variables r -> r^(1-s). The profile
-is one fixed rule (`radial_profile`), shared with the far field of the
-fractional modular, and `sphere_integral` is the only place where the
+is one fixed rule (`radial_profile`); the far field of the fractional
+modular reads it, and its derivatives, as half the n = 1 density through
+`limit_density(G, 1)`. `sphere_integral` is the only place where the
 dimension enters: the density, its derivative and the closed forms for
 a > 1 are all sphere integrals of a radial function. Closed forms are
 available for pure powers, the log-weight family t^p |log t|, and maxima of
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import digamma
 
 from ._quadrature import tanh_sinh_rule_01
@@ -181,6 +181,10 @@ def tilde_prelimit(G: OrliczFunction, n: int, a: float, s: float) -> float:
     r = exp(-y), because for s near 1 essentially all of the mass sits at
     radii like exp(-1/(1-s)) that an algebraic subdivision never reaches.
     """
+    # imported here: scipy.integrate (with scipy.optimize) is a large import
+    # that nothing else in the package needs
+    from scipy import integrate
+
     _check_dim(n)
     if not (0.0 < s < 1.0):
         raise InvalidParameterError(f"fractional parameter must be in (0,1): {s}")

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidParameterError, UndefinedRatioError
-from .fractional import fractional_modular
+from .fractional import _check_s, fractional_modular
 from .grid import GridFunction, gradient_modular, modular
 from .limit_density import limit_density, sphere_surface
 from .orlicz import OrliczFunction
@@ -104,8 +104,7 @@ def poincare_budget(G: OrliczFunction, s: float, diameter: float) -> float:
 def poincare_check(G: OrliczFunction, s: float,
                    u: GridFunction) -> PoincareReport:
     """ratio Phi_G(u) / ((1-s) Phi_s(u)) against the explicit budget."""
-    if not (0.0 < s < 1.0):
-        raise InvalidParameterError(f"fractional order must be in (0,1): {s}")
+    _check_s(s)
     if not np.any(u.values):
         raise UndefinedRatioError("Poincare ratio undefined for zero input")
     num = modular(G, u)

@@ -32,6 +32,7 @@ from .errors import (
 
 _SAFETY = 1.01
 _GRID_POINTS = 512
+_VERIFY_POINTS = 256
 _GRID_LO, _GRID_HI = 1e-6, 1e6
 
 
@@ -58,7 +59,6 @@ class OrliczFunction:
     label: str
     kinks: Tuple[float, ...] = ()
     children: Tuple["OrliczFunction", ...] = ()
-    weights: Tuple[float, ...] = ()
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -139,7 +139,7 @@ def estimate_constants(G: OrliczFunction):
 
 
 def _finalize(kind, params, fn, dfn, d2fn, label, kinks=(), children=(),
-              weights=(), exact=None):
+              exact=None):
     if exact is not None:
         doubling, upper, lower, gsup = exact
     else:
@@ -159,7 +159,6 @@ def _finalize(kind, params, fn, dfn, d2fn, label, kinks=(), children=(),
         label=label,
         kinks=tuple(kinks),
         children=tuple(children),
-        weights=tuple(weights),
     )
 
 
@@ -183,14 +182,42 @@ def make_power(p: float) -> OrliczFunction:
                      exact=(2.0 ** p, p, p, 1.0))
 
 
-def _log_split(x, p):
-    """(x, x > 0 entries, their logs, output) for the second derivative of
-    the log-weight families: at x = 0 it tends to 0 for p > 2 and to
-    +inf for p <= 2, which fills the output there."""
-    x = np.asarray(x, dtype=float)
-    xm = x[x > 0.0]
-    out = np.full_like(x, 0.0 if p > 2.0 else np.inf)
-    return x, xm, np.log(xm), out
+def _log_weight(kind, p, c):
+    """G(t) = t**p * (|log t| + c), kinked at t = 1: power_log (c = 1) and
+    power_abslog (c = 0). With lg = log t, G' = t**(p-1) (p (c -+ lg) -+ 1)
+    and G'' = t**(p-2) ((p-1) ((p c -+ 1) -+ p lg) -+ p), the upper signs
+    below 1. At t = 0, G'' tends to 0 for p > 2 and to +inf for p <= 2."""
+    if not (np.isfinite(p) and p > 1.0):
+        raise InvalidParameterError(f"{kind} exponent must be > 1, got {p}")
+    p = float(p)
+
+    def split(x, fill):
+        """(x > 0 mask, those entries, their logs, output filled at x <= 0)"""
+        x = np.asarray(x, dtype=float)
+        m = x > 0.0
+        return m, x[m], np.log(x[m]), np.full_like(x, fill)
+
+    def fn(x):
+        m, xm, lg, out = split(x, 0.0)
+        out[m] = xm ** p * (np.abs(lg) + c)
+        return out
+
+    def dfn(x):
+        m, xm, lg, out = split(x, 0.0)
+        below = xm ** (p - 1.0) * (p * (c - lg) - 1.0)
+        above = xm ** (p - 1.0) * (p * (c + lg) + 1.0)
+        out[m] = np.where(xm < 1.0, below, above)
+        return out
+
+    def d2fn(x):
+        m, xm, lg, out = split(x, 0.0 if p > 2.0 else np.inf)
+        below = xm ** (p - 2.0) * ((p - 1.0) * ((p * c - 1.0) - p * lg) - p)
+        above = xm ** (p - 2.0) * ((p - 1.0) * ((p * c + 1.0) + p * lg) + p)
+        out[m] = np.where(xm < 1.0, below, above)
+        return out
+
+    return _finalize(kind, (p,), fn, dfn, d2fn, f"{kind}({p:g})",
+                     kinks=(1.0,))
 
 
 def make_power_log(p: float) -> OrliczFunction:
@@ -199,40 +226,7 @@ def make_power_log(p: float) -> OrliczFunction:
     Constants are grid estimates; the derivative kink sits at t = 1 where the
     right-continuous branch is used.
     """
-    if not (np.isfinite(p) and p > 1.0):
-        raise InvalidParameterError(f"power_log exponent must be > 1, got {p}")
-    p = float(p)
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        m = x > 0.0
-        with np.errstate(divide="ignore"):
-            lg = np.abs(np.log(x[m]))
-        out[m] = x[m] ** p * (lg + 1.0)
-        return out
-
-    def dfn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        m = x > 0.0
-        with np.errstate(divide="ignore"):
-            lg = np.log(x[m])
-        xm = x[m]
-        below = xm ** (p - 1.0) * (p * (1.0 - lg) - 1.0)
-        above = xm ** (p - 1.0) * (p * (1.0 + lg) + 1.0)
-        out[m] = np.where(xm < 1.0, below, above)
-        return out
-
-    def d2fn(x):
-        x, xm, lg, out = _log_split(x, p)
-        below = xm ** (p - 2.0) * ((p - 1.0) * (p - 1.0 - p * lg) - p)
-        above = xm ** (p - 2.0) * ((p - 1.0) * (p + 1.0 + p * lg) + p)
-        out[x > 0.0] = np.where(xm < 1.0, below, above)
-        return out
-
-    return _finalize("power_log", (p,), fn, dfn, d2fn, f"power_log({p:g})",
-                     kinks=(1.0,))
+    return _log_weight("power_log", p, 1.0)
 
 
 def make_power_abslog(p: float) -> OrliczFunction:
@@ -242,40 +236,7 @@ def make_power_abslog(p: float) -> OrliczFunction:
     left of t = 1 and G(1) = 0); provided because the limit-density examples
     compute with it. `verify_orlicz` flags the defect.
     """
-    if not (np.isfinite(p) and p > 1.0):
-        raise InvalidParameterError(
-            f"power_abslog exponent must be > 1, got {p}")
-    p = float(p)
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        m = x > 0.0
-        with np.errstate(divide="ignore"):
-            lg = np.abs(np.log(x[m]))
-        out[m] = x[m] ** p * lg
-        return out
-
-    def dfn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        m = x > 0.0
-        with np.errstate(divide="ignore"):
-            lg = np.log(x[m])
-        xm = x[m]
-        core = xm ** (p - 1.0) * (p * lg + 1.0)
-        out[m] = np.where(xm < 1.0, -core, core)
-        return out
-
-    def d2fn(x):
-        x, xm, lg, out = _log_split(x, p)
-        core = xm ** (p - 2.0) * ((p - 1.0) * (p * lg + 1.0) + p)
-        out[x > 0.0] = np.where(xm < 1.0, -core, core)
-        return out
-
-    return _finalize("power_abslog", (p,), fn, dfn, d2fn,
-                     f"power_abslog({p:g})",
-                     kinks=(1.0,))
+    return _log_weight("power_abslog", p, 0.0)
 
 
 def make_combination(mode: str, parts: Sequence[OrliczFunction],
@@ -321,7 +282,7 @@ def make_combination(mode: str, parts: Sequence[OrliczFunction],
         label = "sum(" + ", ".join(
             f"{w:g}*{ch.label}" for w, ch in zip(weights, parts)) + ")"
         return _finalize("weighted_sum", (), fn, dfn, d2fn, label, kinks=kinks,
-                         children=parts, weights=weights)
+                         children=parts)
 
     def fn(x):
         return functools.reduce(np.maximum, [ch.fn(x) for ch in parts])
@@ -346,7 +307,7 @@ def make_combination(mode: str, parts: Sequence[OrliczFunction],
     kinks = sorted(set(kinks) | set(_crossovers(parts)))
     G = _finalize("pointwise_max", (), fn, dfn, d2fn, label, kinks=kinks,
                   children=parts)
-    report = verify_orlicz(G, grid_size=256)
+    report = verify_orlicz(G)
     if not report.h1.passed:
         raise InvalidFunctionError(
             f"pointwise max fails monotonicity/convexity screening "
@@ -467,14 +428,13 @@ def conjugate(G: OrliczFunction, a: float) -> float:
     return best
 
 
-def verify_orlicz(G: OrliczFunction, grid_size: int = 256) -> OrliczReport:
-    """Screen the three structural hypotheses on a sampled grid.
+def verify_orlicz(G: OrliczFunction) -> OrliczReport:
+    """Screen the three structural hypotheses on a sampled grid of
+    `_VERIFY_POINTS` points (plus the kinks).
 
     Failures are reported (with the worst offending point), never raised.
     """
-    if grid_size < 16:
-        raise InvalidParameterError("grid_size must be at least 16")
-    grid = _screening_grid(n_points=grid_size, kinks=G.kinks)
+    grid = _screening_grid(n_points=_VERIFY_POINTS, kinks=G.kinks)
     gx = G(grid)
     scale = np.maximum.accumulate(np.maximum(gx, 1e-300))
 

@@ -2,8 +2,9 @@
 
 Each check returns a PropertyResult with the violation count and the worst
 margin (positive margin = worst violation size). The sweeps are shared by
-the `check` CLI command and the acceptance suite; sample counts are
-parameters so callers pick their own cost/coverage tradeoff.
+the `check` CLI command and the acceptance suite; the inequality and
+transform sweeps take their sample counts as parameters, so callers pick
+their own cost/coverage tradeoff.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .orlicz import OrliczFunction, conjugate
 
 _ATOL = 1e-12
 _RTOL = 1e-12  # roundoff slack scales with the magnitude of the bound
+_SMOOTHING_PASSES = 2
+_GAUGE_SAMPLES, _GAUGE_NODES = 10, 129
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,12 @@ def inequality_suite(G: OrliczFunction, n_samples: int = 1000,
 
 
 def random_zero_trace(rng, left=-1.0, right=1.0, node_count=257,
-                      amplitude=1.0, smooth=2) -> GridFunction:
-    """Random piecewise-linear function vanishing at the boundary."""
+                      amplitude=1.0) -> GridFunction:
+    """Random piecewise-linear function vanishing at the boundary: normal
+    nodal noise under `_SMOOTHING_PASSES` passes of the (1/4, 1/2, 1/4)
+    filter."""
     v = rng.normal(size=node_count)
-    for _ in range(smooth):
+    for _ in range(_SMOOTHING_PASSES):
         v[1:-1] = 0.25 * v[:-2] + 0.5 * v[1:-1] + 0.25 * v[2:]
     v[0] = v[-1] = 0.0
     peak = np.max(np.abs(v))
@@ -190,16 +195,15 @@ def transform_suite(G: OrliczFunction, s_values: Sequence[float] = (0.3, 0.6, 0.
             for n, t in tallies.items()]
 
 
-def luxemburg_consistency(G: OrliczFunction, n_functions: int = 10,
-                          node_count: int = 129, seed: int = 1
+def luxemburg_consistency(G: OrliczFunction, seed: int = 1
                           ) -> List[PropertyResult]:
-    """At the gauge norm, the modular brackets 1 from both sides."""
+    """At the gauge norm, the modular brackets 1 from both sides, for
+    `_GAUGE_SAMPLES` random zero-trace functions on `_GAUGE_NODES` nodes."""
     rng = np.random.default_rng(seed)
-    results = []
     bad = 0
     worst = 0.0
-    for _ in range(n_functions):
-        u = random_zero_trace(rng, node_count=node_count,
+    for _ in range(_GAUGE_SAMPLES):
+        u = random_zero_trace(rng, node_count=_GAUGE_NODES,
                               amplitude=rng.uniform(0.5, 3.0))
         lam = luxemburg_norm(lambda f: modular(G, f), u)
         delta = 1e-6 * lam
@@ -208,9 +212,8 @@ def luxemburg_consistency(G: OrliczFunction, n_functions: int = 10,
         if not (above <= 1.0 + 1e-6 <= below + 2e-6):
             bad += 1
             worst = max(worst, abs(above - 1.0), abs(below - 1.0))
-    results.append(PropertyResult("gauge bisection bracket", n_functions,
-                                  bad, worst))
-    return results
+    return [PropertyResult("gauge bisection bracket", _GAUGE_SAMPLES, bad,
+                           worst)]
 
 
 def builtin_suite_functions():

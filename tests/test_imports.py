@@ -3,6 +3,8 @@ and every module-level private name somewhere in the repository."""
 
 import ast
 import functools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +107,14 @@ def test_detects_a_dead_private_name():
            "def _helper():\n    return _helper()\n"
            "def f():\n    return _USED + _A\n")
     assert _dead_private_names(src, {"x", "_B"}) == ["_UNUSED", "_helper"]
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate pulls in scipy.optimize and numpy.f2py, a large share
+    # of a CLI call's start-up; only `tilde_prelimit` needs it, and imports
+    # it itself.
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "import orliczfrac.cli; print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

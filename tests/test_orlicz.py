@@ -68,6 +68,22 @@ class TestPowerLog:
         with pytest.raises(InvalidParameterError):
             make_power_log(0.9)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.7])
+    def test_is_power_plus_abslog(self, p):
+        # t^p (|log t| + 1) = t^p + t^p |log t| on both sides of the kink.
+        # G'' changes sign below 1, so the error is measured against the
+        # size of the two terms, the scale of the sum's rounding.
+        x = np.concatenate([np.logspace(-4, 4, 801),
+                            [np.nextafter(1.0, 0.0), 1.0,
+                             np.nextafter(1.0, 2.0)]])
+        G = make_power_log(p)
+        P, A = make_power(p), make_power_abslog(p)
+        for name in ("__call__", "deriv", "d2"):
+            terms = getattr(P, name)(x), getattr(A, name)(x)
+            err = np.abs(getattr(G, name)(x) - (terms[0] + terms[1]))
+            assert np.all(err <= 1e-14 * (np.abs(terms[0])
+                                          + np.abs(terms[1]))), name
+
 
 class TestCombinations:
     def test_max_on_unit_interval(self):
@@ -184,10 +200,6 @@ class TestVerify:
         assert "monotonicity" in report.h1.detail
         # derivative changes sign at exp(-1/2), so the violation is left of 1
         assert math.exp(-0.5) < report.h1.worst_x <= 1.0
-
-    def test_grid_size_floor(self):
-        with pytest.raises(InvalidParameterError):
-            verify_orlicz(make_power(2.0), grid_size=8)
 
 
 @given(st.floats(min_value=1.1, max_value=4.0),
