@@ -65,7 +65,6 @@ from .orlicz import (
 from .solver import (
     DirichletProblem,
     GammaReport,
-    SolveOptions,
     SolveResult,
     StopReason,
     apply_pointwise_eps,

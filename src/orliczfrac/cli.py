@@ -7,6 +7,10 @@ function grammar is
           | max(expr, expr, ...) | sum(W*expr, W*expr, ...)
           | compose(expr, expr)
 
+and a right-hand side is `zero`, `sin` or `constant(C)`; P, W and C are
+signed numeric literals. A spec is parsed as a Python expression whose tree
+may hold only these calls and literals; it is never evaluated.
+
 Invocation: `orliczfrac <command> --config <path> [--out <dir>]`. The
 command must match the config's `command` key. Exit status: 0 success,
 1 validation failure, 2 numeric failure.
@@ -15,7 +19,7 @@ command must match the config's `command` key. Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
-import re
+import ast
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,94 +55,80 @@ from .solver import DirichletProblem, gamma_run, solve
 
 _COMMANDS = ("tilde", "bbm", "poincare", "solve", "gamma", "check")
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[0-9.eE+-]+|[(),*])")
+_POWERS = {"power": make_power, "power_log": make_power_log,
+           "power_abslog": make_power_abslog}
+_RHS = {"zero": 0.0, "sin": lambda x: np.sin(np.pi * x)}
 
 
 def _fmt(x):
     return f"{x:.17g}"
 
 
-class _GParser:
-    """Recursive-descent parser for the growth-function grammar."""
+def _tree(spec):
+    """The expression tree of a spec: parsed as Python, never evaluated."""
+    try:
+        return ast.parse(spec.strip(), mode="eval").body
+    except (SyntaxError, MemoryError, RecursionError) as exc:
+        # the parser gives up on deep nesting with one of the last two
+        reason = getattr(exc, "msg", "nested too deeply")
+        raise InvalidParameterError(f"invalid spec: {reason}") from None
 
-    def __init__(self, text):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise InvalidParameterError(
-                        f"cannot tokenize {text[pos:].strip()!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _head(node):
+    """The name that a keyword-free call `name(...)` calls, else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and not node.keywords):
+        return node.func.id
+    return None
 
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise InvalidParameterError(
-                f"expected {expected or 'token'}, got {tok!r}")
-        self.pos += 1
-        return tok
 
-    def number(self):
-        tok = self.take()
-        try:
-            return float(tok)
-        except ValueError:
-            raise InvalidParameterError(f"expected a number, got {tok!r}")
+def _number(node):
+    """The value of a finite int or float literal, optionally signed."""
+    sign = 1.0
+    if (isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, (ast.UAdd, ast.USub))):
+        sign = -1.0 if isinstance(node.op, ast.USub) else 1.0
+        node = node.operand
+    if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and abs(node.value) <= sys.float_info.max):
+        return sign * float(node.value)
+    raise InvalidParameterError(
+        f"expected a finite number, got {ast.unparse(node)!r}")
 
-    def expr(self) -> OrliczFunction:
-        head = self.take()
-        if head in ("power", "power_log", "power_abslog"):
-            self.take("(")
-            p = self.number()
-            self.take(")")
-            maker = {"power": make_power, "power_log": make_power_log,
-                     "power_abslog": make_power_abslog}[head]
-            return maker(p)
-        if head == "max":
-            self.take("(")
-            parts = [self.expr()]
-            while self.peek() == ",":
-                self.take(",")
-                parts.append(self.expr())
-            self.take(")")
-            return make_combination("max", parts)
-        if head == "sum":
-            self.take("(")
-            weights, parts = [], []
-            while True:
-                weights.append(self.number())
-                self.take("*")
-                parts.append(self.expr())
-                if self.peek() != ",":
-                    break
-                self.take(",")
-            self.take(")")
-            return make_combination("sum", parts, weights)
-        if head == "compose":
-            self.take("(")
-            outer = self.expr()
-            self.take(",")
-            inner = self.expr()
-            self.take(")")
-            return compose(outer, inner)
-        raise InvalidParameterError(f"unknown growth function {head!r}")
+
+def _growth(node) -> OrliczFunction:
+    """The growth function that a spec tree of the grammar describes."""
+    head = _head(node)
+    args = node.args if head else ()
+    if head in _POWERS and len(args) == 1:
+        return _POWERS[head](_number(args[0]))
+    if head == "max":
+        return make_combination("max", [_growth(a) for a in args])
+    if head == "sum" and all(isinstance(a, ast.BinOp)
+                             and isinstance(a.op, ast.Mult) for a in args):
+        weights = [_number(a.left) for a in args]
+        return make_combination("sum", [_growth(a.right) for a in args],
+                                weights)
+    if head == "compose" and len(args) == 2:
+        return compose(_growth(args[0]), _growth(args[1]))
+    if head in (None, "sum", "compose", *_POWERS):
+        raise InvalidParameterError(
+            f"not in the growth grammar: {ast.unparse(node)!r}")
+    raise InvalidParameterError(f"unknown growth function {head!r}")
 
 
 def parse_growth(text: str) -> OrliczFunction:
-    parser = _GParser(text)
-    G = parser.expr()
-    if parser.peek() is not None:
-        raise InvalidParameterError(
-            f"trailing input after growth spec: {parser.peek()!r}")
-    return G
+    return _growth(_tree(text))
+
+
+def _parse_rhs(text):
+    """0.0, a float or a callable for a `zero | sin | constant(C)` spec."""
+    node = _tree(text)
+    if isinstance(node, ast.Name) and node.id in _RHS:
+        return _RHS[node.id]
+    if _head(node) == "constant" and len(node.args) == 1:
+        return _number(node.args[0])
+    raise InvalidParameterError(f"unknown rhs spec {text.strip()!r}")
 
 
 @dataclass
@@ -161,15 +151,7 @@ class ExperimentConfig:
         return parse_growth(self.g_spec)
 
     def rhs(self):
-        spec = self.rhs_spec.strip()
-        if spec == "zero":
-            return 0.0
-        m = re.fullmatch(r"constant\(([^)]+)\)", spec)
-        if m:
-            return float(m.group(1))
-        if spec == "sin":
-            return lambda x: np.sin(np.pi * x)
-        raise InvalidParameterError(f"unknown rhs spec {spec!r}")
+        return _parse_rhs(self.rhs_spec)
 
 
 def _parse_floats(value, count=None):
@@ -180,6 +162,51 @@ def _parse_floats(value, count=None):
     return vals
 
 
+def _one_of(convert, allowed, message):
+    """Converter: `convert` the text, then reject values not in `allowed`."""
+    def check(text):
+        value = convert(text)
+        if value not in allowed:
+            raise ValueError(message.format(value))
+        return value
+    return check
+
+
+def _domain(text):
+    a, b = _parse_floats(text, 2)
+    if not a < b:
+        raise ValueError("domain must satisfy left < right")
+    return a, b
+
+
+def _spec(parse):
+    """Converter that keeps a spec's text once `parse` accepts it, so that
+    its errors carry the line number of its key."""
+    def check(text):
+        parse(text)
+        return text
+    return check
+
+
+# config key -> (ExperimentConfig field, converter that validates the value)
+_KEYS = {
+    "command": ("command", _one_of(str, _COMMANDS, "unknown command {!r}")),
+    "g": ("g_spec", _spec(parse_growth)),
+    "n": ("n", _one_of(int, (1, 2, 3), "n must be 1, 2 or 3")),
+    "s": ("s", float),
+    "s_list": ("s_list", _parse_floats),
+    "domain": ("domain", _domain),
+    "nodes": ("nodes", int),
+    "rhs": ("rhs_spec", _spec(_parse_rhs)),
+    "a_list": ("a_list", _parse_floats),
+    "scaling": ("scaling", _one_of(str, ("bbm_scaled", "unscaled"),
+                                   "scaling must be bbm_scaled|unscaled")),
+    "seed": ("seed", int),
+    "count": ("count", int),
+    "out": ("out", str),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat key=value config; errors carry line numbers."""
     errors = []
@@ -188,51 +215,15 @@ def parse_config(text: str) -> ExperimentConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            errors.append((lineno, f"expected key = value, got {raw.strip()!r}"))
-            continue
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
         try:
-            if key == "command":
-                if value not in _COMMANDS:
-                    raise ValueError(f"unknown command {value!r}")
-                fields["command"] = value
-            elif key == "g":
-                parse_growth(value)  # surface construction errors here
-                fields["g_spec"] = value
-            elif key == "n":
-                n = int(value)
-                if n not in (1, 2, 3):
-                    raise ValueError("n must be 1, 2 or 3")
-                fields["n"] = n
-            elif key == "s":
-                fields["s"] = float(value)
-            elif key == "s_list":
-                fields["s_list"] = _parse_floats(value)
-            elif key == "domain":
-                a, b = _parse_floats(value, 2)
-                if not a < b:
-                    raise ValueError("domain must satisfy left < right")
-                fields["domain"] = (a, b)
-            elif key == "nodes":
-                fields["nodes"] = int(value)
-            elif key == "rhs":
-                fields["rhs_spec"] = value
-            elif key == "a_list":
-                fields["a_list"] = _parse_floats(value)
-            elif key == "scaling":
-                if value not in ("bbm_scaled", "unscaled"):
-                    raise ValueError("scaling must be bbm_scaled|unscaled")
-                fields["scaling"] = value
-            elif key == "seed":
-                fields["seed"] = int(value)
-            elif key == "count":
-                fields["count"] = int(value)
-            elif key == "out":
-                fields["out"] = value
-            else:
+            if not eq:
+                raise ValueError(f"expected key = value, got {raw.strip()!r}")
+            if key not in _KEYS:
                 raise ValueError(f"unknown key {key!r}")
+            field, convert = _KEYS[key]
+            fields[field] = convert(value)
         except (ValueError, OrliczFracError) as exc:
             errors.append((lineno, str(exc)))
     if "command" not in fields and not any("command" in m for _, m in errors):
@@ -243,6 +234,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if not cfg.out:
         cfg.out = cfg.command
     return cfg
+
+
+def _write(path: Path, lines) -> Path:
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _run_tilde(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
@@ -258,9 +254,7 @@ def _run_tilde(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
                          f"{_fmt(abs(quad - closed) / denom)}")
         else:
             lines.append(f"{_fmt(a)},{_fmt(quad)},,")
-    path = out_dir / f"{cfg.out}.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return [path]
+    return [_write(out_dir / f"{cfg.out}.csv", lines)]
 
 
 def _run_bbm(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
@@ -274,9 +268,7 @@ def _run_bbm(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
         lines.append(f"{_fmt(s)},{_fmt(y)},{_fmt(curve.target)},{_fmt(gap)}")
     lines.append(f"EXTRAPOLATED,{_fmt(curve.extrapolated_limit)},"
                  f"{_fmt(curve.target)},{_fmt(curve.rel_gap)}")
-    path = out_dir / f"{cfg.out}.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return [path]
+    return [_write(out_dir / f"{cfg.out}.csv", lines)]
 
 
 def _run_poincare(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
@@ -295,8 +287,7 @@ def _run_poincare(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
         all_ok &= ok
         lines.append(f"{_fmt(s)},{_fmt(worst.ratio)},{_fmt(worst.budget)},"
                      f"{int(ok)}")
-    path = out_dir / f"{cfg.out}.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path = _write(out_dir / f"{cfg.out}.csv", lines)
     if not all_ok:
         raise ToleranceNotMetError("Poincare ratio exceeded its budget")
     return [path]
@@ -309,15 +300,14 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
         omega=cfg.domain, rhs=cfg.rhs(), G=cfg.growth(), s=cfg.s,
         scaling=cfg.scaling, mesh_nodes=cfg.nodes)
     result = solve(problem)
-    u_path = out_dir / f"{cfg.out}_u.csv"
-    u_path.write_text(result.u.to_csv())
-    summary = out_dir / f"{cfg.out}_summary.txt"
-    summary.write_text(
-        f"energy={_fmt(result.energy)}\n"
-        f"iterations={result.iterations}\n"
-        f"grad_norm={_fmt(result.grad_norm)}\n"
-        f"weak_residual={_fmt(result.weak_residual)}\n"
-        f"converged={int(result.converged)}\n")
+    u_path = _write(out_dir / f"{cfg.out}_u.csv",
+                    result.u.to_csv().splitlines())
+    summary = _write(out_dir / f"{cfg.out}_summary.txt", [
+        f"energy={_fmt(result.energy)}",
+        f"iterations={result.iterations}",
+        f"grad_norm={_fmt(result.grad_norm)}",
+        f"weak_residual={_fmt(result.weak_residual)}",
+        f"converged={int(result.converged)}"])
     # A roundoff-floor stall still counts as solved when the minimizer
     # satisfies the discrete weak form within the documented 10x budget.
     tol = 1e-8 * max(1.0, abs(result.energy))
@@ -339,46 +329,27 @@ def _run_gamma(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
         lines.append(f"{_fmt(e.s)},{_fmt(e.lux_gap)},{_fmt(e.energy_gap)},"
                      f"{_fmt(e.midpoint)}")
     lines.append(f"LOCAL,0,0,{_fmt(report.local_midpoint)}")
-    path = out_dir / f"{cfg.out}.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return [path]
+    return [_write(out_dir / f"{cfg.out}.csv", lines)]
 
 
 def _run_check(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
     G = cfg.growth()
-    lines = []
-    failures = 0
-
     report = verify_orlicz(G)
-    for name, check in (("H1", report.h1), ("H2", report.h2),
-                        ("H3", report.h3)):
-        status = "PASS" if check.passed else "FAIL"
-        detail = f" ({check.detail} at x={check.worst_x:.6g})" \
-            if not check.passed else ""
-        lines.append(f"{status} screening {name}{detail}")
-        failures += 0 if check.passed else 1
-
-    for res in inequality_suite(G, n_samples=cfg.count * 10, seed=cfg.seed):
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status} {res.name} "
-                     f"({res.violations}/{res.samples} violations)")
-        failures += 0 if res.passed else 1
-
-    for res in transform_suite(G, n_functions=max(2, cfg.count // 4),
-                               node_count=min(cfg.nodes, 129), seed=cfg.seed):
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status} {res.name} "
-                     f"({res.violations}/{res.samples} violations)")
-        failures += 0 if res.passed else 1
-
-    for res in luxemburg_consistency(G, seed=cfg.seed):
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status} {res.name}")
-        failures += 0 if res.passed else 1
-
-    path = out_dir / f"{cfg.out}.txt"
-    path.write_text("\n".join(lines) + "\n")
-    sys.stdout.write("\n".join(lines) + "\n")
+    rows = [(c.passed, f"screening {name}" + (
+                "" if c.passed else f" ({c.detail} at x={c.worst_x:.6g})"))
+            for name, c in (("H1", report.h1), ("H2", report.h2),
+                            ("H3", report.h3))]
+    sampled = (inequality_suite(G, n_samples=cfg.count * 10, seed=cfg.seed)
+               + transform_suite(G, n_functions=max(2, cfg.count // 4),
+                                 node_count=min(cfg.nodes, 129),
+                                 seed=cfg.seed))
+    rows += [(r.passed, f"{r.name} ({r.violations}/{r.samples} violations)")
+             for r in sampled]
+    rows += [(r.passed, r.name) for r in luxemburg_consistency(G, seed=cfg.seed)]
+    lines = [f"{'PASS' if passed else 'FAIL'} {text}" for passed, text in rows]
+    path = _write(out_dir / f"{cfg.out}.txt", lines)
+    print(*lines, sep="\n")
+    failures = sum(not passed for passed, _ in rows)
     if failures:
         raise ToleranceNotMetError(f"{failures} property checks failed")
     return [path]

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import digamma
 
 from ._quadrature import tanh_sinh_rule_01
 from .errors import (
@@ -83,6 +82,11 @@ def sphere_log_moment(n: int, p: float) -> float:
     -K(p) (psi((p+1)/2) - psi((n+p)/2)) / 2 with the digamma function psi.
     """
     _check_dim(n)
+    if n == 1:
+        return 0.0
+    # imported here, as n = 1 needs none of it: scipy.special is a large
+    # share of a CLI call's start-up
+    from scipy.special import digamma
     return -sphere_moment(n, p) * (digamma((p + 1.0) / 2.0)
                                    - digamma((n + p) / 2.0)) / 2.0
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_banded
 
 from ._quadrature import gauss_rule_01
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     UniquenessWarning,
 )
 from .fractional import _add_slope_blocks, _check_s, _core
-from .grid import GridFunction, modular
+from .grid import GridFunction, gradient_modular, modular
 from .limit_density import limit_density
 from .limits import _validate_s_list
 from .orlicz import OrliczFunction
@@ -37,6 +36,7 @@ RhsSpec = Union[float, Callable[[np.ndarray], np.ndarray], GridFunction]
 
 _ARMIJO = 1e-4     # sufficient-decrease constant of the line search
 _BACKTRACK = 0.5   # step reduction per rejected trial
+_MAX_ITER = 500    # iteration budget of one solve
 
 
 @dataclass(frozen=True)
@@ -149,20 +149,14 @@ class SolveResult:
         return self.grad_norm
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iter: int = 500
-
-
 def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
     """(value, gradient[, Hessian]) of the seminorm term; the Hessian (a
     dense nodal matrix) only with ``want_hess``."""
     if problem.s >= 1.0:
-        h = u.spacing
-        m = u.slopes
-        val = h * float(np.sum(problem.G(np.abs(m))))
+        val = gradient_modular(problem.G, u)
         if not want_grad:
             return val, None
+        m = u.slopes
         dm = problem.G.deriv(np.abs(m)) * np.sign(m)
         grad = np.zeros(u.node_count)
         grad[:-1] -= dm
@@ -170,7 +164,7 @@ def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
         if not want_hess:
             return val, grad
         hess = np.zeros((u.node_count, u.node_count))
-        _add_slope_blocks(hess, problem.G.d2(np.abs(m)) / h)
+        _add_slope_blocks(hess, problem.G.d2(np.abs(m)) / u.spacing)
         hess += np.triu(hess, 1).T
         return val, grad, hess
     if want_hess:
@@ -239,16 +233,15 @@ class _Energy:
         return E, g, H
 
 
-def _newton_direction(H, g):
-    """-H^{-1} g by Cholesky, or None where H is not positive definite or
-    the direction is not finite."""
-    if H is None:
-        return None
+def _spd_solve(A, b):
+    """A^{-1} b for a symmetric A, or None where A is not positive definite
+    (its Cholesky factorization fails) or the solution is not finite."""
     try:
-        d = -cho_solve(cho_factor(H), g)
-    except (LinAlgError, ValueError):
+        np.linalg.cholesky(A)
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
         return None
-    return d if np.all(np.isfinite(d)) else None
+    return x if np.all(np.isfinite(x)) else None
 
 
 def _secant_step(energy_at, v, d, gd):
@@ -265,29 +258,26 @@ def _secant_step(energy_at, v, d, gd):
     return None
 
 
-def solve(problem: DirichletProblem,
-          opts: SolveOptions | None = None) -> SolveResult:
+def solve(problem: DirichletProblem) -> SolveResult:
     """Minimize the discrete energy over the zero-boundary cone.
 
     Damped Newton on the exact discrete Hessian: the direction solves
-    sigma H d = -g on the interior nodes by Cholesky and the step starts at
-    1. Where the Hessian is not positive definite or the direction not
-    finite (the zero start when G''(0) is 0 or infinite, as for t^p with
-    p != 2), the direction is the gradient preconditioned by the
-    tridiagonal local stiffness K, d = -K^{-1} g, and the step starts at a
-    secant guess. Either step is halved until the Armijo test holds, which
-    keeps the descent monotone (up to the roundoff of E, once Newton's
-    predicted decrease is below it). Stops when the sup-norm of the
-    interior gradient falls below 1e-8 * max(1, |E|); `stop_reason` says
-    why it stopped.
+    sigma H d = -g on the interior nodes and the step starts at 1. Where
+    the Hessian is not positive definite (its Cholesky factorization fails)
+    or the direction not finite (the zero start when G''(0) is 0 or
+    infinite, as for t^p with p != 2), the direction is the gradient
+    preconditioned by the tridiagonal local stiffness K, d = -K^{-1} g, and
+    the step starts at a secant guess. Either step is halved until the
+    Armijo test holds, which keeps the descent monotone (up to the roundoff
+    of E, once Newton's predicted decrease is below it). Stops when the
+    sup-norm of the interior gradient falls below 1e-8 * max(1, |E|);
+    `stop_reason` says why it stopped.
     """
-    opts = opts or SolveOptions()
     _screen_strict_convexity(problem.G)
-    # Tridiagonal 1D stiffness on interior nodes as preconditioner, in
-    # solve_banded's layout (which does not read its two corner entries).
+    # Tridiagonal 1D stiffness on interior nodes as preconditioner.
     ni = problem.mesh_nodes - 2
     h = (problem.omega[1] - problem.omega[0]) / (ni + 1)
-    band = np.outer([-1.0, 2.0, -1.0], np.ones(ni)) / h
+    K = (2.0 * np.eye(ni) - np.eye(ni, k=1) - np.eye(ni, k=-1)) / h
 
     energy_at = _Energy(problem)
     # For t^2 the energy is quadratic: its Hessian is assembled once.
@@ -309,11 +299,11 @@ def solve(problem: DirichletProblem,
     if not ni or float(np.max(np.abs(g))) <= tol_for(E):
         stop = StopReason.INITIAL
 
-    while stop is None and iterations < opts.max_iter:
-        d = _newton_direction(H, g)
+    while stop is None and iterations < _MAX_ITER:
+        d = None if H is None else _spd_solve(H, -g)
         newton = d is not None
         if not newton:
-            d = -solve_banded((1, 1), band, g)
+            d = _spd_solve(K, -g)
         gd = float(g @ d)
         step = 1.0 if newton else _secant_step(energy_at, v, d, gd)
         if step is None:
@@ -365,7 +355,7 @@ def solve(problem: DirichletProblem,
         else:
             no_progress = 0
         # Only a damped step or a mispredicted last step lacks the Hessian.
-        if H is None and iterations < opts.max_iter:
+        if H is None and iterations < _MAX_ITER:
             E, g, H = energy_at(v, want_hess=True)
 
     return SolveResult(
@@ -443,8 +433,7 @@ class GammaReport:
     local_midpoint: float
 
 
-def gamma_run(problem_template: DirichletProblem, s_list,
-              opts: SolveOptions | None = None) -> GammaReport:
+def gamma_run(problem_template: DirichletProblem, s_list) -> GammaReport:
     """Solve the scaled problems along s_list and the local limit problem.
 
     The limit problem replaces the growth function by its limit density and
@@ -454,14 +443,14 @@ def gamma_run(problem_template: DirichletProblem, s_list,
     s_list = _validate_s_list(s_list)
     tilde = limit_density(problem_template.G, 1).as_orlicz()
     local_problem = replace(problem_template, s=1.0, G=tilde)
-    local = solve(local_problem, opts)
+    local = solve(local_problem)
     mid = 0.5 * (problem_template.omega[0] + problem_template.omega[1])
     local_mid = float(local.u(mid))
 
     entries = []
     for s in s_list:
         prob = replace(problem_template, s=s, scaling="bbm_scaled")
-        res = solve(prob, opts)
+        res = solve(prob)
         diff = res.u - local.u
         gap = 0.0
         if np.any(diff.values):
@@ -478,5 +467,7 @@ def gamma_run(problem_template: DirichletProblem, s_list,
 
 
 def _lux_gap(G, diff):
+    # imported at call time, so that a patched grid.luxemburg_norm (the
+    # perfbench tracer wraps it) is the one that runs
     from .grid import luxemburg_norm
     return luxemburg_norm(lambda f: modular(G, f), diff)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from orliczfrac import ConfigError, GridFunction, InvalidParameterError
-from orliczfrac.cli import main, parse_config, parse_growth, run
+from orliczfrac.cli import (
+    ExperimentConfig,
+    main,
+    parse_config,
+    parse_growth,
+    run,
+)
 
 
 class TestGrowthGrammar:
@@ -31,6 +37,45 @@ class TestGrowthGrammar:
     def test_rejects_trailing_garbage(self):
         with pytest.raises(InvalidParameterError):
             parse_growth("power(2) power(3)")
+
+    @pytest.mark.parametrize("spec", [
+        "power(2)", "power_log(3)", "power_abslog(2.5)",
+        "max(power(2), power(3))", "sum(0.5*power(2), 2*power_abslog(3))",
+        "compose(power(2), power_log(3))",
+        "sum(0.5*max(power(2), power(3)), 2*compose(power(2), power_log(3)))",
+        "max(compose(power(1.5), power(+2)), sum(1e-3*power_log(2.25)))",
+    ])
+    def test_label_round_trips(self, spec):
+        # G.label is written in the grammar, so it parses back to itself
+        label = parse_growth(spec).label
+        assert parse_growth(label).label == label
+
+    @pytest.mark.parametrize("spec", [
+        "power(x)", "power(p=2)", "os.system(1)", '__import__("os")',
+        "power(2)(3)", "1 + power(2)", "sum(power(2))", "power(2",
+        "power(1e999)", "max(power(2), *[power(3)])",
+    ])
+    def test_rejects_what_the_grammar_does_not_hold(self, spec):
+        with pytest.raises(InvalidParameterError):
+            parse_growth(spec)
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = bbm\nG = {spec}\n")
+        assert [line for line, _ in err.value.errors] == [2]
+
+    @pytest.mark.parametrize("spec", ["constant(inf)", "constant(x)",
+                                      "constant(1, 2)", "cos", "sin(1)"])
+    def test_rejects_bad_rhs(self, spec):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(command="solve", rhs_spec=spec).rhs()
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = solve\nrhs = {spec}\n")
+        assert [line for line, _ in err.value.errors] == [2]
+
+    @pytest.mark.parametrize("spec, value", [
+        ("zero", 0.0), ("constant(-2.5)", -2.5), ("constant(3)", 3.0)])
+    def test_rhs_constants(self, spec, value):
+        rhs = ExperimentConfig(command="solve", rhs_spec=spec).rhs()
+        assert type(rhs) is float and rhs == value
 
 
 class TestParseConfig:
@@ -171,6 +216,14 @@ class TestMain:
         assert err.value.errors == [(2, f"unknown key {key!r}")]
         assert main(["bbm", "--config", self._write(tmp_path, text)]) == 1
         assert f"line 2: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_deeply_nested_spec_is_a_config_error(self, tmp_path, capsys):
+        depth = 1200
+        spec = "compose(power(2), " * depth + "power(2)" + ")" * depth
+        cfg = self._write(tmp_path, f"command = bbm\nG = {spec}\n")
+        assert main(["bbm", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
     def test_numeric_failure_exit_two(self, tmp_path, capsys):
         # the log-weight family without the +1 shift fails the monotonicity

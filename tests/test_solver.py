@@ -6,7 +6,6 @@ from orliczfrac import (
     GridFunction,
     InvalidInputError,
     InvalidParameterError,
-    SolveOptions,
     StopReason,
     UniquenessWarning,
     apply_pointwise_eps,
@@ -23,6 +22,7 @@ from orliczfrac import (
     solve,
     weak_residual,
 )
+from orliczfrac import solver
 from orliczfrac.solver import _seminorm_value_grad
 
 G2 = make_power(2.0)
@@ -149,8 +149,9 @@ class TestSolve:
         res = solve(problem(0.5, n=65))
         assert res.u.values[0] == 0.0 and res.u.values[-1] == 0.0
 
-    def test_budget_exhaustion_flagged(self):
-        res = solve(problem(0.5, n=65, G=G15), SolveOptions(max_iter=1))
+    def test_budget_exhaustion_flagged(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 1)
+        res = solve(problem(0.5, n=65, G=G15))
         assert not res.converged
         assert res.iterations == 1
         assert res.stop_reason is StopReason.BUDGET
@@ -182,14 +183,15 @@ class TestSolve:
         assert float(res.u(0.5)) == pytest.approx(
             1.0 / (2.0 * np.pi ** 2), abs=1e-5)
 
-    def test_nonconvex_screening_warns(self):
+    def test_nonconvex_screening_warns(self, monkeypatch):
         flat = make_custom(
             lambda x: np.asarray(x, float) ** 2,
             dfn=lambda x: 2.0 * np.minimum(np.asarray(x, float), 1.0),
             constants=(4.0, 2.5, 2.0, 1.0), label="flattened-derivative")
         prob = problem(0.5, n=17, G=flat)
+        monkeypatch.setattr(solver, "_MAX_ITER", 2)
         with pytest.warns(UniquenessWarning):
-            solve(prob, SolveOptions(max_iter=2))
+            solve(prob)
 
 
 class TestNewton:
