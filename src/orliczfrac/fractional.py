@@ -136,7 +136,7 @@ def _pair_orders(ne, order):
     return q
 
 
-def _pair_bands(s, h, order, *nodal):
+def _pair_bands(s, h, *nodal):
     """Distinct-element pairs of the uniform mesh, one band per Gauss order.
 
     Yields ``(x, band)`` per band of offsets sharing an order q: the band's
@@ -153,7 +153,7 @@ def _pair_bands(s, h, order, *nodal):
     ne = len(nodal[0]) - 1
     if ne < 2:
         return
-    q = _pair_orders(ne, order)
+    q = _pair_orders(ne, _ORDER)
     cuts = list(np.flatnonzero(np.diff(q)) + 1)
     for lo, hi in zip([0] + cuts, cuts + [ne - 1]):
         x, w = gauss_rule_01(int(q[lo]))
@@ -175,7 +175,7 @@ def _band(offsets, kern, block, rows):
         yield j, kj, bj, [R[:, j:] - L[:, :-j] for R, L in rows]
 
 
-def _distinct_pairs(G, s, u, order, want_grad, hess=None):
+def _distinct_pairs(G, s, u, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks.
 
     The gradient is accumulated per element and Gauss point of a band and
@@ -190,7 +190,7 @@ def _distinct_pairs(G, s, u, order, want_grad, hess=None):
     """
     val = 0.0
     grad = np.zeros(u.node_count) if want_grad else None
-    for x, band in _pair_bands(s, u.spacing, order, u.values):
+    for x, band in _pair_bands(s, u.spacing, u.values):
         q = x.size
         if want_grad:
             gU = np.zeros((q, u.node_count - 1))
@@ -244,14 +244,14 @@ def _add_element_blocks(hess, x, W):
     _add_diagonal(hess, 0, 1, x ** 2 @ W)
 
 
-def _far_points(s, u, order):
+def _far_points(s, u):
     """Gauss points of the far field: the rule (xg, wg) on (0, 1), u at the
     points of every element (U, elements x points) and the kernel
     dist**(-s) to the right and the left end of the support (kern,
     2 x elements x points)."""
     h = u.spacing
     ne = u.node_count - 1
-    xg, wg = gauss_rule_01(order)
+    xg, wg = gauss_rule_01(_ORDER)
     starts = u.left + h * np.arange(ne)
     X = starts[:, None] + h * xg[None, :]
     kern = np.stack([u.right - X, X - u.left]) ** (-s)
@@ -273,7 +273,7 @@ def _far_curvature(tilde, s, h, wg, U, kern):
     return (2.0 * h / s) * wg * np.sum(curv * kern * kern, axis=0)
 
 
-def _far_field(G, s, u, order, want_grad, hess=None):
+def _far_field(G, s, u, want_grad, hess=None):
     """(iii): value (and nodal gradient) of the far field; given ``hess``,
     its Hessian is added there.
 
@@ -281,7 +281,7 @@ def _far_field(G, s, u, order, want_grad, hess=None):
     through one profile evaluation.
     """
     h = u.spacing
-    xg, wg, U, kern = _far_points(s, u, order)
+    xg, wg, U, kern = _far_points(s, u)
     tilde = limit_density(G, 1)
     prof = tilde.value(np.abs(U) * kern) / 2.0
     val = (2.0 * h / s) * float(np.sum(wg * prof))
@@ -308,8 +308,8 @@ def _core(G, s, u, want_grad, want_hess=False):
     with np.errstate(invalid="ignore") if want_hess else nullcontext():
         val, ders, *curv = _same_element(G, s, h, u.slopes, want_grad,
                                          want_hess)
-        pairs, pair_grad = _distinct_pairs(G, s, u, _ORDER, want_grad, hess)
-        far, far_grad = _far_field(G, s, u, _ORDER, want_grad, hess)
+        pairs, pair_grad = _distinct_pairs(G, s, u, want_grad, hess)
+        far, far_grad = _far_field(G, s, u, want_grad, hess)
         if want_hess:
             _add_slope_blocks(hess, curv[0] / (h * h))
     val += pairs + far
@@ -368,11 +368,11 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     h = u.spacing
     _, ders = _same_element(G, s, h, u.slopes, want_grad=True)
     val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
-    for _, band in _pair_bands(s, h, _ORDER, u.values, v.values):
+    for _, band in _pair_bands(s, h, u.values, v.values):
         for _, kern, block, (du, dv) in band:
             val += float(np.sum(block * G.deriv(np.abs(du) * kern)
                                 * np.abs(dv) * kern))
-    xg, wg, U, kern = _far_points(s, u, _ORDER)
+    xg, wg, U, kern = _far_points(s, u)
     flux = _far_flux(limit_density(G, 1), s, h, wg, U, kern)
     val += float(np.sum(np.abs(flux) * np.abs(_at_gauss_points(v.values, xg))))
     return val

@@ -97,33 +97,41 @@ def sphere_integral(f, n: int, c, kinks) -> np.ndarray:
 
     n = 1: the sphere is the two points +-1, so the value is 2 f(c).
     n = 2, 3: the polar reductions 4 int_0^(pi/2) f(c sin t) dt and
-    4 pi int_0^1 f(c t) dt, split per entry where c |w_n| crosses a kink,
-    with the profile's tanh-sinh rule on every piece, so the rule keeps its
-    accuracy for kinked f and for f(c |w_n|) ~ |w_n|^p at |w_n| = 0. A kink
-    at or above every entry is dropped (a kink above one entry gives it a
-    piece of width zero), and f is evaluated once per piece, for all
-    entries together.
+    4 pi int_0^1 f(c t) dt by `_kink_split_rule`, which keeps the rule's
+    accuracy for kinked f and for f(c |w_n|) ~ |w_n|^p at |w_n| = 0.
     """
     _check_dim(n)
     c = np.asarray(c, dtype=float)
     if n == 1:
         return 2.0 * f(c)
+    scale = 4.0 if n == 2 else 4.0 * math.pi
+    return scale * _kink_split_rule(f, c, kinks, polar=n == 2)
+
+
+def _kink_split_rule(f, c, kinks, polar):
+    """int_0^1 f(c t) dt, or int_0^(pi/2) f(c sin t) dt if ``polar``,
+    elementwise for an array c >= 0.
+
+    Split per entry where the argument crosses a kink, then the profile's
+    tanh-sinh rule on every piece: its node clustering resolves algebraic
+    and logarithmic behaviour at the ends. A kink at or above every entry
+    is dropped (a kink above one entry gives it a piece of width zero), and
+    f is evaluated once, on all pieces and entries together.
+    """
     x, w = tanh_sinh_rule_01(_PROFILE_STEPS, _PROFILE_SPAN)
     top = float(np.max(c, initial=0.0))
     with np.errstate(divide="ignore"):
         cuts = [np.minimum(k / c, 1.0) for k in sorted(set(kinks))
                 if 0.0 < k < top]
-    if n == 2:
-        cuts, end, scale = [np.arcsin(t) for t in cuts], 0.5 * math.pi, 4.0
-    else:
-        end, scale = 1.0, 4.0 * math.pi
-    edges = [np.zeros_like(c), *cuts, np.full_like(c, end)]
-    total = np.zeros_like(c)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t = lo[..., None] + (hi - lo)[..., None] * x
-        total += (hi - lo) * (f(c[..., None] * (np.sin(t) if n == 2 else t))
-                              @ w)
-    return scale * total
+    end = 1.0
+    if polar:
+        cuts, end = [np.arcsin(t) for t in cuts], 0.5 * math.pi
+    lo = np.stack([np.zeros_like(c), *cuts], axis=-1)
+    hi = np.concatenate([lo[..., 1:], np.full(c.shape + (1,), end)], -1)
+    width = hi - lo
+    t = lo[..., None] + width[..., None] * x
+    vals = f(c[..., None, None] * (np.sin(t) if polar else t))
+    return np.sum(width * (vals @ w), axis=-1)
 
 
 def _density_argument(a):
@@ -140,26 +148,17 @@ def _scalar_or_array(out):
 
 
 def radial_profile(G: OrliczFunction, w) -> np.ndarray:
-    """I(w) = int_0^w G(v)/v dv elementwise, for an array w >= 0.
-
-    One tanh-sinh rule per piece between 0, the kinks of G below w and w
-    itself (a kink above w gives a piece of width zero). A kink at or above
-    every entry is dropped, so no piece has zero width for every entry; G
-    is evaluated once, on all pieces together. The double-exponential node
-    clustering resolves the algebraic/logarithmic behaviour of G(v)/v at
-    v = 0, and the split keeps every piece free of interior kinks. The
-    derivative is exactly G(w)/w.
+    """I(w) = int_0^w G(v)/v dv = w int_0^1 g(w t) dt with g(v) = G(v)/v,
+    elementwise for an array w >= 0, by `_kink_split_rule`: one tanh-sinh
+    piece between 0, the kinks of G below w and w itself. The derivative
+    is exactly G(w)/w.
     """
     w = np.asarray(w, dtype=float)
-    x, om = tanh_sinh_rule_01(_PROFILE_STEPS, _PROFILE_SPAN)
-    top = float(np.max(w, initial=0.0))
-    cuts = [k for k in sorted(set(G.kinks)) if 0.0 < k < top]
-    lo = np.stack([np.zeros_like(w), *(np.minimum(k, w) for k in cuts)],
-                  axis=-1)
-    width = np.concatenate([lo[..., 1:], w[..., None]], axis=-1) - lo
-    v = lo[..., None] + width[..., None] * x
-    f = G(v) / np.where(v > 0.0, v, 1.0)  # G(0) = 0 closes the v = 0 node
-    return np.sum(width * (f @ om), axis=-1)
+
+    def g(v):
+        return G(v) / np.where(v > 0.0, v, 1.0)  # G(0) = 0 closes v = 0
+
+    return w * _kink_split_rule(g, w, G.kinks, polar=False)
 
 
 def tilde_eval(G: OrliczFunction, n: int, a):

@@ -360,11 +360,11 @@ def _central_difference(f, rel):
     return df
 
 
-def _crossovers(parts, lo=1e-4, hi=1e4, samples=400):
+def _crossovers(parts):
     """Arguments where the attaining branch of a pointwise max switches."""
     if len(parts) < 2:
         return []
-    grid = np.logspace(math.log10(lo), math.log10(hi), samples)
+    grid = np.logspace(-4.0, 4.0, 400)
     vals = np.stack([ch.fn(grid) for ch in parts])
     top = np.argmax(vals, axis=0)
     out = []

@@ -73,11 +73,6 @@ class DirichletProblem:
     def rhs_grid(self) -> GridFunction:
         """Right-hand side sampled to the mesh as a piecewise-linear function."""
         a, b = self.omega
-        if isinstance(self.rhs, GridFunction):
-            if (self.rhs.left == a and self.rhs.right == b
-                    and self.rhs.node_count == self.mesh_nodes):
-                return self.rhs
-            return GridFunction.from_callable(self.rhs, a, b, self.mesh_nodes)
         if callable(self.rhs):
             return GridFunction.from_callable(self.rhs, a, b, self.mesh_nodes)
         c = float(self.rhs)
@@ -167,9 +162,8 @@ def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
         _add_slope_blocks(hess, problem.G.d2(np.abs(m)) / u.spacing)
         hess += np.triu(hess, 1).T
         return val, grad, hess
-    if want_hess:
-        return _core(problem.G, problem.s, u, want_grad=True, want_hess=True)
-    return _core(problem.G, problem.s, u, want_grad=want_grad)
+    return _core(problem.G, problem.s, u, want_grad=want_grad,
+                 want_hess=want_hess)
 
 
 def energy(problem: DirichletProblem, u: GridFunction) -> float:
@@ -233,15 +227,22 @@ class _Energy:
         return E, g, H
 
 
-def _spd_solve(A, b):
-    """A^{-1} b for a symmetric A, or None where A is not positive definite
-    (its Cholesky factorization fails) or the solution is not finite."""
+def _newton_direction(H, g):
+    """-H^{-1} g, or None where H is exactly singular or the direction is
+    not finite or not downhill (g.d >= 0)."""
     try:
-        np.linalg.cholesky(A)
-        x = np.linalg.solve(A, b)
+        d = np.linalg.solve(H, -g)
     except np.linalg.LinAlgError:
         return None
-    return x if np.all(np.isfinite(x)) else None
+    return d if np.all(np.isfinite(d)) and g @ d < 0.0 else None
+
+
+def _stiffness_solve(r, h):
+    """K^{-1} r for the interior stiffness K = tridiag(-1, 2, -1) / h, by its
+    discrete Green's function: x_i = h (i C_n / (n+1) - C_{i-1}) with
+    C = cumsum(cumsum(r)) and C_0 = 0. O(n), and exact for n = 1."""
+    C = np.concatenate([[0.0], np.cumsum(np.cumsum(r))])
+    return h * (np.arange(1, r.size + 1) * (C[-1] / (r.size + 1)) - C[:-1])
 
 
 def _secant_step(energy_at, v, d, gd):
@@ -263,22 +264,20 @@ def solve(problem: DirichletProblem) -> SolveResult:
 
     Damped Newton on the exact discrete Hessian: the direction solves
     sigma H d = -g on the interior nodes and the step starts at 1. Where
-    the Hessian is not positive definite (its Cholesky factorization fails)
-    or the direction not finite (the zero start when G''(0) is 0 or
-    infinite, as for t^p with p != 2), the direction is the gradient
-    preconditioned by the tridiagonal local stiffness K, d = -K^{-1} g, and
-    the step starts at a secant guess. Either step is halved until the
-    Armijo test holds, which keeps the descent monotone (up to the roundoff
-    of E, once Newton's predicted decrease is below it). Stops when the
-    sup-norm of the interior gradient falls below 1e-8 * max(1, |E|);
+    that solve finds H singular, or the direction is not finite (the zero
+    start when G''(0) is 0 or infinite, as for t^p with p != 2) or not
+    downhill, the direction is the gradient preconditioned by the
+    tridiagonal local stiffness K, d = -K^{-1} g (in O(n), through K's
+    Green's function), and the step starts at a secant guess. Either step
+    is halved until the Armijo test holds, which keeps the descent
+    monotone (up to the roundoff of E, once Newton's predicted decrease is
+    below it). Stops when the sup-norm of the interior gradient falls
+    below 1e-8 * max(1, |E|);
     `stop_reason` says why it stopped.
     """
     _screen_strict_convexity(problem.G)
-    # Tridiagonal 1D stiffness on interior nodes as preconditioner.
     ni = problem.mesh_nodes - 2
     h = (problem.omega[1] - problem.omega[0]) / (ni + 1)
-    K = (2.0 * np.eye(ni) - np.eye(ni, k=1) - np.eye(ni, k=-1)) / h
-
     energy_at = _Energy(problem)
     # For t^2 the energy is quadratic: its Hessian is assembled once.
     quadratic = problem.G.kind == "power" and problem.G.params[0] == 2.0
@@ -300,10 +299,10 @@ def solve(problem: DirichletProblem) -> SolveResult:
         stop = StopReason.INITIAL
 
     while stop is None and iterations < _MAX_ITER:
-        d = None if H is None else _spd_solve(H, -g)
+        d = None if H is None else _newton_direction(H, g)
         newton = d is not None
         if not newton:
-            d = _spd_solve(K, -g)
+            d = _stiffness_solve(-g, h)
         gd = float(g @ d)
         step = 1.0 if newton else _secant_step(energy_at, v, d, gd)
         if step is None:

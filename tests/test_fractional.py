@@ -207,14 +207,14 @@ class TestFarField:
     def test_generic_profile_matches_exact_profile(self, G, profile, s):
         # 3 x hat puts the profile arguments on both sides of the kink at 1
         u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
-        val, _ = _far_field(G, s, u, 5, want_grad=False)
+        val, _ = _far_field(G, s, u, want_grad=False)
         assert val == pytest.approx(far_field_reference(profile, s, u),
                                     rel=1e-12)
 
     def test_closed_form_max_matches_generic_profile(self):
         u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
-        val, grad = _far_field(G23, 0.6, u, 5, want_grad=True)
-        ref, ref_grad = _far_field(G23_PLAIN, 0.6, u, 5, want_grad=True)
+        val, grad = _far_field(G23, 0.6, u, want_grad=True)
+        ref, ref_grad = _far_field(G23_PLAIN, 0.6, u, want_grad=True)
         assert val == pytest.approx(ref, rel=1e-12)
         assert np.array_equal(grad, ref_grad)
 
@@ -226,14 +226,14 @@ class TestFarField:
         G = make_power_log(3.0)
         u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
         eps = 1e-6
-        _, grad = _far_field(G, s, u, 5, want_grad=True)
+        _, grad = _far_field(G, s, u, want_grad=True)
         for i in range(u.node_count):
             vp = u.values.copy()
             vm = u.values.copy()
             vp[i] += eps
             vm[i] -= eps
-            fd = (_far_field(G, s, u.with_values(vp), 5, False)[0]
-                  - _far_field(G, s, u.with_values(vm), 5, False)[0]) \
+            fd = (_far_field(G, s, u.with_values(vp), False)[0]
+                  - _far_field(G, s, u.with_values(vm), False)[0]) \
                 / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-7, abs=1e-10)
 
@@ -271,7 +271,7 @@ class TestSeparationGrading:
         for s in (0.1, 0.5, 0.9, 0.99):
             same, _ = _same_element(G, s, u.spacing, u.slopes,
                                     want_grad=False)
-            far, _ = _far_field(G, s, u, 5, want_grad=False)
+            far, _ = _far_field(G, s, u, want_grad=False)
             ref = same + uniform_pair_sum(G, s, u) + far
             assert fractional_modular(G, s, u) == pytest.approx(ref, rel=1e-6)
 

@@ -59,6 +59,13 @@ class TestEnergy:
                                        0.0, 1.0, 2049)
         assert energy(prob, u) == pytest.approx(-1.0 / 48.0, abs=1e-5)
 
+    def test_grid_rhs_on_the_mesh_is_sampled_exactly(self, rng):
+        # a GridFunction is sampled at its own nodes, where it interpolates
+        # its stored values exactly
+        f = GridFunction(0.0, 1.0, rng.normal(size=33))
+        assert np.array_equal(problem(0.5, n=33, rhs=f).rhs_grid().values,
+                              f.values)
+
     def test_mesh_mismatch_rejected(self):
         prob = problem(0.5, n=65)
         with pytest.raises(InvalidInputError):
@@ -246,8 +253,8 @@ class TestNewton:
         assert weak_residual(prob, res.u) <= 1e-8 * max(1.0, abs(res.energy))
 
     # The preconditioned gradient direction takes the zero start, where
-    # G''(0) is 0 or infinite, and any iterate whose Hessian Cholesky
-    # rejects (power(1.5)); p < 2 solves end at the gradient floor.
+    # G''(0) is 0 or infinite, and any iterate whose Newton direction is
+    # not finite (power(1.5)); p < 2 solves end at the gradient floor.
     @pytest.mark.parametrize("G,s,omega,stop", [
         (make_power(1.2), 0.5, (0.0, 1.0), StopReason.FLOOR),
         (G15, 0.7, (0.0, 1.0), StopReason.FLOOR),
@@ -264,6 +271,38 @@ class TestNewton:
         assert np.all(np.diff(E) <= eps * np.maximum(1.0, np.abs(E[:-1])))
         assert res.stop_reason is stop
         assert res.weak_residual == weak_residual(prob, res.u)
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 1023])
+    def test_stiffness_solve_matches_dense(self, n, rng):
+        h = 1.0 / (n + 1)
+        K = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h
+        r = rng.normal(size=n)
+        ref = np.linalg.solve(K, r)
+        x = solver._stiffness_solve(r, h)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_hessian_takes_the_gradient_direction(self, monkeypatch):
+        # G'' = 0 makes every assembled s = 1 Hessian exactly zero, so its
+        # LU fails and every step is a preconditioned gradient step
+        G = make_custom(lambda t: t ** 3, lambda t: 3.0 * t ** 2,
+                        d2fn=np.zeros_like)
+        stiffness_solve = solver._stiffness_solve
+        steps = []
+
+        def counted(r, h):
+            steps.append(r)
+            return stiffness_solve(r, h)
+
+        monkeypatch.setattr(solver, "_stiffness_solve", counted)
+        prob = problem(1.0, n=9, G=G)
+        res = solve(prob)
+        assert res.converged and res.hessians >= 1
+        assert len(steps) == res.iterations
+        E = np.array(res.energy_history)
+        eps = 8.0 * np.finfo(float).eps
+        assert np.all(np.diff(E) <= eps * np.maximum(1.0, np.abs(E[:-1])))
+        ref = solve(problem(1.0, n=9, G=G3))
+        assert np.max(np.abs(res.u.values - ref.u.values)) <= 1e-8
 
 
 class TestPairingBound:
