@@ -278,10 +278,11 @@ def _run_poincare(cfg: ExperimentConfig, out_dir: Path) -> List[Path]:
     funcs = [random_zero_trace(rng, cfg.domain[0], cfg.domain[1], cfg.nodes,
                                amplitude=rng.uniform(0.2, 2.0))
              for _ in range(cfg.count)]
+    # one report per order for each function, then one row per order
+    per_function = [poincare_check(G, s_list, u) for u in funcs]
     lines = ["s,max_ratio,budget,ok"]
     all_ok = True
-    for s in s_list:
-        reports = [poincare_check(G, s, u) for u in funcs]
+    for s, reports in zip(s_list, zip(*per_function)):
         worst = max(reports, key=lambda r: r.ratio)
         ok = all(r.within_budget for r in reports)
         all_ok &= ok

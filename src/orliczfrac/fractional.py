@@ -27,18 +27,28 @@ is split into three pieces:
        shared quadrature for I, as `LimitDensity` chooses, and the exact
        derivatives of the profile, which need no quadrature.
 
+The value alone may be asked for several orders s at once. Nothing in
+piece (ii) but the kernel table depends on s, so the pairs of all orders
+share one pass: the table dist**(-s) gets a leading axis over the orders,
+and each offset forms |u(x) - u(y)| once and makes one G call on the
+stacked (orders, pairs, elements) argument. Pieces (i) and (iii) are
+evaluated per order.
+
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed discrete value (same rules, same nodes) in
 pieces (i) and (ii), and the exact derivative of the profile in (iii), which
 is what makes finite-difference checks of the energy meaningful. With
 ``want_hess`` the same passes also assemble the exact Hessian of the
 computed value (of the profile's exact derivative in (iii)), for the
-solver's Newton steps. The absolute pairing `pairing_abs` is built from the
-same three pieces.
+solver's Newton steps; these take one order. The absolute pairing
+`pairing_abs` is built from the same three pieces.
 
 Evaluation is sequential with a fixed reduction order, so results are
-bit-identical from run to run; element-pair blocks are independent and could
-be farmed out, provided the reduction order is preserved.
+bit-identical from run to run. Each order's pair sum at an offset is one
+contiguous reduction over its own (pairs, elements) rows, the same as when
+that order is evaluated alone, so every entry of a multi-order value is
+bit-identical to the one-order value. Element-pair blocks are independent
+and could be farmed out, provided the reduction order is preserved.
 """
 
 from __future__ import annotations
@@ -143,12 +153,13 @@ def _pair_bands(s, h, *nodal):
     Gauss nodes on (0, 1) and an iterator over its offsets j. The iterator
     yields ``(j, kern, block, diffs)``. Row a*q + b stands for node a of
     the right element and node b of the left one, at distance
-    dist = h (j + x_a - x_b): ``kern`` is the (q*q, 1) column dist**(-s),
-    ``block`` is 2 h^2 w_a w_b / dist, and ``diffs`` holds, for each nodal
-    vector, the (q*q, ne - j) differences right minus left over the pairs.
-    Elements run along the last axis, so every array operation on a pair
-    row is a long contiguous loop. The tables are built once per band and
-    live for one call only.
+    dist = h (j + x_a - x_b): ``kern`` is the (q*q, 1) column dist**(-s)
+    (for a 1-D array of orders ``s``, the (orders, q*q, 1) stack of those
+    columns), ``block`` is 2 h^2 w_a w_b / dist, and ``diffs`` holds, for
+    each nodal vector, the (q*q, ne - j) differences right minus left over
+    the pairs. Elements run along the last axis, so every array operation
+    on a pair row is a long contiguous loop. The tables are built once per
+    band and live for one call only.
     """
     ne = len(nodal[0]) - 1
     if ne < 2:
@@ -160,7 +171,8 @@ def _pair_bands(s, h, *nodal):
         offsets = np.arange(lo + 1, hi + 1)
         dist = h * (offsets[:, None, None]
                     + np.subtract.outer(x, x).reshape(-1, 1))
-        kern = dist ** (-s)
+        kern = (dist[:, None] ** -np.reshape(s, (-1, 1, 1))).reshape(
+            dist.shape[:1] + np.shape(s) + dist.shape[1:])
         block = 2.0 * h * h * np.outer(w, w).reshape(-1, 1) / dist
         rows = []
         for v in nodal:
@@ -178,6 +190,10 @@ def _band(offsets, kern, block, rows):
 def _distinct_pairs(G, s, u, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks.
 
+    The value has the shape of ``s``: one order, or for the value alone a
+    1-D array of orders, whose pairs share one G call per offset. Each
+    order's sum at an offset is one contiguous reduction, as for one order.
+
     The gradient is accumulated per element and Gauss point of a band and
     scattered to the nodes once per band. Given ``hess`` (the upper
     triangle of a nodal matrix), the Hessian is added to it: a pair
@@ -188,7 +204,7 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
     and into its four hat-weight moments, the cross part, which lands on
     diagonals j-1, j and j+1.
     """
-    val = 0.0
+    val = np.zeros(np.shape(s))[()]  # a float64 for one order
     grad = np.zeros(u.node_count) if want_grad else None
     for x, band in _pair_bands(s, u.spacing, u.values):
         q = x.size
@@ -202,7 +218,7 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
                               np.kron(hat, hat)])
         for j, kern, block, (du,) in band:
             arg = np.abs(du) * kern
-            val += float(np.sum(block * G(arg)))
+            val += (block * G(arg)).sum(axis=(-2, -1))
             if want_grad:
                 coef = ((block * kern) * G.deriv(arg)
                         * np.sign(du)).reshape(q, q, -1)
@@ -300,8 +316,18 @@ def _far_field(G, s, u, want_grad, hess=None):
 def _core(G, s, u, want_grad, want_hess=False):
     """(value, nodal gradient or None) of the discrete modular; with
     ``want_hess`` (which needs ``want_grad``) also its nodal Hessian, a
-    dense symmetric matrix, assembled in the same passes."""
+    dense symmetric matrix, assembled in the same passes.
+
+    For the value alone, ``s`` may be a 1-D array of orders: the value is
+    then a float array with one entry per order.
+    """
     h = u.spacing
+    if not want_grad:
+        pairs, _ = _distinct_pairs(G, s, u, False)
+        vals = [_same_element(G, o, h, u.slopes, False)[0]
+                + (p + _far_field(G, o, u, False)[0])
+                for o, p in zip(np.ravel(s).tolist(), np.ravel(pairs))]
+        return (np.array(vals) if np.ndim(s) else vals[0]), None
     hess = np.zeros((u.node_count, u.node_count)) if want_hess else None
     # G''(0) = inf (t^p, p < 2) gives inf - inf = nan Hessian entries,
     # which the solver reads as "no Newton step here".
@@ -313,8 +339,6 @@ def _core(G, s, u, want_grad, want_hess=False):
         if want_hess:
             _add_slope_blocks(hess, curv[0] / (h * h))
     val += pairs + far
-    if not want_grad:
-        return val, None
     grad = pair_grad + far_grad
     grad[:-1] -= ders / h
     grad[1:] += ders / h
@@ -333,14 +357,29 @@ def _add_slope_blocks(hess, k):
 
 
 def _check_s(s):
-    if not (0.0 < s < 1.0):
+    """``s`` as a float array: one order (0-D), or a non-empty 1-D sequence
+    of orders, each in (0, 1)."""
+    orders = np.asarray(s, dtype=float)
+    if orders.ndim > 1 or orders.size == 0:
+        raise InvalidParameterError(
+            f"need one fractional order or a non-empty 1-D sequence: {s}")
+    if not np.all((0.0 < orders) & (orders < 1.0)):
         raise InvalidParameterError(f"fractional order must be in (0,1): {s}")
+    return orders
 
 
-def fractional_modular(G: OrliczFunction, s: float, u: GridFunction) -> float:
-    """Fractional modular of a grid function for s in (0, 1)."""
-    _check_s(s)
-    return _core(G, s, u, want_grad=False)[0]
+def fractional_modular(G: OrliczFunction, s, u: GridFunction):
+    """Fractional modular of a grid function for s in (0, 1).
+
+    A scalar ``s`` gives a float. A 1-D sequence of orders gives a float
+    array with one entry per order, in the given order (repeats allowed),
+    each bit-identical to the one-order value: the distinct-element pairs
+    of all orders share one pass, whose temporaries grow linearly with the
+    number of orders (about 0.2 MB per order at 1025 nodes).
+    """
+    orders = _check_s(s)
+    val = _core(G, orders, u, want_grad=False)[0]
+    return float(val) if orders.ndim == 0 else val
 
 
 def fractional_modular_with_gradient(G: OrliczFunction, s: float,

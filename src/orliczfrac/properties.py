@@ -136,7 +136,9 @@ def transform_suite(G: OrliczFunction, s_values: Sequence[float] = (0.3, 0.6, 0.
     Checks, per sampled function and fractional order: the mollification
     bound, the truncation bound, the translation bound, the local-to-
     nonlocal upper bound, and the two-order comparison; all with rel_slack
-    relative tolerance for quadrature noise.
+    relative tolerance for quadrature noise. Phi_s of each function and of
+    its mollified and truncated versions is one multi-order
+    `fractional_modular` call over ``s_values``.
     """
     rng = np.random.default_rng(seed)
     C = G.doubling_constant
@@ -160,7 +162,7 @@ def transform_suite(G: OrliczFunction, s_values: Sequence[float] = (0.3, 0.6, 0.
         h_mesh = u.spacing
         phi_plain = modular(G, u)
         phi_slope = gradient_modular(G, u)
-        phi_s = {s: fractional_modular(G, s, u) for s in s_values}
+        phi_s = fractional_modular(G, s_values, u).tolist()
 
         eps = rng.uniform(2.0 * h_mesh, max(0.15, 3.0 * h_mesh))
         u_eps = mollify(u, eps)
@@ -169,25 +171,25 @@ def transform_suite(G: OrliczFunction, s_values: Sequence[float] = (0.3, 0.6, 0.
         shift = rng.uniform(0.05, 0.45) * rng.choice([-1.0, 1.0])
         shifted = translate(u, shift)
         diff = shifted - u.embed(shifted.left, shifted.right)
+        phi_eps = fractional_modular(G, s_values, u_eps).tolist()
+        phi_k = fractional_modular(G, s_values, u_k).tolist()
+        phi_diff = modular(G, diff)
 
-        for s in s_values:
-            record("mollification",
-                   fractional_modular(G, s, u_eps), phi_s[s])
-            record("truncation",
-                   fractional_modular(G, s, u_k),
-                   phi_s[s] + 0.5 * C ** 2 * surface
+        for s, phi, phi_e, phi_t in zip(s_values, phi_s, phi_eps, phi_k):
+            record("mollification", phi_e, phi)
+            record("truncation", phi_t,
+                   phi + 0.5 * C ** 2 * surface
                    * (1.0 / s + 1.0 / (k * (1.0 - s))) * phi_plain)
-            record("translation",
-                   modular(G, diff),
-                   2.0 ** (2.0 + s) * C / 2.0 * abs(shift) ** s * phi_s[s])
-            record("nonlocal upper bound",
-                   phi_s[s],
+            record("translation", phi_diff,
+                   2.0 ** (2.0 + s) * C / 2.0 * abs(shift) ** s * phi)
+            record("nonlocal upper bound", phi,
                    surface / (1.0 - s) * phi_slope
                    + 2.0 * C * surface / s * phi_plain)
-        for s1, s2 in zip(s_values, s_values[1:]):
+        for s1, s2, phi1, phi2 in zip(s_values, s_values[1:],
+                                      phi_s, phi_s[1:]):
             record("two-order comparison",
-                   (1.0 - s1) * phi_s[s1],
-                   2.0 ** (1.0 - s1) * (1.0 - s2) * phi_s[s2]
+                   (1.0 - s1) * phi1,
+                   2.0 ** (1.0 - s1) * (1.0 - s2) * phi2
                    + 2.0 * C * surface * (1.0 - s1) / s1 * phi_plain)
 
     return [PropertyResult(name=n, samples=t[0], violations=t[1],

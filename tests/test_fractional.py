@@ -5,6 +5,7 @@ from scipy import integrate
 from orliczfrac import (
     GridFunction,
     InvalidParameterError,
+    bbm_curve,
     fractional_modular,
     fractional_modular_with_gradient,
     make_combination,
@@ -12,6 +13,7 @@ from orliczfrac import (
     make_power,
     make_power_log,
 )
+from orliczfrac import fractional
 from orliczfrac._quadrature import gauss_rule_01
 from orliczfrac.fractional import (
     _core,
@@ -54,6 +56,58 @@ class TestBasics:
         u = GridFunction.hat(-1.0, 1.0, 129)
         assert fractional_modular(G2, 0.37, u) == \
             fractional_modular(G2, 0.37, u)
+
+
+class TestMultiOrder:
+    """A 1-D sequence of orders: one pair pass, each entry bit-identical to
+    the one-order value."""
+
+    S = (0.9, 0.5, 0.995, 0.3, 0.5)  # unsorted, with a repeated order
+
+    @pytest.mark.parametrize("n", [33, 1025])
+    @pytest.mark.parametrize("shape", ["hat", "random"])
+    @pytest.mark.parametrize("G", [
+        G2, make_power(3.0), G23, make_power_log(3.0),
+        make_combination("sum", [make_power(2.0), make_power(3.0)],
+                         [0.5, 2.0]),
+    ], ids=lambda G: G.label)
+    def test_matches_one_order_at_a_time(self, G, shape, n, rng):
+        if shape == "hat":
+            u = GridFunction.hat(-1.0, 1.0, n)
+        else:
+            u = random_state(rng, n)
+        multi = fractional_modular(G, self.S, u)
+        assert multi.dtype == float and multi.shape == (len(self.S),)
+        assert np.array_equal(
+            multi, [fractional_modular(G, s, u) for s in self.S])
+
+    def test_scalar_order_returns_float(self):
+        u = GridFunction.hat(-1.0, 1.0, 17)
+        for s in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(fractional_modular(G2, s, u)) is float
+        one = fractional_modular(G2, [0.5], u)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+
+    @pytest.mark.parametrize("s", [[], [0.5, 1.0], [0.0, 0.5], [[0.5, 0.9]],
+                                   [0.5, float("nan")]])
+    def test_invalid_orders(self, s):
+        u = GridFunction.hat(-1.0, 1.0, 17)
+        with pytest.raises(InvalidParameterError):
+            fractional_modular(G2, s, u)
+
+    def test_curve_sweeps_the_pairs_once(self, monkeypatch):
+        calls = []
+        bands = fractional._pair_bands
+
+        def counted(*args):
+            calls.append(args[0])
+            return bands(*args)
+
+        monkeypatch.setattr(fractional, "_pair_bands", counted)
+        u = GridFunction.hat(-1.0, 1.0, 65)
+        bbm_curve(G2, u, [0.9, 0.95, 0.99])
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [0.9, 0.95, 0.99])
 
 
 class TestSameElementPiece:

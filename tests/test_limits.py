@@ -127,6 +127,14 @@ class TestPoincare:
         z = GridFunction.zeros(-1.0, 1.0, 17)
         with pytest.raises(UndefinedRatioError):
             poincare_check(G2, 0.5, z)
+        with pytest.raises(UndefinedRatioError):
+            poincare_check(G2, [0.5, 0.9], z)
+
+    def test_orders_give_one_report_each(self, rng):
+        u = random_zero_trace(rng, node_count=65)
+        orders = [0.9, 0.3, 0.6, 0.3]
+        reports = poincare_check(G2, orders, u)
+        assert reports == tuple(poincare_check(G2, s, u) for s in orders)
 
 
 class TestSequenceDemo:
@@ -138,7 +146,9 @@ class TestSequenceDemo:
         curve = bbm_curve(G2, base, self.S_LIST)
         for (s1, y1), (s2, y2) in zip(rep.entries, curve.entries):
             assert s1 == s2
-            assert y1 == pytest.approx(y2, rel=1e-12)
+            # the curve's one multi-order call is bit-identical to the
+            # demo's one-order calls
+            assert y1 == y2
 
     def test_uniform_bound_and_liminf_margin(self):
         base = GridFunction.hat(-1.0, 1.0, 257)
