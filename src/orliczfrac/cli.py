@@ -172,6 +172,13 @@ def _one_of(convert, allowed, message):
     return check
 
 
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"count must be >= 1, got {value}")
+    return value
+
+
 def _domain(text):
     a, b = _parse_floats(text, 2)
     if not a < b:
@@ -202,7 +209,7 @@ _KEYS = {
     "scaling": ("scaling", _one_of(str, ("bbm_scaled", "unscaled"),
                                    "scaling must be bbm_scaled|unscaled")),
     "seed": ("seed", int),
-    "count": ("count", int),
+    "count": ("count", _count),
     "out": ("out", str),
 }
 

@@ -44,11 +44,13 @@ solver's Newton steps; these take one order. The absolute pairing
 `pairing_abs` is built from the same three pieces.
 
 Evaluation is sequential with a fixed reduction order, so results are
-bit-identical from run to run. Each order's pair sum at an offset is one
-contiguous reduction over its own (pairs, elements) rows, the same as when
-that order is evaluated alone, so every entry of a multi-order value is
-bit-identical to the one-order value. Element-pair blocks are independent
-and could be farmed out, provided the reduction order is preserved.
+bit-identical from run to run. At an offset, each pair row G(arg) is first
+summed over its elements (one contiguous reduction per row), then the row
+sums are weighted by ``block`` and summed over the rows of their order:
+numpy reductions on each order's own rows, the same as when that order is
+evaluated alone, so every entry of a multi-order value is bit-identical to
+the one-order value. Element-pair blocks are independent and could be
+farmed out, provided the reduction order is preserved.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
         p = G.params[0]
         beta = (1.0 - s) * p
         coef = 2.0 * h ** (beta + 1.0) / (beta * (beta + 1.0))
-        vals = coef * m ** p
-        ders = coef * p * m ** (p - 1.0) * sgn if want_grad else None
+        vals = coef * G(m)
+        ders = coef * G.deriv(m) * sgn if want_grad else None
         if want_hess:
             return float(np.sum(vals)), ders, coef * G.d2(m)
         return float(np.sum(vals)), ders
@@ -191,8 +193,11 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks.
 
     The value has the shape of ``s``: one order, or for the value alone a
-    1-D array of orders, whose pairs share one G call per offset. Each
-    order's sum at an offset is one contiguous reduction, as for one order.
+    1-D array of orders, whose pairs share one G call per offset. At an
+    offset, G(arg) is summed over the elements of each pair row first and
+    each row sum then takes its weight ``block``, so no weighted copy of
+    the (orders, pairs, elements) stack is made; each order's sums are its
+    own reductions, as for one order.
 
     The gradient is accumulated per element and Gauss point of a band and
     scattered to the nodes once per band. Given ``hess`` (the upper
@@ -218,7 +223,7 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
                               np.kron(hat, hat)])
         for j, kern, block, (du,) in band:
             arg = np.abs(du) * kern
-            val += (block * G(arg)).sum(axis=(-2, -1))
+            val += (G(arg).sum(axis=-1) * block[:, 0]).sum(axis=-1)
             if want_grad:
                 coef = ((block * kern) * G.deriv(arg)
                         * np.sign(du)).reshape(q, q, -1)
@@ -375,7 +380,8 @@ def fractional_modular(G: OrliczFunction, s, u: GridFunction):
     array with one entry per order, in the given order (repeats allowed),
     each bit-identical to the one-order value: the distinct-element pairs
     of all orders share one pass, whose temporaries grow linearly with the
-    number of orders (about 0.2 MB per order at 1025 nodes).
+    number of orders (about 0.2 MB per order and array at 1025 nodes; the
+    pair weights are applied to the row sums, not to that stack).
     """
     orders = _check_s(s)
     val = _core(G, orders, u, want_grad=False)[0]

@@ -114,6 +114,15 @@ class TestParseConfig:
         assert any("wibble" in msg for _, msg in err.value.errors)
 
 
+    @pytest.mark.parametrize("command", ["poincare", "check"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_rejected(self, command, count):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = {command}\nG = power(2)\nnodes = 33\n"
+                         f"count = {count}\n")
+        assert err.value.errors == [(4, f"count must be >= 1, got {count}")]
+
+
 class TestRunners:
     def test_tilde_csv(self, tmp_path):
         cfg = parse_config(

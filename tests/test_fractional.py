@@ -17,6 +17,7 @@ from orliczfrac import fractional
 from orliczfrac._quadrature import gauss_rule_01
 from orliczfrac.fractional import (
     _core,
+    _distinct_pairs,
     _far_field,
     _pair_orders,
     _same_element,
@@ -307,6 +308,37 @@ def uniform_pair_sum(G, s, u, order=5):
         total += float(np.sum(2.0 * h * h * np.outer(w, w) / dist
                               * G(np.abs(du) * dist ** (-s))))
     return total
+
+
+def block_first_pair_sum(G, s, u):
+    """The distinct-element pairs with each pair weighted before the sum
+    over its elements: sum of block * G(arg) over every band and offset."""
+    total = 0.0
+    for _, band in fractional._pair_bands(s, u.spacing, u.values):
+        for _, kern, block, (du,) in band:
+            total += (block * G(np.abs(du) * kern)).sum()
+    return total
+
+
+class TestPairReduction:
+    """`_distinct_pairs` sums each pair row over its elements before it
+    takes the row's weight; that reorders the sum, so it moves the value
+    only at roundoff."""
+
+    @pytest.mark.parametrize("n", [129, 1025])
+    @pytest.mark.parametrize("shape", ["hat", "random"])
+    @pytest.mark.parametrize("G", [
+        G2, make_power(3.0), G23, make_power_log(3.0),
+    ], ids=lambda G: G.label)
+    def test_matches_block_first_sum(self, G, shape, n, rng):
+        if shape == "hat":
+            u = GridFunction.hat(-1.0, 1.0, n)
+        else:
+            u = random_state(rng, n)
+        for s in (0.1, 0.9):
+            pairs, _ = _distinct_pairs(G, s, u, want_grad=False)
+            assert pairs == pytest.approx(block_first_pair_sum(G, s, u),
+                                          rel=1e-14)
 
 
 class TestSeparationGrading:

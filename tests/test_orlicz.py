@@ -45,6 +45,85 @@ class TestPower:
             make_power(0.5)
 
 
+def _power_log_reference(p):
+    """G, G', G'' of t**p (|log t| + 1) written with ``**``, zero at t <= 0
+    (and G'' there infinite for p <= 2)."""
+    def branches(fill, below, above):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            out = np.full_like(x, fill)
+            m = x > 0.0
+            t, lg = x[m], np.log(x[m])
+            out[m] = np.where(t < 1.0, below(t, lg), above(t, lg))
+            return out
+        return f
+
+    def g(t, lg):
+        return t ** p * (np.abs(lg) + 1.0)
+
+    return (
+        branches(0.0, g, g),
+        branches(0.0,
+                 lambda t, lg: t ** (p - 1.0) * (p * (1.0 - lg) - 1.0),
+                 lambda t, lg: t ** (p - 1.0) * (p * (1.0 + lg) + 1.0)),
+        branches(0.0 if p > 2.0 else math.inf,
+                 lambda t, lg: t ** (p - 2.0)
+                 * ((p - 1.0) * ((p - 1.0) - p * lg) - p),
+                 lambda t, lg: t ** (p - 2.0)
+                 * ((p - 1.0) * ((p + 1.0) + p * lg) + p)),
+    )
+
+
+def _power_reference(p):
+    """G, G', G'' of |t|**p written with ``**``."""
+    return (lambda x: np.abs(x) ** p,
+            lambda x: p * np.abs(x) ** (p - 1.0),
+            lambda x: p * (p - 1.0) * np.abs(x) ** (p - 2.0))
+
+
+class TestIntegerPowers:
+    """Integral exponents are taken by multiplication, not ``pow``: G, G'
+    and G'' stay within 4 ulp of the ``**`` formulas everywhere, and
+    non-integral exponents stay bit-identical to them."""
+
+    X = np.concatenate([np.logspace(-300.0, 300.0, 4001), [0.0, np.inf,
+                                                           np.nan]])
+    # below the smallest normal number: subnormal results may differ by a
+    # few units of their own spacing
+    ATOL = np.finfo(float).tiny / 1024.0
+
+    @pytest.mark.parametrize("G,ref", [
+        (make_power(2.0), _power_reference(2.0)),
+        (make_power(3.0), _power_reference(3.0)),
+        (make_power(4.0), _power_reference(4.0)),
+        (make_power_log(3.0), _power_log_reference(3.0)),
+    ], ids=["power(2)", "power(3)", "power(4)", "power_log(3)"])
+    def test_within_four_ulp_of_pow(self, G, ref):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for mine, theirs in zip((G, G.deriv, G.d2), ref):
+                for x in (self.X, -self.X):
+                    np.testing.assert_allclose(
+                        mine(x), theirs(x), rtol=4.0 * np.finfo(float).eps,
+                        atol=self.ATOL)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_power_is_even(self, p):
+        G = make_power(p)
+        with np.errstate(over="ignore", under="ignore"):
+            for f in (G, G.deriv, G.d2):
+                assert np.array_equal(f(-self.X), f(self.X), equal_nan=True)
+
+    @pytest.mark.parametrize("G,ref", [
+        (make_power(2.5), _power_reference(2.5)),
+        (make_power_log(2.7), _power_log_reference(2.7)),
+    ], ids=["power(2.5)", "power_log(2.7)"])
+    def test_non_integral_exponent_is_bit_identical(self, G, ref):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for mine, theirs in zip((G, G.deriv, G.d2), ref):
+                for x in (self.X, -self.X):
+                    assert np.array_equal(mine(x), theirs(x), equal_nan=True)
+
+
 class TestPowerLog:
     def test_evaluation(self):
         G = make_power_log(2.0)
