@@ -203,8 +203,9 @@ def translate(u: GridFunction, shift: float) -> GridFunction:
     original and shifted supports; shifts that are whole multiples of the
     spacing reproduce nodal values exactly.
     """
-    if abs(shift) >= u.right - u.left:
-        raise InvalidParameterError("shift must be smaller than the support")
+    if not abs(shift) < u.right - u.left:
+        raise InvalidParameterError("shift must be finite and smaller than "
+                                    "the support")
     if shift == 0.0:
         return u
     h = u.spacing
@@ -233,8 +234,9 @@ def mollify(u: GridFunction, eps: float) -> GridFunction:
     to roundoff. Widths below one mesh spacing are degenerate: a warning is
     issued and u is returned unchanged.
     """
-    if eps <= 0.0:
-        raise InvalidParameterError("mollification width must be positive")
+    if not 0.0 < eps < math.inf:
+        raise InvalidParameterError("mollification width must be positive "
+                                    "and finite")
     h = u.spacing
     if eps < h:
         warnings.warn("mollifier width below one mesh spacing; "
@@ -253,7 +255,8 @@ def truncate(u: GridFunction, k: float) -> GridFunction:
 
     The ramp is linear, so the cutoff slope is exactly 1/k.
     """
-    if k <= 0.0:
-        raise InvalidParameterError("truncation radius must be positive")
+    if not 0.0 < k < math.inf:
+        raise InvalidParameterError("truncation radius must be positive and "
+                                    "finite")
     eta = np.clip((2.0 * k - np.abs(u.nodes)) / k, 0.0, 1.0)
     return u.with_values(u.values * eta)

@@ -284,8 +284,9 @@ def make_combination(mode: str, parts: Sequence[OrliczFunction],
         weights = tuple(float(w) for w in weights)
         if len(weights) != len(parts):
             raise InvalidParameterError("weights/parts length mismatch")
-        if any(w < 0 for w in weights):
-            raise InvalidParameterError("weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in weights):
+            raise InvalidParameterError("weights must be finite and "
+                                        "nonnegative")
         if not any(w > 0 for w in weights):
             raise InvalidParameterError("weights must not all vanish")
         live = [(w, ch) for w, ch in zip(weights, parts) if w > 0.0]

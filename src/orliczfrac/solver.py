@@ -37,6 +37,8 @@ RhsSpec = Union[float, Callable[[np.ndarray], np.ndarray], GridFunction]
 _ARMIJO = 1e-4     # sufficient-decrease constant of the line search
 _BACKTRACK = 0.5   # step reduction per rejected trial
 _MAX_ITER = 500    # iteration budget of one solve
+_DECREMENT = 1e-10  # stop once lambda^2 <= _DECREMENT * max(1, |E|)
+_ROUNDOFF = 8.0 * np.finfo(float).eps  # relative roundoff of E
 
 
 @dataclass(frozen=True)
@@ -94,30 +96,31 @@ class DirichletProblem:
 
 
 class StopReason(enum.Enum):
-    """Why `solve` stopped; the first two mean converged. LINE_SEARCH: no
-    halved step passed the Armijo test, or the gradient step's probes never
-    saw the directional derivative rise. FLOOR: E no longer ranks the
-    iterates (two steps without progress, or a Newton step predicted below
-    the roundoff of E that does not reduce the gradient)."""
+    """Why `solve` stopped; the first two mean converged: the squared
+    decrement lambda^2 fell below its tolerance at the start (INITIAL) or
+    later (TOLERANCE). LINE_SEARCH: no halved step passed the Armijo test,
+    or the gradient step's probes never saw the directional derivative
+    rise."""
 
     INITIAL = "converged at initial iterate"
-    TOLERANCE = "gradient tolerance reached"
+    TOLERANCE = "decrement tolerance reached"
     LINE_SEARCH = "line search failed to decrease the energy"
-    FLOOR = "energy progress below roundoff; gradient floor"
     BUDGET = "iteration budget exhausted"
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solve's last iterate and how it got there: `evaluations` counts
-    the value+gradient assemblies, `hessians` those that also assembled
-    the Hessian."""
+    """A solve's last iterate and how it got there: `decrement` is the
+    squared decrement lambda^2 of the last direction `solve` took (see
+    there); `evaluations` counts the value+gradient assemblies, `hessians`
+    those that also assembled the Hessian."""
 
     u: GridFunction
     energy: float
     iterations: int
     grad_norm: float
     stop_reason: StopReason
+    decrement: float
     evaluations: int = 0
     hessians: int = 0
     energy_history: Tuple[float, ...] = ()
@@ -269,91 +272,80 @@ def solve(problem: DirichletProblem) -> SolveResult:
     downhill, the direction is the gradient preconditioned by the
     tridiagonal local stiffness K, d = -K^{-1} g (in O(n), through K's
     Green's function), and the step starts at a secant guess. Either step
-    is halved until the Armijo test holds, which keeps the descent
-    monotone (up to the roundoff of E, once Newton's predicted decrease is
-    below it). Stops when the sup-norm of the interior gradient falls
-    below 1e-8 * max(1, |E|);
-    `stop_reason` says why it stopped.
+    is halved until the Armijo test holds, so the descent is monotone.
+
+    Stops on the squared decrement lambda^2 = -g.d, which is g.H^{-1}g on
+    a Newton direction and the dual norm g.K^{-1}g on a gradient one;
+    unlike the nodal gradient it does not scale with the mesh
+    (Boyd-Vandenberghe, Convex Optimization, 9.5.1). Once lambda^2 <=
+    tol = 1e-10 * max(1, |E|) on a Newton direction, its step is the last
+    one: this near the minimizer the full step squares the decrement, so
+    it is taken without backtracking or a new Hessian, and kept unless E
+    rises beyond its roundoff. So is the first Newton step for t^2, which
+    minimizes that quadratic energy exactly. A gradient step only shrinks
+    the decrement by a factor, so a gradient direction ends the solve
+    where it is once lambda^2 <= 1e-10 * tol, the decrement a last Newton
+    step leaves. Every Newton step before the last has lambda^2 far above
+    the roundoff of E, so the Armijo test ranks it. `stop_reason` says why
+    the solve stopped; `decrement` is the lambda^2 of the last direction,
+    below its tolerance unless that was the exact step for t^2.
     """
     _screen_strict_convexity(problem.G)
     ni = problem.mesh_nodes - 2
     h = (problem.omega[1] - problem.omega[0]) / (ni + 1)
     energy_at = _Energy(problem)
-    # For t^2 the energy is quadratic: its Hessian is assembled once.
+    # For t^2 the energy is quadratic: one Newton step minimizes it.
     quadratic = problem.G.kind == "power" and problem.G.params[0] == 2.0
     v = np.zeros(ni)
     # G''(0) of 0 or infinity makes the Hessian at the zero state singular
     # or infinite, so it is not assembled there.
     E, g, H = energy_at(v, want_hess=0.0 < float(problem.G.d2(0.0)) < np.inf)
     history = [E]
-
-    def tol_for(E_now):
-        return 1e-8 * max(1.0, abs(E_now))
-
-    contraction = None
     iterations = 0
-    no_progress = 0
-    eps_E = 8.0 * np.finfo(float).eps
     stop = None
-    if not ni or float(np.max(np.abs(g))) <= tol_for(E):
-        stop = StopReason.INITIAL
 
-    while stop is None and iterations < _MAX_ITER:
+    while iterations < _MAX_ITER:
         d = None if H is None else _newton_direction(H, g)
         newton = d is not None
         if not newton:
             d = _stiffness_solve(-g, h)
-        gd = float(g @ d)
-        step = 1.0 if newton else _secant_step(energy_at, v, d, gd)
+        decrement = -float(g @ d)
+        tol = _DECREMENT * max(1.0, abs(E))
+        small = decrement <= (tol if newton else _DECREMENT * tol)
+        if small and not iterations:
+            stop = StopReason.INITIAL
+            break
+        if small and not newton:
+            stop = StopReason.TOLERANCE
+            break
+        if newton and (small or quadratic):
+            E_try, g_try, _ = energy_at(v + d)
+            kept = E_try <= E + _ROUNDOFF * max(1.0, abs(E))
+            if kept:
+                v, E, g = v + d, E_try, g_try
+                history.append(E)
+                iterations += 1
+            stop = (StopReason.TOLERANCE if kept or small
+                    else StopReason.LINE_SEARCH)
+            break
+        step = 1.0 if newton else _secant_step(energy_at, v, d, -decrement)
         if step is None:
             stop = StopReason.LINE_SEARCH
             break
-        # The first trial carries the next Hessian, unless the contraction
-        # |g_new| = K |g|^2 of the last full Newton step predicts
-        # convergence. Where Newton's model decrease -gd/2 is below the
-        # roundoff of E, E cannot rank the points: the full step is taken
-        # if it reduces the gradient without raising E beyond roundoff,
-        # else the solve is at its floor.
-        noise = eps_E * max(1.0, abs(E))
-        blind = newton and -0.5 * gd <= noise
-        last = newton and (contraction is not None and contraction
-                           * float(np.max(np.abs(g))) ** 2
-                           <= 0.1 * tol_for(E))
-        accepted = None
+        # The first trial carries the next Hessian; a halved step that
+        # passes is assembled again with its Hessian.
         for trial_no in range(60):
             trial = v + step * d
-            E_try, g_try, H_try = energy_at(
-                trial, want_hess=trial_no == 0 and not (quadratic or last))
-            if E_try <= E + _ARMIJO * step * gd or (
-                    blind and E_try <= E + noise
-                    and np.max(np.abs(g_try)) < np.max(np.abs(g))):
-                accepted = (trial, E_try, g_try, H if quadratic else H_try)
-                break
-            if blind:
+            E_try, g_try, H = energy_at(trial, want_hess=trial_no == 0)
+            if E_try <= E - _ARMIJO * step * decrement:
                 break
             step *= _BACKTRACK
-        if accepted is None:
-            stop = StopReason.FLOOR if blind else StopReason.LINE_SEARCH
+        else:
+            stop = StopReason.LINE_SEARCH
             break
-        E_prev, g_norm_prev = E, float(np.max(np.abs(g)))
-        v, E, g, H = accepted
+        v, E, g = trial, E_try, g_try
         history.append(E)
         iterations += 1
-        g_norm = float(np.max(np.abs(g)))
-        full_newton = newton and trial_no == 0
-        contraction = g_norm / g_norm_prev ** 2 if full_newton else None
-        if g_norm <= tol_for(E):
-            stop = StopReason.TOLERANCE
-            break
-        if (E_prev - E <= eps_E * max(1.0, abs(E_prev))
-                and g_norm >= 0.9 * g_norm_prev):
-            no_progress += 1
-            if no_progress >= 2:
-                stop = StopReason.FLOOR
-                break
-        else:
-            no_progress = 0
-        # Only a damped step or a mispredicted last step lacks the Hessian.
         if H is None and iterations < _MAX_ITER:
             E, g, H = energy_at(v, want_hess=True)
 
@@ -361,8 +353,9 @@ def solve(problem: DirichletProblem) -> SolveResult:
         u=energy_at.state(v),
         energy=E,
         iterations=iterations,
-        grad_norm=float(np.max(np.abs(g))) if ni else 0.0,
+        grad_norm=float(np.max(np.abs(g))),
         stop_reason=stop or StopReason.BUDGET,
+        decrement=decrement,
         evaluations=energy_at.evaluations,
         hessians=energy_at.hessians,
         energy_history=tuple(history),
@@ -377,8 +370,9 @@ def apply_pointwise_eps(G: OrliczFunction, s: float, u: GridFunction,
     |x-y| >= eps, with the zero extension of u; the part beyond the support
     is reduced exactly to a growth-function evaluation.
     """
-    if eps <= 0.0:
-        raise InvalidParameterError("truncation radius must be positive")
+    if not 0.0 < eps < math.inf:
+        raise InvalidParameterError("truncation radius must be positive and "
+                                    "finite")
     if not (u.left < x < u.right):
         raise InvalidParameterError("evaluation point must lie in the domain")
     _check_s(s)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orliczfrac import ConfigError, GridFunction, InvalidParameterError
+from orliczfrac import solver
 from orliczfrac.cli import (
     ExperimentConfig,
     main,
@@ -233,6 +234,22 @@ class TestMain:
         assert main(["bbm", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    def test_singular_power_solve_converges(self, tmp_path):
+        # G''(t) = 0.75 t^(-1/2) is infinite at the symmetric minimizer's
+        # equal pairs; the decrement stop still ends it at TOLERANCE
+        cfg = self._write(
+            tmp_path, "command = solve\nG = power(1.5)\ns = 0.7\nnodes = 33\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "converged=1" in (tmp_path / "solve_summary.txt").read_text()
+
+    def test_unconverged_solve_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 1)
+        cfg = self._write(
+            tmp_path, "command = solve\nG = power(3)\ns = 0.7\nnodes = 33\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "iteration budget" in capsys.readouterr().err
+        assert "converged=0" in (tmp_path / "solve_summary.txt").read_text()
 
     def test_numeric_failure_exit_two(self, tmp_path, capsys):
         # the log-weight family without the +1 shift fails the monotonicity

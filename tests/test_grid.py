@@ -8,6 +8,7 @@ from orliczfrac import (
     GridFunction,
     InvalidInputError,
     InvalidParameterError,
+    apply_pointwise_eps,
     fractional_modular,
     gradient_modular,
     luxemburg_norm,
@@ -213,3 +214,14 @@ class TestTruncate:
         with pytest.raises(InvalidParameterError):
             truncate(GridFunction.hat(-1.0, 1.0, 17), 0.0)
 
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+@pytest.mark.parametrize("apply", [
+    lambda u, r: apply_pointwise_eps(G2, 0.5, u, 0.1, r),
+    mollify,
+    translate,
+    truncate,
+], ids=["apply_pointwise_eps", "mollify", "translate", "truncate"])
+def test_non_finite_radius_rejected(apply, radius):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        apply(GridFunction.hat(-1.0, 1.0, 17), radius)

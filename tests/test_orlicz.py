@@ -187,6 +187,14 @@ class TestCombinations:
         with pytest.raises(InvalidParameterError):
             make_combination("sum", [make_power(2.0)], [0.0])
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, w):
+        # a nan weight would be dropped by the w > 0 filter and an infinite
+        # one would fail later, in the function screening
+        with pytest.raises(InvalidParameterError, match="finite"):
+            make_combination("sum", [make_power(2.0), make_power(2.0)],
+                             [w, 1.0])
+
     def test_non_monotone_max_rejected(self):
         dent = make_custom(
             lambda x: np.asarray(x, float) ** 2 * (1.0 + 0.5 * np.sin(

@@ -141,10 +141,12 @@ class TestSolve:
         res = solve(problem(0.7, n=65))
         assert res.weak_residual <= 10.0 * 1e-8
 
+    # case0's id names the nodal gradient test that used to stop it; it
+    # now stops on the decrement, as case1 does.
     @pytest.mark.parametrize("case,stop", [
         (dict(s=0.5, n=33), StopReason.TOLERANCE),
-        (dict(s=0.7, n=33, G=G15), StopReason.FLOOR),
-    ], ids=["case0-gradient tolerance", "case1-gradient floor"])
+        (dict(s=0.7, n=33, G=G15), StopReason.TOLERANCE),
+    ], ids=["case0-gradient tolerance", "case1-power1.5"])
     def test_reported_weak_residual_matches_fresh_evaluation(self, case, stop):
         # the result reports the gradient it kept, not a fresh evaluation
         prob = problem(**case)
@@ -220,6 +222,19 @@ class TestNewton:
         assert res.evaluations <= 8
         assert res.hessians <= 5
 
+    # The decrement g.H^{-1}g does not scale with the mesh as the nodal
+    # gradient does, so the stop means the same on every mesh.
+    def test_decrement_stop_is_mesh_independent(self):
+        results = [solve(DirichletProblem(omega=(-1.0, 1.0), rhs=1.0, G=G3,
+                                          s=0.7, mesh_nodes=n))
+                   for n in (129, 513, 1025)]
+        for res in results:
+            assert res.stop_reason is StopReason.TOLERANCE
+            assert res.decrement <= solver._DECREMENT * max(1.0,
+                                                            abs(res.energy))
+        counts = [res.iterations for res in results]
+        assert max(counts) - min(counts) <= 1
+
     def test_local_hessian_matches_central_difference(self, rng):
         # the s = 1 path: tridiagonal G''(|m|) / h
         for G in (G3, make_power_log(3.0)):
@@ -254,10 +269,11 @@ class TestNewton:
 
     # The preconditioned gradient direction takes the zero start, where
     # G''(0) is 0 or infinite, and any iterate whose Newton direction is
-    # not finite (power(1.5)); p < 2 solves end at the gradient floor.
+    # not finite (power(1.5)); p < 2 solves also end at the decrement
+    # tolerance.
     @pytest.mark.parametrize("G,s,omega,stop", [
-        (make_power(1.2), 0.5, (0.0, 1.0), StopReason.FLOOR),
-        (G15, 0.7, (0.0, 1.0), StopReason.FLOOR),
+        (make_power(1.2), 0.5, (0.0, 1.0), StopReason.TOLERANCE),
+        (G15, 0.7, (0.0, 1.0), StopReason.TOLERANCE),
         (make_power_log(3.0), 0.6, (-1.0, 1.0), StopReason.TOLERANCE),
         (limit_density(make_power_log(3.0), 1).as_orlicz(), 1.0,
          (-1.0, 1.0), StopReason.TOLERANCE),
@@ -283,7 +299,8 @@ class TestNewton:
 
     def test_singular_hessian_takes_the_gradient_direction(self, monkeypatch):
         # G'' = 0 makes every assembled s = 1 Hessian exactly zero, so its
-        # LU fails and every step is a preconditioned gradient step
+        # LU fails and every step is a preconditioned gradient step; the
+        # last solve is the decrement at the returned iterate
         G = make_custom(lambda t: t ** 3, lambda t: 3.0 * t ** 2,
                         d2fn=np.zeros_like)
         stiffness_solve = solver._stiffness_solve
@@ -297,7 +314,7 @@ class TestNewton:
         prob = problem(1.0, n=9, G=G)
         res = solve(prob)
         assert res.converged and res.hessians >= 1
-        assert len(steps) == res.iterations
+        assert len(steps) == res.iterations + 1
         E = np.array(res.energy_history)
         eps = 8.0 * np.finfo(float).eps
         assert np.all(np.diff(E) <= eps * np.maximum(1.0, np.abs(E[:-1])))
