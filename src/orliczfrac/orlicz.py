@@ -98,7 +98,9 @@ def _screening_grid(n_points=_GRID_POINTS, kinks=()):
     grid = np.logspace(math.log10(_GRID_LO), math.log10(_GRID_HI), n_points)
     extra = [k for k in kinks if _GRID_LO < k < _GRID_HI]
     if extra:
-        grid = np.unique(np.concatenate([grid, np.asarray(extra, float)]))
+        # np.unique would do, but it imports numpy.ma at first use
+        grid = np.sort(np.concatenate([grid, np.asarray(extra, float)]))
+        grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
     return grid
 
 

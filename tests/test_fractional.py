@@ -187,6 +187,23 @@ class TestGradient:
                     / (2 * eps)
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=atol)
 
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    def test_finite_difference_in_blocks_of_offsets(self, s, rng):
+        # at 129 nodes the bands split into blocks of several offsets, the
+        # last ones padded (see TestPairBlocks)
+        u = random_state(rng, n=129)
+        eps = 1e-6
+        val, grad = fractional_modular_with_gradient(G23, s, u)
+        atol = max(1e-10, 4.0 * np.spacing(val) / eps)
+        for i in range(u.node_count):
+            vp = u.values.copy()
+            vm = u.values.copy()
+            vp[i] += eps
+            vm[i] -= eps
+            fd = (fractional_modular(G23, s, u.with_values(vp))
+                  - fractional_modular(G23, s, u.with_values(vm))) / (2 * eps)
+            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=atol)
+
     def test_zero_state_gradient_vanishes(self):
         z = GridFunction.zeros(-1.0, 1.0, 33)
         val, grad = fractional_modular_with_gradient(G2, 0.5, z)
@@ -238,6 +255,25 @@ class TestHessian:
                         ) / (2.0 * eps)
         assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
 
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0)],
+                             ids=lambda G: G.label)
+    def test_central_difference_in_blocks_of_offsets(self, G, rng):
+        # 129 nodes: bands of several blocks of several offsets, whose cross
+        # terms land on several diagonals per block (see TestPairBlocks)
+        u = random_state(rng, n=129, amplitude=0.4)
+        hess = _core(G, 0.7, u, want_grad=True, want_hess=True)[2]
+        eps = 1e-6
+        fd = np.empty_like(hess)
+        for i in range(u.node_count):
+            vp = u.values.copy()
+            vm = u.values.copy()
+            vp[i] += eps
+            vm[i] -= eps
+            fd[:, i] = (_core(G, 0.7, u.with_values(vp), want_grad=True)[1]
+                        - _core(G, 0.7, u.with_values(vm), want_grad=True)[1]
+                        ) / (2.0 * eps)
+        assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
+
     def test_square_hessian_is_constant(self, rng):
         # for t^2 the modular is a quadratic form, so its Hessian does not
         # depend on u and Phi_s(u) = u^T H u / 2
@@ -248,6 +284,43 @@ class TestHessian:
         assert hess == pytest.approx(zero, rel=1e-12, abs=1e-12)
         assert fractional_modular(G2, 0.6, u) == pytest.approx(
             0.5 * u.values @ hess @ u.values, rel=1e-12)
+
+
+class TestPairBlocks:
+    """`_pair_bands` walks each band in blocks of consecutive offsets."""
+
+    @pytest.mark.parametrize("n", [3, 33, 129, 1025])
+    def test_blocks_tile_the_offsets(self, n):
+        u = GridFunction.hat(-1.0, 1.0, n)
+        ne = n - 1
+        offsets, sizes = [], []
+        for x, blocks in fractional._pair_bands(0.5, u.spacing, u.values):
+            band = []
+            for j0, kern, block, (du,) in blocks:
+                nj = du.shape[1]
+                assert du.shape == (x.size ** 2, nj, ne - j0)
+                assert kern.shape == block.shape == (x.size ** 2, nj, 1)
+                offsets += range(j0, j0 + nj)
+                band.append(nj)
+            sizes.append(band)
+        assert offsets == list(range(1, ne))
+        if n == 129:
+            # the block-path tests above need bands of several blocks,
+            # each of several offsets
+            assert any(len(b) > 1 and min(b) > 1 for b in sizes)
+
+    def test_padding_is_zeroed_without_nan(self):
+        # G''(0) = inf for p < 2, and inf * 0 is NaN: the padding of a
+        # block is assigned 0, and every other entry is left as it is
+        u = GridFunction.hat(-1.0, 1.0, 33)
+        for _, blocks in fractional._pair_bands(0.5, u.spacing, u.values):
+            for _, _, _, (du,) in blocks:
+                nj, L = du.shape[1:]
+                out = fractional._drop_padding(np.full(du.shape, np.inf))
+                padding = np.arange(L) >= L - np.arange(nj)[:, None]
+                assert np.array_equal(out == 0.0, np.broadcast_to(
+                    padding, out.shape))
+                assert np.all(np.isinf(out[:, ~padding]))
 
 
 class TestFarField:
@@ -311,12 +384,18 @@ def uniform_pair_sum(G, s, u, order=5):
 
 
 def block_first_pair_sum(G, s, u):
-    """The distinct-element pairs with each pair weighted before the sum
-    over its elements: sum of block * G(arg) over every band and offset."""
+    """The distinct-element pairs of the graded rule offset by offset, with
+    each pair weighted before the sum over its elements."""
+    h = u.spacing
+    ne = u.node_count - 1
     total = 0.0
-    for _, band in fractional._pair_bands(s, u.spacing, u.values):
-        for _, kern, block, (du,) in band:
-            total += (block * G(np.abs(du) * kern)).sum()
+    for j, q in enumerate(_pair_orders(ne, 5), start=1):
+        x, w = gauss_rule_01(int(q))
+        U = u.values[:-1, None] * (1.0 - x) + u.values[1:, None] * x
+        dist = h * (j + np.subtract.outer(x, x))  # right point a, left b
+        du = U[j:, :, None] - U[:-j, None, :]
+        total += (2.0 * h * h * np.outer(w, w) / dist
+                  * G(np.abs(du) * dist ** (-s))).sum()
     return total
 
 

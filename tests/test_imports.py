@@ -129,3 +129,16 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_kinked_growth_set_up_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma, a measurable share of a CLI call's
+    # start-up; the screening grid of a kinked G dedupes without it
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "from orliczfrac.cli import parse_growth; "
+            "parse_growth('power_log(3)'); "
+            "parse_growth('max(power(2), power(3))'); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
