@@ -22,6 +22,7 @@ import argparse
 import ast
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -117,6 +118,7 @@ def _growth(node) -> OrliczFunction:
     raise InvalidParameterError(f"unknown growth function {head!r}")
 
 
+@lru_cache(maxsize=32)
 def parse_growth(text: str) -> OrliczFunction:
     return _growth(_tree(text))
 

@@ -179,12 +179,11 @@ def luxemburg_norm(modular_evaluator: Callable[[GridFunction], float],
         if grow > 64:
             raise DivergentModularError(
                 "modular stays above 1 for scalings up to 2^64")
-    lo = hi / 2.0
-    while lo > 2.0 ** -64 and phi(lo) <= 1.0:
-        hi = lo
-        lo /= 2.0
-    if phi(lo) <= 1.0:
-        return 0.0
+    lo = hi / 2.0  # phi(lo) > 1 is known once the bracket has grown
+    while not grow and phi(lo) <= 1.0:
+        if lo <= 2.0 ** -64:
+            return 0.0
+        hi, lo = lo, lo / 2.0
 
     tol = 1e-10 * (hi - lo)
     while hi - lo > tol:

@@ -191,8 +191,7 @@ def tilde_prelimit(G: OrliczFunction, n: int, a: float, s: float) -> float:
     _check_dim(n)
     if not (0.0 < s < 1.0):
         raise InvalidParameterError(f"fractional parameter must be in (0,1): {s}")
-    if not np.isfinite(a) or a < 0.0:
-        raise InvalidParameterError(f"density argument must be >= 0: {a}")
+    _density_argument(a)
     if a == 0.0:
         return 0.0
 

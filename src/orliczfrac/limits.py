@@ -37,14 +37,11 @@ class LimitCurve:
 
 
 def _validate_s_list(s_list):
-    s_list = [float(s) for s in s_list]
-    if not s_list:
-        raise InvalidParameterError("need at least one fractional order")
-    if any(not 0.0 < s < 1.0 for s in s_list):
-        raise InvalidParameterError("fractional orders must lie in (0,1)")
-    if any(b <= a for a, b in zip(s_list, s_list[1:])):
+    """`_check_s`'s orders as a list (a scalar is one order), increasing."""
+    orders = np.atleast_1d(_check_s(s_list))
+    if np.any(orders[1:] <= orders[:-1]):
         raise InvalidParameterError("fractional orders must increase strictly")
-    return s_list
+    return orders.tolist()
 
 
 def bbm_curve(G: OrliczFunction, u: GridFunction,

@@ -211,32 +211,31 @@ def _log_weight(kind, p, c):
         raise InvalidParameterError(f"{kind} exponent must be > 1, got {p}")
     p = float(p)
 
-    def split(x, fill):
-        """(x > 0 mask, those entries, their logs, output filled at x <= 0)"""
+    def positive(x):
+        """(x > 0 mask, x with 1 elsewhere, its log: 0 elsewhere)"""
         x = np.asarray(x, dtype=float)
         m = x > 0.0
-        return m, x[m], np.log(x[m]), np.full_like(x, fill)
+        xm = np.where(m, x, 1.0)
+        return m, xm, np.log(xm)
 
     def fn(x):
-        m, xm, lg, out = split(x, 0.0)
-        out[m] = _power(xm, p) * (np.abs(lg) + c)
-        return out
+        m, xm, lg = positive(x)
+        return np.where(m, _power(xm, p) * (np.abs(lg) + c), 0.0)
 
     def dfn(x):
-        m, xm, lg, out = split(x, 0.0)
+        m, xm, lg = positive(x)
         xp = _power(xm, p - 1.0)
         below = xp * (p * (c - lg) - 1.0)
         above = xp * (p * (c + lg) + 1.0)
-        out[m] = np.where(xm < 1.0, below, above)
-        return out
+        return np.where(m, np.where(xm < 1.0, below, above), 0.0)
 
     def d2fn(x):
-        m, xm, lg, out = split(x, 0.0 if p > 2.0 else np.inf)
+        m, xm, lg = positive(x)
         xp = _power(xm, p - 2.0)
         below = xp * ((p - 1.0) * ((p * c - 1.0) - p * lg) - p)
         above = xp * ((p - 1.0) * ((p * c + 1.0) + p * lg) + p)
-        out[m] = np.where(xm < 1.0, below, above)
-        return out
+        return np.where(m, np.where(xm < 1.0, below, above),
+                        0.0 if p > 2.0 else np.inf)
 
     return _finalize(kind, (p,), fn, dfn, d2fn, f"{kind}({p:g})",
                      kinks=(1.0,))

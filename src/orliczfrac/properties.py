@@ -30,6 +30,7 @@ from .orlicz import OrliczFunction, conjugate
 
 _ATOL = 1e-12
 _RTOL = 1e-12  # roundoff slack scales with the magnitude of the bound
+_REL_SLACK = 1e-3  # transform bounds: relative slack for quadrature noise
 _SMOOTHING_PASSES = 2
 _GAUGE_SAMPLES, _GAUGE_NODES = 10, 129
 
@@ -129,31 +130,25 @@ def random_zero_trace(rng, left=-1.0, right=1.0, node_count=257,
 
 def transform_suite(G: OrliczFunction, s_values: Sequence[float] = (0.3, 0.6, 0.9),
                     n_functions: int = 50, node_count: int = 257,
-                    seed: int = 0, rel_slack: float = 1e-3
-                    ) -> List[PropertyResult]:
+                    seed: int = 0) -> List[PropertyResult]:
     """Modular transform bounds on random zero-trace grid functions.
 
     Checks, per sampled function and fractional order: the mollification
     bound, the truncation bound, the translation bound, the local-to-
-    nonlocal upper bound, and the two-order comparison; all with rel_slack
-    relative tolerance for quadrature noise. Phi_s of each function and of
-    its mollified and truncated versions is one multi-order
-    `fractional_modular` call over ``s_values``.
+    nonlocal upper bound, and the two-order comparison; each bound gets
+    `_REL_SLACK` relative slack for quadrature noise and is counted by
+    `_tally`. Phi_s of each function and of its mollified and truncated
+    versions is one multi-order `fractional_modular` call over ``s_values``.
     """
     rng = np.random.default_rng(seed)
     C = G.doubling_constant
     surface = sphere_surface(1)
-    tallies = {name: [0, 0, 0.0] for name in
-               ("mollification", "truncation", "translation",
-                "nonlocal upper bound", "two-order comparison")}
+    gaps = {name: [] for name in
+            ("mollification", "truncation", "translation",
+             "nonlocal upper bound", "two-order comparison")}
 
     def record(name, lhs, rhs):
-        t = tallies[name]
-        t[0] += 1
-        margin = lhs - rhs * (1.0 + rel_slack) - _ATOL
-        if margin > 0:
-            t[1] += 1
-        t[2] = max(t[2], margin)
+        gaps[name].append(lhs - rhs * (1.0 + _REL_SLACK))
 
     s_values = list(s_values)
     for _ in range(n_functions):
@@ -192,9 +187,7 @@ def transform_suite(G: OrliczFunction, s_values: Sequence[float] = (0.3, 0.6, 0.
                    2.0 ** (1.0 - s1) * (1.0 - s2) * phi2
                    + 2.0 * C * surface * (1.0 - s1) / s1 * phi_plain)
 
-    return [PropertyResult(name=n, samples=t[0], violations=t[1],
-                           worst_margin=t[2])
-            for n, t in tallies.items()]
+    return [_tally(name, lhs, 0.0) for name, lhs in gaps.items()]
 
 
 def luxemburg_consistency(G: OrliczFunction, seed: int = 1

@@ -107,8 +107,7 @@ def test_criterion_4_transform_bounds():
     """Mollify/truncate/translate/compare bounds on 50 random functions."""
     t0 = time.time()
     results = transform_suite(make_power(2.0), s_values=(0.3, 0.6, 0.9),
-                              n_functions=50, node_count=257, seed=5,
-                              rel_slack=1e-3)
+                              n_functions=50, node_count=257, seed=5)
     elapsed = time.time() - t0
     bad = [r for r in results if not r.passed]
     detail = ", ".join(f"{r.name}: {r.samples} checks" for r in results)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orliczfrac import ConfigError, GridFunction, InvalidParameterError
-from orliczfrac import solver
+from orliczfrac import cli, solver
 from orliczfrac.cli import (
     ExperimentConfig,
     main,
@@ -30,6 +30,10 @@ class TestGrowthGrammar:
     def test_composition(self):
         G = parse_growth("compose(power(2), power(1.5))")
         assert G(2.0) == pytest.approx(8.0)
+
+    def test_each_spec_is_built_once(self):
+        spec = "max(power(2), power(3))"
+        assert parse_growth(spec) is parse_growth(spec)
 
     def test_rejects_unknown_head(self):
         with pytest.raises(InvalidParameterError):
@@ -135,6 +139,21 @@ class TestRunners:
         for ln in lines[1:]:
             rel = float(ln.split(",")[3])
             assert rel <= 1e-6
+
+    def test_config_and_run_build_growth_once(self, tmp_path, monkeypatch):
+        built = []
+        growth = cli._growth
+
+        def counted(node):
+            built.append(node)
+            return growth(node)
+
+        monkeypatch.setattr(cli, "_growth", counted)
+        parse_growth.cache_clear()
+        cfg = parse_config("command = tilde\nG = power(2.71)\nn = 1\n"
+                           "a_list = 0.5\n")
+        run(cfg, tmp_path)
+        assert len(built) == 1
 
     def test_tilde_without_closed_form_leaves_blank(self, tmp_path):
         cfg = parse_config(

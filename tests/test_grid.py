@@ -18,6 +18,7 @@ from orliczfrac import (
     translate,
     truncate,
 )
+from orliczfrac.properties import transform_suite
 
 G2 = make_power(2.0)
 
@@ -117,6 +118,22 @@ class TestLuxemburg:
         lam = luxemburg_norm(lambda f: modular(G2, f), u)
         assert lam == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("amplitude", [1e-3, 1.0, 50.0])
+    def test_probes_each_scale_once(self, amplitude):
+        # the shrink (1e-3), bisection-only (1) and grow (50) paths: each
+        # evaluator call sees u / lam, so its peak records 1 / lam
+        u = GridFunction.hat(-1.0, 1.0, 65) * amplitude
+        peaks = []
+
+        def evaluator(f):
+            peaks.append(float(f.values.max()))
+            return modular(G2, f)
+
+        lam = luxemburg_norm(evaluator, u)
+        assert lam == pytest.approx(amplitude * math.sqrt(2.0 / 3.0),
+                                    rel=1e-6)
+        assert len(set(peaks)) == len(peaks)
+
     def test_bracketing_at_convergence(self):
         u = GridFunction.hat(-1.0, 1.0, 257) * 3.7
         lam = luxemburg_norm(lambda f: modular(G2, f), u)
@@ -196,6 +213,13 @@ class TestTransformBoundsOnTent:
         assert lam > 0.0
         assert fractional_modular(G2, 0.5, u * (1.0 / (lam + 1e-7))) <= 1.0
         assert fractional_modular(G2, 0.5, u * (1.0 / (lam - 1e-7))) >= 1.0
+
+    def test_suite_counts_like_the_inequality_battery(self):
+        # the transform battery tallies through `_tally`: every bound holds,
+        # so each worst margin is negative, as for `inequality_suite`
+        for res in transform_suite(G2, n_functions=2, node_count=33, seed=1):
+            assert res.passed and res.samples > 0
+            assert res.worst_margin < 0.0
 
 
 class TestTruncate:

@@ -37,6 +37,14 @@ class TestCurve:
         for (_, y1), (_, y2) in zip(c1.entries, c2.entries):
             assert y2 == pytest.approx(4.0 * y1, rel=1e-12)
 
+    def test_single_order_is_its_own_extrapolation(self):
+        u = GridFunction.hat(-1.0, 1.0, 65)
+        curve = bbm_curve(G2, u, [0.9])
+        ((s, y),) = curve.entries
+        assert s == 0.9
+        assert curve.extrapolated_limit == y
+        assert bbm_curve(G2, u, 0.9) == curve   # a scalar is one order
+
     def test_needs_zero_trace(self):
         bad = GridFunction(-1.0, 1.0, np.linspace(1.0, 0.0, 17))
         with pytest.raises(InvalidParameterError):

@@ -397,14 +397,32 @@ class TestPointwiseOperator:
         assert d2 < d1
 
     def test_cauchy_in_epsilon_on_smooth_stretch(self):
-        # away from corners the integrand is locally antisymmetric and the
-        # truncation converges quickly even at s = 1/2
-        u = GridFunction.hat(-1.0, 1.0, 513)
-        vals = [apply_pointwise_eps(G2, 0.5, u, 0.25, e)
-                for e in (0.1, 0.05, 0.025)]
-        d1 = abs(vals[1] - vals[0])
-        d2 = abs(vals[2] - vals[1])
+        # on a curved stretch what the window leaves out behaves like
+        # u''(x) eps^(2-2s): at s = 1/2 each halving of eps halves the step
+        # (0.200, then 0.100, for 1 - x^2)
+        def steps(u):
+            vals = [apply_pointwise_eps(G2, 0.5, u, 0.25, e)
+                    for e in (0.1, 0.05, 0.025)]
+            return abs(vals[1] - vals[0]), abs(vals[2] - vals[1]), vals[0]
+
+        d1, d2, _ = steps(GridFunction.from_callable(
+            lambda x: 1.0 - x ** 2, -1.0, 1.0, 513))
         assert d2 < d1
+        # on the hat every window stays on one linear piece, so the two
+        # sides cancel exactly and the value moves only at roundoff
+        d1, d2, val = steps(GridFunction.hat(-1.0, 1.0, 513))
+        assert max(d1, d2) <= 1e-12 * abs(val)
+
+    def test_window_beyond_both_ends_is_two_tails(self):
+        # eps exceeds the distance to either end: no interior piece is left,
+        # and each side is G(c eps^-s) / (s c) with c = u(x)
+        u = GridFunction.hat(-1.0, 1.0, 33)
+        x, eps, s = 0.25, 2.0, 0.5
+        c = float(u(x))
+        val = apply_pointwise_eps(G3, s, u, x, eps)
+        assert val == pytest.approx(
+            2.0 * float(G3(c * eps ** -s)) / (s * c), rel=1e-15)
+        assert apply_pointwise_eps(G3, s, -1.0 * u, x, eps) == -val
 
 
 class TestGammaRun:
