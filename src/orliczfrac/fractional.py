@@ -6,10 +6,10 @@ The double integral
 
 is split into three pieces:
 
-  (i)  same-element blocks, integrated in the difference variable, where the
-       kernel singularity lives; pure powers get the explicit antiderivative,
-       everything else a fixed Gauss rule after the substitution
-       xi = t^(1-s) that flattens the singularity;
+  (i)  same-element blocks, where the kernel singularity lives: the n = 1
+       limit density `limit_density(G, 1)` at the scaled slope, minus a
+       smooth integral by the profile's kink-split tanh-sinh rule
+       (`_same_element`); pure powers get both in closed form;
   (ii) distinct-element blocks by tensor Gauss quadrature, grouped by the
        element offset j: the pairs at one offset share their distances, so
        the kernel tables dist**(-s) and 2 h^2 w_a w_b / dist are built once
@@ -41,13 +41,12 @@ depend on the number of orders. Pieces (i) and (iii) are evaluated per
 order.
 
 The gradient returned by the *_with_gradient entry point is the exact
-derivative of the computed discrete value (same rules, same nodes) in
-pieces (i) and (ii), and the exact derivative of the profile in (iii), which
-is what makes finite-difference checks of the energy meaningful. With
-``want_hess`` the same passes also assemble the exact Hessian of the
-computed value (of the profile's exact derivative in (iii)), for the
-solver's Newton steps; these take one order. The absolute pairing
-`pairing_abs` is built from the same three pieces.
+derivative of the computed value (same rules, same nodes) in piece (ii),
+and in (i) and (iii) the exact derivative of tilde_G and of the smooth
+integrand (for G without kinks, the rule's own to rounding), which makes
+finite-difference checks of the energy meaningful. With ``want_hess`` the
+same passes assemble the Hessian likewise, for the solver's Newton steps
+(one order). The absolute pairing `pairing_abs` uses the same pieces.
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run. In a block, each pair row G(arg) of each
@@ -73,10 +72,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._quadrature import gauss_rule_01
 from .errors import InvalidInputError, InvalidParameterError
 from .grid import GridFunction, _at_gauss_points
-from .limit_density import limit_density
+from .limit_density import _kink_cuts, limit_density, split_nodes
 from .orlicz import OrliczFunction
 
-_SAME_ELEMENT_ORDER = 48
 _ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
 _BLOCK_POINTS = 2 ** 13  # pair points (rows x elements) of a block of offsets
 
@@ -86,16 +84,20 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
     derivative in m per element (or None); with ``want_hess`` also the
     second derivative per element, as a third entry.
 
-    Pure powers get the explicit antiderivative. Otherwise the substitution
-    xi = t^(1-s) flattens the kernel and a fixed Gauss rule integrates each
-    panel between the (per-element) preimages of G's derivative kinks, which
-    keeps the rule's accuracy for kinked growth functions.
+    With e = 1 - s, H = h^e and c = |m| H, t = h r gives a block
+    (h/e) tilde_G(c) - 2h B(c), B(c) = int_0^1 G(c r^e) dr, and tilde_G
+    the n = 1 limit density. Pure powers have it in closed form, coef G(m).
+    Otherwise B and A(c) = B'(c) = int_0^1 G'(c r^e) r^e dr take the
+    profile's rule, cut where c r^e crosses a kink. The m-derivative is
+    (2hH/e) (G(c)/c - e A(c)); the second one follows from
+    c A'(c) = (G'(c) - (1+e) A(c)) / e, which holds across kinks too.
     """
     m = np.abs(slopes)
     sgn = np.sign(slopes)
+    e = 1.0 - s
     if G.kind == "power":
         p = G.params[0]
-        beta = (1.0 - s) * p
+        beta = e * p
         coef = 2.0 * h ** (beta + 1.0) / (beta * (beta + 1.0))
         vals = coef * G(m)
         ders = coef * G.deriv(m) * sgn if want_grad else None
@@ -103,45 +105,27 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
             return float(np.sum(vals)), ders, coef * G.d2(m)
         return float(np.sum(vals)), ders
 
-    x, w = gauss_rule_01(_SAME_ELEMENT_ORDER)
-    H = h ** (1.0 - s)
-    with np.errstate(divide="ignore"):
-        cuts = [np.clip(np.where(m > 0.0, k / np.maximum(m, 1e-300), H),
-                        0.0, H)
-                for k in sorted(G.kinks)]
-    edges = [np.zeros_like(m)] + cuts + [np.full_like(m, H)]
-
-    scale = 2.0 / (1.0 - s)
-    vals = np.zeros_like(m)
-    ders = np.zeros_like(m) if want_grad else None
-    curv = np.zeros_like(m) if want_hess else None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        width = np.maximum(hi - lo, 0.0)
-        xi = lo[:, None] + width[:, None] * x[None, :]
-        with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-            back = xi ** (1.0 / (1.0 - s))
-            outer = width[:, None] * w[None, :] * (h - back)
-            core = np.where(xi > 0.0, G(m[:, None] * xi) / np.where(
-                xi > 0.0, xi, 1.0), 0.0)
-        vals += scale * np.sum(outer * core, axis=1)
-        if want_grad:
-            ders += scale * np.sum(outer * G.deriv(m[:, None] * xi), axis=1)
-        if want_hess:
-            curv += scale * np.sum(outer * xi * G.d2(m[:, None] * xi), axis=1)
-    if want_hess:
-        # G' jumps by J at a kink k, which moves with m: the cut xi = k/m
-        # adds scale (h - xi^(1/(1-s))) J k / m^2 while it lies inside.
-        for k, cut in zip(sorted(G.kinks), cuts):
-            jump = float(G.deriv(k * (1.0 + 1e-9)) - G.deriv(k * (1.0 - 1e-9)))
-            inside = (cut > 0.0) & (cut < H)
-            msafe = np.where(inside, m, 1.0)
-            curv += np.where(inside, scale * (h - cut ** (1.0 / (1.0 - s)))
-                             * jump * k / (msafe * msafe), 0.0)
-    if want_grad:
-        ders *= sgn
-    if want_hess:
-        return float(np.sum(vals)), ders, curv
-    return float(np.sum(vals)), ders
+    H = h ** e
+    c = m * H
+    tilde = limit_density(G, 1)
+    cuts = [t ** (1.0 / e) for t in _kink_cuts(c, G.kinks)]
+    r, width, w = split_nodes(c.shape, cuts, 1.0)
+    re = r ** e
+    arg = c[:, None, None] * re
+    smooth = np.sum(width * (G(arg) @ w), axis=-1)
+    val = float(np.sum((h / e) * tilde.value(c) - 2.0 * h * smooth))
+    if not want_grad:
+        return val, None
+    flux = tilde.deriv(c) / 2.0  # G(c)/c, 0 at c = 0
+    A = np.sum(width * ((G.deriv(arg) * re) @ w), axis=-1)
+    ders = (2.0 * h * H / e) * (flux - e * A) * sgn
+    if not want_hess:
+        return val, ders
+    pos = c > 0.0
+    curv = np.where(pos, (2.0 * h * H * H / e) * ((1.0 + e) * A - flux)
+                    / np.where(pos, c, 1.0),
+                    h * H * H * float(G.d2(0.0)) / (e * (1.0 + 2.0 * e)))
+    return val, ders, curv
 
 
 def _pair_orders(ne, order):

@@ -108,28 +108,41 @@ def sphere_integral(f, n: int, c, kinks) -> np.ndarray:
     return scale * _kink_split_rule(f, c, kinks, polar=n == 2)
 
 
+def _kink_cuts(c, kinks):
+    """min(k/c, 1) per kink k of f below max(c), in increasing order: where
+    the argument c t crosses a kink (a kink above an entry gives it 1)."""
+    top = float(np.max(c, initial=0.0))
+    with np.errstate(divide="ignore"):
+        return [np.minimum(k / c, 1.0) for k in sorted(set(kinks))
+                if 0.0 < k < top]
+
+
+def split_nodes(shape, cuts, end):
+    """The profile's tanh-sinh rule on the pieces of (0, end) between
+    ``cuts`` (increasing arrays of ``shape``): nodes t (shape + (pieces,
+    nodes)), piece widths and weights w, so that
+    ``np.sum(width * (f(t) @ w), axis=-1)`` integrates f per entry."""
+    x, w = tanh_sinh_rule_01(_PROFILE_STEPS, _PROFILE_SPAN)
+    lo = np.stack([np.zeros(shape), *cuts], axis=-1)
+    hi = np.concatenate([lo[..., 1:], np.full(shape + (1,), end)], -1)
+    width = hi - lo
+    return lo[..., None] + width[..., None] * x, width, w
+
+
 def _kink_split_rule(f, c, kinks, polar):
     """int_0^1 f(c t) dt, or int_0^(pi/2) f(c sin t) dt if ``polar``,
     elementwise for an array c >= 0.
 
     Split per entry where the argument crosses a kink, then the profile's
     tanh-sinh rule on every piece: its node clustering resolves algebraic
-    and logarithmic behaviour at the ends. A kink at or above every entry
-    is dropped (a kink above one entry gives it a piece of width zero), and
-    f is evaluated once, on all pieces and entries together.
+    and logarithmic behaviour at the ends. f is evaluated once, on all
+    pieces and entries together.
     """
-    x, w = tanh_sinh_rule_01(_PROFILE_STEPS, _PROFILE_SPAN)
-    top = float(np.max(c, initial=0.0))
-    with np.errstate(divide="ignore"):
-        cuts = [np.minimum(k / c, 1.0) for k in sorted(set(kinks))
-                if 0.0 < k < top]
+    cuts = _kink_cuts(c, kinks)
     end = 1.0
     if polar:
         cuts, end = [np.arcsin(t) for t in cuts], 0.5 * math.pi
-    lo = np.stack([np.zeros_like(c), *cuts], axis=-1)
-    hi = np.concatenate([lo[..., 1:], np.full(c.shape + (1,), end)], -1)
-    width = hi - lo
-    t = lo[..., None] + width[..., None] * x
+    t, width, w = split_nodes(c.shape, cuts, end)
     vals = f(c[..., None, None] * (np.sin(t) if polar else t))
     return np.sum(width * (vals @ w), axis=-1)
 
@@ -191,7 +204,8 @@ def tilde_prelimit(G: OrliczFunction, n: int, a: float, s: float) -> float:
     _check_dim(n)
     if not (0.0 < s < 1.0):
         raise InvalidParameterError(f"fractional parameter must be in (0,1): {s}")
-    _density_argument(a)
+    if _density_argument(a).ndim:
+        raise InvalidParameterError(f"pre-limit argument must be a float: {a}")
     if a == 0.0:
         return 0.0
 

@@ -111,6 +111,19 @@ class TestMultiOrder:
         assert np.array_equal(calls[0], [0.9, 0.95, 0.99])
 
 
+def power_log3_profile(w):
+    """int_0^w v^2 (|log v| + 1) dv."""
+    lg = np.log(np.where(w > 0.0, w, 1.0))
+    cube = w ** 3 / 3.0
+    return np.where(w <= 1.0, cube * (4.0 / 3.0 - lg),
+                    cube * (2.0 / 3.0 + lg) + 2.0 / 9.0)
+
+
+def max23_profile(w):
+    """int_0^w max(v, v^2) dv."""
+    return np.where(w <= 1.0, w * w / 2.0, w ** 3 / 3.0 + 1.0 / 6.0)
+
+
 class TestSameElementPiece:
     @pytest.mark.parametrize("G,s,m", [
         (make_power(2.0), 0.5, 1.3),
@@ -129,6 +142,50 @@ class TestSameElementPiece:
         ref, _ = integrate.quad(integrand, 0.0, h, epsabs=1e-16,
                                 epsrel=1e-12, limit=400)
         assert val == pytest.approx(2.0 * ref, rel=1e-7)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_generic_branch_matches_closed_form(self, p):
+        # t^p outside its family, with exact G' and G'': the generic branch
+        # against the closed form, up to s = 0.9999
+        closed = make_power(p)
+        plain = make_custom(closed.fn, closed.dfn, d2fn=closed.d2fn)
+        for s in (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999):
+            for h in (1.0 / 64.0, 1.0 / 512.0):
+                for m in (0.3, 1.3, 5.0, 40.0):
+                    got = _same_element(plain, s, h, np.array([m]), True, True)
+                    ref = _same_element(closed, s, h, np.array([m]), True,
+                                        True)
+                    for a, b in zip(got, ref):
+                        assert np.asarray(a) == pytest.approx(
+                            np.asarray(b), rel=1e-13)
+
+    @pytest.mark.parametrize("G,profile", [
+        (make_power_log(3.0), power_log3_profile),
+        (G23, max23_profile),
+        (G23_PLAIN, max23_profile),
+    ], ids=["power_log(3)", "max(power(2), power(3))",
+            "max_without_closed_form"])
+    def test_kinked_against_exact_profile(self, G, profile):
+        # 2*int_0^h (h-t) G(m t^e) dt/t = (2h/e) I(c) - 2h int_0^1 G(c r^e) dr
+        # with e = 1-s and c = m h^e: the exact profile I, and the smooth
+        # integral by adaptive quadrature in r = exp(-y), split at the kink
+        for s in (0.1, 0.5, 0.9, 0.99, 0.999):
+            e = 1.0 - s
+            for h in (1.0 / 64.0, 1.0 / 512.0):
+                for m in (0.3, 1.3, 5.0, 40.0):
+                    c = m * h ** e
+
+                    def smooth(y):
+                        return float(G(c * np.exp(-e * y))) * np.exp(-y)
+
+                    edges = [0.0, *([np.log(c) / e] if c > 1.0 else []),
+                             np.inf]
+                    tail = sum(integrate.quad(smooth, lo, hi, epsabs=0.0,
+                                              epsrel=1e-13, limit=400)[0]
+                               for lo, hi in zip(edges[:-1], edges[1:]))
+                    ref = (2.0 * h / e) * float(profile(c)) - 2.0 * h * tail
+                    val, _ = _same_element(G, s, h, np.array([m]), False)
+                    assert val == pytest.approx(ref, rel=1e-11)
 
     def test_gradient_matches_value_derivative(self):
         G = make_power_log(2.0)
@@ -222,14 +279,6 @@ def far_field_reference(profile, s, u, order=5):
                for d in (u.right - X, X - u.left))
 
 
-def power_log3_profile(w):
-    """int_0^w v^2 (|log v| + 1) dv."""
-    lg = np.log(np.where(w > 0.0, w, 1.0))
-    cube = w ** 3 / 3.0
-    return np.where(w <= 1.0, cube * (4.0 / 3.0 - lg),
-                    cube * (2.0 / 3.0 + lg) + 2.0 / 9.0)
-
-
 class TestHessian:
     """`_core(..., want_hess=True)` is the derivative of its own gradient."""
 
@@ -271,6 +320,25 @@ class TestHessian:
             vm[i] -= eps
             fd[:, i] = (_core(G, 0.7, u.with_values(vp), want_grad=True)[1]
                         - _core(G, 0.7, u.with_values(vm), want_grad=True)[1]
+                        ) / (2.0 * eps)
+        assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
+
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_central_difference_with_a_difference_quotient_d2(self, s, seed):
+        # G23_PLAIN has no d2fn, so its G'' is a central difference of G';
+        # the same-element block reads G and G' only
+        u = random_state(np.random.default_rng(seed), n=33, amplitude=0.4)
+        hess = _core(G23_PLAIN, s, u, want_grad=True, want_hess=True)[2]
+        eps = 1e-6
+        fd = np.empty_like(hess)
+        for i in range(u.node_count):
+            vp = u.values.copy()
+            vm = u.values.copy()
+            vp[i] += eps
+            vm[i] -= eps
+            fd[:, i] = (_core(G23_PLAIN, s, u.with_values(vp), True)[1]
+                        - _core(G23_PLAIN, s, u.with_values(vm), True)[1]
                         ) / (2.0 * eps)
         assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
 
@@ -329,8 +397,7 @@ class TestFarField:
     @pytest.mark.parametrize("s", [0.3, 0.9])
     @pytest.mark.parametrize("G,profile", [
         (make_power_log(3.0), power_log3_profile),
-        (G23_PLAIN, lambda w: np.where(w <= 1.0, w * w / 2.0,
-                                       w ** 3 / 3.0 + 1.0 / 6.0)),
+        (G23_PLAIN, max23_profile),
     ], ids=["power_log(3)", "max_without_closed_form"])
     def test_generic_profile_matches_exact_profile(self, G, profile, s):
         # 3 x hat puts the profile arguments on both sides of the kink at 1

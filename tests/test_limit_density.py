@@ -108,6 +108,13 @@ class TestPrelimit:
     def test_zero(self):
         assert tilde_prelimit(make_power(2.0), 1, 0.0, 0.5) == 0.0
 
+    def test_rejects_an_array_argument(self):
+        G = make_power(2.0)
+        with pytest.raises(InvalidParameterError):
+            tilde_prelimit(G, 1, np.array([1.0, 2.0]), 0.5)
+        assert tilde_prelimit(G, 1, np.array(1.5), 0.5) == pytest.approx(
+            2.25, rel=1e-8)
+
     def test_matches_substituted_form_for_kinked_kind(self):
         # the change of variables is exact, so the pre-limit agrees with the
         # substituted evaluation at every s, for every growth function
