@@ -174,11 +174,13 @@ def _one_of(convert, allowed, message):
     return check
 
 
-def _count(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"count must be >= 1, got {value}")
-    return value
+def _at_least(low, name):
+    def check(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+        return value
+    return check
 
 
 def _domain(text):
@@ -205,13 +207,13 @@ _KEYS = {
     "s": ("s", float),
     "s_list": ("s_list", _parse_floats),
     "domain": ("domain", _domain),
-    "nodes": ("nodes", int),
+    "nodes": ("nodes", _at_least(2, "nodes")),
     "rhs": ("rhs_spec", _spec(_parse_rhs)),
     "a_list": ("a_list", _parse_floats),
     "scaling": ("scaling", _one_of(str, ("bbm_scaled", "unscaled"),
                                    "scaling must be bbm_scaled|unscaled")),
-    "seed": ("seed", int),
-    "count": ("count", _count),
+    "seed": ("seed", _at_least(0, "seed")),
+    "count": ("count", _at_least(1, "count")),
     "out": ("out", str),
 }
 

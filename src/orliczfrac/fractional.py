@@ -445,6 +445,12 @@ def _check_s(s):
     return orders
 
 
+def _check_one_s(s):
+    """`_check_s` for the paths that take one order only."""
+    if _check_s(s).ndim:
+        raise InvalidParameterError(f"need one fractional order, got {s}")
+
+
 def fractional_modular(G: OrliczFunction, s, u: GridFunction):
     """Fractional modular of a grid function for s in (0, 1).
 
@@ -463,7 +469,7 @@ def fractional_modular(G: OrliczFunction, s, u: GridFunction):
 def fractional_modular_with_gradient(G: OrliczFunction, s: float,
                                      u: GridFunction):
     """(value, nodal gradient) of the discrete fractional modular."""
-    _check_s(s)
+    _check_one_s(s)
     return _core(G, s, u, want_grad=True)
 
 
@@ -479,7 +485,7 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     the Young bound holds node by node, and for v = u and G = t^p the
     pairing is p Phi_s(u) up to roundoff.
     """
-    _check_s(s)
+    _check_one_s(s)
     if (u.left, u.right, u.node_count) != (v.left, v.right, v.node_count):
         raise InvalidInputError("u and v must share a mesh")
     h = u.spacing

@@ -26,7 +26,7 @@ from .errors import (
     InvalidParameterError,
     UniquenessWarning,
 )
-from .fractional import _add_slope_blocks, _check_s, _core
+from .fractional import _check_one_s, _core
 from .grid import GridFunction, gradient_modular, modular
 from .limit_density import limit_density
 from .limits import _validate_s_list
@@ -148,8 +148,8 @@ class SolveResult:
 
 
 def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
-    """(value, gradient[, Hessian]) of the seminorm term; the Hessian (a
-    dense nodal matrix) only with ``want_hess``."""
+    """(value, gradient[, Hessian]) of the seminorm term; with ``want_hess``
+    the Hessian: dense for s < 1, at s = 1 the chain weights G''(|m|) / h."""
     if problem.s >= 1.0:
         val = gradient_modular(problem.G, u)
         if not want_grad:
@@ -161,10 +161,7 @@ def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
         grad[1:] += dm
         if not want_hess:
             return val, grad
-        hess = np.zeros((u.node_count, u.node_count))
-        _add_slope_blocks(hess, problem.G.d2(np.abs(m)) / u.spacing)
-        hess += np.triu(hess, 1).T
-        return val, grad, hess
+        return val, grad, problem.G.d2(np.abs(m)) / u.spacing
     return _core(problem.G, problem.s, u, want_grad=want_grad,
                  want_hess=want_hess)
 
@@ -216,8 +213,8 @@ class _Energy:
             np.concatenate([[0.0], interior, [0.0]]))
 
     def __call__(self, interior, want_hess=False):
-        """(E, interior gradient, interior Hessian or None) at the state
-        with these interior values."""
+        """(E, interior gradient, sigma times the seminorm's Hessian (scaled
+        in place) or None) at the state with these interior values."""
         prob = self.problem
         u = self.state(interior)
         self.evaluations += 1
@@ -226,26 +223,36 @@ class _Energy:
                                    want_hess=want_hess)
         E = prob.sigma * out[0] - float(self.F @ u.values)
         g = (prob.sigma * out[1] - self.F)[1:-1]
-        H = prob.sigma * out[2][1:-1, 1:-1] if want_hess else None
+        H = np.multiply(out[2], prob.sigma, out=out[2]) if want_hess else None
         return E, g, H
 
 
 def _newton_direction(H, g):
-    """-H^{-1} g, or None where H is exactly singular or the direction is
-    not finite or not downhill (g.d >= 0)."""
+    """-H^{-1} g: a chain solve at s = 1, an LU below; None where the LU
+    finds H singular or d is not finite or not downhill (g.d >= 0)."""
     try:
-        d = np.linalg.solve(H, -g)
+        d = (-_chain_solve(H, g) if H.ndim == 1
+             else np.linalg.solve(H[1:-1, 1:-1], -g))
     except np.linalg.LinAlgError:
         return None
     return d if np.all(np.isfinite(d)) and g @ d < 0.0 else None
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _chain_solve(k, r):
+    """x with B^T diag(k) B x = r, B the n + 1 element differences, in O(n):
+    fluxes k_e dx_e = q - R_e, R = (0, cumsum(r)); sum(dx) = 0 fixes q. Taken
+    about j = argmin k, so a weight of 0, tiny or infinite keeps accuracy."""
+    R = np.concatenate([[0.0], np.cumsum(r)])
+    j = int(np.argmin(k))
+    w, dR = 1.0 / np.delete(k, j), np.delete(R, j) - R[j]
+    jump = (w @ dR) / (1.0 + k[j] * w.sum())
+    return np.cumsum(np.insert(w * (k[j] * jump - dR), j, jump)[:-1])
+
+
 def _stiffness_solve(r, h):
-    """K^{-1} r for the interior stiffness K = tridiag(-1, 2, -1) / h, by its
-    discrete Green's function: x_i = h (i C_n / (n+1) - C_{i-1}) with
-    C = cumsum(cumsum(r)) and C_0 = 0. O(n), and exact for n = 1."""
-    C = np.concatenate([[0.0], np.cumsum(np.cumsum(r))])
-    return h * (np.arange(1, r.size + 1) * (C[-1] / (r.size + 1)) - C[:-1])
+    """K^{-1} r for the interior stiffness K = tridiag(-1, 2, -1) / h."""
+    return _chain_solve(np.full(r.size + 1, 1.0 / h), r)
 
 
 def _secant_step(energy_at, v, d, gd):
@@ -270,8 +277,8 @@ def solve(problem: DirichletProblem) -> SolveResult:
     that solve finds H singular, or the direction is not finite (the zero
     start when G''(0) is 0 or infinite, as for t^p with p != 2) or not
     downhill, the direction is the gradient preconditioned by the
-    tridiagonal local stiffness K, d = -K^{-1} g (in O(n), through K's
-    Green's function), and the step starts at a secant guess. Either step
+    tridiagonal local stiffness K, d = -K^{-1} g, and the step starts at a
+    secant guess. K, and H at s = 1, are chains solved in O(n). Either step
     is halved until the Armijo test holds, so the descent is monotone.
 
     Stops on the squared decrement lambda^2 = -g.d, which is g.H^{-1}g on
@@ -375,7 +382,7 @@ def apply_pointwise_eps(G: OrliczFunction, s: float, u: GridFunction,
                                     "finite")
     if not (u.left < x < u.right):
         raise InvalidParameterError("evaluation point must lie in the domain")
-    _check_s(s)
+    _check_one_s(s)
     ux = float(u(x))
     xq, wq = gauss_rule_01(16)
 

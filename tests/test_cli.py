@@ -127,6 +127,19 @@ class TestParseConfig:
                          f"count = {count}\n")
         assert err.value.errors == [(4, f"count must be >= 1, got {count}")]
 
+    # GridFunction needs 2 nodes, and numpy's generator a seed >= 0
+    @pytest.mark.parametrize("command,key,value,low", [
+        ("bbm", "nodes", "-5", 2), ("check", "nodes", "1", 2),
+        ("poincare", "seed", "-1", 0), ("check", "seed", "-1", 0),
+    ])
+    def test_nodes_and_seed_below_minimum_rejected(self, command, key, value,
+                                                   low):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = {command}\nG = power(2)\n"
+                         f"{key} = {value}\n")
+        assert err.value.errors == [
+            (3, f"{key} must be >= {low}, got {value}")]
+
 
 class TestRunners:
     def test_tilde_csv(self, tmp_path):

@@ -5,6 +5,7 @@ from scipy import integrate
 from orliczfrac import (
     GridFunction,
     InvalidParameterError,
+    apply_pointwise_eps,
     bbm_curve,
     fractional_modular,
     fractional_modular_with_gradient,
@@ -12,6 +13,7 @@ from orliczfrac import (
     make_custom,
     make_power,
     make_power_log,
+    pairing_abs,
 )
 from orliczfrac import fractional
 from orliczfrac._quadrature import gauss_rule_01
@@ -95,6 +97,27 @@ class TestMultiOrder:
         u = GridFunction.hat(-1.0, 1.0, 17)
         with pytest.raises(InvalidParameterError):
             fractional_modular(G2, s, u)
+
+    # the gradient, pairing and pointwise-operator paths take one order;
+    # a 0-D array is one
+    @pytest.mark.parametrize("s", [[0.5, 0.6], [0.5], np.array([0.5])])
+    def test_derivative_paths_reject_a_sequence(self, s):
+        u = GridFunction.hat(-1.0, 1.0, 17)
+        with pytest.raises(InvalidParameterError):
+            fractional_modular_with_gradient(G2, s, u)
+        with pytest.raises(InvalidParameterError):
+            pairing_abs(G2, s, u, u)
+        with pytest.raises(InvalidParameterError):
+            apply_pointwise_eps(G2, s, u, 0.25, 0.1)
+
+    def test_derivative_paths_take_a_0d_order(self):
+        u = GridFunction.hat(-1.0, 1.0, 17)
+        val, _ = fractional_modular_with_gradient(G2, np.array(0.5), u)
+        assert val == fractional_modular_with_gradient(G2, 0.5, u)[0]
+        assert pairing_abs(G2, np.array(0.5), u, u) == \
+            pairing_abs(G2, 0.5, u, u)
+        assert apply_pointwise_eps(G2, np.array(0.5), u, 0.25, 0.1) == \
+            apply_pointwise_eps(G2, 0.5, u, 0.25, 0.1)
 
     def test_curve_sweeps_the_pairs_once(self, monkeypatch):
         calls = []

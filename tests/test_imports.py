@@ -156,3 +156,28 @@ def test_pointwise_operator_leaves_numpy_ma_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_solves_load_no_scipy(tmp_path):
+    # the Newton and gradient directions solve in numpy alone (a chain
+    # solve at s = 1, a dense one below it); a scipy solver here would add
+    # the scipy import to every CLI solve
+    configs = {
+        "local": "command = solve\nG = power(3)\ns = 1\nnodes = 33\n",
+        "fractional": "command = solve\nG = power(3)\ns = 0.7\nnodes = 33\n",
+        "gamma": ("command = gamma\nG = power_log(3)\ns_list = 0.9,0.99\n"
+                  "nodes = 17\n"),
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "from orliczfrac.cli import main; "
+            f"runs = [main([c, '--config', {str(tmp_path)!r} + '/' + n "
+            f"+ '.cfg', '--out', {str(tmp_path)!r}]) for c, n in "
+            "(('solve', 'local'), ('solve', 'fractional'), "
+            "('gamma', 'gamma'))]; "
+            "print(runs, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"

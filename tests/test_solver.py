@@ -236,14 +236,16 @@ class TestNewton:
         assert max(counts) - min(counts) <= 1
 
     def test_local_hessian_matches_central_difference(self, rng):
-        # the s = 1 path: tridiagonal G''(|m|) / h
+        # the s = 1 path returns the element curvatures k = G''(|m|) / h of
+        # the chain B^T diag(k) B, B the element differences
         for G in (G3, make_power_log(3.0)):
             prob = problem(1.0, n=33, G=G)
             u = random_state(prob, rng)
-            _, grad, hess = _seminorm_value_grad(prob, u, want_grad=True,
-                                                 want_hess=True)
-            assert np.array_equal(hess, hess.T)
-            assert np.count_nonzero(np.triu(hess, 2)) == 0
+            _, grad, k = _seminorm_value_grad(prob, u, want_grad=True,
+                                              want_hess=True)
+            assert k.shape == (prob.mesh_nodes - 1,)
+            B = np.diff(np.eye(prob.mesh_nodes), axis=0)
+            hess = B.T @ (k[:, None] * B)
             eps = 1e-6
             fd = np.empty_like(hess)
             for i in range(prob.mesh_nodes):
@@ -287,6 +289,30 @@ class TestNewton:
         assert np.all(np.diff(E) <= eps * np.maximum(1.0, np.abs(E[:-1])))
         assert res.stop_reason is stop
         assert res.weak_residual == weak_residual(prob, res.u)
+
+    # One weight of 0, x1e-14 or x1e14 (a rigid element, as G'' gives for
+    # p < 2 near a zero slope) against a 60-digit solve: the flux form
+    # about the smallest weight keeps full accuracy where a dense LU loses
+    # digits.
+    @pytest.mark.parametrize("scale", [0.0, 1e-14, 1e14])
+    def test_chain_solve_matches_mpmath(self, scale, rng):
+        mpmath = pytest.importorskip("mpmath")
+        for _ in range(30):
+            n = int(rng.integers(1, 25))
+            k = 10.0 ** rng.uniform(-2.0, 2.0, size=n + 1)
+            k[rng.integers(n + 1)] *= scale
+            r = rng.normal(size=n)
+            with mpmath.workdps(60):
+                K = mpmath.zeros(n, n)
+                for e, ke in enumerate(k):
+                    for a, b in ((e - 1, e - 1), (e, e), (e - 1, e),
+                                 (e, e - 1)):
+                        if 0 <= min(a, b) and max(a, b) < n:
+                            K[a, b] += (1 if a == b else -1) * mpmath.mpf(ke)
+                ref = np.array(mpmath.lu_solve(K, mpmath.matrix(r.tolist())),
+                               dtype=float).ravel()
+            x = solver._chain_solve(k, r)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2, 127, 1023])
     def test_stiffness_solve_matches_dense(self, n, rng):
