@@ -26,6 +26,7 @@ from .errors import (
 from .orlicz import OrliczFunction
 
 _MODULAR_ORDER = 8  # Gauss points per element for plain modulars
+_GAUGE_TOL = 1e-10  # luxemburg_norm: |log Phi| or log-bracket width
 
 
 @dataclass(frozen=True)
@@ -160,39 +161,63 @@ def gradient_modular(G: OrliczFunction, u: GridFunction) -> float:
 
 def luxemburg_norm(modular_evaluator: Callable[[GridFunction], float],
                    u: GridFunction) -> float:
-    """Gauge norm inf{lam > 0 : Phi(u/lam) <= 1} by monotone bisection.
+    """Gauge norm inf{lam > 0 : Phi(u/lam) <= 1} by bracketed Illinois.
 
-    The bracket is grown/shrunk by factors of 2 from lam = 1; the bisection
-    runs to an absolute tolerance of 1e-10 times the initial bracket width.
+    The bracket lo < lam <= hi is grown/shrunk by factors of 2 from lam = 1.
+    Inside it, Illinois regula falsi (Dowell-Jarratt, BIT 11, 1971) finds
+    the root of y = log Phi(u/lam) against x = log lam, starting from the
+    two modulars the bracket probed, so no scale is probed twice. For t^p, y
+    is linear in x and the first step is exact. The solve stops once
+    |y| <= 1e-10, which puts lam within 1e-10 relative of the root: -dy/dx
+    is an average of t G'(t) / G(t) >= 1 (G convex, G(0) = 0). It also
+    stops once the bracket is narrower than that.
     """
     if not np.any(u.values):
         return 0.0
 
-    def phi(lam):
-        return modular_evaluator(u * (1.0 / lam))
+    def log_phi(lam):
+        phi = modular_evaluator(u * (1.0 / lam))
+        return math.log(phi) if phi > 0.0 else -math.inf
 
     hi = 1.0
+    y_hi = log_phi(hi)
     grow = 0
-    while phi(hi) > 1.0:
+    while y_hi > 0.0:
+        lo, y_lo = hi, y_hi
         hi *= 2.0
+        y_hi = log_phi(hi)
         grow += 1
         if grow > 64:
             raise DivergentModularError(
                 "modular stays above 1 for scalings up to 2^64")
-    lo = hi / 2.0  # phi(lo) > 1 is known once the bracket has grown
-    while not grow and phi(lo) <= 1.0:
+    while not grow:
+        lo = hi / 2.0
+        y_lo = log_phi(lo)
+        if y_lo > 0.0:
+            break
         if lo <= 2.0 ** -64:
             return 0.0
-        hi, lo = lo, lo / 2.0
+        hi, y_hi = lo, y_lo
 
-    tol = 1e-10 * (hi - lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) <= 1.0:
-            hi = mid
+    lo, hi = math.log(lo), math.log(hi)
+    side = 0  # +1 or -1 when the last step moved lo or hi
+    while y_hi < 0.0 and hi - lo > _GAUGE_TOL:
+        x = hi - y_hi * (hi - lo) / (y_hi - y_lo)
+        if not lo < x < hi:
+            # an end at +-inf, or a step lost to roundoff: bisect
+            x = 0.5 * (lo + hi)
+        y = log_phi(math.exp(x))
+        if abs(y) <= _GAUGE_TOL:
+            return math.exp(x)
+        if y > 0.0:
+            lo, y_lo = x, y
+            y_hi *= 0.5 if side > 0 else 1.0
+            side = 1
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            hi, y_hi = x, y
+            y_lo *= 0.5 if side < 0 else 1.0
+            side = -1
+    return math.exp(hi if y_hi == 0.0 else 0.5 * (lo + hi))
 
 
 def translate(u: GridFunction, shift: float) -> GridFunction:

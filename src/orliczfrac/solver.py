@@ -16,7 +16,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -269,17 +269,21 @@ def _secant_step(energy_at, v, d, gd):
     return None
 
 
-def solve(problem: DirichletProblem) -> SolveResult:
+def solve(problem: DirichletProblem,
+          start: Optional[GridFunction] = None) -> SolveResult:
     """Minimize the discrete energy over the zero-boundary cone.
 
+    The first iterate is the interior of ``start``, a state on the problem
+    mesh such as a nearby problem's minimizer, or zero if none is given.
     Damped Newton on the exact discrete Hessian: the direction solves
     sigma H d = -g on the interior nodes and the step starts at 1. Where
     that solve finds H singular, or the direction is not finite (the zero
-    start when G''(0) is 0 or infinite, as for t^p with p != 2) or not
-    downhill, the direction is the gradient preconditioned by the
-    tridiagonal local stiffness K, d = -K^{-1} g, and the step starts at a
-    secant guess. K, and H at s = 1, are chains solved in O(n). Either step
-    is halved until the Armijo test holds, so the descent is monotone.
+    start when G''(0) is 0 or infinite, as for t^p with p != 2; equal
+    pairs or slopes for p < 2) or not downhill, the direction is the
+    gradient preconditioned by the tridiagonal local stiffness K,
+    d = -K^{-1} g, and the step starts at a secant guess. K, and H at
+    s = 1, are chains solved in O(n). Either step is halved until the
+    Armijo test holds, so the descent is monotone.
 
     Stops on the squared decrement lambda^2 = -g.d, which is g.H^{-1}g on
     a Newton direction and the dual norm g.K^{-1}g on a gradient one;
@@ -303,10 +307,16 @@ def solve(problem: DirichletProblem) -> SolveResult:
     energy_at = _Energy(problem)
     # For t^2 the energy is quadratic: one Newton step minimizes it.
     quadratic = problem.G.kind == "power" and problem.G.params[0] == 2.0
-    v = np.zeros(ni)
-    # G''(0) of 0 or infinity makes the Hessian at the zero state singular
-    # or infinite, so it is not assembled there.
-    E, g, H = energy_at(v, want_hess=0.0 < float(problem.G.d2(0.0)) < np.inf)
+    if start is None:
+        v = np.zeros(ni)
+        # G''(0) of 0 or infinity makes the Hessian at the zero state
+        # singular or infinite, so it is not assembled there.
+        want_hess = 0.0 < float(problem.G.d2(0.0)) < np.inf
+    else:
+        problem._check_state(start)
+        v = start.values[1:-1]
+        want_hess = True
+    E, g, H = energy_at(v, want_hess=want_hess)
     history = [E]
     iterations = 0
     stop = None
@@ -432,8 +442,10 @@ def gamma_run(problem_template: DirichletProblem, s_list) -> GammaReport:
     """Solve the scaled problems along s_list and the local limit problem.
 
     The limit problem replaces the growth function by its limit density and
-    sets s = 1; gaps are reported in the gauge norm of the plain modular and
-    as energy differences.
+    sets s = 1. It is solved first, and its minimizer u starts every s < 1
+    solve: the minimizers u_s tend to u as s -> 1, so the ladder warm-starts
+    Newton near each u_s. Gaps are reported in the gauge norm of the plain
+    modular and as energy differences.
     """
     s_list = _validate_s_list(s_list)
     tilde = limit_density(problem_template.G, 1).as_orlicz()
@@ -445,7 +457,7 @@ def gamma_run(problem_template: DirichletProblem, s_list) -> GammaReport:
     entries = []
     for s in s_list:
         prob = replace(problem_template, s=s, scaling="bbm_scaled")
-        res = solve(prob)
+        res = solve(prob, start=local.u)
         diff = res.u - local.u
         gap = 0.0
         if np.any(diff.values):

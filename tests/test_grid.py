@@ -12,13 +12,15 @@ from orliczfrac import (
     fractional_modular,
     gradient_modular,
     luxemburg_norm,
+    make_combination,
     make_power,
+    make_power_log,
     modular,
     mollify,
     translate,
     truncate,
 )
-from orliczfrac.properties import transform_suite
+from orliczfrac.properties import random_zero_trace, transform_suite
 
 G2 = make_power(2.0)
 
@@ -139,6 +141,78 @@ class TestLuxemburg:
         lam = luxemburg_norm(lambda f: modular(G2, f), u)
         assert modular(G2, u * (1.0 / (lam + 1e-7))) <= 1.0
         assert modular(G2, u * (1.0 / (lam - 1e-7))) >= 1.0
+
+
+def _counted_gauge(G, u):
+    """(luxemburg_norm of u for the plain modular of G, modulars probed)."""
+    probes = []
+
+    def evaluator(f):
+        probes.append(f)
+        return modular(G, f)
+
+    return luxemburg_norm(evaluator, u), len(probes)
+
+
+def _bisection_gauge(G, u):
+    """The gauge by monotone bisection, as `luxemburg_norm` found it before
+    Illinois: (lam, modulars probed for the factor-2 bracket)."""
+    probes = []
+
+    def phi(lam):
+        probes.append(lam)
+        return modular(G, u * (1.0 / lam))
+
+    hi = 1.0
+    grow = 0
+    while phi(hi) > 1.0:
+        hi *= 2.0
+        grow += 1
+    lo = hi / 2.0
+    while not grow and phi(lo) <= 1.0:
+        hi, lo = lo, lo / 2.0
+    bracket = len(probes)
+    tol = 1e-10 * (hi - lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if phi(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), bracket
+
+
+GAUGE_CASES = [make_power(2.0), make_power(1.5), make_power_log(3.0),
+               make_combination("max", [make_power(2.0), make_power(3.0)])]
+
+
+class TestGaugeIllinois:
+    # 20 random zero-trace states per G, amplitudes 1e-3 ... 1e2: Illinois
+    # on log Phi against log lam matches the bisection it replaced, at a
+    # fraction of its probes (the bisection spends 39-40)
+    @pytest.mark.parametrize("G", GAUGE_CASES, ids=lambda G: G.label)
+    def test_matches_bisection_in_few_probes(self, G, rng):
+        counts = []
+        for amplitude in np.geomspace(1e-3, 1e2, 20):
+            u = random_zero_trace(rng, node_count=65, amplitude=amplitude)
+            lam, probes = _counted_gauge(G, u)
+            ref, _ = _bisection_gauge(G, u)
+            assert lam == pytest.approx(ref, rel=1e-9, abs=0.0)
+            counts.append(probes)
+        assert np.median(counts) <= 14
+
+    # log Phi(u / lam) = log Phi(u) - p log lam: the first step after the
+    # bracket lands on the root
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_power_gauge_in_one_step(self, p, rng):
+        G = make_power(p)
+        for amplitude in (1e-3, 0.3, 1.0, 7.0, 1e2):
+            u = random_zero_trace(rng, node_count=65, amplitude=amplitude)
+            lam, probes = _counted_gauge(G, u)
+            _, bracket = _bisection_gauge(G, u)
+            assert lam == pytest.approx(modular(G, u) ** (1.0 / p),
+                                        rel=1e-12, abs=0.0)
+            assert probes <= bracket + 2
 
 
 class TestTranslate:

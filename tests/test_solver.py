@@ -451,6 +451,52 @@ class TestPointwiseOperator:
         assert apply_pointwise_eps(G3, s, -1.0 * u, x, eps) == -val
 
 
+class TestWarmStart:
+    def test_start_at_the_minimizer_stops_at_once(self):
+        prob = DirichletProblem(omega=(-1.0, 1.0), rhs=1.0, G=G3, s=0.7,
+                                mesh_nodes=129)
+        res = solve(prob)
+        warm = solve(prob, start=res.u)
+        assert warm.stop_reason is StopReason.INITIAL
+        assert warm.evaluations == 1 and warm.iterations == 0
+        assert np.array_equal(warm.u.values, res.u.values)
+
+    def test_start_on_another_mesh_rejected(self):
+        with pytest.raises(InvalidInputError):
+            solve(problem(0.5, n=33), start=problem(0.5, n=17).zero_state())
+        with pytest.raises(InvalidInputError):
+            solve(problem(0.5, n=17), start=GridFunction.zeros(0.0, 2.0, 17))
+
+    # the criterion 7/8 ladder (rhs 1 on (0, 1), 513 nodes, s = 0.6 ...
+    # 0.99) warm-started from the local minimizer; power(2) is quadratic, so
+    # every solve is one Newton step from any start, and power(3) shows
+    # the saving
+    @pytest.mark.parametrize("G,saving", [(G2, 0.0), (G3, 0.3)],
+                             ids=["power2", "power3"])
+    def test_ladder_warm_start_saves_evaluations(self, G, saving):
+        tmpl = problem(0.5, n=513, G=G)
+        s_list = [0.6, 0.8, 0.9, 0.99]
+        report = gamma_run(tmpl, s_list)
+        cold = [solve(problem(s, n=513, G=G)) for s in s_list]
+        warm = [e.result for e in report.entries]
+        assert all(r.stop_reason is StopReason.TOLERANCE for r in warm)
+        assert (sum(r.evaluations for r in warm)
+                <= (1.0 - saving) * sum(r.evaluations for r in cold))
+        for w, c in zip(warm, cold):
+            assert w.energy == pytest.approx(c.energy, rel=1e-9, abs=0.0)
+
+    # p < 2: the symmetric minimizer has equal pairs, where G'' is
+    # infinite; from zero each solve crawls by gradient steps
+    def test_power_1_5_ladder_warm_start_converges_faster(self):
+        s_list = [0.8, 0.9]
+        report = gamma_run(problem(0.5, n=129, G=G15), s_list)
+        cold = [solve(problem(s, n=129, G=G15)) for s in s_list]
+        warm = [e.result for e in report.entries]
+        assert all(r.converged for r in warm + cold)
+        assert (2 * sum(r.iterations for r in warm)
+                < sum(r.iterations for r in cold))
+
+
 class TestGammaRun:
     def test_zero_forcing_trivial(self):
         tmpl = problem(0.5, n=33, rhs=0.0)
