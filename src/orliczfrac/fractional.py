@@ -311,7 +311,7 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
             grad[:-1] += (1.0 - x) @ gU
             grad[1:] += x @ gU
         if hess is not None:
-            _add_element_blocks(hess, x, hU)
+            _add_element_blocks(hess, 1.0 - x, x, hU)
     return val, grad
 
 
@@ -328,13 +328,14 @@ def _add_diagonals(hess, k, row, vals):
     view += vals
 
 
-def _add_element_blocks(hess, x, W):
+def _add_element_blocks(hess, a, b, W):
     """Add, per element e, sum_g W[g, e] phi_g phi_g^T on the nodes
-    (e, e+1) to the upper triangle, with the hat weights
-    phi_g = (1 - x_g, x_g) of the points x on (0, 1)."""
-    _add_diagonals(hess, 0, 0, (1.0 - x) ** 2 @ W)
-    _add_diagonals(hess, 1, 0, ((1.0 - x) * x) @ W)
-    _add_diagonals(hess, 0, 1, x ** 2 @ W)
+    (e, e+1) to the upper triangle, with phi_g = (a_g, b_g): the hat
+    weights (1 - x, x) at points x on (0, 1), or (-1, 1) for a function
+    of the element slope."""
+    _add_diagonals(hess, 0, 0, (a * a) @ W)
+    _add_diagonals(hess, 1, 0, (a * b) @ W)
+    _add_diagonals(hess, 0, 1, (b * b) @ W)
 
 
 def _far_points(s, u):
@@ -385,7 +386,7 @@ def _far_field(G, s, u, want_grad, hess=None):
     grad[:-1] += dc @ (1.0 - xg)
     grad[1:] += dc @ xg
     if hess is not None:
-        _add_element_blocks(hess, xg,
+        _add_element_blocks(hess, 1.0 - xg, xg,
                             _far_curvature(tilde, s, h, wg, U, kern).T)
     return val, grad
 
@@ -414,7 +415,8 @@ def _core(G, s, u, want_grad, want_hess=False):
         pairs, pair_grad = _distinct_pairs(G, s, u, want_grad, hess)
         far, far_grad = _far_field(G, s, u, want_grad, hess)
         if want_hess:
-            _add_slope_blocks(hess, curv[0] / (h * h))
+            _add_element_blocks(hess, -np.ones(1), np.ones(1),
+                                curv[0][None] / (h * h))
     val += pairs + far
     grad = pair_grad + far_grad
     grad[:-1] -= ders / h
@@ -423,14 +425,6 @@ def _core(G, s, u, want_grad, want_hess=False):
         return val, grad
     hess += np.triu(hess, 1).T
     return val, grad, hess
-
-
-def _add_slope_blocks(hess, k):
-    """Add k[e] [[1, -1], [-1, 1]] on the nodes (e, e+1) to the upper
-    triangle: the Hessian of a sum of functions of the element slopes."""
-    _add_diagonals(hess, 0, 0, k)
-    _add_diagonals(hess, 1, 0, -k)
-    _add_diagonals(hess, 0, 1, k)
 
 
 def _check_s(s):

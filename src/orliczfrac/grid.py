@@ -163,50 +163,51 @@ def luxemburg_norm(modular_evaluator: Callable[[GridFunction], float],
                    u: GridFunction) -> float:
     """Gauge norm inf{lam > 0 : Phi(u/lam) <= 1} by bracketed Illinois.
 
-    The bracket lo < lam <= hi is grown/shrunk by factors of 2 from lam = 1.
-    Inside it, Illinois regula falsi (Dowell-Jarratt, BIT 11, 1971) finds
-    the root of y = log Phi(u/lam) against x = log lam, starting from the
-    two modulars the bracket probed, so no scale is probed twice. For t^p, y
-    is linear in x and the first step is exact. The solve stops once
-    |y| <= 1e-10, which puts lam within 1e-10 relative of the root: -dy/dx
-    is an average of t G'(t) / G(t) >= 1 (G convex, G(0) = 0). It also
-    stops once the bracket is narrower than that.
+    It finds the root of y = log Phi(u/lam) against x = log lam. -dy/dx is
+    an average of t G'(t) / G(t) >= 1 (G convex, G(0) = 0), so the step
+    from x to x + y lands across the root or on it. One step from
+    lam = max|u|, where Phi is of order G(1) at any size of u, brackets
+    the root, and the gauge of a u is |a| times that of u. Inside the
+    bracket, Illinois regula falsi (Dowell-Jarratt, BIT 11, 1971) starts
+    from the two probed modulars, so no scale is probed twice; for t^p, y
+    is linear in x and its first step is exact. The solve stops once
+    |y| <= 1e-10, which puts lam within 1e-10 relative of the root, or
+    once the bracket is narrower than that. Raises DivergentModularError
+    if Phi at lam = max|u| is 0 or not finite, or if 64 steps keep the
+    sign of y.
     """
     if not np.any(u.values):
         return 0.0
 
-    def log_phi(lam):
-        phi = modular_evaluator(u * (1.0 / lam))
+    def log_phi(x):
+        phi = modular_evaluator(u * math.exp(-x))
         return math.log(phi) if phi > 0.0 else -math.inf
 
-    hi = 1.0
-    y_hi = log_phi(hi)
-    grow = 0
-    while y_hi > 0.0:
-        lo, y_lo = hi, y_hi
-        hi *= 2.0
-        y_hi = log_phi(hi)
-        grow += 1
-        if grow > 64:
-            raise DivergentModularError(
-                "modular stays above 1 for scalings up to 2^64")
-    while not grow:
-        lo = hi / 2.0
-        y_lo = log_phi(lo)
-        if y_lo > 0.0:
+    x = math.log(float(np.max(np.abs(u.values))))
+    y = log_phi(x)
+    if not math.isfinite(y):
+        raise DivergentModularError(
+            f"modular at lam = max|u| is {math.exp(y)}, not positive finite")
+    for _ in range(64):
+        if abs(y) <= _GAUGE_TOL:
+            return math.exp(x)
+        x_step = x + y
+        y_step = log_phi(x_step)
+        if y * y_step <= 0.0:
             break
-        if lo <= 2.0 ** -64:
-            return 0.0
-        hi, y_hi = lo, y_lo
+        x, y = x_step, y_step
+    else:
+        raise DivergentModularError(
+            "log modular keeps its sign over 64 steps x -> x + y")
 
-    lo, hi = math.log(lo), math.log(hi)
+    (lo, y_lo), (hi, y_hi) = sorted([(x, y), (x_step, y_step)])
     side = 0  # +1 or -1 when the last step moved lo or hi
     while y_hi < 0.0 and hi - lo > _GAUGE_TOL:
         x = hi - y_hi * (hi - lo) / (y_hi - y_lo)
         if not lo < x < hi:
             # an end at +-inf, or a step lost to roundoff: bisect
             x = 0.5 * (lo + hi)
-        y = log_phi(math.exp(x))
+        y = log_phi(x)
         if abs(y) <= _GAUGE_TOL:
             return math.exp(x)
         if y > 0.0:

@@ -207,7 +207,7 @@ def luxemburg_consistency(G: OrliczFunction, seed: int = 1
         if not (above <= 1.0 + 1e-6 <= below + 2e-6):
             bad += 1
             worst = max(worst, abs(above - 1.0), abs(below - 1.0))
-    return [PropertyResult("gauge bisection bracket", _GAUGE_SAMPLES, bad,
+    return [PropertyResult("gauge bracket", _GAUGE_SAMPLES, bad,
                            worst)]
 
 

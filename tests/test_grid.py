@@ -5,6 +5,7 @@ import pytest
 
 from orliczfrac import (
     DegenerateMollifierWarning,
+    DivergentModularError,
     GridFunction,
     InvalidInputError,
     InvalidParameterError,
@@ -122,8 +123,8 @@ class TestLuxemburg:
 
     @pytest.mark.parametrize("amplitude", [1e-3, 1.0, 50.0])
     def test_probes_each_scale_once(self, amplitude):
-        # the shrink (1e-3), bisection-only (1) and grow (50) paths: each
-        # evaluator call sees u / lam, so its peak records 1 / lam
+        # small, unit and large amplitudes: each evaluator call sees
+        # u / lam, so its peak records 1 / lam
         u = GridFunction.hat(-1.0, 1.0, 65) * amplitude
         peaks = []
 
@@ -141,6 +142,53 @@ class TestLuxemburg:
         lam = luxemburg_norm(lambda f: modular(G2, f), u)
         assert modular(G2, u * (1.0 / (lam + 1e-7))) <= 1.0
         assert modular(G2, u * (1.0 / (lam - 1e-7))) >= 1.0
+
+    # the bracket starts at lam = max|u|, where Phi is of order G(1) at any
+    # amplitude, so the gauge is |a| times the gauge of u for every a
+    @pytest.mark.parametrize("G", [
+        G2, make_power_log(3.0),
+        make_combination("max", [make_power(2.0), make_power(3.0)])],
+        ids=lambda G: G.label)
+    def test_homogeneous(self, G):
+        u = GridFunction.hat(-1.0, 1.0, 65)
+        lam = luxemburg_norm(lambda f: modular(G, f), u)
+        for a in (1e-300, 1e-30, 1e-19, 1e-3, 1e3, 1e19, 1e30, 1e300):
+            for scaled in (a, -a):
+                lam_a = luxemburg_norm(lambda f: modular(G, f), u * scaled)
+                assert lam_a == pytest.approx(a * lam, rel=1e-12, abs=0.0)
+
+    # Phi(u / max|u|) = e^20 on this support: for t^2 the step to
+    # x + y overshoots the root by y / 2, past the largest float at
+    # a = 1e300, though the norm itself is a float
+    def test_step_past_the_float_range(self):
+        u = GridFunction.hat(-1e9, 1e9, 65)
+        lam = luxemburg_norm(lambda f: modular(G2, f), u)
+        lam_a = luxemburg_norm(lambda f: modular(G2, f), u * 1e300)
+        assert lam_a == pytest.approx(1e300 * lam, rel=1e-12, abs=0.0)
+
+    # y = log Phi(u / lam) is linear in log lam for t^p: the start at
+    # max|u|, the step across the root, and one exact Illinois step
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_power_gauge_in_three_probes(self, p, rng):
+        G = make_power(p)
+        for amplitude in (1e-300, 1e-30, 1e-3, 1.0, 1e2, 1e30, 1e300):
+            u = random_zero_trace(rng, node_count=65, amplitude=amplitude)
+            assert _counted_gauge(G, u)[1] == 3
+
+    # the hat on (-1.5, 1.5) has modular 1 for t^2: the start at max|u| is
+    # the root, where a step x + y can round back to x
+    @pytest.mark.parametrize("a", [1.0, 1e3, 1e30])
+    def test_start_on_the_root(self, a):
+        u = GridFunction.hat(-1.5, 1.5, 65) * a
+        lam, probes = _counted_gauge(G2, u)
+        assert lam == pytest.approx(a, rel=1e-12, abs=0.0)
+        assert probes == 1
+
+    @pytest.mark.parametrize("phi", [0.0, math.inf])
+    def test_degenerate_modular_raises(self, phi):
+        u = GridFunction.hat(-1.0, 1.0, 65)
+        with pytest.raises(DivergentModularError):
+            luxemburg_norm(lambda f: phi, u)
 
 
 def _counted_gauge(G, u):

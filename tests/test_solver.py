@@ -235,6 +235,31 @@ class TestNewton:
         counts = [res.iterations for res in results]
         assert max(counts) - min(counts) <= 1
 
+    # The Newton stop is relative to |E|: a small load is solved as a unit
+    # one. t^2 is linear in the load, and t^3 scales it by sqrt(c).
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_small_load_square(self, s):
+        def at(c):
+            return solve(DirichletProblem(omega=(-1.0, 1.0), rhs=c, G=G2,
+                                          s=s, mesh_nodes=65))
+
+        ref = at(1.0).u.values
+        for c in (1e-5, 1e-7, 1e-12):
+            res = at(c)
+            assert res.stop_reason is StopReason.TOLERANCE
+            np.testing.assert_allclose(res.u.values / c, ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(ref))
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_small_load_cube(self, s):
+        def midpoint(c):
+            res = solve(DirichletProblem(omega=(-1.0, 1.0), rhs=c, G=G3,
+                                         s=s, mesh_nodes=65))
+            return float(res.u(0.0)) / np.sqrt(c)
+
+        for c in (1e-5, 1e-7):
+            assert midpoint(c) == pytest.approx(midpoint(1.0), abs=1e-8)
+
     def test_local_hessian_matches_central_difference(self, rng):
         # the s = 1 path returns the element curvatures k = G''(|m|) / h of
         # the chain B^T diag(k) B, B the element differences
