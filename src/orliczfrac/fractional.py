@@ -23,7 +23,8 @@ is split into three pieces:
        about `_BLOCK_POINTS` pair points each (309 blocks for the 1023
        offsets of 1024 elements), with one G, G', G'' call per block;
        a block's rows are padded to its first offset's length and the
-       padding is set to 0 before any sum;
+       padding is set to 0 before any sum. For t^p, G(|du| kern) =
+       kern^p G(|du|): G is taken on |du|, weighed by kern^p (`_pair_rule`);
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I, I' and I'' are
@@ -36,9 +37,10 @@ The value alone may be asked for several orders s at once. Nothing in
 piece (ii) but the kernel table depends on s, so the pairs of all orders
 share one pass: the table dist**(-s) gets a leading axis over the orders,
 and each block forms |u(x) - u(y)| once and makes one G call on the
-stacked (orders, pairs, offsets, elements) argument. The blocks do not
-depend on the number of orders. Pieces (i) and (iii) are evaluated per
-order.
+stacked (orders, pairs, offsets, elements) argument; a pure power's
+argument |du| has no orders axis, only its weight table has one. The
+blocks do not depend on the number of orders. Pieces (i) and (iii) are
+evaluated per order.
 
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed value (same rules, same nodes) in piece (ii),
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -250,22 +253,32 @@ def _hessian_fold(q):
     return fold
 
 
+def _pair_rule(G, du, kern, block, n):
+    """(arg, w): a block's term in G^(i), i < n, is w[i] G^(i)(arg). For
+    t^p, G^(i)(|du| kern) kern^i = kern^p G^(i)(|du|): arg = |du| for all
+    orders, w[i] = block kern^p; else arg = |du| kern, w[i] = block kern^i."""
+    if G.kind == "power":
+        return np.abs(du), [block * kern ** G.params[0]] * n
+    return np.abs(du) * kern, list(accumulate([block] + [kern] * (n - 1),
+                                              np.multiply))
+
+
 def _distinct_pairs(G, s, u, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks.
 
     The value has the shape of ``s``: one order, or for the value alone a
     1-D array of orders, whose pairs share one G call per block of
     offsets. In a block, G(arg) is summed over the elements of each pair
-    row and offset first and each row sum then takes its weight ``block``,
-    so no weighted copy of the (orders, pairs, offsets, elements) stack is
-    made; each order's sums are its own reductions, as for one order.
+    row and offset first and each row sum then takes its weight w[0]
+    (`_pair_rule`), so no weighted copy of the stack is made; each order's
+    sums are its own reductions, as for one order.
 
     The gradient is accumulated per element and Gauss point of a band and
     scattered to the nodes once per band; a block's left elements take a
     sum over its offsets, its right elements a skewed one (`_skew_sum`).
     Given ``hess`` (the upper triangle of a nodal matrix), the Hessian is
-    added to it: a pair contributes c = block kern^2 G''(arg) times the
-    outer product of its difference's nodal weights. One matrix product per
+    added to it: a pair contributes c = w[2] G''(arg) times the outer
+    product of its difference's nodal weights. One matrix product per
     block (`_hessian_fold`) folds c into its sums per right and per left
     Gauss point, which are accumulated per element like the gradient and
     land on diagonals 0 and 1 once per band, and into its four hat-weight
@@ -284,16 +297,17 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
             fold = _hessian_fold(q)
         for j0, kern, block, (du,) in blocks:
             nj, L = du.shape[1:]
-            arg = np.abs(du) * kern
+            arg, w = _pair_rule(G, du, kern, block,
+                                1 + want_grad + (hess is not None))
             val += (_drop_padding(G(arg)).sum(axis=-1)
-                    * block[..., 0]).sum(axis=(-2, -1))
+                    * w[0][..., 0]).sum(axis=(-2, -1))
             if want_grad:
-                coef = ((block * kern) * _drop_padding(G.deriv(arg))
+                coef = (w[1] * _drop_padding(G.deriv(arg))
                         * np.sign(du)).reshape(q, q, nj, L)
                 gU[:, j0:] += _skew_sum(coef.sum(axis=1))
                 gU[:, :L] -= coef.sum(axis=(0, 2))
             if hess is not None:
-                c = block * kern * kern * _drop_padding(G.d2(arg))
+                c = w[2] * _drop_padding(G.d2(arg))
                 folded = (fold @ c.reshape(q * q, -1)).reshape(-1, nj, L)
                 hU[:, j0:] += _skew_sum(folded[:q])
                 hU[:, :L] += folded[q:2 * q].sum(axis=1)
@@ -452,8 +466,8 @@ def fractional_modular(G: OrliczFunction, s, u: GridFunction):
     array with one entry per order, in the given order (repeats allowed),
     each bit-identical to the one-order value: the distinct-element pairs
     of all orders share one pass, whose temporaries grow linearly with the
-    number of orders (about 0.2 MB per order and array at 1025 nodes; the
-    pair weights are applied to the row sums, not to that stack).
+    number of orders, except for a pure power (about 0.2 MB per order and
+    array at 1025 nodes; the pair weights are applied to the row sums).
     """
     orders = _check_s(s)
     val = _core(G, orders, u, want_grad=False)[0]
@@ -474,10 +488,10 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     This majorizes the weak-form pairing and is the quantity bounded by
     (p - 1) Phi_s(u) + Phi_s(v) through the Young inequality. Each piece of
     the modular's rule contributes |d Phi_s(u)| times |v| at its own
-    quadrature values: the element slopes, the pair differences and the
-    far-field Gauss points. The pairing and the modular thus share one rule:
-    the Young bound holds node by node, and for v = u and G = t^p the
-    pairing is p Phi_s(u) up to roundoff.
+    quadrature values: the element slopes, the pair differences (by
+    `_pair_rule`) and the far-field Gauss points. The pairing and the
+    modular thus share one rule: the Young bound holds node by node, and
+    for v = u and G = t^p the pairing is p Phi_s(u) up to roundoff.
     """
     _check_one_s(s)
     if (u.left, u.right, u.node_count) != (v.left, v.right, v.node_count):
@@ -487,8 +501,9 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
     for _, blocks in _pair_bands(s, h, u.values, v.values):
         for _, kern, block, (du, dv) in blocks:
-            dG = _drop_padding(G.deriv(np.abs(du) * kern))
-            val += float(np.sum(block * dG * np.abs(dv) * kern))
+            arg, w = _pair_rule(G, du, kern, block, 2)
+            val += float(np.sum(w[1] * _drop_padding(G.deriv(arg))
+                                * np.abs(dv)))
     xg, wg, U, kern = _far_points(s, u)
     flux = _far_flux(limit_density(G, 1), s, h, wg, U, kern)
     val += float(np.sum(np.abs(flux) * np.abs(_at_gauss_points(v.values, xg))))

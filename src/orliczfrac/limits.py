@@ -49,11 +49,12 @@ def bbm_curve(G: OrliczFunction, u: GridFunction,
     """Sample (1-s) Phi_s(u) along s_list and extrapolate to s = 1.
 
     All orders come from one multi-order `fractional_modular` call, so the
-    distinct-element pairs are swept once for the whole curve; its
-    temporaries grow linearly with len(s_list), about 0.2 MB per order at
-    1025 nodes. Each sample is bit-identical to a one-order evaluation.
-    Extrapolation is linear in (1-s) through the last two samples; the
-    target is the slope modular with the limit density in dimension 1.
+    distinct-element pairs are swept once for the whole curve; except for
+    a pure power, its temporaries grow linearly with len(s_list), about
+    0.2 MB per order at 1025 nodes. Each sample is bit-identical to a
+    one-order evaluation. Extrapolation is linear in (1-s) through the last
+    two samples; the target is the slope modular with the limit density in
+    dimension 1.
     """
     s_list = _validate_s_list(s_list)
     if not u.in_zero_trace_cone:

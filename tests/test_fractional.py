@@ -24,6 +24,7 @@ from orliczfrac.fractional import (
     _pair_orders,
     _same_element,
 )
+from orliczfrac.orlicz import OrliczFunction
 
 from conftest import brute_force_seminorm
 
@@ -70,7 +71,7 @@ class TestMultiOrder:
     @pytest.mark.parametrize("n", [33, 1025])
     @pytest.mark.parametrize("shape", ["hat", "random"])
     @pytest.mark.parametrize("G", [
-        G2, make_power(3.0), G23, make_power_log(3.0),
+        G2, make_power(3.0), make_power(1.5), G23, make_power_log(3.0),
         make_combination("sum", [make_power(2.0), make_power(3.0)],
                          [0.5, 2.0]),
     ], ids=lambda G: G.label)
@@ -497,7 +498,7 @@ class TestPairReduction:
     @pytest.mark.parametrize("n", [129, 1025])
     @pytest.mark.parametrize("shape", ["hat", "random"])
     @pytest.mark.parametrize("G", [
-        G2, make_power(3.0), G23, make_power_log(3.0),
+        G2, make_power(3.0), make_power(1.5), G23, make_power_log(3.0),
     ], ids=lambda G: G.label)
     def test_matches_block_first_sum(self, G, shape, n, rng):
         if shape == "hat":
@@ -508,6 +509,81 @@ class TestPairReduction:
             pairs, _ = _distinct_pairs(G, s, u, want_grad=False)
             assert pairs == pytest.approx(block_first_pair_sum(G, s, u),
                                           rel=1e-14)
+
+
+def pair_pass(G, s, u):
+    """(value, gradient, Hessian) of `_distinct_pairs` alone; the Hessian
+    is its upper triangle, with G''(0) = inf left as it falls."""
+    hess = np.zeros((u.node_count, u.node_count))
+    with np.errstate(invalid="ignore"):
+        val, grad = _distinct_pairs(G, s, u, True, hess)
+    return val, grad, hess
+
+
+def pair_points(monkeypatch, G, s, u):
+    """Points at which the value of `_distinct_pairs` evaluates G."""
+    points = []
+    call = OrliczFunction.__call__
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return call(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(OrliczFunction, "__call__", counted)
+        _distinct_pairs(G, s, u, False)
+    return sum(points)
+
+
+def assert_same_pairs(got, ref):
+    """Pair passes agree: the value to 1e-13 relative, the gradient and the
+    Hessian to 1e-12 of their largest finite entry, with their non-finite
+    entries in the same places."""
+    assert got[0] == pytest.approx(ref[0], rel=1e-13)
+    for a, b in zip(got[1:], ref[1:]):
+        finite = np.isfinite(b)
+        assert np.array_equal(np.isfinite(a), finite)
+        assert np.max(np.abs(a[finite] - b[finite])) <= \
+            1e-12 * np.max(np.abs(b[finite]))
+
+
+class TestHomogeneousPairs:
+    """A pure power's pairs evaluate G^(i)(|du|) once for all orders and
+    weigh it by block kern^p: the generic rule G^(i)(|du| kern) kern^i up
+    to roundoff."""
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.995])
+    @pytest.mark.parametrize("shape", ["hat", "random"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_generic_rule(self, p, shape, s, rng):
+        power = make_power(p)
+        plain = make_custom(power.fn, power.dfn, d2fn=power.d2fn)
+        if shape == "hat":
+            u = GridFunction.hat(-1.0, 1.0, 129)
+        else:
+            u = random_state(rng, 129)
+        assert_same_pairs(pair_pass(power, s, u), pair_pass(plain, s, u))
+
+    def test_infinite_curvature_in_the_same_places(self):
+        # p = 1.5 on a plateau: equal nodal values give pairs with du = 0,
+        # where G''(0) = inf on both rules
+        power = make_power(1.5)
+        plain = make_custom(power.fn, power.dfn, d2fn=power.d2fn)
+        u = GridFunction.hat(-1.0, 1.0, 129)
+        u = u.with_values(np.minimum(1.0, 3.0 * u.values))
+        ref = pair_pass(plain, 0.7, u)
+        assert not np.isfinite(ref[2]).all()
+        assert_same_pairs(pair_pass(power, 0.7, u), ref)
+
+    @pytest.mark.parametrize("G,factor", [(make_power(3.0), 1),
+                                          (make_power_log(3.0), 3)],
+                             ids=["power(3)", "power_log(3)"])
+    def test_orders_share_the_power_points(self, G, factor, monkeypatch):
+        # a power's stack has no orders axis; any other G's has one
+        u = GridFunction.hat(-1.0, 1.0, 129)
+        one = pair_points(monkeypatch, G, 0.9, u)
+        three = pair_points(monkeypatch, G, np.array([0.9, 0.95, 0.99]), u)
+        assert three == factor * one > 0
 
 
 class TestSeparationGrading:

@@ -350,8 +350,9 @@ class TestNewton:
 
     def test_singular_hessian_takes_the_gradient_direction(self, monkeypatch):
         # G'' = 0 makes every assembled s = 1 Hessian exactly zero, so its
-        # LU fails and every step is a preconditioned gradient step; the
-        # last solve is the decrement at the returned iterate
+        # chain solve gives a non-finite direction and every step is a
+        # preconditioned gradient step; the last solve is the decrement at
+        # the returned iterate
         G = make_custom(lambda t: t ** 3, lambda t: 3.0 * t ** 2,
                         d2fn=np.zeros_like)
         stiffness_solve = solver._stiffness_solve
