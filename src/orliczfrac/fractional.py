@@ -9,7 +9,8 @@ is split into three pieces:
   (i)  same-element blocks, where the kernel singularity lives: the n = 1
        limit density `limit_density(G, 1)` at the scaled slope, minus a
        smooth integral by the profile's kink-split tanh-sinh rule
-       (`_same_element`); pure powers get both in closed form;
+       (`_same_element`); pure powers get both in closed form, and so
+       does the value of a pointwise max of pure powers where every c <= 1;
   (ii) distinct-element blocks by tensor Gauss quadrature, grouped by the
        element offset j: the pairs at one offset share their distances, so
        the kernel tables dist**(-s) and 2 h^2 w_a w_b / dist are built once
@@ -24,7 +25,10 @@ is split into three pieces:
        offsets of 1024 elements), with one G, G', G'' call per block;
        a block's rows are padded to its first offset's length and the
        padding is set to 0 before any sum. For t^p, G(|du| kern) =
-       kern^p G(|du|): G is taken on |du|, weighed by kern^p (`_pair_rule`);
+       kern^p G(|du|): G is taken on |du|, weighed by kern^p (`_pair_rule`).
+       A pointwise max of pure powers is its least power on [0, 1]; the
+       orders whose arguments in a block all lie there take that power's
+       rule for the value (`_pair_value`);
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I, I' and I'' are
@@ -38,9 +42,10 @@ piece (ii) but the kernel table depends on s, so the pairs of all orders
 share one pass: the table dist**(-s) gets a leading axis over the orders,
 and each block forms |u(x) - u(y)| once and makes one G call on the
 stacked (orders, pairs, offsets, elements) argument; a pure power's
-argument |du| has no orders axis, only its weight table has one. The
-blocks do not depend on the number of orders. Pieces (i) and (iii) are
-evaluated per order.
+argument |du| has no orders axis, only its weight table has one, and so
+for a max of pure powers in the blocks where it is its least power at
+every order. The blocks do not depend on the number of orders. Pieces (i)
+and (iii) are evaluated per order.
 
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed value (same rules, same nodes) in piece (ii),
@@ -89,7 +94,9 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
 
     With e = 1 - s, H = h^e and c = |m| H, t = h r gives a block
     (h/e) tilde_G(c) - 2h B(c), B(c) = int_0^1 G(c r^e) dr, and tilde_G
-    the n = 1 limit density. Pure powers have it in closed form, coef G(m).
+    the n = 1 limit density. Pure powers have it in closed form, coef G(m),
+    and so has the value for a pointwise max of pure powers when every
+    c <= 1, where G is its least power (`_least_power`).
     Otherwise B and A(c) = B'(c) = int_0^1 G'(c r^e) r^e dr take the
     profile's rule, cut where c r^e crosses a kink. The m-derivative is
     (2hH/e) (G(c)/c - e A(c)); the second one follows from
@@ -98,6 +105,9 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
     m = np.abs(slopes)
     sgn = np.sign(slopes)
     e = 1.0 - s
+    low = _least_power(G)
+    if low is not None and not want_grad and np.max(m) * h ** e <= 1.0:
+        G = low
     if G.kind == "power":
         p = G.params[0]
         beta = e * p
@@ -263,6 +273,42 @@ def _pair_rule(G, du, kern, block, n):
                                               np.multiply))
 
 
+def _least_power(G):
+    """The child t^p of least p of a pointwise max of pure powers, which is
+    G on [0, 1] (all cross at t = 1); None for any other G."""
+    if G.kind == "pointwise_max" and all(
+            c.kind == "power" for c in G.children):
+        return min(G.children, key=lambda c: c.params[0])
+    return None
+
+
+def _weighed(g, w):
+    """A block's sum of w g per order: each pair row of g summed over its
+    elements first, then weighed by w (rows x offsets x 1)."""
+    return (_drop_padding(g).sum(axis=-1) * w[..., 0]).sum(axis=(-2, -1))
+
+
+def _pair_value(G, du, kern, block):
+    """A block's value per order, by `_pair_rule`. An order whose pair
+    arguments |du| kern all lie in [0, 1], where a pointwise max of pure
+    powers is its least power t^p, takes t^p's rule: no orders axis. The
+    test reads kern^p max |du|^p <= 1; where it errs by roundoff, both
+    rules agree to roundoff. Any other order takes G's rule, as when it
+    is evaluated alone."""
+    low = _least_power(G)
+    F = low or G
+    arg, w = _pair_rule(F, du, kern, block, 1)
+    g = _drop_padding(F(arg))
+    val = _weighed(g, w[0])
+    if low is not None:
+        top = kern[..., 0] ** low.params[0] * g.max(axis=-1)
+        below = np.all(top <= 1.0, axis=(-2, -1))
+        if not below.all():
+            arg, w = _pair_rule(G, du, kern, block, 1)
+            val = np.where(below, val, _weighed(G(arg), w[0]))
+    return val
+
+
 def _distinct_pairs(G, s, u, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks.
 
@@ -296,16 +342,16 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
             hU = np.zeros((q, ne))
             fold = _hessian_fold(q)
         for j0, kern, block, (du,) in blocks:
+            if not want_grad:
+                val += _pair_value(G, du, kern, block)
+                continue
             nj, L = du.shape[1:]
-            arg, w = _pair_rule(G, du, kern, block,
-                                1 + want_grad + (hess is not None))
-            val += (_drop_padding(G(arg)).sum(axis=-1)
-                    * w[0][..., 0]).sum(axis=(-2, -1))
-            if want_grad:
-                coef = (w[1] * _drop_padding(G.deriv(arg))
-                        * np.sign(du)).reshape(q, q, nj, L)
-                gU[:, j0:] += _skew_sum(coef.sum(axis=1))
-                gU[:, :L] -= coef.sum(axis=(0, 2))
+            arg, w = _pair_rule(G, du, kern, block, 2 + (hess is not None))
+            val += _weighed(G(arg), w[0])
+            coef = (w[1] * _drop_padding(G.deriv(arg))
+                    * np.sign(du)).reshape(q, q, nj, L)
+            gU[:, j0:] += _skew_sum(coef.sum(axis=1))
+            gU[:, :L] -= coef.sum(axis=(0, 2))
             if hess is not None:
                 c = w[2] * _drop_padding(G.d2(arg))
                 folded = (fold @ c.reshape(q * q, -1)).reshape(-1, nj, L)
@@ -466,8 +512,9 @@ def fractional_modular(G: OrliczFunction, s, u: GridFunction):
     array with one entry per order, in the given order (repeats allowed),
     each bit-identical to the one-order value: the distinct-element pairs
     of all orders share one pass, whose temporaries grow linearly with the
-    number of orders, except for a pure power (about 0.2 MB per order and
-    array at 1025 nodes; the pair weights are applied to the row sums).
+    number of orders (about 0.2 MB per order and array at 1025 nodes; the
+    pair weights are applied to the row sums), except for a pure power and
+    for a max of pure powers whose arguments stay in [0, 1].
     """
     orders = _check_s(s)
     val = _core(G, orders, u, want_grad=False)[0]

@@ -50,11 +50,11 @@ def bbm_curve(G: OrliczFunction, u: GridFunction,
 
     All orders come from one multi-order `fractional_modular` call, so the
     distinct-element pairs are swept once for the whole curve; except for
-    a pure power, its temporaries grow linearly with len(s_list), about
-    0.2 MB per order at 1025 nodes. Each sample is bit-identical to a
-    one-order evaluation. Extrapolation is linear in (1-s) through the last
-    two samples; the target is the slope modular with the limit density in
-    dimension 1.
+    a pure power, or a max of pure powers whose arguments stay in [0, 1],
+    its temporaries grow linearly with len(s_list), about 0.2 MB per order
+    at 1025 nodes. Each sample is bit-identical to a one-order evaluation.
+    Extrapolation is linear in (1-s) through the last two samples; the
+    target is the slope modular with the limit density in dimension 1.
     """
     s_list = _validate_s_list(s_list)
     if not u.in_zero_trace_cone:

@@ -575,15 +575,63 @@ class TestHomogeneousPairs:
         assert not np.isfinite(ref[2]).all()
         assert_same_pairs(pair_pass(power, 0.7, u), ref)
 
-    @pytest.mark.parametrize("G,factor", [(make_power(3.0), 1),
+    @pytest.mark.parametrize("G,factor", [(make_power(3.0), 1), (G23, 1),
                                           (make_power_log(3.0), 3)],
-                             ids=["power(3)", "power_log(3)"])
+                             ids=["power(3)", "max(power(2), power(3))",
+                                  "power_log(3)"])
     def test_orders_share_the_power_points(self, G, factor, monkeypatch):
-        # a power's stack has no orders axis; any other G's has one
+        # a power's stack has no orders axis, nor has a max of powers whose
+        # arguments stay in [0, 1], as on the hat; any other G's has one
         u = GridFunction.hat(-1.0, 1.0, 129)
         one = pair_points(monkeypatch, G, 0.9, u)
         three = pair_points(monkeypatch, G, np.array([0.9, 0.95, 0.99]), u)
         assert three == factor * one > 0
+
+
+class TestLeastPower:
+    """max(t^2, t^3) is t^2 on [0, 1]. Its value takes t^2's rules where
+    every argument lies there: per block and order in the pair pass, per
+    order in the same-element piece. Elsewhere it takes its own rules."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1.2, 3.0])
+    def test_pairs_match_generic_rule(self, scale):
+        u = GridFunction.hat(-1.0, 1.0, 129) * scale
+        orders = np.array([0.1, 0.5, 0.9, 0.995])
+        got, _ = _distinct_pairs(G23, orders, u, False)
+        ref = [_distinct_pairs(G23_PLAIN, s, u, False)[0] for s in orders]
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    def test_orders_choose_their_rule_per_block(self):
+        # on 1.2 times the hat, small offsets have all their arguments
+        # below 1 at s = 0.1 but not at s = 0.995; each block of a
+        # two-order call gives each order its one-order value, and some
+        # blocks give s = 0.1 the least power's value, which differs from
+        # G's own in its last bits, next to G's own value for s = 0.995
+        u = GridFunction.hat(-1.0, 1.0, 257) * 1.2
+        h = u.spacing
+        orders = np.array([0.1, 0.995])
+        split = 0
+        for bands in zip(*(fractional._pair_bands(s, h, u.values)
+                           for s in (orders, *orders))):
+            for multi, *ones in zip(*(blocks for _, blocks in bands)):
+                _, kern, block, (du,) = multi
+                got = fractional._pair_value(G23, du, kern, block)
+                assert np.array_equal(got, [fractional._pair_value(
+                    G23, d, k, b) for _, k, b, (d,) in ones])
+                own = fractional._pair_value(G23_PLAIN, du, kern, block)
+                split += got[0] != own[0] and got[1] == own[1]
+        assert split > 0
+
+    @pytest.mark.parametrize("s", [0.1, 0.9, 0.995])
+    def test_same_element_value(self, s):
+        h = 1.0 / 64.0
+        below = np.array([0.3, 1.0, 0.999 * h ** (s - 1.0)])  # c < 1
+        above = np.array([0.3, 2.0 * h ** (s - 1.0)])
+        assert _same_element(G23, s, h, below, False)[0] == \
+            _same_element(make_power(2.0), s, h, below, False)[0]
+        for m in (below, above):
+            assert _same_element(G23, s, h, m, False)[0] == pytest.approx(
+                _same_element(G23_PLAIN, s, h, m, False)[0], rel=1e-11)
 
 
 class TestSeparationGrading:
