@@ -9,8 +9,8 @@ is split into three pieces:
   (i)  same-element blocks, where the kernel singularity lives: the n = 1
        limit density `limit_density(G, 1)` at the scaled slope, minus a
        smooth integral by the profile's kink-split tanh-sinh rule
-       (`_same_element`); pure powers get both in closed form, and so
-       does the value of a pointwise max of pure powers where every c <= 1;
+       (`_same_element`); where G is t^p on the range of the scaled
+       slopes (`_power_on`), all three outputs take t^p's closed form;
   (ii) distinct-element blocks by tensor Gauss quadrature, grouped by the
        element offset j: the pairs at one offset share their distances, so
        the kernel tables dist**(-s) and 2 h^2 w_a w_b / dist are built once
@@ -24,11 +24,11 @@ is split into three pieces:
        about `_BLOCK_POINTS` pair points each (309 blocks for the 1023
        offsets of 1024 elements), with one G, G', G'' call per block;
        a block's rows are padded to its first offset's length and the
-       padding is set to 0 before any sum. For t^p, G(|du| kern) =
-       kern^p G(|du|): G is taken on |du|, weighed by kern^p (`_pair_rule`).
-       A pointwise max of pure powers is its least power on [0, 1]; the
-       orders whose arguments in a block all lie there take that power's
-       rule for the value (`_pair_value`);
+       padding is set to 0 before any sum. Where G is t^p on [0, T]
+       (`_power_on`), G(|du| kern) = kern^p G(|du|): a block whose
+       arguments all lie there takes G on |du|, weighed by kern^p, for the
+       value, the gradient and the Hessian alike (`_pair_rule`); any other
+       block takes G's own rule, order by order if its orders differ;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I, I' and I'' are
@@ -41,11 +41,10 @@ The value alone may be asked for several orders s at once. Nothing in
 piece (ii) but the kernel table depends on s, so the pairs of all orders
 share one pass: the table dist**(-s) gets a leading axis over the orders,
 and each block forms |u(x) - u(y)| once and makes one G call on the
-stacked (orders, pairs, offsets, elements) argument; a pure power's
-argument |du| has no orders axis, only its weight table has one, and so
-for a max of pure powers in the blocks where it is its least power at
-every order. The blocks do not depend on the number of orders. Pieces (i)
-and (iii) are evaluated per order.
+stacked (orders, pairs, offsets, elements) argument, or, where t^p's rule
+serves, on |du|, which has no orders axis (only its weights have one). The
+blocks do not depend on the number of orders. Pieces (i) and (iii) are
+evaluated per order.
 
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed value (same rules, same nodes) in piece (ii),
@@ -56,16 +55,15 @@ same passes assemble the Hessian likewise, for the solver's Newton steps
 (one order). The absolute pairing `pairing_abs` uses the same pieces.
 
 Evaluation is sequential with a fixed reduction order, so results are
-bit-identical from run to run. In a block, each pair row G(arg) of each
-offset is first summed over its elements (one contiguous reduction per row
-and offset), then the row sums are weighted by ``block`` and summed over
-the rows and offsets of their order: numpy reductions on each order's own
-rows, the same as when that order is evaluated alone, so every entry of a
-multi-order value is bit-identical to the one-order value. The gradient
-and the Hessian sum a block's offsets per element, the right elements
-along the diagonals of a strided view (`_skew_sum`). Blocks are
-independent and could be farmed out, provided the reduction order is
-preserved.
+bit-identical from run to run. In a block, each pair row of each offset is
+summed over its elements first (one contiguous reduction), then the row
+sums are weighted and summed over the rows and offsets of their order:
+reductions on each order's own rows, as when that order is evaluated
+alone, so every entry of a multi-order value is bit-identical to the
+one-order value. The gradient and the Hessian sum a block's offsets per
+element, the right elements along the diagonals of a strided view
+(`_skew_sum`). Blocks are independent and could be farmed out, provided
+the reduction order is preserved.
 """
 
 from __future__ import annotations
@@ -94,31 +92,28 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
 
     With e = 1 - s, H = h^e and c = |m| H, t = h r gives a block
     (h/e) tilde_G(c) - 2h B(c), B(c) = int_0^1 G(c r^e) dr, and tilde_G
-    the n = 1 limit density. Pure powers have it in closed form, coef G(m),
-    and so has the value for a pointwise max of pure powers when every
-    c <= 1, where G is its least power (`_least_power`).
-    Otherwise B and A(c) = B'(c) = int_0^1 G'(c r^e) r^e dr take the
-    profile's rule, cut where c r^e crosses a kink. The m-derivative is
-    (2hH/e) (G(c)/c - e A(c)); the second one follows from
-    c A'(c) = (G'(c) - (1+e) A(c)) / e, which holds across kinks too.
+    the n = 1 limit density. Where G is t^p on [0, T] (`_power_on`) and
+    every c is <= T (< T with the derivatives), all three outputs are
+    t^p's closed form, coef |m|^p. Otherwise B and A(c) = B'(c) =
+    int_0^1 G'(c r^e) r^e dr take the profile's rule, cut where c r^e
+    crosses a kink. The m-derivative is (2hH/e) (G(c)/c - e A(c)); the
+    second one follows from c A'(c) = (G'(c) - (1+e) A(c)) / e, which
+    holds across kinks too.
     """
     m = np.abs(slopes)
     sgn = np.sign(slopes)
     e = 1.0 - s
-    low = _least_power(G)
-    if low is not None and not want_grad and np.max(m) * h ** e <= 1.0:
-        G = low
-    if G.kind == "power":
-        p = G.params[0]
-        beta = e * p
+    H = h ** e
+    F, T = _power_on(G) or (None, -np.inf)  # -inf: no c takes t^p's form
+    if (np.less if want_grad else np.less_equal)(np.max(m) * H, T):
+        beta = e * F.params[0]
         coef = 2.0 * h ** (beta + 1.0) / (beta * (beta + 1.0))
-        vals = coef * G(m)
-        ders = coef * G.deriv(m) * sgn if want_grad else None
+        vals = coef * F(m)
+        ders = coef * F.deriv(m) * sgn if want_grad else None
         if want_hess:
-            return float(np.sum(vals)), ders, coef * G.d2(m)
+            return float(np.sum(vals)), ders, coef * F.d2(m)
         return float(np.sum(vals)), ders
 
-    H = h ** e
     c = m * H
     tilde = limit_density(G, 1)
     cuts = [t ** (1.0 / e) for t in _kink_cuts(c, G.kinks)]
@@ -263,50 +258,50 @@ def _hessian_fold(q):
     return fold
 
 
-def _pair_rule(G, du, kern, block, n):
-    """(arg, w): a block's term in G^(i), i < n, is w[i] G^(i)(arg). For
-    t^p, G^(i)(|du| kern) kern^i = kern^p G^(i)(|du|): arg = |du| for all
-    orders, w[i] = block kern^p; else arg = |du| kern, w[i] = block kern^i."""
+def _power_on(G):
+    """(t^p, T) with G = t^p on [0, T], or None: a pure power is itself on
+    [0, inf); a pointwise max of pure powers is its least power on [0, 1],
+    where all its children cross. The only reader of ``G.kind`` here."""
     if G.kind == "power":
-        return np.abs(du), [block * kern ** G.params[0]] * n
-    return np.abs(du) * kern, list(accumulate([block] + [kern] * (n - 1),
-                                              np.multiply))
-
-
-def _least_power(G):
-    """The child t^p of least p of a pointwise max of pure powers, which is
-    G on [0, 1] (all cross at t = 1); None for any other G."""
+        return G, np.inf
     if G.kind == "pointwise_max" and all(
             c.kind == "power" for c in G.children):
-        return min(G.children, key=lambda c: c.params[0])
+        return min(G.children, key=lambda c: c.params[0]), 1.0
     return None
 
 
 def _weighed(g, w):
-    """A block's sum of w g per order: each pair row of g summed over its
-    elements first, then weighed by w (rows x offsets x 1)."""
-    return (_drop_padding(g).sum(axis=-1) * w[..., 0]).sum(axis=(-2, -1))
+    """A block's sum of w g per order, g without its padding: each pair row
+    summed over its elements first, then weighed by w (rows x offsets x 1)."""
+    return (g.sum(axis=-1) * w[..., 0]).sum(axis=(-2, -1))
 
 
-def _pair_value(G, du, kern, block):
-    """A block's value per order, by `_pair_rule`. An order whose pair
-    arguments |du| kern all lie in [0, 1], where a pointwise max of pure
-    powers is its least power t^p, takes t^p's rule: no orders axis. The
-    test reads kern^p max |du|^p <= 1; where it errs by roundoff, both
-    rules agree to roundoff. Any other order takes G's rule, as when it
-    is evaluated alone."""
-    low = _least_power(G)
-    F = low or G
-    arg, w = _pair_rule(F, du, kern, block, 1)
-    g = _drop_padding(F(arg))
-    val = _weighed(g, w[0])
-    if low is not None:
-        top = kern[..., 0] ** low.params[0] * g.max(axis=-1)
-        below = np.all(top <= 1.0, axis=(-2, -1))
-        if not below.all():
-            arg, w = _pair_rule(G, du, kern, block, 1)
-            val = np.where(below, val, _weighed(G(arg), w[0]))
-    return val
+def _pair_rule(G, on, du, kern, block, n=1):
+    """(val, F, arg, w): a block's value per order and, for one order, its
+    term in G^(i), i < n, which is w[i] F^(i)(arg).
+
+    ``on`` is `_power_on(G)`. Where G is t^p on [0, T], F = t^p and
+    G^(i)(|du| kern) kern^i = kern^p F^(i)(|du|): arg = |du| for all
+    orders, w[i] = block kern^p. A block takes this rule if each of its
+    arguments |du| kern is <= T, and for n > 1 if each is < T, since a
+    max's G' and G'' take the steeper branch at T. Otherwise one order
+    takes G's own rule, F = G, arg = |du| kern and w[i] = block kern^i;
+    several orders take their rules one by one, as when each is evaluated
+    alone, and give their values only.
+    """
+    arg = np.abs(du)
+    if on is not None:
+        F, T = on
+        if T == np.inf or (np.less if n > 1 else np.less_equal)(
+                kern[..., 0] * _drop_padding(arg).max(axis=-1), T).all():
+            w = [block * kern ** F.params[0]] * n
+            return _weighed(_drop_padding(F(arg)), w[0]), F, arg, w
+        if np.ndim(kern) > 3:
+            return np.array([_pair_rule(G, on, du, k, block)[0]
+                             for k in kern]), None, None, None
+    arg = arg * kern
+    w = list(accumulate([block] + [kern] * (n - 1), np.multiply))
+    return _weighed(_drop_padding(G(arg)), w[0]), G, arg, w
 
 
 def _distinct_pairs(G, s, u, want_grad, hess=None):
@@ -314,16 +309,17 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
 
     The value has the shape of ``s``: one order, or for the value alone a
     1-D array of orders, whose pairs share one G call per block of
-    offsets. In a block, G(arg) is summed over the elements of each pair
-    row and offset first and each row sum then takes its weight w[0]
-    (`_pair_rule`), so no weighted copy of the stack is made; each order's
-    sums are its own reductions, as for one order.
+    offsets. `_power_on` is read once per call, and `_pair_rule` gives each
+    block and order t^p's rule or G's own, for every output. F(arg) is
+    summed over the elements of each pair row and offset before the row
+    sums take their weight w[0]: no weighted copy of the stack is made,
+    and each order's sums are its own reductions, as for one order.
 
     The gradient is accumulated per element and Gauss point of a band and
     scattered to the nodes once per band; a block's left elements take a
     sum over its offsets, its right elements a skewed one (`_skew_sum`).
     Given ``hess`` (the upper triangle of a nodal matrix), the Hessian is
-    added to it: a pair contributes c = w[2] G''(arg) times the outer
+    added to it: a pair contributes c = w[2] F''(arg) times the outer
     product of its difference's nodal weights. One matrix product per
     block (`_hessian_fold`) folds c into its sums per right and per left
     Gauss point, which are accumulated per element like the gradient and
@@ -334,6 +330,8 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
     val = np.zeros(np.shape(s))[()]  # a float64 for one order
     grad = np.zeros(u.node_count) if want_grad else None
     ne = u.node_count - 1
+    on = _power_on(G)
+    n = 1 + want_grad + (hess is not None)
     for x, blocks in _pair_bands(s, u.spacing, u.values):
         q = x.size
         if want_grad:
@@ -342,18 +340,17 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
             hU = np.zeros((q, ne))
             fold = _hessian_fold(q)
         for j0, kern, block, (du,) in blocks:
+            block_val, F, arg, w = _pair_rule(G, on, du, kern, block, n)
+            val += block_val
             if not want_grad:
-                val += _pair_value(G, du, kern, block)
                 continue
             nj, L = du.shape[1:]
-            arg, w = _pair_rule(G, du, kern, block, 2 + (hess is not None))
-            val += _weighed(G(arg), w[0])
-            coef = (w[1] * _drop_padding(G.deriv(arg))
+            coef = (w[1] * _drop_padding(F.deriv(arg))
                     * np.sign(du)).reshape(q, q, nj, L)
             gU[:, j0:] += _skew_sum(coef.sum(axis=1))
             gU[:, :L] -= coef.sum(axis=(0, 2))
             if hess is not None:
-                c = w[2] * _drop_padding(G.d2(arg))
+                c = w[2] * _drop_padding(F.d2(arg))
                 folded = (fold @ c.reshape(q * q, -1)).reshape(-1, nj, L)
                 hU[:, j0:] += _skew_sum(folded[:q])
                 hU[:, :L] += folded[q:2 * q].sum(axis=1)
@@ -513,8 +510,9 @@ def fractional_modular(G: OrliczFunction, s, u: GridFunction):
     each bit-identical to the one-order value: the distinct-element pairs
     of all orders share one pass, whose temporaries grow linearly with the
     number of orders (about 0.2 MB per order and array at 1025 nodes; the
-    pair weights are applied to the row sums), except for a pure power and
-    for a max of pure powers whose arguments stay in [0, 1].
+    pair weights are applied to the row sums), except where G is t^p on a
+    range (`_power_on`): a block then evaluates t^p once for all orders, or
+    each order alone.
     """
     orders = _check_s(s)
     val = _core(G, orders, u, want_grad=False)[0]
@@ -535,10 +533,10 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     This majorizes the weak-form pairing and is the quantity bounded by
     (p - 1) Phi_s(u) + Phi_s(v) through the Young inequality. Each piece of
     the modular's rule contributes |d Phi_s(u)| times |v| at its own
-    quadrature values: the element slopes, the pair differences (by
-    `_pair_rule`) and the far-field Gauss points. The pairing and the
-    modular thus share one rule: the Young bound holds node by node, and
-    for v = u and G = t^p the pairing is p Phi_s(u) up to roundoff.
+    quadrature values: the element slopes, the pair differences (by the
+    gradient's `_pair_rule`) and the far-field Gauss points. The pairing
+    and the modular thus share one rule: the Young bound holds node by
+    node, and for v = u and G = t^p the pairing is p Phi_s(u) up to roundoff.
     """
     _check_one_s(s)
     if (u.left, u.right, u.node_count) != (v.left, v.right, v.node_count):
@@ -546,10 +544,11 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     h = u.spacing
     _, ders = _same_element(G, s, h, u.slopes, want_grad=True)
     val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
+    on = _power_on(G)
     for _, blocks in _pair_bands(s, h, u.values, v.values):
         for _, kern, block, (du, dv) in blocks:
-            arg, w = _pair_rule(G, du, kern, block, 2)
-            val += float(np.sum(w[1] * _drop_padding(G.deriv(arg))
+            _, F, arg, w = _pair_rule(G, on, du, kern, block, 2)
+            val += float(np.sum(w[1] * _drop_padding(F.deriv(arg))
                                 * np.abs(dv)))
     xg, wg, U, kern = _far_points(s, u)
     flux = _far_flux(limit_density(G, 1), s, h, wg, U, kern)

@@ -32,6 +32,8 @@ G2 = make_power(2.0)
 G23 = make_combination("max", [make_power(2.0), make_power(3.0)])
 # the same function without a closed-form limit density
 G23_PLAIN = make_custom(G23.fn, G23.dfn, kinks=G23.kinks)
+# ... and with its exact G'': a custom kind, so every piece takes G's own rule
+G23_EXACT = make_custom(G23.fn, G23.dfn, d2fn=G23.d2fn, kinks=G23.kinks)
 
 
 def random_state(rng, n=33, amplitude=1.0):
@@ -328,11 +330,12 @@ class TestHessian:
                         ) / (2.0 * eps)
         assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
 
-    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0)],
-                             ids=lambda G: G.label)
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
     def test_central_difference_in_blocks_of_offsets(self, G, rng):
         # 129 nodes: bands of several blocks of several offsets, whose cross
-        # terms land on several diagonals per block (see TestPairBlocks)
+        # terms land on several diagonals per block (see TestPairBlocks);
+        # for G23 some blocks take t^2's rule and the others G's own
         u = random_state(rng, n=129, amplitude=0.4)
         hess = _core(G, 0.7, u, want_grad=True, want_hess=True)[2]
         eps = 1e-6
@@ -589,9 +592,11 @@ class TestHomogeneousPairs:
 
 
 class TestLeastPower:
-    """max(t^2, t^3) is t^2 on [0, 1]. Its value takes t^2's rules where
-    every argument lies there: per block and order in the pair pass, per
-    order in the same-element piece. Elsewhere it takes its own rules."""
+    """max(t^2, t^3) is t^2 on [0, 1]. Its value, gradient and Hessian take
+    t^2's rules where every argument lies there (below 1 for the
+    derivatives, which take t^3's branch at 1): per block and order in the
+    pair pass, per order in the same-element piece. Elsewhere they take
+    its own rules."""
 
     @pytest.mark.parametrize("scale", [1.0, 1.2, 3.0])
     def test_pairs_match_generic_rule(self, scale):
@@ -600,6 +605,15 @@ class TestLeastPower:
         got, _ = _distinct_pairs(G23, orders, u, False)
         ref = [_distinct_pairs(G23_PLAIN, s, u, False)[0] for s in orders]
         assert got == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.995])
+    @pytest.mark.parametrize("scale", [1.0, 1.2, 3.0, "random"])
+    def test_derivatives_match_generic_rule(self, scale, s, rng):
+        if scale == "random":
+            u = random_state(rng, 129)
+        else:
+            u = GridFunction.hat(-1.0, 1.0, 129) * scale
+        assert_same_pairs(pair_pass(G23, s, u), pair_pass(G23_EXACT, s, u))
 
     def test_orders_choose_their_rule_per_block(self):
         # on 1.2 times the hat, small offsets have all their arguments
@@ -610,15 +624,17 @@ class TestLeastPower:
         u = GridFunction.hat(-1.0, 1.0, 257) * 1.2
         h = u.spacing
         orders = np.array([0.1, 0.995])
+        on, plain = fractional._power_on(G23), fractional._power_on(G23_PLAIN)
         split = 0
         for bands in zip(*(fractional._pair_bands(s, h, u.values)
                            for s in (orders, *orders))):
             for multi, *ones in zip(*(blocks for _, blocks in bands)):
                 _, kern, block, (du,) = multi
-                got = fractional._pair_value(G23, du, kern, block)
-                assert np.array_equal(got, [fractional._pair_value(
-                    G23, d, k, b) for _, k, b, (d,) in ones])
-                own = fractional._pair_value(G23_PLAIN, du, kern, block)
+                got = fractional._pair_rule(G23, on, du, kern, block)[0]
+                assert np.array_equal(got, [fractional._pair_rule(
+                    G23, on, d, k, b)[0] for _, k, b, (d,) in ones])
+                own = fractional._pair_rule(G23_PLAIN, plain, du, kern,
+                                            block)[0]
                 split += got[0] != own[0] and got[1] == own[1]
         assert split > 0
 
@@ -632,6 +648,89 @@ class TestLeastPower:
         for m in (below, above):
             assert _same_element(G23, s, h, m, False)[0] == pytest.approx(
                 _same_element(G23_PLAIN, s, h, m, False)[0], rel=1e-11)
+
+    def test_same_element_derivatives_at_the_kink(self, monkeypatch):
+        # h^(1-s) = 1/8 exactly: slope 8 gives c = 1, where the value takes
+        # t^2's closed form and the derivatives keep G's own rule; a slope
+        # just below takes t^2's closed form for all three outputs
+        h, s = 1.0 / 64.0, 0.5
+        at = np.array([0.3, -8.0])
+        below = np.array([0.3, -8.0 * (1.0 - 2.0 ** -20)])
+        G2 = make_power(2.0)
+
+        def outputs(G, m):
+            return _same_element(G, s, h, m, True, True)
+
+        assert _same_element(G23, s, h, at, False)[0] == \
+            _same_element(G2, s, h, at, False)[0]
+        closed = [outputs(G23, m) for m in (at, below)]
+        with monkeypatch.context() as patched:
+            patched.setattr(fractional, "_power_on", lambda G: None)
+            own = outputs(G23, at)
+        for got, ref in zip(closed[0][1:], own[1:]):
+            assert np.array_equal(got, ref)
+        for got, ref in zip(closed[1][1:], outputs(G2, below)[1:]):
+            assert np.array_equal(got, ref)
+        for m, got in zip((at, below), closed):
+            ref = outputs(G23_EXACT, m)
+            assert got[0] == pytest.approx(ref[0], rel=1e-12)
+            for a, b in zip(got[1:], ref[1:]):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_pair_derivatives_at_the_kink(self):
+        # a block with one pair argument exactly 1 takes t^2's rule for its
+        # value and G's own for its derivatives, whose G'(1) is t^3's 3;
+        # an argument just below 1 takes t^2's rule for both
+        on = fractional._power_on(G23)
+        kern, block = np.ones((1, 1, 1)), np.ones((1, 1, 1))
+        for top, rules in ((1.0, (G23.children[0], G23)),
+                           (1.0 - 2.0 ** -52, (G23.children[0],) * 2)):
+            du = np.array([[[0.5, -top]]])
+            for n, rule in zip((1, 2), rules):
+                val, F, arg, w = fractional._pair_rule(G23, on, du, kern,
+                                                       block, n)
+                assert F is rule and val == 0.25 + top * top
+            slope = w[1] * F.deriv(arg)
+            assert slope[0, 0, 1] == (3.0 if top == 1.0 else 2.0 * top)
+
+    def test_derivatives_skip_the_max_on_the_hat(self, monkeypatch):
+        # on the hat at s = 0.7 every pair argument is below 1: each block
+        # of a gradient + Hessian pass calls t^2's G' and G'' once, and no
+        # pair stack reaches the max's own
+        u = GridFunction.hat(-1.0, 1.0, 129)
+        low = G23.children[0]
+        bands = fractional._pair_bands
+        stacks = []
+        calls = {"deriv": [], "d2": []}
+
+        def seen(blocks):
+            for b in blocks:
+                stacks.append(b[3][0].shape)
+                yield b
+
+        def recorded(*args):
+            for x, blocks in bands(*args):
+                yield x, seen(blocks)
+
+        def counted(name):
+            method = getattr(OrliczFunction, name)
+
+            def wrapper(self, x):
+                calls[name].append((self, np.shape(x)))
+                return method(self, x)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(fractional, "_pair_bands", recorded)
+            for name in calls:
+                m.setattr(OrliczFunction, name, counted(name))
+            _core(G23, 0.7, u, want_grad=True, want_hess=True)
+        assert len(stacks) > 1
+        for name, args in calls.items():
+            assert sorted(shape for G, shape in args
+                          if G is low and shape in stacks) == sorted(stacks)
+            assert not [shape for G, shape in args
+                        if G is G23 and shape in stacks]
 
 
 class TestSeparationGrading:
