@@ -12,20 +12,20 @@ is split into three pieces:
        (`_same_element`); where G is t^p on the range of the scaled
        slopes (`_power_on`), all three outputs take t^p's closed form;
   (ii) distinct-element blocks by tensor Gauss quadrature, grouped by the
-       element offset j: the pairs at one offset share their distances, so
-       the kernel tables dist**(-s) and 2 h^2 w_a w_b / dist are built once
-       per band of offsets of one Gauss order (and per call). Offsets 1
-       and 2 use order 5 (`_ORDER`); a further offset j gets the smallest
-       order q >= 2 whose Gauss error bound rho_j**(-2q), with
-       rho_j = (2j-1) + sqrt((2j-1)**2 - 1) the Bernstein-ellipse radius of
-       the kernel singularity, is no larger than the order-5 bound at
-       offset 2 (on 1024 elements: 2 offsets at order 5, 3 at 4, 16 at 3,
-       the rest at 2). A band is walked in blocks of consecutive offsets,
-       about `_BLOCK_POINTS` pair points each (309 blocks for the 1023
-       offsets of 1024 elements), with one G, G', G'' call per block;
-       a block's rows are padded to its first offset's length and the
-       padding is set to 0 before any sum. Where G is t^p on [0, T]
-       (`_power_on`), G(|du| kern) = kern^p G(|du|): a block whose
+       element offset j. Offsets 1 and 2 use order 5 (`_ORDER`); a further
+       offset j gets the smallest order q >= 2 whose Gauss error bound
+       rho_j**(-2q), with rho_j = (2j-1) + sqrt((2j-1)**2 - 1) the
+       Bernstein-ellipse radius of the kernel singularity, is no larger
+       than the order-5 bound at offset 2 (on 1024 elements: 2 offsets at
+       order 5, 3 at 4, 16 at 3, the rest at 2). A band of one order is
+       walked in blocks of consecutive offsets, about `_BLOCK_POINTS` pair
+       points each (309 blocks for the 1023 offsets of 1024 elements), with
+       one G, G', G'' call per block; the kernel tables dist**(-s) and
+       2 h^2 w_a w_b / dist of its blocks depend on (s, h, ne) only, and
+       are built once per key and kept, read-only, for the last two keys
+       (`_band_tables`). A block's rows are padded to its first offset's
+       length and the padding is set to 0 before any sum. Where G is t^p on
+       [0, T] (`_power_on`), G(|du| kern) = kern^p G(|du|): a block whose
        arguments all lie there takes G on |du|, weighed by kern^p, for the
        value, the gradient and the Hessian alike (`_pair_rule`); any other
        block takes G's own rule, order by order if its orders differ;
@@ -73,7 +73,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quadrature import gauss_rule_01
 from .errors import InvalidInputError, InvalidParameterError
@@ -152,62 +151,63 @@ def _pair_orders(ne, order):
     return q
 
 
-def _offset_blocks(first, last, ne, q):
-    """(j0, nj) of the blocks of consecutive offsets first .. last of a band
-    of order q on ne elements: a block at j0 takes the nj offsets
-    j0 .. j0+nj-1, as many as keep q*q*(ne - j0)*nj within
-    `_BLOCK_POINTS`, and at least one."""
-    j0 = first
-    while j0 <= last:
-        nj = max(1, min(last - j0 + 1, _BLOCK_POINTS // (q * q * (ne - j0))))
-        yield j0, nj
-        j0 += nj
-
-
-def _pair_bands(s, h, *nodal):
-    """Distinct-element pairs of the uniform mesh, one band per Gauss order.
-
-    Yields ``(x, blocks)`` per band of offsets sharing an order q: the
-    band's Gauss nodes on (0, 1) and an iterator over its blocks of
-    consecutive offsets (`_offset_blocks`). A block of the nj offsets
-    j0 .. j0+nj-1 yields ``(j0, kern, block, diffs)``. Row a*q + b
-    stands for node a of the right element and node b of the left one, at
-    distance dist = h (j + x_a - x_b): ``kern`` is the (q*q, nj, 1) table
-    dist**(-s) (for a 1-D array of orders ``s``, the (orders, q*q, nj, 1)
-    stack of those tables), ``block`` is 2 h^2 w_a w_b / dist, and
-    ``diffs`` holds, for each nodal vector, the (q*q, nj, L) differences
-    right minus left, L = ne - j0: entry [r, k, e] pairs left element e
-    with right element e + j0 + k. Entries with e >= L - k are padding,
-    which `_drop_padding` sets to 0. The differences are read through a
-    sliding window of the right rows, without index gathers, and elements
-    run along the last axis, so every array operation on a pair row is a
-    long contiguous loop. The tables are built once per band and live for
-    one call only.
-    """
-    ne = len(nodal[0]) - 1
-    if ne < 2:
-        return
+@lru_cache(maxsize=2)
+def _band_tables(s, h, ne):
+    """What `_pair_bands` yields but the differences, on ne elements of width
+    h: per band of order q, its Gauss nodes and blocks (j0, nj, kern, block)
+    of the most offsets that keep q*q*(ne - j0)*nj within `_BLOCK_POINTS`,
+    and at least one. Built once per key (s, h, ne), s a float or a tuple of
+    floats; the last two keys are kept. Read-only."""
     q = _pair_orders(ne, _ORDER)
-    cuts = list(np.flatnonzero(np.diff(q)) + 1)
-    for lo, hi in zip([0] + cuts, cuts + [ne - 1]):
+    ends = np.flatnonzero(np.diff(q, prepend=0, append=0)).tolist()
+    bands = []
+    for lo, hi in zip(ends[:-1], ends[1:]):  # none for ne = 1
         x, w = gauss_rule_01(int(q[lo]))
         dist = h * (np.arange(lo + 1, hi + 1)[:, None]
                     + np.subtract.outer(x, x).reshape(-1, 1, 1))
         kern = dist ** -np.reshape(s, np.shape(s) + (1, 1, 1))
         block = 2.0 * h * h * np.outer(w, w).reshape(-1, 1, 1) / dist
-        rows = []
-        for v in nodal:
-            V = _at_gauss_points(v, x).T
-            R = np.repeat(V, x.size, axis=0)
-            rows.append((sliding_window_view(np.pad(R, ((0, 0), (0, ne))),
-                                             ne, axis=-1),
-                         np.tile(V, (x.size, 1))))
-        first = lo + 1
-        yield x, ((j0, kern[..., j0 - first:j0 - first + nj, :],
-                   block[:, j0 - first:j0 - first + nj],
-                   [W[:, j0:j0 + nj, :ne - j0] - L[:, None, :ne - j0]
-                    for W, L in rows])
-                  for j0, nj in _offset_blocks(first, hi, ne, x.size))
+        kern.flags.writeable = block.flags.writeable = False
+        blocks, j0 = [], lo + 1
+        while j0 <= hi:
+            nj = max(1, min(hi - j0 + 1,
+                            _BLOCK_POINTS // (x.size ** 2 * (ne - j0))))
+            at = slice(j0 - lo - 1, j0 - lo - 1 + nj)
+            blocks.append((j0, nj, kern[..., at, :], block[:, at]))
+            j0 += nj
+        bands.append((x, tuple(blocks)))
+    return tuple(bands)
+
+
+def _pair_bands(s, h, *nodal):
+    """Distinct-element pairs of the uniform mesh, one band per Gauss order.
+
+    Yields ``(x, blocks)`` per band of order q: its Gauss nodes on (0, 1)
+    and an iterator over its blocks of the offsets j0 .. j0+nj-1, each
+    ``(j0, kern, block, diffs)``. Row a*q + b pairs node a of the right
+    element with node b of the left one, at dist = h (j + x_a - x_b).
+    ``kern`` and ``block`` are the read-only (q*q, nj, 1) tables dist**(-s)
+    and 2 h^2 w_a w_b / dist of `_band_tables` (``kern`` with a leading
+    axis for a 1-D array of orders ``s``). ``diffs`` holds per nodal vector
+    the (q*q, nj, L) differences right minus left, L = ne - j0: entry
+    [r, k, e] pairs left element e with right element e + j0 + k, and is
+    padding (`_drop_padding`) if e >= L - k. They are read from one
+    zero-padded (q, 2 ne) buffer of Gauss-point values per vector and band,
+    so every operation on a pair row is a long contiguous loop.
+    """
+    ne = len(nodal[0]) - 1
+    key = tuple(np.ravel(s).tolist()) if np.ndim(s) else float(s)
+    for x, blocks in _band_tables(key, float(h), ne):
+        bufs = [np.zeros((x.size, 2 * ne)) for _ in nodal]
+        for buf, v in zip(bufs, nodal):
+            buf[:, :ne] = _at_gauss_points(v, x).T
+        # view row (a, j) starts at node a's element j; (q,1,nj,L) - (q,1,L)
+        rows = [np.ndarray((x.size, ne, ne), float, b, 0,
+                           b.strides + b.strides[1:]) for b in bufs]
+        yield x, ((j0, kern, block,
+                   [(W[:, None, j0:j0 + nj, :ne - j0] - W[:, :1, :ne - j0])
+                    .reshape(x.size ** 2, nj, ne - j0) for W in rows])
+                  for j0, nj, kern, block in blocks)
 
 
 @lru_cache(maxsize=64)

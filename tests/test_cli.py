@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orliczfrac import ConfigError, GridFunction, InvalidParameterError
-from orliczfrac import cli, solver
+from orliczfrac import cli, fractional, solver
 from orliczfrac.cli import (
     ExperimentConfig,
     main,
@@ -219,6 +219,27 @@ class TestRunners:
         text = path.read_text()
         assert "PASS screening H1" in text
         assert "FAIL" not in text
+
+    @pytest.mark.parametrize("text", [
+        "command = gamma\nG = power_log(3)\nnodes = 17\n"
+        "s_list = 0.6, 0.9\nrhs = constant(1)\n",
+        "command = solve\nG = power(2)\ns = 0.5\nnodes = 129\n"
+        "rhs = constant(1)\n"], ids=["gamma", "solve"])
+    def test_cached_pair_tables_leave_outputs_unchanged(self, tmp_path,
+                                                         text):
+        # a cold run builds the pair pass's tables, a warm one only reads
+        # them
+        tables = fractional._band_tables
+        tables.cache_clear()
+        cold = run(parse_config(text), tmp_path / "cold")
+        before = tables.cache_info()
+        warm = run(parse_config(text), tmp_path / "warm")
+        after = tables.cache_info()
+        assert after.misses == before.misses > 0
+        assert after.hits > before.hits
+        assert [p.name for p in cold] == [p.name for p in warm]
+        assert [p.read_bytes() for p in cold] == \
+            [p.read_bytes() for p in warm]
 
     def test_determinism(self, tmp_path):
         text = ("command = bbm\nG = power(2)\nnodes = 65\n"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 
 from orliczfrac import (
+    DirichletProblem,
     GridFunction,
     InvalidParameterError,
     apply_pointwise_eps,
@@ -14,9 +16,11 @@ from orliczfrac import (
     make_power,
     make_power_log,
     pairing_abs,
+    solve,
 )
 from orliczfrac import fractional
 from orliczfrac._quadrature import gauss_rule_01
+from orliczfrac.grid import _at_gauss_points
 from orliczfrac.fractional import (
     _core,
     _distinct_pairs,
@@ -416,6 +420,105 @@ class TestPairBlocks:
                 assert np.array_equal(out == 0.0, np.broadcast_to(
                     padding, out.shape))
                 assert np.all(np.isinf(out[:, ~padding]))
+
+
+def window_block(s, h, v, x, j0, nj):
+    """A block's kern, block and differences of nodal values ``v`` as the
+    pair pass first built them: the band's tables per call, and the right
+    rows read through a sliding window over the padded repeated rows."""
+    ne = len(v) - 1
+    _, w = gauss_rule_01(x.size)
+    dist = h * (np.arange(j0, j0 + nj)[:, None]
+                + np.subtract.outer(x, x).reshape(-1, 1, 1))
+    kern = dist ** -np.reshape(s, np.shape(s) + (1, 1, 1))
+    block = 2.0 * h * h * np.outer(w, w).reshape(-1, 1, 1) / dist
+    V = _at_gauss_points(v, x).T
+    R = np.repeat(V, x.size, axis=0)
+    W = sliding_window_view(np.pad(R, ((0, 0), (0, ne))), ne, axis=-1)
+    L = np.tile(V, (x.size, 1))
+    return kern, block, W[:, j0:j0 + nj, :ne - j0] - L[:, None, :ne - j0]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBandWindows:
+    """The strided view of one padded buffer per band gives bit for bit the
+    differences of the sliding-window construction it replaced."""
+
+    @pytest.mark.parametrize("s", [0.5, np.array(0.5), np.array([0.3, 0.9])],
+                             ids=["float", "0-d", "1-d"])
+    @pytest.mark.parametrize("n", [3, 4, 33, 129])
+    def test_blocks_match_the_sliding_window(self, n, s, rng):
+        u, v = random_state(rng, n), random_state(rng, n)
+        h = u.spacing
+        for nodal in ((u.values,), (u.values, v.values)):
+            offsets = 0
+            for x, blocks in fractional._pair_bands(s, h, *nodal):
+                for j0, kern, block, diffs in blocks:
+                    nj = kern.shape[-2]
+                    assert len(diffs) == len(nodal)
+                    for d, vals in zip(diffs, nodal):
+                        ref = window_block(s, h, vals, x, j0, nj)
+                        assert same_bits(kern, ref[0])
+                        assert same_bits(block, ref[1])
+                        assert same_bits(d, ref[2])
+                    offsets += nj
+            assert offsets == n - 2
+
+    def test_one_element_has_no_pairs(self):
+        v = np.array([0.0, 1.0])
+        assert list(fractional._pair_bands(0.5, 2.0, v)) == []
+        assert list(fractional._pair_bands([0.5, 0.7], 2.0, v, v)) == []
+
+
+class TestBandTables:
+    """`_band_tables` holds the pair pass's tables per (s, h, ne)."""
+
+    def test_tables_are_read_only(self):
+        u = GridFunction.hat(-1.0, 1.0, 129)
+        for s in (0.5, np.array([0.3, 0.9])):
+            for x, blocks in fractional._pair_bands(s, u.spacing, u.values):
+                for _, kern, block, (du,) in blocks:
+                    for table in (x, kern, block):
+                        with pytest.raises(ValueError):
+                            table[...] = 0.0
+                    du[...] = 0.0  # the differences are the caller's
+
+    def test_one_solve_builds_its_tables_once(self):
+        tables = fractional._band_tables
+        tables.cache_clear()
+        result = solve(DirichletProblem(omega=(0.0, 1.0), rhs=1.0,
+                                        G=make_power(3.0), s=0.7,
+                                        scaling="bbm_scaled", mesh_nodes=33))
+        # each evaluation of the solve makes one pair pass
+        assert result.evaluations > 2
+        info = tables.cache_info()
+        assert (info.misses, info.hits) == (1, result.evaluations - 1)
+
+    def test_keys(self):
+        tables = fractional._band_tables
+        tables.cache_clear()
+        u = GridFunction.hat(-1.0, 1.0, 33)
+        shifted = GridFunction.hat(3.0, 5.0, 33)
+        assert shifted.spacing == u.spacing
+        fractional_modular(G2, 0.5, u)
+        misses = tables.cache_info().misses
+        # the tables depend on (s, h, ne) only: a shifted interval, and
+        # the order as a 0-D array, share the entry
+        fractional_modular(G2, 0.5, shifted)
+        fractional_modular_with_gradient(G2, np.array(0.5), shifted)
+        assert tables.cache_info().misses == misses
+        for s, w in ((0.6, u), ([0.5], u), ([0.5, 0.6], u),
+                     (0.5, GridFunction.hat(-1.0, 2.0, 33)),
+                     (0.5, GridFunction.hat(-1.0, 1.0, 35))):
+            fractional_modular(G2, s, w)
+            misses += 1
+            assert tables.cache_info().misses == misses
+            fractional_modular(G2, s, w)
+            assert tables.cache_info().misses == misses
+        assert tables.cache_info().currsize == 2
 
 
 class TestFarField:
