@@ -35,7 +35,8 @@ is split into three pieces:
        `limit_density(G, 1).value`, `.deriv` and `.deriv2` halved, at the
        order-5 Gauss points of every element: the closed form or the
        shared quadrature for I, as `LimitDensity` chooses, and the exact
-       derivatives of the profile, which need no quadrature.
+       derivatives of the profile, which need no quadrature. All of it is
+       one function, `_far_field`.
 
 The value alone may be asked for several orders s at once. Nothing in
 piece (ii) but the kernel table depends on s, so the pairs of all orders
@@ -52,7 +53,14 @@ and in (i) and (iii) the exact derivative of tilde_G and of the smooth
 integrand (for G without kinks, the rule's own to rounding), which makes
 finite-difference checks of the energy meaningful. With ``want_hess`` the
 same passes assemble the Hessian likewise, for the solver's Newton steps
-(one order). The absolute pairing `pairing_abs` uses the same pieces.
+(one order). Each piece gives its derivatives in variables a u_e +
+b u_(e+1) of single elements e: h times the slope of e in (i), u at a
+Gauss point of e in (iii) and, summed per band, in (ii). One scatter,
+`_add_element_terms`, adds them all to the nodal gradient and Hessian;
+only the pairs' cross terms, which couple two elements, go to the
+Hessian directly. The absolute pairing `pairing_abs` reads the first
+derivatives of the same pieces before any sum or scatter: per element
+slope, per pair difference and per far-field Gauss point.
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run. In a block, each pair row of each offset is
@@ -82,6 +90,7 @@ from .orlicz import OrliczFunction
 
 _ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
 _BLOCK_POINTS = 2 ** 13  # pair points (rows x elements) of a block of offsets
+_SLOPE = (np.broadcast_to(-1.0, 1), np.broadcast_to(1.0, 1))  # (a, b) of h*m
 
 
 def _same_element(G, s, h, slopes, want_grad, want_hess=False):
@@ -277,8 +286,9 @@ def _weighed(g, w):
 
 
 def _pair_rule(G, on, du, kern, block, n=1):
-    """(val, F, arg, w): a block's value per order and, for one order, its
-    term in G^(i), i < n, which is w[i] F^(i)(arg).
+    """A block's rules, a list of (F, arg, w) with no F evaluated: its term
+    in G^(i), i < n, is w[i] F^(i)(arg), its value per order the sum of
+    w[0] F(arg). One rule serves all orders, or each order has its own.
 
     ``on`` is `_power_on(G)`. Where G is t^p on [0, T], F = t^p and
     G^(i)(|du| kern) kern^i = kern^p F^(i)(|du|): arg = |du| for all
@@ -287,21 +297,20 @@ def _pair_rule(G, on, du, kern, block, n=1):
     max's G' and G'' take the steeper branch at T. Otherwise one order
     takes G's own rule, F = G, arg = |du| kern and w[i] = block kern^i;
     several orders take their rules one by one, as when each is evaluated
-    alone, and give their values only.
+    alone.
     """
     arg = np.abs(du)
     if on is not None:
         F, T = on
         if T == np.inf or (np.less if n > 1 else np.less_equal)(
                 kern[..., 0] * _drop_padding(arg).max(axis=-1), T).all():
-            w = [block * kern ** F.params[0]] * n
-            return _weighed(_drop_padding(F(arg)), w[0]), F, arg, w
+            return [(F, arg, [block * kern ** F.params[0]] * n)]
         if np.ndim(kern) > 3:
-            return np.array([_pair_rule(G, on, du, k, block)[0]
-                             for k in kern]), None, None, None
+            return [rule for k in kern
+                    for rule in _pair_rule(G, on, du, k, block, n)]
     arg = arg * kern
-    w = list(accumulate([block] + [kern] * (n - 1), np.multiply))
-    return _weighed(_drop_padding(G(arg)), w[0]), G, arg, w
+    return [(G, arg, list(accumulate([block] + [kern] * (n - 1),
+                                     np.multiply)))]
 
 
 def _distinct_pairs(G, s, u, want_grad, hess=None):
@@ -316,14 +325,14 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
     and each order's sums are its own reductions, as for one order.
 
     The gradient is accumulated per element and Gauss point of a band and
-    scattered to the nodes once per band; a block's left elements take a
-    sum over its offsets, its right elements a skewed one (`_skew_sum`).
-    Given ``hess`` (the upper triangle of a nodal matrix), the Hessian is
-    added to it: a pair contributes c = w[2] F''(arg) times the outer
-    product of its difference's nodal weights. One matrix product per
-    block (`_hessian_fold`) folds c into its sums per right and per left
-    Gauss point, which are accumulated per element like the gradient and
-    land on diagonals 0 and 1 once per band, and into its four hat-weight
+    scattered to the nodes once per band (`_add_element_terms`); a block's
+    left elements take a sum over its offsets, its right elements a skewed
+    one (`_skew_sum`). Given ``hess`` (the upper triangle of a nodal
+    matrix), the Hessian is added to it: a pair contributes c = w[2]
+    F''(arg) times the outer product of its difference's nodal weights.
+    One matrix product per block (`_hessian_fold`) folds c into its sums
+    per right and per left Gauss point, which are accumulated per element
+    like the gradient and scattered with it, and into its four hat-weight
     moments, the cross part, which lands on diagonals j-1, j and j+1 of
     each offset j of the block through one strided view per moment.
     """
@@ -332,6 +341,7 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
     ne = u.node_count - 1
     on = _power_on(G)
     n = 1 + want_grad + (hess is not None)
+    hU = None
     for x, blocks in _pair_bands(s, u.spacing, u.values):
         q = x.size
         if want_grad:
@@ -340,10 +350,13 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
             hU = np.zeros((q, ne))
             fold = _hessian_fold(q)
         for j0, kern, block, (du,) in blocks:
-            block_val, F, arg, w = _pair_rule(G, on, du, kern, block, n)
-            val += block_val
+            rules = _pair_rule(G, on, du, kern, block, n)
+            vals = [_weighed(_drop_padding(F(arg)), w[0])
+                    for F, arg, w in rules]
+            val += vals[0] if len(vals) == 1 else np.array(vals)
             if not want_grad:
                 continue
+            F, arg, w = rules[0]
             nj, L = du.shape[1:]
             coef = (w[1] * _drop_padding(F.deriv(arg))
                     * np.sign(du)).reshape(q, q, nj, L)
@@ -365,10 +378,7 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
                     cross[1, 0] *= 2.0
                 _add_diagonals(hess, j0 - 1, 1, cross[1])
         if want_grad:
-            grad[:-1] += (1.0 - x) @ gU
-            grad[1:] += x @ gU
-        if hess is not None:
-            _add_element_blocks(hess, 1.0 - x, x, hU)
+            _add_element_terms(grad, hess, 1.0 - x, x, gU, hU)
     return val, grad
 
 
@@ -385,73 +395,47 @@ def _add_diagonals(hess, k, row, vals):
     view += vals
 
 
-def _add_element_blocks(hess, a, b, W):
-    """Add, per element e, sum_g W[g, e] phi_g phi_g^T on the nodes
-    (e, e+1) to the upper triangle, with phi_g = (a_g, b_g): the hat
-    weights (1 - x, x) at points x on (0, 1), or (-1, 1) for a function
-    of the element slope."""
-    _add_diagonals(hess, 0, 0, (a * a) @ W)
-    _add_diagonals(hess, 1, 0, (a * b) @ W)
-    _add_diagonals(hess, 0, 1, (b * b) @ W)
+def _add_element_terms(grad, hess, a, b, d1, d2=None):
+    """Add d1[g, e], a first derivative in a_g u_e + b_g u_(e+1), to the
+    nodal gradient and, given d2, d2[g, e] (a_g, b_g)^T (a_g, b_g) on the
+    nodes (e, e+1) to the upper triangle of ``hess``: (a, b) = (1 - x, x)
+    at points x of the elements, or (-1, 1) for h times the slope."""
+    grad[:-1] += a @ d1
+    grad[1:] += b @ d1
+    if d2 is not None:
+        _add_diagonals(hess, 0, 0, (a * a) @ d2)
+        _add_diagonals(hess, 1, 0, (a * b) @ d2)
+        _add_diagonals(hess, 0, 1, (b * b) @ d2)
 
 
-def _far_points(s, u):
-    """Gauss points of the far field: the rule (xg, wg) on (0, 1), u at the
-    points of every element (U, elements x points) and the kernel
-    dist**(-s) to the right and the left end of the support (kern,
-    2 x elements x points)."""
+def _far_field(G, s, u, want_grad, want_hess=False):
+    """(iii) as `_same_element` gives (i): the value, its derivative in U,
+    u at the order-5 Gauss points (points x elements), or None, and with
+    ``want_hess`` the second one. Both sides (partner beyond either end)
+    take one evaluation of I = tilde_G / 2 and its exact derivatives, as
+    (elements x points) arrays, returned transposed (views: same bits)."""
     h = u.spacing
-    ne = u.node_count - 1
     xg, wg = gauss_rule_01(_ORDER)
-    starts = u.left + h * np.arange(ne)
-    X = starts[:, None] + h * xg[None, :]
+    X = (u.left + h * np.arange(u.node_count - 1))[:, None] + h * xg[None, :]
     kern = np.stack([u.right - X, X - u.left]) ** (-s)
-    return xg, wg, _at_gauss_points(u.values, xg), kern
-
-
-def _far_flux(tilde, s, h, wg, U, kern):
-    """Derivative of the far-field value with respect to U, per element
-    Gauss point: both sides through I' = tilde_G' / 2, for the n = 1 limit
-    density ``tilde``."""
-    dprof = tilde.deriv(np.abs(U) * kern) / 2.0
-    return (2.0 * h / s) * wg * np.sum(dprof * kern, axis=0) * np.sign(U)
-
-
-def _far_curvature(tilde, s, h, wg, U, kern):
-    """Second derivative of the far-field value with respect to U, per
-    element Gauss point, through I'' = tilde_G'' / 2."""
-    curv = tilde.deriv2(np.abs(U) * kern) / 2.0
-    return (2.0 * h / s) * wg * np.sum(curv * kern * kern, axis=0)
-
-
-def _far_field(G, s, u, want_grad, hess=None):
-    """(iii): value (and nodal gradient) of the far field; given ``hess``,
-    its Hessian is added there.
-
-    Both sides (partner beyond the right end, beyond the left end) go
-    through one profile evaluation.
-    """
-    h = u.spacing
-    xg, wg, U, kern = _far_points(s, u)
-    tilde = limit_density(G, 1)
-    prof = tilde.value(np.abs(U) * kern) / 2.0
-    val = (2.0 * h / s) * float(np.sum(wg * prof))
+    U = _at_gauss_points(u.values, xg)
+    arg, tilde, scale = np.abs(U) * kern, limit_density(G, 1), 2.0 * h / s
+    val = scale * float(np.sum(wg * (tilde.value(arg) / 2.0)))
     if not want_grad:
         return val, None
-    dc = _far_flux(tilde, s, h, wg, U, kern)
-    grad = np.zeros(u.node_count)
-    grad[:-1] += dc @ (1.0 - xg)
-    grad[1:] += dc @ xg
-    if hess is not None:
-        _add_element_blocks(hess, 1.0 - xg, xg,
-                            _far_curvature(tilde, s, h, wg, U, kern).T)
-    return val, grad
+    d1 = scale * wg * np.sum(tilde.deriv(arg) / 2.0 * kern, axis=0) \
+        * np.sign(U)
+    if not want_hess:
+        return val, d1.T
+    d2 = scale * wg * np.sum(tilde.deriv2(arg) / 2.0 * kern * kern, axis=0)
+    return val, d1.T, d2.T
 
 
 def _core(G, s, u, want_grad, want_hess=False):
     """(value, nodal gradient or None) of the discrete modular; with
     ``want_hess`` (which needs ``want_grad``) also its nodal Hessian, a
-    dense symmetric matrix, assembled in the same passes.
+    dense symmetric matrix, assembled in the same passes: pairs, far
+    field, same element, each scattered by `_add_element_terms`.
 
     For the value alone, ``s`` may be a 1-D array of orders: the value is
     then a float array with one entry per order.
@@ -464,20 +448,19 @@ def _core(G, s, u, want_grad, want_hess=False):
                 for o, p in zip(np.ravel(s).tolist(), np.ravel(pairs))]
         return (np.array(vals) if np.ndim(s) else vals[0]), None
     hess = np.zeros((u.node_count, u.node_count)) if want_hess else None
+    xg, _ = gauss_rule_01(_ORDER)
     # G''(0) = inf (t^p, p < 2) gives inf - inf = nan Hessian entries,
     # which the solver reads as "no Newton step here".
     with np.errstate(invalid="ignore") if want_hess else nullcontext():
-        val, ders, *curv = _same_element(G, s, h, u.slopes, want_grad,
-                                         want_hess)
-        pairs, pair_grad = _distinct_pairs(G, s, u, want_grad, hess)
-        far, far_grad = _far_field(G, s, u, want_grad, hess)
-        if want_hess:
-            _add_element_blocks(hess, -np.ones(1), np.ones(1),
-                                curv[0][None] / (h * h))
+        val, ders, *curv = _same_element(G, s, h, u.slopes, True, want_hess)
+        pairs, grad = _distinct_pairs(G, s, u, True, hess)
+        far, *far_ders = _far_field(G, s, u, True, want_hess)
+        far_grad = np.zeros(u.node_count)  # a node adds its sum to the pairs'
+        _add_element_terms(far_grad, hess, 1.0 - xg, xg, *far_ders)
+        grad += far_grad
+        _add_element_terms(grad, hess, *_SLOPE, ders[None] / h,
+                           *(c[None] / (h * h) for c in curv))
     val += pairs + far
-    grad = pair_grad + far_grad
-    grad[:-1] -= ders / h
-    grad[1:] += ders / h
     if not want_hess:
         return val, grad
     hess += np.triu(hess, 1).T
@@ -533,10 +516,12 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     This majorizes the weak-form pairing and is the quantity bounded by
     (p - 1) Phi_s(u) + Phi_s(v) through the Young inequality. Each piece of
     the modular's rule contributes |d Phi_s(u)| times |v| at its own
-    quadrature values: the element slopes, the pair differences (by the
-    gradient's `_pair_rule`) and the far-field Gauss points. The pairing
-    and the modular thus share one rule: the Young bound holds node by
-    node, and for v = u and G = t^p the pairing is p Phi_s(u) up to roundoff.
+    quadrature values: the element slopes and the far-field Gauss points,
+    with the derivatives that `_same_element` and `_far_field` hand to
+    `_core`'s scatter, and the pair differences, where only the first
+    derivative of each `_pair_rule` is evaluated. The pairing and the
+    modular thus share one rule: the Young bound holds node by node, and
+    for v = u and G = t^p the pairing is p Phi_s(u) up to roundoff.
     """
     _check_one_s(s)
     if (u.left, u.right, u.node_count) != (v.left, v.right, v.node_count):
@@ -547,10 +532,10 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     on = _power_on(G)
     for _, blocks in _pair_bands(s, h, u.values, v.values):
         for _, kern, block, (du, dv) in blocks:
-            _, F, arg, w = _pair_rule(G, on, du, kern, block, 2)
+            [(F, arg, w)] = _pair_rule(G, on, du, kern, block, 2)
             val += float(np.sum(w[1] * _drop_padding(F.deriv(arg))
                                 * np.abs(dv)))
-    xg, wg, U, kern = _far_points(s, u)
-    flux = _far_flux(limit_density(G, 1), s, h, wg, U, kern)
-    val += float(np.sum(np.abs(flux) * np.abs(_at_gauss_points(v.values, xg))))
+    _, flux = _far_field(G, s, u, want_grad=True)
+    V = _at_gauss_points(v.values, gauss_rule_01(_ORDER)[0]).T
+    val += float(np.sum(np.abs(flux) * np.abs(V)))
     return val

@@ -2,13 +2,19 @@
 
 A growth function G here is a convex, increasing map of the half line with
 G(0) = 0, doubling control G(2x) <= C*G(x), and superlinear decay at zero.
-Everything downstream (modulars, seminorm limits, the solver) consumes the
-constants estimated at construction time:
+It stores the constants estimated at construction time:
 
     doubling_constant   C     sup G(2x)/G(x)
     upper_exponent      p     sup x*G'(x)/G(x)
     lower_exponent      q     log(C)/log(2)
     small_slope_sup     gsup  sup_{0<x<1} G(x)/x
+
+C is read by `verify_orlicz` and by `properties` (the inequality battery
+and the transform suite), p by `properties`, q by `properties`, `limits`
+(the Poincare budget) and `limit_density` (the equivalence constants);
+`LimitDensity.as_orlicz` hands C, p and q on to the density it wraps.
+gsup and the flag ``normalized`` (G(1) = 1) are stored, and no module
+reads them.
 
 Factories cover the standard families (powers, powers with log weights,
 weighted sums, pointwise maxima, compositions); `make_custom` wraps arbitrary
@@ -362,7 +368,10 @@ def make_custom(fn, dfn=None, label="custom", kinks=(),
                 constants=None, d2fn=None) -> OrliczFunction:
     """Wrap raw callables; a missing derivative falls back to a central
     difference of the function, a missing second derivative to one of the
-    derivative."""
+    derivative. The modular's Hessian (`fractional._core`) is the
+    derivative of its gradient only where ``d2fn`` is the derivative of
+    ``dfn``, itself that of ``fn``: its far field builds I'' from G and G',
+    while its pairs call ``d2fn``."""
     if dfn is None:
         dfn = _central_difference(fn, 1e-6)
     if d2fn is None:

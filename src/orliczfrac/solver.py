@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameterError,
     UniquenessWarning,
 )
-from .fractional import _check_one_s, _core
+from .fractional import _SLOPE, _add_element_terms, _check_one_s, _core
 from .grid import GridFunction, gradient_modular, modular
 from .limit_density import limit_density
 from .limits import _validate_s_list
@@ -158,8 +158,7 @@ def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
         m = u.slopes
         dm = problem.G.deriv(np.abs(m)) * np.sign(m)
         grad = np.zeros(u.node_count)
-        grad[:-1] -= dm
-        grad[1:] += dm
+        _add_element_terms(grad, None, *_SLOPE, dm[None])
         if not want_hess:
             return val, grad
         return val, grad, problem.G.d2(np.abs(m)) / u.spacing

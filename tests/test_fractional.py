@@ -21,7 +21,9 @@ from orliczfrac import (
 from orliczfrac import fractional
 from orliczfrac._quadrature import gauss_rule_01
 from orliczfrac.grid import _at_gauss_points
+from orliczfrac.limit_density import limit_density
 from orliczfrac.fractional import (
+    _add_element_terms,
     _core,
     _distinct_pairs,
     _far_field,
@@ -385,6 +387,139 @@ class TestHessian:
             0.5 * u.values @ hess @ u.values, rel=1e-12)
 
 
+def add_element_blocks(hess, a, b, W):
+    """The Hessian part of the element scatter, as written out before
+    `_add_element_terms`."""
+    fractional._add_diagonals(hess, 0, 0, (a * a) @ W)
+    fractional._add_diagonals(hess, 1, 0, (a * b) @ W)
+    fractional._add_diagonals(hess, 0, 1, (b * b) @ W)
+
+
+def far_field_by_hand(G, s, u):
+    """(value, flux, curvature, Gauss nodes) of the far field, flux and
+    curvature per element and Gauss point (elements x points)."""
+    h = u.spacing
+    xg, wg = gauss_rule_01(5)
+    X = (u.left + h * np.arange(u.node_count - 1))[:, None] + h * xg[None, :]
+    kern = np.stack([u.right - X, X - u.left]) ** (-s)
+    U = _at_gauss_points(u.values, xg)
+    tilde = limit_density(G, 1)
+    prof = tilde.value(np.abs(U) * kern) / 2.0
+    val = (2.0 * h / s) * float(np.sum(wg * prof))
+    dprof = tilde.deriv(np.abs(U) * kern) / 2.0
+    dc = (2.0 * h / s) * wg * np.sum(dprof * kern, axis=0) * np.sign(U)
+    curv = tilde.deriv2(np.abs(U) * kern) / 2.0
+    curv = (2.0 * h / s) * wg * np.sum(curv * kern * kern, axis=0)
+    return val, dc, curv, xg
+
+
+def core_by_hand(monkeypatch, G, s, u):
+    """(value, gradient, Hessian) of `_core`, with every element-local
+    derivative scattered to the nodes by the expressions that
+    `_add_element_terms` replaced, in the same order."""
+    h = u.spacing
+    hess = np.zeros((u.node_count, u.node_count))
+
+    def pair_scatter(grad, hess, _, x, gU, hU):
+        grad[:-1] += (1.0 - x) @ gU
+        grad[1:] += x @ gU
+        add_element_blocks(hess, 1.0 - x, x, hU)
+
+    with np.errstate(invalid="ignore"):
+        val, ders, curv = _same_element(G, s, h, u.slopes, True, True)
+        with monkeypatch.context() as m:
+            m.setattr(fractional, "_add_element_terms", pair_scatter)
+            pairs, pair_grad = _distinct_pairs(G, s, u, True, hess)
+        far, dc, far_curv, xg = far_field_by_hand(G, s, u)
+        far_grad = np.zeros(u.node_count)
+        far_grad[:-1] += dc @ (1.0 - xg)
+        far_grad[1:] += dc @ xg
+        add_element_blocks(hess, 1.0 - xg, xg, far_curv.T)
+        add_element_blocks(hess, -np.ones(1), np.ones(1),
+                           curv[None] / (h * h))
+    val += pairs + far
+    grad = pair_grad + far_grad
+    grad[:-1] -= ders / h
+    grad[1:] += ders / h
+    hess += np.triu(hess, 1).T
+    return val, grad, hess
+
+
+def pairing_by_hand(G, s, u, v):
+    """`pairing_abs` with the far-field flux per element and Gauss point."""
+    h = u.spacing
+    _, ders = _same_element(G, s, h, u.slopes, want_grad=True)
+    val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
+    on = fractional._power_on(G)
+    for _, blocks in fractional._pair_bands(s, h, u.values, v.values):
+        for _, kern, block, (du, dv) in blocks:
+            [(F, arg, w)] = fractional._pair_rule(G, on, du, kern, block, 2)
+            val += float(np.sum(w[1] * fractional._drop_padding(F.deriv(arg))
+                                * np.abs(dv)))
+    _, flux, _, xg = far_field_by_hand(G, s, u)
+    return val + float(np.sum(np.abs(flux)
+                              * np.abs(_at_gauss_points(v.values, xg))))
+
+
+class TestElementScatter:
+    """Every element-local derivative reaches the nodes through
+    `_add_element_terms`, with the bits of the scatters it replaced."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.9])
+    @pytest.mark.parametrize("n", [3, 4, 33, 129])
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
+    def test_same_bits_as_the_scatters_it_replaced(self, G, n, s,
+                                                   monkeypatch):
+        # 1.5 x a random state: G23's arguments fall on both sides of 1
+        rng = np.random.default_rng(n)
+        u = random_state(rng, n, amplitude=1.5)
+        v = random_state(rng, n)
+        got = _core(G, s, u, want_grad=True, want_hess=True)
+        ref = core_by_hand(monkeypatch, G, s, u)
+        assert got[0] == ref[0]
+        assert np.array_equal(got[1], ref[1])
+        assert np.array_equal(got[2], ref[2])
+        assert np.array_equal(_core(G, s, u, want_grad=True)[1], ref[1])
+        assert pairing_abs(G, s, u, v) == pairing_by_hand(G, s, u, v)
+
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
+    def test_pairing_evaluates_no_pair_value(self, G, monkeypatch, rng):
+        # `pairing_abs` reads G' on each pair stack and never G itself
+        u = random_state(rng, 33, amplitude=1.5)
+        v = random_state(rng, 33)
+        bands = fractional._pair_bands
+        stacks, calls = [], {"__call__": [], "deriv": []}
+
+        def seen(blocks):
+            for b in blocks:
+                stacks.append(b[3][0].shape)
+                yield b
+
+        def recorded(*args):
+            for x, blocks in bands(*args):
+                yield x, seen(blocks)
+
+        def counted(name):
+            method = getattr(OrliczFunction, name)
+
+            def wrapper(self, x):
+                calls[name].append(np.shape(x))
+                return method(self, x)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(fractional, "_pair_bands", recorded)
+            for name in calls:
+                m.setattr(OrliczFunction, name, counted(name))
+            pairing_abs(G, 0.6, u, v)
+        assert len(stacks) > 1
+        assert not [shape for shape in calls["__call__"] if shape in stacks]
+        assert sorted(shape for shape in calls["deriv"]
+                      if shape in stacks) == sorted(stacks)
+
+
 class TestPairBlocks:
     """`_pair_bands` walks each band in blocks of consecutive offsets."""
 
@@ -551,7 +686,10 @@ class TestFarField:
         G = make_power_log(3.0)
         u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
         eps = 1e-6
-        _, grad = _far_field(G, s, u, want_grad=True)
+        _, flux = _far_field(G, s, u, want_grad=True)
+        x, _ = gauss_rule_01(fractional._ORDER)
+        grad = np.zeros(u.node_count)
+        _add_element_terms(grad, None, 1.0 - x, x, flux)
         for i in range(u.node_count):
             vp = u.values.copy()
             vm = u.values.copy()
@@ -639,6 +777,14 @@ def pair_points(monkeypatch, G, s, u):
         m.setattr(OrliczFunction, "__call__", counted)
         _distinct_pairs(G, s, u, False)
     return sum(points)
+
+
+def rule_values(G, on, du, kern, block, n=1):
+    """A block's value (per order), from its `_pair_rule` rules as
+    `_distinct_pairs` evaluates them."""
+    vals = [fractional._weighed(fractional._drop_padding(F(arg)), w[0])
+            for F, arg, w in fractional._pair_rule(G, on, du, kern, block, n)]
+    return vals[0] if len(vals) == 1 else np.array(vals)
 
 
 def assert_same_pairs(got, ref):
@@ -733,11 +879,10 @@ class TestLeastPower:
                            for s in (orders, *orders))):
             for multi, *ones in zip(*(blocks for _, blocks in bands)):
                 _, kern, block, (du,) = multi
-                got = fractional._pair_rule(G23, on, du, kern, block)[0]
-                assert np.array_equal(got, [fractional._pair_rule(
-                    G23, on, d, k, b)[0] for _, k, b, (d,) in ones])
-                own = fractional._pair_rule(G23_PLAIN, plain, du, kern,
-                                            block)[0]
+                got = rule_values(G23, on, du, kern, block)
+                assert np.array_equal(got, [rule_values(
+                    G23, on, d, k, b) for _, k, b, (d,) in ones])
+                own = rule_values(G23_PLAIN, plain, du, kern, block)
                 split += got[0] != own[0] and got[1] == own[1]
         assert split > 0
 
@@ -790,8 +935,9 @@ class TestLeastPower:
                            (1.0 - 2.0 ** -52, (G23.children[0],) * 2)):
             du = np.array([[[0.5, -top]]])
             for n, rule in zip((1, 2), rules):
-                val, F, arg, w = fractional._pair_rule(G23, on, du, kern,
-                                                       block, n)
+                [(F, arg, w)] = fractional._pair_rule(G23, on, du, kern,
+                                                      block, n)
+                val = rule_values(G23, on, du, kern, block, n)
                 assert F is rule and val == 0.25 + top * top
             slope = w[1] * F.deriv(arg)
             assert slope[0, 0, 1] == (3.0 if top == 1.0 else 2.0 * top)

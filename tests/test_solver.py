@@ -260,6 +260,20 @@ class TestNewton:
         for c in (1e-5, 1e-7):
             assert midpoint(c) == pytest.approx(midpoint(1.0), abs=1e-8)
 
+    @pytest.mark.parametrize("n", [3, 4, 33, 129])
+    def test_local_gradient_scatter_bits(self, n, rng):
+        # the s = 1 gradient goes through `fractional._add_element_terms`;
+        # the oracle is the nodal difference it replaced
+        for G in (G3, make_power_log(3.0)):
+            prob = problem(1.0, n=n, G=G)
+            u = random_state(prob, rng)
+            dm = G.deriv(np.abs(u.slopes)) * np.sign(u.slopes)
+            ref = np.zeros(n)
+            ref[:-1] -= dm
+            ref[1:] += dm
+            _, grad = _seminorm_value_grad(prob, u, want_grad=True)
+            assert np.array_equal(grad, ref)
+
     def test_local_hessian_matches_central_difference(self, rng):
         # the s = 1 path returns the element curvatures k = G''(|m|) / h of
         # the chain B^T diag(k) B, B the element differences
