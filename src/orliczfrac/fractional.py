@@ -28,7 +28,7 @@ is split into three pieces:
        [0, T] (`_power_on`), G(|du| kern) = kern^p G(|du|): a block whose
        arguments all lie there takes G on |du|, weighed by kern^p, for the
        value, the gradient and the Hessian alike (`_pair_rule`); any other
-       block takes G's own rule, order by order if its orders differ;
+       block takes G's own rule, state by state if its states differ;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I, I' and I'' are
@@ -38,37 +38,53 @@ is split into three pieces:
        derivatives of the profile, which need no quadrature. All of it is
        one function, `_far_field`.
 
-The value alone may be asked for several orders s at once. Nothing in
-piece (ii) but the kernel table depends on s, so the pairs of all orders
-share one pass: the table dist**(-s) gets a leading axis over the orders,
-and each block forms |u(x) - u(y)| once and makes one G call on the
-stacked (orders, pairs, offsets, elements) argument, or, where t^p's rule
-serves, on |du|, which has no orders axis (only its weights have one). The
-blocks do not depend on the number of orders. Pieces (i) and (iii) are
-evaluated per order.
+Every piece takes a leading states axis: k orders s, each with its own
+nodal vector on one mesh (the solver's lockstep ladder), or k orders that
+share one vector (the multi-order value of `fractional_modular`), and
+gives the value, the gradient and the Hessian per state. Nothing in piece
+(ii) but the kernel table depends on s, so the pairs of all states share
+one pass: the table dist**(-s) gets a leading axis over the orders, and
+each block forms |u(x) - u(y)| once per vector and makes one G call on
+the stacked (states, pairs, offsets, elements) argument, or, where t^p's
+rule serves, on |du|, which has an axis only if the vectors do. Pieces
+(i) and (iii) evaluate their arrays with the states axis in front. A
+piece's arrays for many states at once cost more per point than stacking
+saves in calls, so states with vectors of their own go through each pair
+block, and all states through the far field, a chunk at a time, as many
+as fit in `_STACK_POINTS` points (`_state_chunks`); the far field's
+quadrature profile, per-point work on (points, pieces, nodes) arrays, is
+taken state by state. The blocks do not depend on the number of states.
+Three things would make a state's bits depend on its neighbours, and
+each is kept per state: a power whose exponent depends on the order is
+taken with that order's Python float exponent (`_pow`); a rule whose
+kink cuts differ between states (`_kinks_below`) evaluates those states
+one by one, since the number of cut pieces changes the BLAS
+kernel of its matrix-vector product; and a block or a same-element piece
+where t^p's rule serves some states but not others gives each state its
+own rule.
 
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed value (same rules, same nodes) in piece (ii),
 and in (i) and (iii) the exact derivative of tilde_G and of the smooth
 integrand (for G without kinks, the rule's own to rounding), which makes
 finite-difference checks of the energy meaningful. With ``want_hess`` the
-same passes assemble the Hessian likewise, for the solver's Newton steps
-(one order). Each piece gives its derivatives in variables a u_e +
-b u_(e+1) of single elements e: h times the slope of e in (i), u at a
-Gauss point of e in (iii) and, summed per band, in (ii). One scatter,
-`_add_element_terms`, adds them all to the nodal gradient and Hessian;
-only the pairs' cross terms, which couple two elements, go to the
-Hessian directly. The absolute pairing `pairing_abs` reads the first
-derivatives of the same pieces before any sum or scatter: per element
-slope, per pair difference and per far-field Gauss point.
+same passes assemble the Hessian likewise, for the solver's Newton steps.
+Each piece gives its derivatives in variables a u_e + b u_(e+1) of single
+elements e: h times the slope of e in (i), u at a Gauss point of e in
+(iii) and, summed per band, in (ii). One scatter, `_add_element_terms`,
+adds them all to the nodal gradient and Hessian, per state; only the
+pairs' cross terms, which couple two elements, go to the Hessian
+directly (`_add_diagonals`). The absolute pairing `pairing_abs` reads the
+first derivatives of the same pieces before any sum or scatter: per
+element slope, per pair difference and per far-field Gauss point.
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run. In a block, each pair row of each offset is
 summed over its elements first (one contiguous reduction), then the row
-sums are weighted and summed over the rows and offsets of their order:
-reductions on each order's own rows, as when that order is evaluated
-alone, so every entry of a multi-order value is bit-identical to the
-one-order value. The gradient and the Hessian sum a block's offsets per
+sums are weighted and summed over the rows and offsets of their state:
+reductions on each state's own rows, as when that state is evaluated
+alone, so every state's value, gradient and Hessian are bit-identical to
+its one-state call. The gradient and the Hessian sum a block's offsets per
 element, the right elements along the diagonals of a strided view
 (`_skew_sum`). Blocks are independent and could be farmed out, provided
 the reduction order is preserved.
@@ -90,46 +106,121 @@ from .orlicz import OrliczFunction
 
 _ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
 _BLOCK_POINTS = 2 ** 13  # pair points (rows x elements) of a block of offsets
+_STACK_POINTS = 2 ** 14  # points of a piece's array over a chunk of states
 _SLOPE = (np.broadcast_to(-1.0, 1), np.broadcast_to(1.0, 1))  # (a, b) of h*m
+
+
+def _per_order(s, f, axes=1):
+    """f(o) per order o of ``s``, in Python floats: for one order a float,
+    for a 1-D array of them an array of shape s.shape + (1,) * axes. A
+    power taken here has the bits of one taken on a lone order."""
+    if not np.ndim(s):
+        return f(float(s))
+    return np.array([f(o) for o in np.ravel(s).tolist()]).reshape(
+        np.shape(s) + (1,) * axes)
+
+
+def _lead(s, values):
+    """The leading shape of the outputs for orders ``s`` and nodal
+    ``values``: () for one order and vector, else (states,)."""
+    return np.shape(s) or values.shape[:-1]
+
+
+def _state_chunks(lead, size):
+    """Indices along the states axis of leading shape ``lead``: slices of
+    as many states as keep ``size`` points each within `_STACK_POINTS`,
+    the states one by one (ints) where one alone fills it, or [...] where
+    there is no states axis. Past that budget, a piece's temporaries cost
+    more per point than stacking saves in calls."""
+    if not lead:
+        return [...]
+    per = _STACK_POINTS // size
+    if per < 2:
+        return list(range(lead[0]))
+    return [slice(i, i + per) for i in range(0, lead[0], per)]
+
+
+def _pow(x, s, f):
+    """x ** f(o) per order o of ``s``, x with a leading states axis where s
+    has one. Each state's power takes a Python float exponent, as in its
+    lone call: numpy takes a lone exponent of 0.5, 2 or -1 by sqrt, square
+    or reciprocal, but an array of exponents by pow, which can differ in
+    the last bit."""
+    if not np.ndim(s):
+        return x ** f(float(s))
+    return np.stack([a ** f(o) for a, o in zip(x, np.ravel(s).tolist())])
+
+
+def _kinks_below(G, top):
+    """The number of kinks of G in (0, top) per entry of ``top``: how many
+    cuts `_kink_cuts` makes in an argument whose largest entry is top. A
+    rule on stacked states cuts each as when it is alone (same pieces, so
+    same bits) only where they share this number."""
+    count = np.zeros(np.shape(top), dtype=int)
+    for k in set(G.kinks):
+        if k > 0.0:
+            count += top > k
+    return count
 
 
 def _same_element(G, s, h, slopes, want_grad, want_hess=False):
     """Sum over elements of 2*int_0^h (h-t) G(|m| t^(1-s)) dt/t, and its
     derivative in m per element (or None); with ``want_hess`` also the
-    second derivative per element, as a third entry.
+    second derivative per element, as a third entry. ``slopes`` may hold a
+    leading states axis, and ``s`` one order per state: every output then
+    has that axis, and each state's entries are those of its lone call.
 
     With e = 1 - s, H = h^e and c = |m| H, t = h r gives a block
     (h/e) tilde_G(c) - 2h B(c), B(c) = int_0^1 G(c r^e) dr, and tilde_G
     the n = 1 limit density. Where G is t^p on [0, T] (`_power_on`) and
-    every c is <= T (< T with the derivatives), all three outputs are
-    t^p's closed form, coef |m|^p. Otherwise B and A(c) = B'(c) =
-    int_0^1 G'(c r^e) r^e dr take the profile's rule, cut where c r^e
+    every c of a state is <= T (< T with the derivatives), all three
+    outputs are t^p's closed form, coef |m|^p. Otherwise B and A(c) = B'(c)
+    = int_0^1 G'(c r^e) r^e dr take the profile's rule, cut where c r^e
     crosses a kink. The m-derivative is (2hH/e) (G(c)/c - e A(c)); the
     second one follows from c A'(c) = (G'(c) - (1+e) A(c)) / e, which
-    holds across kinks too.
+    holds across kinks too. States whose rules differ (t^p's form on one,
+    or different numbers of kink cuts, `_kinks_below`) are evaluated one
+    by one.
     """
     m = np.abs(slopes)
     sgn = np.sign(slopes)
-    e = 1.0 - s
-    H = h ** e
+    H = _per_order(s, lambda o: h ** (1.0 - o))
     F, T = _power_on(G) or (None, -np.inf)  # -inf: no c takes t^p's form
-    if (np.less if want_grad else np.less_equal)(np.max(m) * H, T):
-        beta = e * F.params[0]
-        coef = 2.0 * h ** (beta + 1.0) / (beta * (beta + 1.0))
+    top = np.max(m, axis=-1) * (H if np.ndim(H) < 2 else H[:, 0])  # max c
+    closed = (np.less if want_grad else np.less_equal)(top, T)
+    if np.ndim(closed):
+        # per state: t^p's closed form (-1), or the number of kinks cut
+        rule = np.where(closed, -1, _kinks_below(G, top))
+        if np.any(rule != rule[0]):
+            rows = np.broadcast_to(slopes, rule.shape + slopes.shape[-1:])
+            parts = zip(*(_same_element(G, o, h, r, want_grad, want_hess)
+                          for o, r in zip(np.broadcast_to(s, rule.shape)
+                                          .tolist(), rows)))
+            return tuple(None if p[0] is None else np.stack(p)
+                         for p in parts)
+        closed = closed[0]
+    if closed:
+        def closed_coef(o):
+            beta = (1.0 - o) * F.params[0]
+            return 2.0 * h ** (beta + 1.0) / (beta * (beta + 1.0))
+
+        coef = _per_order(s, closed_coef)
         vals = coef * F(m)
         ders = coef * F.deriv(m) * sgn if want_grad else None
         if want_hess:
-            return float(np.sum(vals)), ders, coef * F.d2(m)
-        return float(np.sum(vals)), ders
+            return np.sum(vals, axis=-1), ders, coef * F.d2(m)
+        return np.sum(vals, axis=-1), ders
 
     c = m * H
+    e = _per_order(s, lambda o: 1.0 - o)
     tilde = limit_density(G, 1)
-    cuts = [t ** (1.0 / e) for t in _kink_cuts(c, G.kinks)]
+    cuts = [_pow(t, s, lambda o: 1.0 / (1.0 - o))
+            for t in _kink_cuts(c, G.kinks)]
     r, width, w = split_nodes(c.shape, cuts, 1.0)
-    re = r ** e
-    arg = c[:, None, None] * re
+    re = _pow(r, s, lambda o: 1.0 - o)
+    arg = c[..., None, None] * re
     smooth = np.sum(width * (G(arg) @ w), axis=-1)
-    val = float(np.sum((h / e) * tilde.value(c) - 2.0 * h * smooth))
+    val = np.sum((h / e) * tilde.value(c) - 2.0 * h * smooth, axis=-1)
     if not want_grad:
         return val, None
     flux = tilde.deriv(c) / 2.0  # G(c)/c, 0 at c = 0
@@ -198,24 +289,30 @@ def _pair_bands(s, h, *nodal):
     ``kern`` and ``block`` are the read-only (q*q, nj, 1) tables dist**(-s)
     and 2 h^2 w_a w_b / dist of `_band_tables` (``kern`` with a leading
     axis for a 1-D array of orders ``s``). ``diffs`` holds per nodal vector
-    the (q*q, nj, L) differences right minus left, L = ne - j0: entry
-    [r, k, e] pairs left element e with right element e + j0 + k, and is
-    padding (`_drop_padding`) if e >= L - k. They are read from one
-    zero-padded (q, 2 ne) buffer of Gauss-point values per vector and band,
-    so every operation on a pair row is a long contiguous loop.
+    the (q*q, nj, L) differences right minus left, L = ne - j0, after the
+    vector's leading states axis if it has one: entry [r, k, e] pairs left
+    element e with right element e + j0 + k, and is padding
+    (`_drop_padding`) if e >= L - k. They are read from one zero-padded
+    (q, 2 ne) buffer of Gauss-point values per vector, state and band, so
+    every operation on a pair row is a long contiguous loop.
     """
-    ne = len(nodal[0]) - 1
+    ne = nodal[0].shape[-1] - 1
     key = tuple(np.ravel(s).tolist()) if np.ndim(s) else float(s)
     for x, blocks in _band_tables(key, float(h), ne):
-        bufs = [np.zeros((x.size, 2 * ne)) for _ in nodal]
-        for buf, v in zip(bufs, nodal):
-            buf[:, :ne] = _at_gauss_points(v, x).T
-        # view row (a, j) starts at node a's element j; (q,1,nj,L) - (q,1,L)
-        rows = [np.ndarray((x.size, ne, ne), float, b, 0,
-                           b.strides + b.strides[1:]) for b in bufs]
+        q = x.size
+        rows = []
+        for v in nodal:
+            buf = np.zeros(v.shape[:-1] + (q, 2 * ne))
+            buf[..., :ne] = np.swapaxes(_at_gauss_points(v, x), -1, -2)
+            # view row (a, j) starts at node a's element j
+            rows.append(np.ndarray(buf.shape[:-1] + (ne, ne), float, buf, 0,
+                                   buf.strides + buf.strides[-1:]))
+        # (q, 1, nj, L) - (1, q, 1, L) per state
         yield x, ((j0, kern, block,
-                   [(W[:, None, j0:j0 + nj, :ne - j0] - W[:, :1, :ne - j0])
-                    .reshape(x.size ** 2, nj, ne - j0) for W in rows])
+                   [(W[..., :, None, j0:j0 + nj, :ne - j0]
+                     - W[..., None, :, :1, :ne - j0])
+                    .reshape(W.shape[:-3] + (q * q, nj, ne - j0))
+                    for W in rows])
                   for j0, nj, kern, block in blocks)
 
 
@@ -287,121 +384,163 @@ def _weighed(g, w):
 
 def _pair_rule(G, on, du, kern, block, n=1):
     """A block's rules, a list of (F, arg, w) with no F evaluated: its term
-    in G^(i), i < n, is w[i] F^(i)(arg), its value per order the sum of
-    w[0] F(arg). One rule serves all orders, or each order has its own.
+    in G^(i), i < n, is w[i] F^(i)(arg), its value per state the sum of
+    w[0] F(arg). One rule serves all states, or each state has its own.
 
     ``on`` is `_power_on(G)`. Where G is t^p on [0, T], F = t^p and
     G^(i)(|du| kern) kern^i = kern^p F^(i)(|du|): arg = |du| for all
     orders, w[i] = block kern^p. A block takes this rule if each of its
     arguments |du| kern is <= T, and for n > 1 if each is < T, since a
-    max's G' and G'' take the steeper branch at T. Otherwise one order
+    max's G' and G'' take the steeper branch at T. Otherwise one state
     takes G's own rule, F = G, arg = |du| kern and w[i] = block kern^i;
-    several orders take their rules one by one, as when each is evaluated
-    alone.
+    several states (orders of ``kern``'s leading axis, nodal vectors of
+    ``du``'s, or both) take their rules one by one, as when each is
+    evaluated alone.
     """
     arg = np.abs(du)
     if on is not None:
         F, T = on
-        if T == np.inf or (np.less if n > 1 else np.less_equal)(
-                kern[..., 0] * _drop_padding(arg).max(axis=-1), T).all():
+        below = T == np.inf or (np.less if n > 1 else np.less_equal)(
+            kern[..., 0] * _drop_padding(arg).max(axis=-1), T)
+        if np.all(below):
             return [(F, arg, [block * kern ** F.params[0]] * n)]
-        if np.ndim(kern) > 3:
-            return [rule for k in kern
-                    for rule in _pair_rule(G, on, du, k, block, n)]
+        if below.ndim > 2:
+            return [rule for i in range(len(below)) for rule in _pair_rule(
+                G, on, du[i] if du.ndim > 3 else du,
+                kern[i] if kern.ndim > 3 else kern, block, n)]
     arg = arg * kern
     return [(G, arg, list(accumulate([block] + [kern] * (n - 1),
                                      np.multiply)))]
 
 
+def _rule_terms(rules, i):
+    """w[i] F^(i)(arg), i = 1 or 2, of a block's rules, padding dropped:
+    one rule's array, or one per state stacked on a leading axis."""
+    terms = [w[i] * _drop_padding((F.deriv if i == 1 else F.d2)(arg))
+             for F, arg, w in rules]
+    return terms[0] if len(terms) == 1 else np.stack(terms)
+
+
 def _distinct_pairs(G, s, u, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks.
 
-    The value has the shape of ``s``: one order, or for the value alone a
-    1-D array of orders, whose pairs share one G call per block of
-    offsets. `_power_on` is read once per call, and `_pair_rule` gives each
-    block and order t^p's rule or G's own, for every output. F(arg) is
-    summed over the elements of each pair row and offset before the row
-    sums take their weight w[0]: no weighted copy of the stack is made,
-    and each order's sums are its own reductions, as for one order.
+    ``u`` is one nodal vector or several states (`_nodal`), ``s`` one order
+    or a 1-D array of them; the outputs have their common leading shape.
+    `_power_on` is read once per call, and `_pair_rule` gives each block
+    and state t^p's rule or G's own, for every output (`_pair_block`).
+    States with vectors of their own are taken a chunk at a time per
+    block (`_state_chunks`, by the block's pair points): 4 states of full
+    blocks at once made a 4-order ladder at 129 nodes 1.2 times slower
+    than its sequential solves. Orders that share a vector share each
+    block's G call.
 
     The gradient is accumulated per element and Gauss point of a band and
     scattered to the nodes once per band (`_add_element_terms`); a block's
     left elements take a sum over its offsets, its right elements a skewed
     one (`_skew_sum`). Given ``hess`` (the upper triangle of a nodal
-    matrix), the Hessian is added to it: a pair contributes c = w[2]
-    F''(arg) times the outer product of its difference's nodal weights.
-    One matrix product per block (`_hessian_fold`) folds c into its sums
-    per right and per left Gauss point, which are accumulated per element
-    like the gradient and scattered with it, and into its four hat-weight
-    moments, the cross part, which lands on diagonals j-1, j and j+1 of
-    each offset j of the block through one strided view per moment.
+    matrix per state), the Hessian is added to it.
     """
-    val = np.zeros(np.shape(s))[()]  # a float64 for one order
-    grad = np.zeros(u.node_count) if want_grad else None
-    ne = u.node_count - 1
+    mesh, values = _nodal(u)
+    lead = _lead(s, values)
+    val = np.zeros(lead)
+    grad = np.zeros(lead + values.shape[-1:]) if want_grad else None
+    ne = mesh.node_count - 1
     on = _power_on(G)
     n = 1 + want_grad + (hess is not None)
-    hU = None
-    for x, blocks in _pair_bands(s, u.spacing, u.values):
+    gU = hU = fold = None
+    for x, blocks in _pair_bands(s, mesh.spacing, values):
         q = x.size
         if want_grad:
-            gU = np.zeros((q, ne))
+            gU = np.zeros(lead + (q, ne))
         if hess is not None:
-            hU = np.zeros((q, ne))
+            hU = np.zeros(lead + (q, ne))
             fold = _hessian_fold(q)
         for j0, kern, block, (du,) in blocks:
-            rules = _pair_rule(G, on, du, kern, block, n)
-            vals = [_weighed(_drop_padding(F(arg)), w[0])
-                    for F, arg, w in rules]
-            val += vals[0] if len(vals) == 1 else np.array(vals)
-            if not want_grad:
-                continue
-            F, arg, w = rules[0]
-            nj, L = du.shape[1:]
-            coef = (w[1] * _drop_padding(F.deriv(arg))
-                    * np.sign(du)).reshape(q, q, nj, L)
-            gU[:, j0:] += _skew_sum(coef.sum(axis=1))
-            gU[:, :L] -= coef.sum(axis=(0, 2))
-            if hess is not None:
-                c = w[2] * _drop_padding(F.d2(arg))
-                folded = (fold @ c.reshape(q * q, -1)).reshape(-1, nj, L)
-                hU[:, j0:] += _skew_sum(folded[:q])
-                hU[:, :L] += folded[q:2 * q].sum(axis=1)
-                # row 2 r + l of cross pairs node r of the right element
-                # with node l of the left one
-                cross = -folded[2 * q:]
-                _add_diagonals(hess, j0, 0, cross[0])
-                _add_diagonals(hess, j0, 1, cross[3])
-                _add_diagonals(hess, j0 + 1, 0, cross[2])
-                if j0 == 1:
-                    # at j = 1 this term and its transpose share the diagonal
-                    cross[1, 0] *= 2.0
-                _add_diagonals(hess, j0 - 1, 1, cross[1])
+            chunks = _state_chunks(lead, du[0].size) if du.ndim > 3 else [...]
+            if len(chunks) == 1:
+                _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU,
+                            hess)
+            else:
+                for at in chunks:  # views, also for an int
+                    _pair_block(G, on, j0, kern[at] if kern.ndim > 3 else kern,
+                                block, du[at], n, fold, val[at, ...],
+                                *(a if a is None else a[at, ...]
+                                  for a in (gU, hU, hess)))
         if want_grad:
             _add_element_terms(grad, hess, 1.0 - x, x, gU, hU)
-    return val, grad
+    return val[()], grad
+
+
+def _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU, hess):
+    """Add one block of offsets j0, j0 + 1, ... to ``val`` and, given
+    ``gU`` (which needs ``n`` >= 2), its per-element first derivatives,
+    and given ``hess`` its second ones, per state of their leading axis.
+
+    F(arg) is summed over the elements of each pair row and offset before
+    the row sums take their weight w[0]: no weighted copy of the stack is
+    made, and each state's sums are its own reductions, as for one state.
+    A pair contributes c = w[2] F''(arg) times the outer product of its
+    difference's nodal weights to the Hessian. One matrix product per
+    state (`_hessian_fold`) folds c into its sums per right and per left
+    Gauss point, accumulated per element in ``hU`` like the gradient in
+    ``gU``, and into its four hat-weight moments, the cross part, which
+    lands on diagonals j-1, j and j+1 of each offset j of the block through
+    one strided view per moment (`_add_diagonals`).
+    """
+    rules = _pair_rule(G, on, du, kern, block, n)
+    vals = [_weighed(_drop_padding(F(arg)), w[0]) for F, arg, w in rules]
+    val += vals[0] if len(vals) == 1 else np.array(vals)
+    if gU is None:
+        return
+    q, lead = gU.shape[-2], gU.shape[:-2]
+    nj, L = du.shape[-2:]
+    coef = (_rule_terms(rules, 1) * np.sign(du)).reshape(
+        lead + (q, q, nj, L))
+    gU[..., j0:] += _skew_sum(coef.sum(axis=-3))
+    gU[..., :L] -= coef.sum(axis=(-4, -2))
+    if hess is None:
+        return
+    c = _rule_terms(rules, 2)
+    folded = (fold @ c.reshape(lead + (q * q, -1))).reshape(
+        lead + (-1, nj, L))
+    hU[..., j0:] += _skew_sum(folded[..., :q, :, :])
+    hU[..., :L] += folded[..., q:2 * q, :, :].sum(axis=-2)
+    # moment 2 r + l of cross pairs node r of the right element with node l
+    # of the left one
+    cross = -folded[..., 2 * q:, :, :]
+    _add_diagonals(hess, j0, 0, cross[..., 0, :, :])
+    _add_diagonals(hess, j0, 1, cross[..., 3, :, :])
+    _add_diagonals(hess, j0 + 1, 0, cross[..., 2, :, :])
+    if j0 == 1:
+        # at j = 1 this term and its transpose share the diagonal
+        cross[..., 1, 0, :] *= 2.0
+    _add_diagonals(hess, j0 - 1, 1, cross[..., 1, :, :])
 
 
 def _add_diagonals(hess, k, row, vals):
-    """hess[row + e, row + k + i + e] += vals[i, e]: row i of ``vals`` goes
-    to diagonal k + i, from row ``row`` on; a 1-D ``vals`` is one diagonal.
-    The strided view of ``hess`` (C-contiguous) that takes them holds
-    distinct entries, and numpy checks that it lies inside ``hess``."""
-    n = hess.shape[0]
-    vals = np.atleast_2d(vals)
+    """hess[..., row + e, row + k + i + e] += vals[..., i, e]: row i of
+    ``vals`` goes to diagonal k + i, from row ``row`` on, per state of
+    ``hess``'s leading axes; without its second-to-last axis ``vals`` is
+    one diagonal. The strided view of ``hess`` (C-contiguous) that takes
+    them holds distinct entries, and numpy checks that it lies inside
+    ``hess``."""
+    n = hess.shape[-1]
+    if vals.ndim < hess.ndim:
+        vals = vals[..., None, :]
     size = hess.itemsize
     view = np.ndarray(vals.shape, hess.dtype, hess, (row * (n + 1) + k) * size,
-                      (size, (n + 1) * size))
+                      hess.strides[:-2] + (size, (n + 1) * size))
     view += vals
 
 
 def _add_element_terms(grad, hess, a, b, d1, d2=None):
-    """Add d1[g, e], a first derivative in a_g u_e + b_g u_(e+1), to the
-    nodal gradient and, given d2, d2[g, e] (a_g, b_g)^T (a_g, b_g) on the
-    nodes (e, e+1) to the upper triangle of ``hess``: (a, b) = (1 - x, x)
-    at points x of the elements, or (-1, 1) for h times the slope."""
-    grad[:-1] += a @ d1
-    grad[1:] += b @ d1
+    """Add d1[..., g, e], a first derivative in a_g u_e + b_g u_(e+1), to
+    the nodal gradient and, given d2, d2[..., g, e] (a_g, b_g)^T (a_g, b_g)
+    on the nodes (e, e+1) to the upper triangle of ``hess``, per state of
+    their leading axes: (a, b) = (1 - x, x) at points x of the elements,
+    or (-1, 1) for h times the slope."""
+    grad[..., :-1] += a @ d1
+    grad[..., 1:] += b @ d1
     if d2 is not None:
         _add_diagonals(hess, 0, 0, (a * a) @ d2)
         _add_diagonals(hess, 1, 0, (a * b) @ d2)
@@ -411,24 +550,70 @@ def _add_element_terms(grad, hess, a, b, d1, d2=None):
 def _far_field(G, s, u, want_grad, want_hess=False):
     """(iii) as `_same_element` gives (i): the value, its derivative in U,
     u at the order-5 Gauss points (points x elements), or None, and with
-    ``want_hess`` the second one. Both sides (partner beyond either end)
-    take one evaluation of I = tilde_G / 2 and its exact derivatives, as
-    (elements x points) arrays, returned transposed (views: same bits)."""
-    h = u.spacing
-    xg, wg = gauss_rule_01(_ORDER)
-    X = (u.left + h * np.arange(u.node_count - 1))[:, None] + h * xg[None, :]
-    kern = np.stack([u.right - X, X - u.left]) ** (-s)
-    U = _at_gauss_points(u.values, xg)
-    arg, tilde, scale = np.abs(U) * kern, limit_density(G, 1), 2.0 * h / s
-    val = scale * float(np.sum(wg * (tilde.value(arg) / 2.0)))
+    ``want_hess`` the second one, each with the leading shape of ``s`` and
+    of the states of ``u`` (`_nodal`). Both sides (partner beyond either
+    end) take one evaluation of I = tilde_G / 2 and its exact derivatives,
+    as (elements x points) arrays, returned transposed (views: same
+    bits). The states are taken a chunk at a time (`_state_chunks`), by
+    their 2 x elements x 5 arguments."""
+    mesh, values = _nodal(u)
+    chunks = _state_chunks(_lead(s, values), 10 * (mesh.node_count - 1))
+    if len(chunks) == 1:
+        val, *ders = _far_terms(G, s, mesh, values, want_grad, want_hess)
+    else:
+        join = np.concatenate if isinstance(chunks[0], slice) else np.stack
+        val, *ders = (join(part) for part in zip(*(
+            _far_terms(G, np.asarray(s)[at] if np.ndim(s) else s, mesh,
+                       values[at] if values.ndim > 1 else values,
+                       want_grad, want_hess) for at in chunks)))
     if not want_grad:
         return val, None
-    d1 = scale * wg * np.sum(tilde.deriv(arg) / 2.0 * kern, axis=0) \
+    return (val, *(d.swapaxes(-1, -2) for d in ders))
+
+
+def _far_terms(G, s, mesh, values, want_grad, want_hess):
+    """`_far_field` on one chunk of states: the value and, as asked, its
+    first and second derivatives, as (elements x points) arrays."""
+    h = mesh.spacing
+    xg, wg = gauss_rule_01(_ORDER)
+    X = (mesh.left + h * np.arange(mesh.node_count - 1))[:, None] \
+        + h * xg[None, :]
+    dist = np.stack([mesh.right - X, X - mesh.left])
+    # Python float exponents, as in `_pow`
+    kern = (np.stack([dist ** -o for o in np.ravel(s).tolist()])
+            if np.ndim(s) else dist ** -s)
+    U = _at_gauss_points(values, xg)
+    arg, tilde = np.abs(U)[..., None, :, :] * kern, limit_density(G, 1)
+    if tilde.backing == "quadrature" and arg.ndim > 3:
+        # the profile's rule is per-point work on (points, pieces, nodes)
+        # arrays: taken state by state, each cut at its own kinks
+        profile = np.stack([tilde.value(a) for a in arg])
+    else:
+        profile = tilde.value(arg)
+    val = _per_order(s, lambda o: 2.0 * h / o, 0) * np.sum(
+        wg * (profile / 2.0), axis=(-3, -2, -1))
+    if not want_grad:
+        return (val,)
+    scale = _per_order(s, lambda o: 2.0 * h / o, 2)
+    d1 = scale * wg * np.sum(tilde.deriv(arg) / 2.0 * kern, axis=-3) \
         * np.sign(U)
     if not want_hess:
-        return val, d1.T
-    d2 = scale * wg * np.sum(tilde.deriv2(arg) / 2.0 * kern * kern, axis=0)
-    return val, d1.T, d2.T
+        return val, d1
+    return val, d1, scale * wg * np.sum(tilde.deriv2(arg) / 2.0 * kern * kern,
+                                        axis=-3)
+
+
+def _nodal(u):
+    """(mesh, nodal values) of ``u``: a GridFunction, whose values every
+    order shares, or a sequence of GridFunctions on one mesh, the states,
+    whose values are stacked (states x nodes)."""
+    if isinstance(u, GridFunction):
+        return u, u.values
+    mesh = u[0]
+    if any((v.left, v.right, v.node_count)
+           != (mesh.left, mesh.right, mesh.node_count) for v in u):
+        raise InvalidInputError("states must share a mesh")
+    return mesh, np.stack([v.values for v in u])
 
 
 def _core(G, s, u, want_grad, want_hess=False):
@@ -437,33 +622,35 @@ def _core(G, s, u, want_grad, want_hess=False):
     dense symmetric matrix, assembled in the same passes: pairs, far
     field, same element, each scattered by `_add_element_terms`.
 
-    For the value alone, ``s`` may be a 1-D array of orders: the value is
-    then a float array with one entry per order.
+    ``s`` is one order or a 1-D array of orders, and ``u`` one
+    GridFunction, shared by all orders, or a sequence of states on one
+    mesh (`_nodal`), one per order. Every output then has their common
+    leading shape, a states axis, and each state's entries are
+    bit-identical to its one-state call.
     """
-    h = u.spacing
-    if not want_grad:
-        pairs, _ = _distinct_pairs(G, s, u, False)
-        vals = [_same_element(G, o, h, u.slopes, False)[0]
-                + (p + _far_field(G, o, u, False)[0])
-                for o, p in zip(np.ravel(s).tolist(), np.ravel(pairs))]
-        return (np.array(vals) if np.ndim(s) else vals[0]), None
-    hess = np.zeros((u.node_count, u.node_count)) if want_hess else None
+    mesh, values = _nodal(u)
+    h = mesh.spacing
+    hess = (np.zeros(_lead(s, values) + (mesh.node_count,) * 2)
+            if want_hess else None)
     xg, _ = gauss_rule_01(_ORDER)
     # G''(0) = inf (t^p, p < 2) gives inf - inf = nan Hessian entries,
     # which the solver reads as "no Newton step here".
     with np.errstate(invalid="ignore") if want_hess else nullcontext():
-        val, ders, *curv = _same_element(G, s, h, u.slopes, True, want_hess)
-        pairs, grad = _distinct_pairs(G, s, u, True, hess)
-        far, *far_ders = _far_field(G, s, u, True, want_hess)
-        far_grad = np.zeros(u.node_count)  # a node adds its sum to the pairs'
-        _add_element_terms(far_grad, hess, 1.0 - xg, xg, *far_ders)
-        grad += far_grad
-        _add_element_terms(grad, hess, *_SLOPE, ders[None] / h,
-                           *(c[None] / (h * h) for c in curv))
-    val += pairs + far
+        val, ders, *curv = _same_element(
+            G, s, h, np.diff(values, axis=-1) / h, want_grad, want_hess)
+        pairs, grad = _distinct_pairs(G, s, u, want_grad, hess)
+        far, *far_ders = _far_field(G, s, u, want_grad, want_hess)
+        if want_grad:
+            # a node adds its far-field sum to the pairs'
+            far_grad = np.zeros(grad.shape)
+            _add_element_terms(far_grad, hess, 1.0 - xg, xg, *far_ders)
+            grad += far_grad
+            _add_element_terms(grad, hess, *_SLOPE, ders[..., None, :] / h,
+                               *(c[..., None, :] / (h * h) for c in curv))
+    val = val + (pairs + far)
     if not want_hess:
         return val, grad
-    hess += np.triu(hess, 1).T
+    hess += np.swapaxes(np.triu(hess, 1), -1, -2)
     return val, grad, hess
 
 

@@ -143,8 +143,9 @@ class GridFunction:
 
 def _at_gauss_points(v, x):
     """Piecewise-linear nodal values v at the points x (in (0, 1)) of
-    every element: an (elements, points) array."""
-    return v[:-1, None] * (1.0 - x)[None, :] + v[1:, None] * x[None, :]
+    every element: an (elements, points) array, after any leading axes of
+    v."""
+    return v[..., :-1, None] * (1.0 - x) + v[..., 1:, None] * x
 
 
 def modular(G: OrliczFunction, u: GridFunction) -> float:

@@ -212,36 +212,45 @@ def _log_weight(kind, p, c):
     """G(t) = t**p * (|log t| + c), kinked at t = 1: power_log (c = 1) and
     power_abslog (c = 0). With lg = log t, G' = t**(p-1) (p (c -+ lg) -+ 1)
     and G'' = t**(p-2) ((p-1) ((p c -+ 1) -+ p lg) -+ p), the upper signs
-    below 1. At t = 0, G'' tends to 0 for p > 2 and to +inf for p <= 2."""
+    below 1. At t = 0, G'' tends to 0 for p > 2 and to +inf for p <= 2.
+
+    G' and G'' take the sign sg = -1 below 1 and +1 above it into one
+    formula (c + sg lg for c -+ lg, and so on): x + (-y) rounds as x - y,
+    so each entry has the bits of the branch that applies, and one branch
+    is computed, not two. Where every t is positive, no mask is
+    applied."""
     if not (np.isfinite(p) and p > 1.0):
         raise InvalidParameterError(f"{kind} exponent must be > 1, got {p}")
     p = float(p)
 
     def positive(x):
-        """(x > 0 mask, x with 1 elsewhere, its log: 0 elsewhere)"""
+        """(x > 0 mask, or None if every entry is, x with 1 elsewhere, its
+        log: 0 elsewhere)"""
         x = np.asarray(x, dtype=float)
         m = x > 0.0
+        if m.all():
+            return None, x, np.log(x)
         xm = np.where(m, x, 1.0)
         return m, xm, np.log(xm)
 
+    def masked(m, val, at_zero=0.0):
+        return val if m is None else np.where(m, val, at_zero)
+
     def fn(x):
         m, xm, lg = positive(x)
-        return np.where(m, _power(xm, p) * (np.abs(lg) + c), 0.0)
+        return masked(m, _power(xm, p) * (np.abs(lg) + c))
 
     def dfn(x):
         m, xm, lg = positive(x)
-        xp = _power(xm, p - 1.0)
-        below = xp * (p * (c - lg) - 1.0)
-        above = xp * (p * (c + lg) + 1.0)
-        return np.where(m, np.where(xm < 1.0, below, above), 0.0)
+        sg = np.where(xm < 1.0, -1.0, 1.0)
+        return masked(m, _power(xm, p - 1.0) * (p * (c + sg * lg) + sg))
 
     def d2fn(x):
         m, xm, lg = positive(x)
-        xp = _power(xm, p - 2.0)
-        below = xp * ((p - 1.0) * ((p * c - 1.0) - p * lg) - p)
-        above = xp * ((p - 1.0) * ((p * c + 1.0) + p * lg) + p)
-        return np.where(m, np.where(xm < 1.0, below, above),
-                        0.0 if p > 2.0 else np.inf)
+        sg = np.where(xm < 1.0, -1.0, 1.0)
+        return masked(m, _power(xm, p - 2.0)
+                      * ((p - 1.0) * ((p * c + sg) + sg * (p * lg)) + sg * p),
+                      0.0 if p > 2.0 else np.inf)
 
     return _finalize(kind, (p,), fn, dfn, d2fn, f"{kind}({p:g})",
                      kinks=(1.0,))

@@ -97,11 +97,12 @@ class DirichletProblem:
 
 
 class StopReason(enum.Enum):
-    """Why `solve` stopped; the first two mean converged: the squared
-    decrement lambda^2 fell below its tolerance at the start (INITIAL) or
-    later (TOLERANCE). LINE_SEARCH: no halved step passed the Armijo test,
-    or the gradient step's probes never saw the directional derivative
-    rise."""
+    """Why `solve` stopped; the first two mean converged: at the start the
+    gradient is 0 or the Newton decrement is below its tolerance
+    (INITIAL), or later the squared decrement lambda^2 fell below its
+    tolerance (TOLERANCE). LINE_SEARCH: no halved step passed the Armijo
+    test, or the gradient step's probes never saw the directional
+    derivative rise."""
 
     INITIAL = "converged at initial iterate"
     TOLERANCE = "decrement tolerance reached"
@@ -215,16 +216,34 @@ class _Energy:
     def __call__(self, interior, want_hess=False):
         """(E, interior gradient, sigma times the seminorm's Hessian (scaled
         in place) or None) at the state with these interior values."""
-        prob = self.problem
         u = self.state(interior)
+        return self.take(u, want_hess, *_seminorm_value_grad(
+            self.problem, u, want_grad=True, want_hess=want_hess))
+
+    def take(self, u, want_hess, val, grad, hess=None):
+        """What `__call__` returns, from the seminorm's value, gradient and
+        Hessian at u; counts one evaluation, and one Hessian if asked for
+        (a Hessian assembled for other states of a stacked call is not)."""
+        sigma = self.problem.sigma
         self.evaluations += 1
         self.hessians += int(want_hess)
-        out = _seminorm_value_grad(prob, u, want_grad=True,
-                                   want_hess=want_hess)
-        E = prob.sigma * out[0] - float(self.F @ u.values)
-        g = (prob.sigma * out[1] - self.F)[1:-1]
-        H = np.multiply(out[2], prob.sigma, out=out[2]) if want_hess else None
+        E = sigma * val - float(self.F @ u.values)
+        g = (sigma * grad - self.F)[1:-1]
+        H = np.multiply(hess, sigma, out=hess) if want_hess else None
         return E, g, H
+
+
+def _energy_stack(energies, requests):
+    """Answer one request (interior values, want_hess) of each `_Energy` by
+    one `_core` call: its order and its state on a states axis, with the
+    Hessian assembled if any request asks for one. Each answer has the bits
+    of the one-state `_Energy` call."""
+    states = [e.state(v) for e, (v, _) in zip(energies, requests)]
+    out = _core(energies[0].problem.G,
+                np.array([e.problem.s for e in energies]), states,
+                want_grad=True, want_hess=any(w for _, w in requests))
+    return [e.take(u, w, *(o[i] for o in out)) for i, (e, u, (_, w))
+            in enumerate(zip(energies, states, requests))]
 
 
 def _newton_direction(H, g):
@@ -255,18 +274,110 @@ def _stiffness_solve(r, h):
     return _chain_solve(np.full(r.size + 1, 1.0 / h), r)
 
 
-def _secant_step(energy_at, v, d, gd):
+def _secant_step(v, d, gd):
     """Step along the descent direction d (gd = g.d < 0) where the secant
     of the directional derivative vanishes, from the first of the probes
-    1, 4, 16, ... at which it rises; None if it never rises."""
+    1, 4, 16, ... at which it rises; None if it never rises. A generator
+    that yields its probes as `_descent` does."""
     probe = 1.0
     for _ in range(12):
-        gd_try = float(energy_at(v + probe * d)[1] @ d)
+        _, g_try, _ = yield v + probe * d, False
+        gd_try = float(g_try @ d)
         if gd_try > gd * (1.0 - 1e-9):
             step = probe * gd / (gd - gd_try)
             return min(max(step, 1e-14 * probe), 1e6 * probe)
         probe *= 4.0
     return None
+
+
+def _descent(energy_at, start):
+    """The Newton loop of `solve` (see there) for the problem of the
+    `_Energy` ``energy_at``, as a generator: it yields each evaluation it
+    needs as (interior values, want_hess), is sent back (E, interior
+    gradient, H or None), and returns the SolveResult. It never calls
+    ``energy_at``, whose counts it reports, so one loop may answer the
+    requests of several problems at once (`_solve_stack`)."""
+    problem = energy_at.problem
+    _screen_strict_convexity(problem.G)
+    ni = problem.mesh_nodes - 2
+    h = (problem.omega[1] - problem.omega[0]) / (ni + 1)
+    # For t^2 the energy is quadratic: one Newton step minimizes it.
+    quadratic = problem.G.kind == "power" and problem.G.params[0] == 2.0
+    if start is None:
+        v = np.zeros(ni)
+        # G''(0) of 0 or infinity makes the Hessian at the zero state
+        # singular or infinite, so it is not assembled there.
+        want_hess = 0.0 < float(problem.G.d2(0.0)) < np.inf
+    else:
+        problem._check_state(start)
+        v = start.values[1:-1]
+        want_hess = True
+    E, g, H = yield v, want_hess
+    history = [E]
+    iterations = 0
+    stop = None
+
+    while iterations < _MAX_ITER:
+        d = None if H is None else _newton_direction(H, g)
+        newton = d is not None
+        if not newton:
+            d = _stiffness_solve(-g, h)
+        decrement = -float(g @ d)
+        if newton:
+            tol = _DECREMENT * abs(E)
+        elif iterations:
+            tol = _DECREMENT * (_DECREMENT * max(1.0, abs(E)))
+        else:
+            tol = 0.0  # a first gradient step is taken unless g = 0
+        small = decrement <= tol
+        if small and not iterations:
+            stop = StopReason.INITIAL
+            break
+        if small and not newton:
+            stop = StopReason.TOLERANCE
+            break
+        if newton and (small or quadratic):
+            E_try, g_try, _ = yield v + d, False
+            kept = E_try <= E + _ROUNDOFF * abs(E)
+            if kept:
+                v, E, g = v + d, E_try, g_try
+                history.append(E)
+                iterations += 1
+            stop = (StopReason.TOLERANCE if kept or small
+                    else StopReason.LINE_SEARCH)
+            break
+        step = 1.0 if newton else (yield from _secant_step(v, d, -decrement))
+        if step is None:
+            stop = StopReason.LINE_SEARCH
+            break
+        # The first trial carries the next Hessian; a halved step that
+        # passes is assembled again with its Hessian.
+        for trial_no in range(60):
+            trial = v + step * d
+            E_try, g_try, H = yield trial, trial_no == 0
+            if E_try <= E - _ARMIJO * step * decrement:
+                break
+            step *= _BACKTRACK
+        else:
+            stop = StopReason.LINE_SEARCH
+            break
+        v, E, g = trial, E_try, g_try
+        history.append(E)
+        iterations += 1
+        if H is None and iterations < _MAX_ITER:
+            E, g, H = yield v, True
+
+    return SolveResult(
+        u=energy_at.state(v),
+        energy=E,
+        iterations=iterations,
+        grad_norm=float(np.max(np.abs(g))),
+        stop_reason=stop or StopReason.BUDGET,
+        decrement=decrement,
+        evaluations=energy_at.evaluations,
+        hessians=energy_at.hessians,
+        energy_history=tuple(history),
+    )
 
 
 def solve(problem: DirichletProblem,
@@ -299,87 +410,52 @@ def solve(problem: DirichletProblem,
     solve where it is once lambda^2 <= 1e-20 max(1, |E|), the decrement a
     last Newton step leaves; that floor stays absolute below |E| = 1,
     since this decrement is in the stiffness metric, not in energy units.
-    Every Newton step before the last has lambda^2 far above the roundoff
-    of E, so the Armijo test ranks it. `stop_reason` says why the solve
-    stopped; `decrement` is the lambda^2 of the last direction, below its
+    The first direction is exempt from that floor: a gradient direction
+    at the start is always taken unless g = 0, so a tiny load is solved,
+    not returned as u = 0. `StopReason.INITIAL` thus means g = 0, or a
+    Newton decrement under its relative tolerance. Every Newton step
+    before the last has lambda^2 far above the roundoff of E, so the
+    Armijo test ranks it. `stop_reason` says why the solve stopped;
+    `decrement` is the lambda^2 of the last direction, below its
     tolerance unless that was the exact step for t^2.
+
+    The loop is the generator `_descent`; here one problem answers its
+    requests, one `_core` call each.
     """
-    _screen_strict_convexity(problem.G)
-    ni = problem.mesh_nodes - 2
-    h = (problem.omega[1] - problem.omega[0]) / (ni + 1)
     energy_at = _Energy(problem)
-    # For t^2 the energy is quadratic: one Newton step minimizes it.
-    quadratic = problem.G.kind == "power" and problem.G.params[0] == 2.0
-    if start is None:
-        v = np.zeros(ni)
-        # G''(0) of 0 or infinity makes the Hessian at the zero state
-        # singular or infinite, so it is not assembled there.
-        want_hess = 0.0 < float(problem.G.d2(0.0)) < np.inf
-    else:
-        problem._check_state(start)
-        v = start.values[1:-1]
-        want_hess = True
-    E, g, H = energy_at(v, want_hess=want_hess)
-    history = [E]
-    iterations = 0
-    stop = None
+    steps = _descent(energy_at, start)
+    request = next(steps)
+    try:
+        while True:
+            request = steps.send(energy_at(*request))
+    except StopIteration as done:
+        return done.value
 
-    while iterations < _MAX_ITER:
-        d = None if H is None else _newton_direction(H, g)
-        newton = d is not None
-        if not newton:
-            d = _stiffness_solve(-g, h)
-        decrement = -float(g @ d)
-        small = decrement <= (_DECREMENT * abs(E) if newton else
-                              _DECREMENT * (_DECREMENT * max(1.0, abs(E))))
-        if small and not iterations:
-            stop = StopReason.INITIAL
-            break
-        if small and not newton:
-            stop = StopReason.TOLERANCE
-            break
-        if newton and (small or quadratic):
-            E_try, g_try, _ = energy_at(v + d)
-            kept = E_try <= E + _ROUNDOFF * abs(E)
-            if kept:
-                v, E, g = v + d, E_try, g_try
-                history.append(E)
-                iterations += 1
-            stop = (StopReason.TOLERANCE if kept or small
-                    else StopReason.LINE_SEARCH)
-            break
-        step = 1.0 if newton else _secant_step(energy_at, v, d, -decrement)
-        if step is None:
-            stop = StopReason.LINE_SEARCH
-            break
-        # The first trial carries the next Hessian; a halved step that
-        # passes is assembled again with its Hessian.
-        for trial_no in range(60):
-            trial = v + step * d
-            E_try, g_try, H = energy_at(trial, want_hess=trial_no == 0)
-            if E_try <= E - _ARMIJO * step * decrement:
-                break
-            step *= _BACKTRACK
-        else:
-            stop = StopReason.LINE_SEARCH
-            break
-        v, E, g = trial, E_try, g_try
-        history.append(E)
-        iterations += 1
-        if H is None and iterations < _MAX_ITER:
-            E, g, H = energy_at(v, want_hess=True)
 
-    return SolveResult(
-        u=energy_at.state(v),
-        energy=E,
-        iterations=iterations,
-        grad_norm=float(np.max(np.abs(g))),
-        stop_reason=stop or StopReason.BUDGET,
-        decrement=decrement,
-        evaluations=energy_at.evaluations,
-        hessians=energy_at.hessians,
-        energy_history=tuple(history),
-    )
+def _solve_stack(problems, start):
+    """[solve(p, start) for p in problems], bit for bit, in lockstep.
+
+    The problems share G, mesh, rhs and scaling, and each has s < 1. Each
+    round answers the pending request of every problem still running with
+    one stacked `_core` call (`_energy_stack`), its states on a leading
+    axis; a problem leaves the stack when its `_descent` returns. This is
+    vectorization, not concurrency: the rounds run one after another.
+    """
+    energies = [_Energy(p) for p in problems]
+    runs = [_descent(e, start) for e in energies]
+    requests = [next(r) for r in runs]
+    results = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        answers = _energy_stack([energies[i] for i in live],
+                                [requests[i] for i in live])
+        for i, answer in zip(live, answers):
+            try:
+                requests[i] = runs[i].send(answer)
+            except StopIteration as done:
+                results[i] = done.value
+        live = [i for i in live if results[i] is None]
+    return results
 
 
 def apply_pointwise_eps(G: OrliczFunction, s: float, u: GridFunction,
@@ -447,9 +523,12 @@ def gamma_run(problem_template: DirichletProblem, s_list) -> GammaReport:
     The limit problem replaces the growth function by its limit density and
     sets s = 1. It is solved first, and its minimizer u starts every s < 1
     solve: the minimizers u_s tend to u as s -> 1, so the ladder warm-starts
-    Newton near each u_s. Gaps are reported as energy differences and as
-    the gauge norm of u_s - u for the plain modular, which is 0 where
-    u_s = u.
+    Newton near each u_s. The s < 1 solves run in lockstep
+    (`_solve_stack`): each round of their Newton loops is one `_core` call
+    with one state per order still running, and each result is bit for bit
+    that of its own `solve(problem, start=u)`. Gaps are reported as energy
+    differences and as the gauge norm of u_s - u for the plain modular,
+    which is 0 where u_s = u.
     """
     s_list = _validate_s_list(s_list)
     tilde = limit_density(problem_template.G, 1).as_orlicz()
@@ -459,9 +538,9 @@ def gamma_run(problem_template: DirichletProblem, s_list) -> GammaReport:
     local_mid = float(local.u(mid))
 
     entries = []
-    for s in s_list:
-        prob = replace(problem_template, s=s, scaling="bbm_scaled")
-        res = solve(prob, start=local.u)
+    problems = [replace(problem_template, s=s, scaling="bbm_scaled")
+                for s in s_list]
+    for s, res in zip(s_list, _solve_stack(problems, local.u)):
         # looked up at call time, so a wrapped copy of either name runs
         gap = grid.luxemburg_norm(lambda f: modular(problem_template.G, f),
                                   res.u - local.u)

@@ -6,6 +6,7 @@ from scipy import integrate
 from orliczfrac import (
     DirichletProblem,
     GridFunction,
+    InvalidInputError,
     InvalidParameterError,
     apply_pointwise_eps,
     bbm_curve,
@@ -141,6 +142,94 @@ class TestMultiOrder:
         bbm_curve(G2, u, [0.9, 0.95, 0.99])
         assert len(calls) == 1
         assert np.array_equal(calls[0], [0.9, 0.95, 0.99])
+
+
+CUBE = make_custom(lambda t: np.abs(t) ** 3, lambda t: 3.0 * t * np.abs(t),
+                   label="custom(t^3)", d2fn=lambda t: 6.0 * np.abs(t))
+
+
+class TestStatesAxis:
+    """`_core` on k orders, each at its own nodal vector or all at one:
+    every state's value, gradient and Hessian are bit-identical to its
+    one-state call."""
+
+    # s = 0.5 takes numpy's sqrt path for a lone exponent 1 - s; for
+    # max(t^2, t^3) the amplitudes put some states' arguments all below the
+    # kink at 1 and others above it, so a block gives each state its rule
+    ORDERS = (0.6, 0.9, 0.5, 0.3)
+    AMPLITUDES = (0.3, 3.0, 1.0, 0.01)
+
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["distinct", "shared"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("n", [3, 4, 33, 129])
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   CUBE, G23], ids=lambda G: G.label)
+    def test_each_state_matches_its_one_state_call(self, G, n, k, shared,
+                                                    rng):
+        orders = self.ORDERS[:k]
+        states = [random_state(rng, n, a) for a in self.AMPLITUDES[:k]]
+        if shared:
+            states = [states[-1]] * k
+        stacked = states[0] if shared else states
+        for want_grad, want_hess in ((False, False), (True, False),
+                                     (True, True)):
+            got = _core(G, np.array(orders), stacked, want_grad=want_grad,
+                        want_hess=want_hess)
+            for i, (s, u) in enumerate(zip(orders, states)):
+                one = _core(G, s, u, want_grad=want_grad,
+                            want_hess=want_hess)
+                assert len(got) == len(one)
+                for a, b in zip(got, one):
+                    if b is None:
+                        assert a is None
+                    else:
+                        assert a.shape[0] == k
+                        assert np.array_equal(a[i], b)
+
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0)],
+                             ids=lambda G: G.label)
+    def test_chunks_of_states_keep_the_bits(self, G, rng, monkeypatch):
+        # a budget of one point takes every pair block and the far field
+        # state by state
+        orders = np.array(self.ORDERS)
+        states = [random_state(rng, 129, a) for a in self.AMPLITUDES]
+        for u in (states, states[0]):
+            whole = _core(G, orders, u, want_grad=True, want_hess=True)
+            with monkeypatch.context() as m:
+                m.setattr(fractional, "_STACK_POINTS", 1)
+                assert fractional._state_chunks((4,), 1) == [0, 1, 2, 3]
+                chunked = _core(G, orders, u, want_grad=True,
+                                want_hess=True)
+            assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+
+    def test_states_take_their_own_pair_rules(self, rng, monkeypatch):
+        # one state below the least power's range, one above it: some
+        # blocks give each state its own rule, t^2's or G's
+        rules = fractional._pair_rule
+        split = []
+
+        def recorded(G, on, du, kern, block, n=1):
+            out = rules(G, on, du, kern, block, n)
+            if du.ndim > 3:
+                split.append(len(out) > 1)
+            return out
+
+        states = [random_state(rng, 33, 0.01), random_state(rng, 33, 3.0)]
+        monkeypatch.setattr(fractional, "_pair_rule", recorded)
+        got = _core(G23, np.array([0.6, 0.9]), states, want_grad=True,
+                    want_hess=True)
+        monkeypatch.undo()
+        assert any(split)
+        for i, (s, u) in enumerate(zip([0.6, 0.9], states)):
+            one = _core(G23, s, u, want_grad=True, want_hess=True)
+            assert all(np.array_equal(a[i], b) for a, b in zip(got, one))
+
+    def test_states_share_a_mesh(self):
+        u = GridFunction.hat(-1.0, 1.0, 17)
+        with pytest.raises(InvalidInputError):
+            _core(G2, np.array([0.5, 0.6]),
+                  [u, GridFunction.hat(-1.0, 2.0, 17)], want_grad=True)
 
 
 def power_log3_profile(w):

@@ -19,6 +19,7 @@ from orliczfrac import (
     make_power_log,
     verify_orlicz,
 )
+from orliczfrac.orlicz import _power
 
 
 class TestPower:
@@ -162,6 +163,38 @@ class TestPowerLog:
             err = np.abs(getattr(G, name)(x) - (terms[0] + terms[1]))
             assert np.all(err <= 1e-14 * (np.abs(terms[0])
                                           + np.abs(terms[1]))), name
+
+
+class TestLogWeightBranches:
+    """G' and G'' of the log-weight family take one signed formula for
+    both sides of the kink, and G skips the mask where every argument is
+    positive: the bits of the two-branch, always-masked formulas."""
+
+    @pytest.mark.parametrize("make,c", [(make_power_log, 1.0),
+                                        (make_power_abslog, 0.0)],
+                             ids=["power_log", "power_abslog"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.7])
+    def test_same_bits_as_two_branches(self, make, c, p, rng):
+        G = make(p)
+        t = np.concatenate([rng.random(4000) * 3.0, np.logspace(-300, 3, 50),
+                            [0.0, np.nextafter(1.0, 0.0), 1.0,
+                             np.nextafter(1.0, 2.0)]])
+        for x in (t, t[t > 0.0], np.float64(0.5), 2.0, 0.0):
+            m = np.asarray(x) > 0.0
+            xm = np.where(m, x, 1.0)
+            lg = np.log(xm)
+            below = xm < 1.0
+            x1, x2 = _power(xm, p - 1.0), _power(xm, p - 2.0)
+            ref = (
+                np.where(m, _power(xm, p) * (np.abs(lg) + c), 0.0),
+                np.where(m, np.where(below, x1 * (p * (c - lg) - 1.0),
+                                     x1 * (p * (c + lg) + 1.0)), 0.0),
+                np.where(m, np.where(
+                    below, x2 * ((p - 1.0) * ((p * c - 1.0) - p * lg) - p),
+                    x2 * ((p - 1.0) * ((p * c + 1.0) + p * lg) + p)),
+                    0.0 if p > 2.0 else np.inf))
+            for got, want in zip((G(x), G.deriv(x), G.d2(x)), ref):
+                assert np.array_equal(got, want)
 
 
 class TestCombinations:

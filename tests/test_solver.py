@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from orliczfrac import (
     solve,
     weak_residual,
 )
-from orliczfrac import solver
+from orliczfrac import fractional, solver
 from orliczfrac.solver import _seminorm_value_grad
 
 G2 = make_power(2.0)
@@ -259,6 +261,22 @@ class TestNewton:
 
         for c in (1e-5, 1e-7):
             assert midpoint(c) == pytest.approx(midpoint(1.0), abs=1e-8)
+
+    # a tiny load starts on a gradient direction (G''(0) = 0) whose
+    # decrement lies below the gradient floor; that first step is taken
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_tiny_load_cube(self, s):
+        def at(c):
+            return solve(DirichletProblem(omega=(-1.0, 1.0), rhs=c, G=G3,
+                                          s=s, mesh_nodes=65))
+
+        ref = float(at(1.0).u(0.0))
+        for c in (1e-12, 1e-20):
+            res = at(c)
+            assert res.stop_reason is StopReason.TOLERANCE
+            assert float(res.u(0.0)) / np.sqrt(c) == pytest.approx(ref,
+                                                                   abs=1e-8)
+        assert at(0.0).stop_reason is StopReason.INITIAL
 
     @pytest.mark.parametrize("n", [3, 4, 33, 129])
     def test_local_gradient_scatter_bits(self, n, rng):
@@ -535,6 +553,78 @@ class TestWarmStart:
         assert all(r.converged for r in warm + cold)
         assert (2 * sum(r.iterations for r in warm)
                 < sum(r.iterations for r in cold))
+
+
+class TestLockstepLadder:
+    """`gamma_run` solves its s < 1 orders in lockstep: one `_core` call per
+    round, with a state per order still running, and each order's result
+    is field by field that of its own warm-started `solve`."""
+
+    @pytest.mark.parametrize("G,n,s_list,omega", [
+        (make_power_log(3.0), 17, [0.6, 0.9], (-1.0, 1.0)),
+        (make_power_log(3.0), 33, [0.59, 0.91], (-1.0, 1.0)),
+        (G3, 129, [0.6, 0.8, 0.9, 0.99], (-1.0, 1.0)),
+        # p < 2: secant probes (no Hessian) share rounds with trial steps
+        # that carry one
+        (G15, 129, [0.8, 0.9], (0.0, 1.0)),
+    ], ids=["power_log3-17", "power_log3-33", "power3-129", "power1.5-129"])
+    def test_orders_match_sequential_solves(self, G, n, s_list, omega,
+                                            monkeypatch):
+        tmpl = DirichletProblem(omega=omega, rhs=1.0, G=G, s=s_list[0],
+                                mesh_nodes=n)
+        calls = []
+        core = solver._core
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_core", counted)
+        report = gamma_run(tmpl, s_list)
+        monkeypatch.undo()
+        for entry in report.entries:
+            res = entry.result
+            ref = solve(replace(tmpl, s=entry.s), start=report.local.u)
+            assert np.array_equal(res.u.values, ref.u.values)
+            assert (res.energy, res.iterations, res.evaluations,
+                    res.hessians, res.stop_reason, res.energy_history) == \
+                (ref.energy, ref.iterations, ref.evaluations, ref.hessians,
+                 ref.stop_reason, ref.energy_history)
+        # the local s = 1 solve makes no `_core` call
+        rounds = max(e.result.evaluations for e in report.entries)
+        assert len(calls) == rounds
+        assert all("want_grad" in kw and "want_hess" in kw for kw in calls)
+
+    def test_a_round_assembles_hessians_only_if_asked(self, monkeypatch):
+        asked, stack = [], solver._energy_stack
+
+        def recorded(energies, requests):
+            asked.append([w for _, w in requests])
+            return stack(energies, requests)
+
+        monkeypatch.setattr(solver, "_energy_stack", recorded)
+        report = gamma_run(problem(0.5, n=129, G=G15), [0.8, 0.9])
+        assert any(len(set(flags)) > 1 for flags in asked)
+        assert [e.result.hessians for e in report.entries] == \
+            [sum(flags[i] for flags in asked if len(flags) > i)
+             for i in range(2)]
+
+    def test_band_tables_built_once_per_set_of_orders(self, monkeypatch):
+        keys, stack = [], solver._energy_stack
+
+        def recorded(energies, requests):
+            keys.append(tuple(e.problem.s for e in energies))
+            return stack(energies, requests)
+
+        monkeypatch.setattr(solver, "_energy_stack", recorded)
+        tables = fractional._band_tables
+        tables.cache_clear()
+        gamma_run(DirichletProblem(omega=(-1.0, 1.0), rhs=1.0, G=G3, s=0.6,
+                                   mesh_nodes=129), [0.6, 0.8, 0.9, 0.99])
+        info = tables.cache_info()
+        assert len(set(keys)) > 1  # orders leave the stack as they finish
+        assert info.misses == len(set(keys))
+        assert info.hits + info.misses == len(keys)
 
 
 class TestGammaRun:
