@@ -38,20 +38,22 @@ is split into three pieces:
        derivatives of the profile, which need no quadrature. All of it is
        one function, `_far_field`.
 
-Every piece takes a leading states axis: k orders s, each with its own
-nodal vector on one mesh (the solver's lockstep ladder), or k orders that
-share one vector (the multi-order value of `fractional_modular`), and
-gives the value, the gradient and the Hessian per state. Nothing in piece
-(ii) but the kernel table depends on s, so the pairs of all states share
-one pass: the table dist**(-s) gets a leading axis over the orders, and
-each block forms |u(x) - u(y)| once per vector and makes one G call on
-the stacked (states, pairs, offsets, elements) argument, or, where t^p's
-rule serves, on |du|, which has an axis only if the vectors do. Pieces
-(i) and (iii) evaluate their arrays with the states axis in front. A
-piece's arrays for many states at once cost more per point than stacking
-saves in calls, so states with vectors of their own go through each pair
-block, and all states through the far field, a chunk at a time, as many
-as fit in `_STACK_POINTS` points (`_state_chunks`); the far field's
+Every piece has one shape: a 1-D array of k orders s and nodal rows on
+one mesh (`_nodal`), one row per order (the solver's lockstep ladder) or
+one row that all orders share (the multi-order value of
+`fractional_modular`), and it gives the value, the gradient and the
+Hessian per state, on a leading states axis. One order at one vector is
+the state k = 1; only `_core` takes a lone order, and it drops the axis
+again on return. Nothing in piece (ii) but the kernel table depends on s,
+so the pairs of all states share one pass: the table dist**(-s) has a
+leading axis over the orders, and each block forms |u(x) - u(y)| once per
+row and makes one G call on the stacked (states, pairs, offsets,
+elements) argument, or, where t^p's rule serves, on |du|, one row per
+row. Pieces (i) and (iii) evaluate their arrays with the states axis in
+front. A piece's arrays for many states at once cost more per point than
+stacking saves in calls, so states with rows of their own go through each
+pair block, and all states through the far field, a chunk at a time, as
+many as fit in `_STACK_POINTS` points (`_state_chunks`); the far field's
 quadrature profile, per-point work on (points, pieces, nodes) arrays, is
 taken state by state. The blocks do not depend on the number of states.
 Three things would make a state's bits depend on its neighbours, and
@@ -110,65 +112,33 @@ _STACK_POINTS = 2 ** 14  # points of a piece's array over a chunk of states
 _SLOPE = (np.broadcast_to(-1.0, 1), np.broadcast_to(1.0, 1))  # (a, b) of h*m
 
 
-def _per_order(s, f, axes=1):
-    """f(o) per order o of ``s``, in Python floats: for one order a float,
-    for a 1-D array of them an array of shape s.shape + (1,) * axes. A
-    power taken here has the bits of one taken on a lone order."""
-    if not np.ndim(s):
-        return f(float(s))
-    return np.array([f(o) for o in np.ravel(s).tolist()]).reshape(
-        np.shape(s) + (1,) * axes)
-
-
-def _lead(s, values):
-    """The leading shape of the outputs for orders ``s`` and nodal
-    ``values``: () for one order and vector, else (states,)."""
-    return np.shape(s) or values.shape[:-1]
-
-
-def _state_chunks(lead, size):
-    """Indices along the states axis of leading shape ``lead``: slices of
-    as many states as keep ``size`` points each within `_STACK_POINTS`,
-    the states one by one (ints) where one alone fills it, or [...] where
-    there is no states axis. Past that budget, a piece's temporaries cost
-    more per point than stacking saves in calls."""
-    if not lead:
-        return [...]
-    per = _STACK_POINTS // size
-    if per < 2:
-        return list(range(lead[0]))
-    return [slice(i, i + per) for i in range(0, lead[0], per)]
+def _state_chunks(k, size):
+    """Slices of k states, each of as many states as keep ``size`` points
+    each within `_STACK_POINTS`, and at least one. Past that budget, a
+    piece's temporaries cost more per point than stacking saves in
+    calls."""
+    per = max(1, _STACK_POINTS // size)
+    return [slice(i, i + per) for i in range(0, k, per)]
 
 
 def _pow(x, s, f):
-    """x ** f(o) per order o of ``s``, x with a leading states axis where s
-    has one. Each state's power takes a Python float exponent, as in its
-    lone call: numpy takes a lone exponent of 0.5, 2 or -1 by sqrt, square
-    or reciprocal, but an array of exponents by pow, which can differ in
-    the last bit."""
-    if not np.ndim(s):
-        return x ** f(float(s))
-    return np.stack([a ** f(o) for a, o in zip(x, np.ravel(s).tolist())])
-
-
-def _kinks_below(G, top):
-    """The number of kinks of G in (0, top) per entry of ``top``: how many
-    cuts `_kink_cuts` makes in an argument whose largest entry is top. A
-    rule on stacked states cuts each as when it is alone (same pieces, so
-    same bits) only where they share this number."""
-    count = np.zeros(np.shape(top), dtype=int)
-    for k in set(G.kinks):
-        if k > 0.0:
-            count += top > k
-    return count
+    """x ** f(o) per order o of ``s`` along x's states axis. Each state's
+    power takes a Python float exponent, as in its lone call: numpy takes
+    a lone exponent of 0.5, 2 or -1 by sqrt, square or reciprocal, but an
+    array of exponents by pow, which can differ in the last bit."""
+    exps = [f(o) for o in s.tolist()]
+    if len(exps) == 1:  # one state: no copy
+        return x ** exps[0]
+    return np.stack([a ** p for a, p in zip(x, exps)])
 
 
 def _same_element(G, s, h, slopes, want_grad, want_hess=False):
     """Sum over elements of 2*int_0^h (h-t) G(|m| t^(1-s)) dt/t, and its
     derivative in m per element (or None); with ``want_hess`` also the
-    second derivative per element, as a third entry. ``slopes`` may hold a
-    leading states axis, and ``s`` one order per state: every output then
-    has that axis, and each state's entries are those of its lone call.
+    second derivative per element, as a third entry. ``s`` holds k orders
+    and ``slopes`` one row of slopes per order or one for all: every
+    output has the states axis of k, and each state's entries are those
+    of its lone call.
 
     With e = 1 - s, H = h^e and c = |m| H, t = h r gives a block
     (h/e) tilde_G(c) - 2h B(c), B(c) = int_0^1 G(c r^e) dr, and tilde_G
@@ -179,40 +149,44 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
     crosses a kink. The m-derivative is (2hH/e) (G(c)/c - e A(c)); the
     second one follows from c A'(c) = (G'(c) - (1+e) A(c)) / e, which
     holds across kinks too. States whose rules differ (t^p's form on one,
-    or different numbers of kink cuts, `_kinks_below`) are evaluated one
-    by one.
+    or different numbers of kink cuts) are evaluated one by one.
     """
     m = np.abs(slopes)
-    sgn = np.sign(slopes)
-    H = _per_order(s, lambda o: h ** (1.0 - o))
     F, T = _power_on(G) or (None, -np.inf)  # -inf: no c takes t^p's form
-    top = np.max(m, axis=-1) * (H if np.ndim(H) < 2 else H[:, 0])  # max c
-    closed = (np.less if want_grad else np.less_equal)(top, T)
-    if np.ndim(closed):
-        # per state: t^p's closed form (-1), or the number of kinks cut
-        rule = np.where(closed, -1, _kinks_below(G, top))
-        if np.any(rule != rule[0]):
-            rows = np.broadcast_to(slopes, rule.shape + slopes.shape[-1:])
-            parts = zip(*(_same_element(G, o, h, r, want_grad, want_hess)
-                          for o, r in zip(np.broadcast_to(s, rule.shape)
-                                          .tolist(), rows)))
-            return tuple(None if p[0] is None else np.stack(p)
-                         for p in parts)
-        closed = closed[0]
-    if closed:
-        def closed_coef(o):
-            beta = (1.0 - o) * F.params[0]
-            return 2.0 * h ** (beta + 1.0) / (beta * (beta + 1.0))
 
-        coef = _per_order(s, closed_coef)
+    def factors(o):  # H, e, 1 + e, the factors of the outputs, t^p's coef
+        e = 1.0 - o
+        H = h ** e
+        beta = e * (F.params[0] if F else 1.0)
+        return (H, e, 1.0 + e, h / e, 2.0 * h * H / e, 2.0 * h * H * H / e,
+                h * H * H, e * (1.0 + 2.0 * e),
+                2.0 * h ** (beta + 1.0) / (beta * (beta + 1.0)))
+
+    # per order in Python floats, a (k, 1) array each: powers and products
+    # taken here have the bits of a lone order's
+    H, e, e1, fv, f1, f2, f0, e2, coef = np.array(
+        [factors(o) for o in s.tolist()]).T[..., None]
+    c = m * H
+    top = c.max(axis=-1)  # max |m| H, as H > 0
+    closed = (np.less if want_grad else np.less_equal)(top, T)
+    # per state: t^p's closed form (-1), or the number of kinks of G in
+    # (0, max c), the cuts `_kink_cuts` makes: stacked states share a rule,
+    # and so the bits of their lone calls, only where they share this
+    if len(s) > 1 and len(set(np.where(closed, -1, sum(
+            top > k for k in set(G.kinks) if k > 0.0)).tolist())) > 1:
+        rows = np.broadcast_to(slopes, (len(s), slopes.shape[-1]))
+        parts = zip(*(_same_element(G, s[i:i + 1], h, rows[i:i + 1],
+                                    want_grad, want_hess)
+                      for i in range(len(s))))
+        return tuple(None if p[0] is None else np.concatenate(p)
+                     for p in parts)
+    if closed[0]:
         vals = coef * F(m)
-        ders = coef * F.deriv(m) * sgn if want_grad else None
+        ders = coef * F.deriv(m) * np.sign(slopes) if want_grad else None
         if want_hess:
             return np.sum(vals, axis=-1), ders, coef * F.d2(m)
         return np.sum(vals, axis=-1), ders
 
-    c = m * H
-    e = _per_order(s, lambda o: 1.0 - o)
     tilde = limit_density(G, 1)
     cuts = [_pow(t, s, lambda o: 1.0 / (1.0 - o))
             for t in _kink_cuts(c, G.kinks)]
@@ -220,18 +194,18 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
     re = _pow(r, s, lambda o: 1.0 - o)
     arg = c[..., None, None] * re
     smooth = np.sum(width * (G(arg) @ w), axis=-1)
-    val = np.sum((h / e) * tilde.value(c) - 2.0 * h * smooth, axis=-1)
+    val = np.sum(fv * tilde.value(c) - 2.0 * h * smooth, axis=-1)
     if not want_grad:
         return val, None
     flux = tilde.deriv(c) / 2.0  # G(c)/c, 0 at c = 0
     A = np.sum(width * ((G.deriv(arg) * re) @ w), axis=-1)
-    ders = (2.0 * h * H / e) * (flux - e * A) * sgn
+    ders = f1 * (flux - e * A) * np.sign(slopes)
     if not want_hess:
         return val, ders
     pos = c > 0.0
-    curv = np.where(pos, (2.0 * h * H * H / e) * ((1.0 + e) * A - flux)
-                    / np.where(pos, c, 1.0),
-                    h * H * H * float(G.d2(0.0)) / (e * (1.0 + 2.0 * e)))
+    curv = f2 * (e1 * A - flux) / np.where(pos, c, 1.0)
+    if not pos.all():  # the limit at c = 0, from G''(0)
+        curv = np.where(pos, curv, f0 * float(G.d2(0.0)) / e2)
     return val, ders, curv
 
 
@@ -256,8 +230,8 @@ def _band_tables(s, h, ne):
     """What `_pair_bands` yields but the differences, on ne elements of width
     h: per band of order q, its Gauss nodes and blocks (j0, nj, kern, block)
     of the most offsets that keep q*q*(ne - j0)*nj within `_BLOCK_POINTS`,
-    and at least one. Built once per key (s, h, ne), s a float or a tuple of
-    floats; the last two keys are kept. Read-only."""
+    and at least one. Built once per key (s, h, ne), s a tuple of orders;
+    the last two keys are kept. Read-only."""
     q = _pair_orders(ne, _ORDER)
     ends = np.flatnonzero(np.diff(q, prepend=0, append=0)).tolist()
     bands = []
@@ -265,7 +239,7 @@ def _band_tables(s, h, ne):
         x, w = gauss_rule_01(int(q[lo]))
         dist = h * (np.arange(lo + 1, hi + 1)[:, None]
                     + np.subtract.outer(x, x).reshape(-1, 1, 1))
-        kern = dist ** -np.reshape(s, np.shape(s) + (1, 1, 1))
+        kern = dist ** -np.reshape(s, (-1, 1, 1, 1))
         block = 2.0 * h * h * np.outer(w, w).reshape(-1, 1, 1) / dist
         kern.flags.writeable = block.flags.writeable = False
         blocks, j0 = [], lo + 1
@@ -286,33 +260,30 @@ def _pair_bands(s, h, *nodal):
     and an iterator over its blocks of the offsets j0 .. j0+nj-1, each
     ``(j0, kern, block, diffs)``. Row a*q + b pairs node a of the right
     element with node b of the left one, at dist = h (j + x_a - x_b).
-    ``kern`` and ``block`` are the read-only (q*q, nj, 1) tables dist**(-s)
-    and 2 h^2 w_a w_b / dist of `_band_tables` (``kern`` with a leading
-    axis for a 1-D array of orders ``s``). ``diffs`` holds per nodal vector
-    the (q*q, nj, L) differences right minus left, L = ne - j0, after the
-    vector's leading states axis if it has one: entry [r, k, e] pairs left
-    element e with right element e + j0 + k, and is padding
-    (`_drop_padding`) if e >= L - k. They are read from one zero-padded
-    (q, 2 ne) buffer of Gauss-point values per vector, state and band, so
-    every operation on a pair row is a long contiguous loop.
+    ``kern`` and ``block`` are the read-only tables dist**(-s), (k, q*q,
+    nj, 1) for the k orders ``s``, and 2 h^2 w_a w_b / dist, (q*q, nj, 1),
+    of `_band_tables`. ``diffs`` holds per array of nodal rows (rows x
+    nodes) the (rows, q*q, nj, L) differences right minus left, L = ne -
+    j0: entry [i, r, k, e] pairs left element e with right element e + j0
+    + k, and is padding (`_drop_padding`) if e >= L - k. They are read
+    from one zero-padded (q, 2 ne) buffer of Gauss-point values per row
+    and band, so every operation on a pair row is a long contiguous loop.
     """
     ne = nodal[0].shape[-1] - 1
-    key = tuple(np.ravel(s).tolist()) if np.ndim(s) else float(s)
-    for x, blocks in _band_tables(key, float(h), ne):
+    for x, blocks in _band_tables(tuple(s.tolist()), float(h), ne):
         q = x.size
         rows = []
         for v in nodal:
-            buf = np.zeros(v.shape[:-1] + (q, 2 * ne))
-            buf[..., :ne] = np.swapaxes(_at_gauss_points(v, x), -1, -2)
+            buf = np.zeros((len(v), q, 2 * ne))
+            buf[:, :, :ne] = _at_gauss_points(v, x).swapaxes(1, 2)
             # view row (a, j) starts at node a's element j
             rows.append(np.ndarray(buf.shape[:-1] + (ne, ne), float, buf, 0,
                                    buf.strides + buf.strides[-1:]))
-        # (q, 1, nj, L) - (1, q, 1, L) per state
+        # (q, 1, nj, L) - (1, q, 1, L) per row
         yield x, ((j0, kern, block,
-                   [(W[..., :, None, j0:j0 + nj, :ne - j0]
-                     - W[..., None, :, :1, :ne - j0])
-                    .reshape(W.shape[:-3] + (q * q, nj, ne - j0))
-                    for W in rows])
+                   [(W[:, :, None, j0:j0 + nj, :ne - j0]
+                     - W[:, None, :, :1, :ne - j0])
+                    .reshape(len(W), q * q, nj, ne - j0) for W in rows])
                   for j0, nj, kern, block in blocks)
 
 
@@ -393,21 +364,21 @@ def _pair_rule(G, on, du, kern, block, n=1):
     arguments |du| kern is <= T, and for n > 1 if each is < T, since a
     max's G' and G'' take the steeper branch at T. Otherwise one state
     takes G's own rule, F = G, arg = |du| kern and w[i] = block kern^i;
-    several states (orders of ``kern``'s leading axis, nodal vectors of
-    ``du``'s, or both) take their rules one by one, as when each is
-    evaluated alone.
+    several states (the orders of ``kern``, with a row of ``du`` each or
+    one for all) take their rules one by one, as when each is evaluated
+    alone.
     """
     arg = np.abs(du)
     if on is not None:
         F, T = on
         below = T == np.inf or (np.less if n > 1 else np.less_equal)(
             kern[..., 0] * _drop_padding(arg).max(axis=-1), T)
-        if np.all(below):
+        if below is True or below.all():
             return [(F, arg, [block * kern ** F.params[0]] * n)]
-        if below.ndim > 2:
+        if len(below) > 1:
+            rows = np.broadcast_to(du, kern.shape[:1] + du.shape[1:])
             return [rule for i in range(len(below)) for rule in _pair_rule(
-                G, on, du[i] if du.ndim > 3 else du,
-                kern[i] if kern.ndim > 3 else kern, block, n)]
+                G, on, rows[i:i + 1], kern[i:i + 1], block, n)]
     arg = arg * kern
     return [(G, arg, list(accumulate([block] + [kern] * (n - 1),
                                      np.multiply)))]
@@ -415,24 +386,24 @@ def _pair_rule(G, on, du, kern, block, n=1):
 
 def _rule_terms(rules, i):
     """w[i] F^(i)(arg), i = 1 or 2, of a block's rules, padding dropped:
-    one rule's array, or one per state stacked on a leading axis."""
+    one rule's array, or the states' joined along their axis."""
     terms = [w[i] * _drop_padding((F.deriv if i == 1 else F.d2)(arg))
              for F, arg, w in rules]
-    return terms[0] if len(terms) == 1 else np.stack(terms)
+    return terms[0] if len(terms) == 1 else np.concatenate(terms)
 
 
-def _distinct_pairs(G, s, u, want_grad, hess=None):
-    """(ii): value (and nodal gradient) of the distinct-element blocks.
+def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
+    """(ii): value (and nodal gradient) of the distinct-element blocks, per
+    state of the k orders ``s`` and the nodal ``rows`` on ``mesh``
+    (`_nodal`).
 
-    ``u`` is one nodal vector or several states (`_nodal`), ``s`` one order
-    or a 1-D array of them; the outputs have their common leading shape.
     `_power_on` is read once per call, and `_pair_rule` gives each block
     and state t^p's rule or G's own, for every output (`_pair_block`).
-    States with vectors of their own are taken a chunk at a time per
-    block (`_state_chunks`, by the block's pair points): 4 states of full
-    blocks at once made a 4-order ladder at 129 nodes 1.2 times slower
-    than its sequential solves. Orders that share a vector share each
-    block's G call.
+    States with rows of their own are taken a chunk at a time per block
+    (`_state_chunks`, by the block's pair points): 4 states of full blocks
+    at once made a 4-order ladder at 129 nodes 1.2 times slower than its
+    sequential solves. Orders that share a row share each block's G
+    call.
 
     The gradient is accumulated per element and Gauss point of a band and
     scattered to the nodes once per band (`_add_element_terms`); a block's
@@ -440,35 +411,33 @@ def _distinct_pairs(G, s, u, want_grad, hess=None):
     one (`_skew_sum`). Given ``hess`` (the upper triangle of a nodal
     matrix per state), the Hessian is added to it.
     """
-    mesh, values = _nodal(u)
-    lead = _lead(s, values)
-    val = np.zeros(lead)
-    grad = np.zeros(lead + values.shape[-1:]) if want_grad else None
-    ne = mesh.node_count - 1
+    k, ne = len(s), mesh.node_count - 1
+    val = np.zeros(k)
+    grad = np.zeros((k, ne + 1)) if want_grad else None
     on = _power_on(G)
     n = 1 + want_grad + (hess is not None)
     gU = hU = fold = None
-    for x, blocks in _pair_bands(s, mesh.spacing, values):
+    for x, blocks in _pair_bands(s, mesh.spacing, rows):
         q = x.size
         if want_grad:
-            gU = np.zeros(lead + (q, ne))
+            gU = np.zeros((k, q, ne))
         if hess is not None:
-            hU = np.zeros(lead + (q, ne))
+            hU = np.zeros((k, q, ne))
             fold = _hessian_fold(q)
         for j0, kern, block, (du,) in blocks:
-            chunks = _state_chunks(lead, du[0].size) if du.ndim > 3 else [...]
-            if len(chunks) == 1:
+            # all states at once where they fit, and always orders that
+            # share one row
+            if len(du) == 1 or du.size <= _STACK_POINTS:
                 _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU,
                             hess)
-            else:
-                for at in chunks:  # views, also for an int
-                    _pair_block(G, on, j0, kern[at] if kern.ndim > 3 else kern,
-                                block, du[at], n, fold, val[at, ...],
-                                *(a if a is None else a[at, ...]
-                                  for a in (gU, hU, hess)))
+                continue
+            for at in _state_chunks(len(du), du[0].size):  # views
+                _pair_block(G, on, j0, kern[at], block, du[at], n, fold,
+                            val[at], *(a if a is None else a[at]
+                                       for a in (gU, hU, hess)))
         if want_grad:
             _add_element_terms(grad, hess, 1.0 - x, x, gU, hU)
-    return val[()], grad
+    return val, grad
 
 
 def _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU, hess):
@@ -489,7 +458,7 @@ def _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU, hess):
     """
     rules = _pair_rule(G, on, du, kern, block, n)
     vals = [_weighed(_drop_padding(F(arg)), w[0]) for F, arg, w in rules]
-    val += vals[0] if len(vals) == 1 else np.array(vals)
+    val += vals[0] if len(vals) == 1 else np.concatenate(vals)
     if gU is None:
         return
     q, lead = gU.shape[-2], gU.shape[:-2]
@@ -547,54 +516,49 @@ def _add_element_terms(grad, hess, a, b, d1, d2=None):
         _add_diagonals(hess, 0, 1, (b * b) @ d2)
 
 
-def _far_field(G, s, u, want_grad, want_hess=False):
-    """(iii) as `_same_element` gives (i): the value, its derivative in U,
-    u at the order-5 Gauss points (points x elements), or None, and with
-    ``want_hess`` the second one, each with the leading shape of ``s`` and
-    of the states of ``u`` (`_nodal`). Both sides (partner beyond either
-    end) take one evaluation of I = tilde_G / 2 and its exact derivatives,
-    as (elements x points) arrays, returned transposed (views: same
-    bits). The states are taken a chunk at a time (`_state_chunks`), by
-    their 2 x elements x 5 arguments."""
-    mesh, values = _nodal(u)
-    chunks = _state_chunks(_lead(s, values), 10 * (mesh.node_count - 1))
-    if len(chunks) == 1:
-        val, *ders = _far_terms(G, s, mesh, values, want_grad, want_hess)
-    else:
-        join = np.concatenate if isinstance(chunks[0], slice) else np.stack
-        val, *ders = (join(part) for part in zip(*(
-            _far_terms(G, np.asarray(s)[at] if np.ndim(s) else s, mesh,
-                       values[at] if values.ndim > 1 else values,
-                       want_grad, want_hess) for at in chunks)))
+def _far_field(G, s, mesh, rows, want_grad, want_hess=False):
+    """(iii) as `_same_element` gives (i), per state of the k orders ``s``
+    and the nodal ``rows`` on ``mesh`` (`_nodal`): the value, its
+    derivative in U, u at the order-5 Gauss points (states x points x
+    elements), or None, and with ``want_hess`` the second one. Both sides
+    (partner beyond either end) take one evaluation of I = tilde_G / 2 and
+    its exact derivatives, as (elements x points) arrays, returned
+    transposed (views: same bits). The states are taken a chunk at a time
+    (`_state_chunks`), by their 2 x elements x 5 arguments."""
+    parts = [_far_terms(G, s[at], mesh, rows if len(rows) == 1 else rows[at],
+                        want_grad, want_hess)
+             for at in _state_chunks(len(s), 10 * (mesh.node_count - 1))]
+    val, *ders = parts[0] if len(parts) == 1 else map(np.concatenate,
+                                                      zip(*parts))
     if not want_grad:
         return val, None
     return (val, *(d.swapaxes(-1, -2) for d in ders))
 
 
-def _far_terms(G, s, mesh, values, want_grad, want_hess):
+def _far_terms(G, s, mesh, rows, want_grad, want_hess):
     """`_far_field` on one chunk of states: the value and, as asked, its
     first and second derivatives, as (elements x points) arrays."""
     h = mesh.spacing
     xg, wg = gauss_rule_01(_ORDER)
     X = (mesh.left + h * np.arange(mesh.node_count - 1))[:, None] \
         + h * xg[None, :]
-    dist = np.stack([mesh.right - X, X - mesh.left])
-    # Python float exponents, as in `_pow`
-    kern = (np.stack([dist ** -o for o in np.ravel(s).tolist()])
-            if np.ndim(s) else dist ** -s)
-    U = _at_gauss_points(values, xg)
-    arg, tilde = np.abs(U)[..., None, :, :] * kern, limit_density(G, 1)
-    if tilde.backing == "quadrature" and arg.ndim > 3:
+    dist = np.abs(np.subtract.outer([mesh.right, mesh.left], X))
+    # -s lies in (-1, 0), where numpy takes no exponent by sqrt, square or
+    # reciprocal: an array of them has the bits of each alone (`_pow`)
+    kern = dist ** -s[:, None, None, None]
+    U = _at_gauss_points(rows, xg)
+    arg, tilde = np.abs(U)[:, None] * kern, limit_density(G, 1)
+    if tilde.backing == "quadrature" and len(arg) > 1:
         # the profile's rule is per-point work on (points, pieces, nodes)
         # arrays: taken state by state, each cut at its own kinks
         profile = np.stack([tilde.value(a) for a in arg])
     else:
         profile = tilde.value(arg)
-    val = _per_order(s, lambda o: 2.0 * h / o, 0) * np.sum(
-        wg * (profile / 2.0), axis=(-3, -2, -1))
+    scale = 2.0 * h / s
+    val = scale * np.sum(wg * (profile / 2.0), axis=(-3, -2, -1))
     if not want_grad:
         return (val,)
-    scale = _per_order(s, lambda o: 2.0 * h / o, 2)
+    scale = scale[:, None, None]
     d1 = scale * wg * np.sum(tilde.deriv(arg) / 2.0 * kern, axis=-3) \
         * np.sign(U)
     if not want_hess:
@@ -604,11 +568,11 @@ def _far_terms(G, s, mesh, values, want_grad, want_hess):
 
 
 def _nodal(u):
-    """(mesh, nodal values) of ``u``: a GridFunction, whose values every
-    order shares, or a sequence of GridFunctions on one mesh, the states,
-    whose values are stacked (states x nodes)."""
+    """(mesh, nodal rows) of ``u``: a GridFunction gives one row, which
+    every order shares; a sequence of GridFunctions on one mesh, the
+    states, one row each (states x nodes)."""
     if isinstance(u, GridFunction):
-        return u, u.values
+        return u, u.values[None]
     mesh = u[0]
     if any((v.left, v.right, v.node_count)
            != (mesh.left, mesh.right, mesh.node_count) for v in u):
@@ -622,36 +586,42 @@ def _core(G, s, u, want_grad, want_hess=False):
     dense symmetric matrix, assembled in the same passes: pairs, far
     field, same element, each scattered by `_add_element_terms`.
 
-    ``s`` is one order or a 1-D array of orders, and ``u`` one
-    GridFunction, shared by all orders, or a sequence of states on one
-    mesh (`_nodal`), one per order. Every output then has their common
-    leading shape, a states axis, and each state's entries are
-    bit-identical to its one-state call.
+    ``s`` is a 1-D array of k orders, and ``u`` one GridFunction, shared
+    by all orders, or a sequence of k states on one mesh, one per order
+    (`_nodal`). Every output then has a states axis of k, in front, and
+    each state's entries are bit-identical to its one-state call. One
+    order (0-D ``s``) at one GridFunction is the state k = 1, returned
+    without the axis.
     """
-    mesh, values = _nodal(u)
+    orders = np.asarray(s, dtype=float)
+    lone, s = orders.ndim == 0, orders.reshape(-1)
+    mesh, rows = _nodal(u)
     h = mesh.spacing
-    hess = (np.zeros(_lead(s, values) + (mesh.node_count,) * 2)
+    hess = (np.zeros((len(s),) + (mesh.node_count,) * 2)
             if want_hess else None)
     xg, _ = gauss_rule_01(_ORDER)
     # G''(0) = inf (t^p, p < 2) gives inf - inf = nan Hessian entries,
     # which the solver reads as "no Newton step here".
     with np.errstate(invalid="ignore") if want_hess else nullcontext():
         val, ders, *curv = _same_element(
-            G, s, h, np.diff(values, axis=-1) / h, want_grad, want_hess)
-        pairs, grad = _distinct_pairs(G, s, u, want_grad, hess)
-        far, *far_ders = _far_field(G, s, u, want_grad, want_hess)
+            G, s, h, (rows[:, 1:] - rows[:, :-1]) / h, want_grad, want_hess)
+        pairs, grad = _distinct_pairs(G, s, mesh, rows, want_grad, hess)
+        far, *far_ders = _far_field(G, s, mesh, rows, want_grad, want_hess)
         if want_grad:
             # a node adds its far-field sum to the pairs'
             far_grad = np.zeros(grad.shape)
             _add_element_terms(far_grad, hess, 1.0 - xg, xg, *far_ders)
             grad += far_grad
-            _add_element_terms(grad, hess, *_SLOPE, ders[..., None, :] / h,
-                               *(c[..., None, :] / (h * h) for c in curv))
-    val = val + (pairs + far)
+            _add_element_terms(grad, hess, *_SLOPE, ders[:, None, :] / h,
+                               *(c[:, None, :] / (h * h) for c in curv))
+    at = 0 if lone else slice(None)  # one order drops the states axis
+    val = val[at] + (pairs[at] + far[at])
+    if not want_grad:
+        return val, None
     if not want_hess:
-        return val, grad
+        return val, grad[at]
     hess += np.swapaxes(np.triu(hess, 1), -1, -2)
-    return val, grad, hess
+    return val, grad[at], hess[at]
 
 
 def _check_s(s):
@@ -713,16 +683,16 @@ def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
     _check_one_s(s)
     if (u.left, u.right, u.node_count) != (v.left, v.right, v.node_count):
         raise InvalidInputError("u and v must share a mesh")
-    h = u.spacing
-    _, ders = _same_element(G, s, h, u.slopes, want_grad=True)
+    h, s = u.spacing, np.reshape(s, 1)  # one state: one order, one row
+    _, ders = _same_element(G, s, h, u.slopes[None], want_grad=True)
     val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
     on = _power_on(G)
-    for _, blocks in _pair_bands(s, h, u.values, v.values):
+    for _, blocks in _pair_bands(s, h, u.values[None], v.values[None]):
         for _, kern, block, (du, dv) in blocks:
             [(F, arg, w)] = _pair_rule(G, on, du, kern, block, 2)
             val += float(np.sum(w[1] * _drop_padding(F.deriv(arg))
                                 * np.abs(dv)))
-    _, flux = _far_field(G, s, u, want_grad=True)
+    _, flux = _far_field(G, s, u, u.values[None], want_grad=True)
     V = _at_gauss_points(v.values, gauss_rule_01(_ORDER)[0]).T
     val += float(np.sum(np.abs(flux) * np.abs(V)))
     return val

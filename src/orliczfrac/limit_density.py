@@ -351,8 +351,10 @@ class LimitDensity:
         G = self.base
         curv = sphere_integral(lambda t: t * G.deriv(t) - G(t),
                                self.dimension, a, G.kinks)
-        # at a = 0 the limit is G''(0)/2 times int_S |w_n|^2 dS
-        at_zero = float(G.d2(0.0)) / 2.0 * sphere_moment(self.dimension, 2.0)
+        # at a = 0 the limit is G''(0)/2 times int_S |w_n|^2 dS, read only
+        # where some a is 0
+        at_zero = 0.0 if pos.all() else (
+            float(G.d2(0.0)) / 2.0 * sphere_moment(self.dimension, 2.0))
         return _scalar_or_array(
             np.where(pos, curv / np.where(pos, a * a, 1.0), at_zero))
 

@@ -213,17 +213,12 @@ class _Energy:
         return self.problem.zero_state().with_values(
             np.concatenate([[0.0], interior, [0.0]]))
 
-    def __call__(self, interior, want_hess=False):
-        """(E, interior gradient, sigma times the seminorm's Hessian (scaled
-        in place) or None) at the state with these interior values."""
-        u = self.state(interior)
-        return self.take(u, want_hess, *_seminorm_value_grad(
-            self.problem, u, want_grad=True, want_hess=want_hess))
-
     def take(self, u, want_hess, val, grad, hess=None):
-        """What `__call__` returns, from the seminorm's value, gradient and
-        Hessian at u; counts one evaluation, and one Hessian if asked for
-        (a Hessian assembled for other states of a stacked call is not)."""
+        """(E, interior gradient, sigma times the seminorm's Hessian (scaled
+        in place) or None) at the state u, from the seminorm's value,
+        gradient and Hessian there; counts one evaluation, and one Hessian
+        if asked for (a Hessian assembled for other states of a stacked
+        call is not)."""
         sigma = self.problem.sigma
         self.evaluations += 1
         self.hessians += int(want_hess)
@@ -235,13 +230,19 @@ class _Energy:
 
 def _energy_stack(energies, requests):
     """Answer one request (interior values, want_hess) of each `_Energy` by
-    one `_core` call: its order and its state on a states axis, with the
-    Hessian assembled if any request asks for one. Each answer has the bits
-    of the one-state `_Energy` call."""
+    one seminorm call: `_core` with each order and its state on a states
+    axis, with the Hessian assembled if any request asks for one; a lone
+    problem, which may have s = 1, through `_seminorm_value_grad`, as the
+    one state of its answer. Each answer has the bits of its lone call."""
     states = [e.state(v) for e, (v, _) in zip(energies, requests)]
-    out = _core(energies[0].problem.G,
-                np.array([e.problem.s for e in energies]), states,
-                want_grad=True, want_hess=any(w for _, w in requests))
+    want_hess = any(w for _, w in requests)
+    if len(energies) == 1:
+        out = [[o] for o in _seminorm_value_grad(
+            energies[0].problem, states[0], True, want_hess)]
+    else:
+        out = _core(energies[0].problem.G,
+                    np.array([e.problem.s for e in energies]), states,
+                    want_grad=True, want_hess=want_hess)
     return [e.take(u, w, *(o[i] for o in out)) for i, (e, u, (_, w))
             in enumerate(zip(energies, states, requests))]
 
@@ -294,9 +295,10 @@ def _descent(energy_at, start):
     """The Newton loop of `solve` (see there) for the problem of the
     `_Energy` ``energy_at``, as a generator: it yields each evaluation it
     needs as (interior values, want_hess), is sent back (E, interior
-    gradient, H or None), and returns the SolveResult. It never calls
-    ``energy_at``, whose counts it reports, so one loop may answer the
-    requests of several problems at once (`_solve_stack`)."""
+    gradient, H or None), and returns the SolveResult. It evaluates
+    nothing itself: ``energy_at`` gives its states and counts, and the
+    loop that runs it, `_solve_stack`, answers its requests, in the same
+    rounds as those of other problems."""
     problem = energy_at.problem
     _screen_strict_convexity(problem.G)
     ni = problem.mesh_nodes - 2
@@ -419,27 +421,22 @@ def solve(problem: DirichletProblem,
     `decrement` is the lambda^2 of the last direction, below its
     tolerance unless that was the exact step for t^2.
 
-    The loop is the generator `_descent`; here one problem answers its
-    requests, one `_core` call each.
+    The loop is the generator `_descent`, driven by `_solve_stack` for
+    this one problem: one seminorm call per evaluation.
     """
-    energy_at = _Energy(problem)
-    steps = _descent(energy_at, start)
-    request = next(steps)
-    try:
-        while True:
-            request = steps.send(energy_at(*request))
-    except StopIteration as done:
-        return done.value
+    return _solve_stack([problem], start)[0]
 
 
 def _solve_stack(problems, start):
     """[solve(p, start) for p in problems], bit for bit, in lockstep.
 
-    The problems share G, mesh, rhs and scaling, and each has s < 1. Each
-    round answers the pending request of every problem still running with
-    one stacked `_core` call (`_energy_stack`), its states on a leading
-    axis; a problem leaves the stack when its `_descent` returns. This is
-    vectorization, not concurrency: the rounds run one after another.
+    The problems share G, mesh, rhs and scaling, and each has s < 1, or
+    there is one problem, whose s may be 1. Each round answers the
+    pending request of every problem still running with one seminorm call
+    (`_energy_stack`): a stacked `_core` call, its states on a leading
+    axis, or the lone problem's own call; a problem leaves the stack when
+    its `_descent` returns. This is vectorization, not concurrency: the
+    rounds run one after another.
     """
     energies = [_Energy(p) for p in problems]
     runs = [_descent(e, start) for e in energies]
@@ -521,12 +518,13 @@ def gamma_run(problem_template: DirichletProblem, s_list) -> GammaReport:
     """Solve the scaled problems along s_list and the local limit problem.
 
     The limit problem replaces the growth function by its limit density and
-    sets s = 1. It is solved first, and its minimizer u starts every s < 1
-    solve: the minimizers u_s tend to u as s -> 1, so the ladder warm-starts
-    Newton near each u_s. The s < 1 solves run in lockstep
-    (`_solve_stack`): each round of their Newton loops is one `_core` call
-    with one state per order still running, and each result is bit for bit
-    that of its own `solve(problem, start=u)`. Gaps are reported as energy
+    sets s = 1. It is solved first, by `solve`, and its minimizer u starts
+    every s < 1 solve: the minimizers u_s tend to u as s -> 1, so the
+    ladder warm-starts Newton near each u_s. The s < 1 solves run in
+    lockstep in the same loop (`_solve_stack`): each round of their
+    Newton loops is one `_core` call with one state per order still
+    running, and each result is bit for bit that of its own
+    `solve(problem, start=u)`, a stack of one. Gaps are reported as energy
     differences and as the gauge norm of u_s - u for the plain modular,
     which is 0 where u_s = u.
     """

@@ -198,7 +198,8 @@ class TestStatesAxis:
             whole = _core(G, orders, u, want_grad=True, want_hess=True)
             with monkeypatch.context() as m:
                 m.setattr(fractional, "_STACK_POINTS", 1)
-                assert fractional._state_chunks((4,), 1) == [0, 1, 2, 3]
+                assert fractional._state_chunks(4, 1) == [
+                    slice(i, i + 1) for i in range(4)]
                 chunked = _core(G, orders, u, want_grad=True,
                                 want_hess=True)
             assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
@@ -211,7 +212,7 @@ class TestStatesAxis:
 
         def recorded(G, on, du, kern, block, n=1):
             out = rules(G, on, du, kern, block, n)
-            if du.ndim > 3:
+            if len(du) > 1:
                 split.append(len(out) > 1)
             return out
 
@@ -224,6 +225,22 @@ class TestStatesAxis:
         for i, (s, u) in enumerate(zip([0.6, 0.9], states)):
             one = _core(G23, s, u, want_grad=True, want_hess=True)
             assert all(np.array_equal(a[i], b) for a, b in zip(got, one))
+
+    def test_rows_are_built_once_per_call(self, rng, monkeypatch):
+        # `_core` builds the (mesh, rows) pair once and hands it to every
+        # piece, for one state and for a stack
+        nodal, calls = fractional._nodal, []
+
+        def counted(u):
+            calls.append(u)
+            return nodal(u)
+
+        monkeypatch.setattr(fractional, "_nodal", counted)
+        states = [random_state(rng, 17), random_state(rng, 17)]
+        for s, u in ((0.6, states[0]), (np.array([0.6, 0.9]), states)):
+            calls.clear()
+            _core(G23, s, u, want_grad=True, want_hess=True)
+            assert calls == [u]
 
     def test_states_share_a_mesh(self):
         u = GridFunction.hat(-1.0, 1.0, 17)
@@ -255,7 +272,8 @@ class TestSameElementPiece:
     ])
     def test_against_adaptive_quadrature(self, G, s, m):
         h = 1.0 / 64.0
-        val, _ = _same_element(G, s, h, np.array([m]), want_grad=False)
+        val = _same_element(G, np.array([s]), h, np.array([[m]]),
+                            want_grad=False)[0][0]
 
         def integrand(t):
             return (h - t) * float(G(abs(m) * t ** (1.0 - s))) / t
@@ -273,9 +291,10 @@ class TestSameElementPiece:
         for s in (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999):
             for h in (1.0 / 64.0, 1.0 / 512.0):
                 for m in (0.3, 1.3, 5.0, 40.0):
-                    got = _same_element(plain, s, h, np.array([m]), True, True)
-                    ref = _same_element(closed, s, h, np.array([m]), True,
-                                        True)
+                    got = _same_element(plain, np.array([s]), h,
+                                        np.array([[m]]), True, True)
+                    ref = _same_element(closed, np.array([s]), h,
+                                        np.array([[m]]), True, True)
                     for a, b in zip(got, ref):
                         assert np.asarray(a) == pytest.approx(
                             np.asarray(b), rel=1e-13)
@@ -305,17 +324,18 @@ class TestSameElementPiece:
                                               epsrel=1e-13, limit=400)[0]
                                for lo, hi in zip(edges[:-1], edges[1:]))
                     ref = (2.0 * h / e) * float(profile(c)) - 2.0 * h * tail
-                    val, _ = _same_element(G, s, h, np.array([m]), False)
+                    val = _same_element(G, np.array([s]), h, np.array([[m]]),
+                                        False)[0][0]
                     assert val == pytest.approx(ref, rel=1e-11)
 
     def test_gradient_matches_value_derivative(self):
         G = make_power_log(2.0)
         h = 1.0 / 32.0
-        m = np.array([0.8])
-        _, der = _same_element(G, 0.6, h, m, want_grad=True)
+        m, s = np.array([[0.8]]), np.array([0.6])
+        der = _same_element(G, s, h, m, want_grad=True)[1][0]
         eps = 1e-7
-        up, _ = _same_element(G, 0.6, h, m + eps, want_grad=False)
-        dn, _ = _same_element(G, 0.6, h, m - eps, want_grad=False)
+        up = _same_element(G, s, h, m + eps, want_grad=False)[0][0]
+        dn = _same_element(G, s, h, m - eps, want_grad=False)[0][0]
         assert der[0] == pytest.approx((up - dn) / (2 * eps), rel=1e-6)
 
 
@@ -510,15 +530,18 @@ def core_by_hand(monkeypatch, G, s, u):
     hess = np.zeros((u.node_count, u.node_count))
 
     def pair_scatter(grad, hess, _, x, gU, hU):
+        grad, hess, gU, hU = grad[0], hess[0], gU[0], hU[0]  # one state
         grad[:-1] += (1.0 - x) @ gU
         grad[1:] += x @ gU
         add_element_blocks(hess, 1.0 - x, x, hU)
 
     with np.errstate(invalid="ignore"):
-        val, ders, curv = _same_element(G, s, h, u.slopes, True, True)
+        val, ders, curv = (a[0] for a in _same_element(
+            G, np.array([s]), h, u.slopes[None], True, True))
         with monkeypatch.context() as m:
             m.setattr(fractional, "_add_element_terms", pair_scatter)
-            pairs, pair_grad = _distinct_pairs(G, s, u, True, hess)
+            pairs, pair_grad = (a[0] for a in _distinct_pairs(
+                G, np.array([s]), u, u.values[None], True, hess[None]))
         far, dc, far_curv, xg = far_field_by_hand(G, s, u)
         far_grad = np.zeros(u.node_count)
         far_grad[:-1] += dc @ (1.0 - xg)
@@ -536,16 +559,17 @@ def core_by_hand(monkeypatch, G, s, u):
 
 def pairing_by_hand(G, s, u, v):
     """`pairing_abs` with the far-field flux per element and Gauss point."""
-    h = u.spacing
-    _, ders = _same_element(G, s, h, u.slopes, want_grad=True)
+    h, s = u.spacing, np.array([s])
+    ders = _same_element(G, s, h, u.slopes[None], want_grad=True)[1][0]
     val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
     on = fractional._power_on(G)
-    for _, blocks in fractional._pair_bands(s, h, u.values, v.values):
+    for _, blocks in fractional._pair_bands(s, h, u.values[None],
+                                            v.values[None]):
         for _, kern, block, (du, dv) in blocks:
             [(F, arg, w)] = fractional._pair_rule(G, on, du, kern, block, 2)
             val += float(np.sum(w[1] * fractional._drop_padding(F.deriv(arg))
                                 * np.abs(dv)))
-    _, flux, _, xg = far_field_by_hand(G, s, u)
+    _, flux, _, xg = far_field_by_hand(G, s[0], u)
     return val + float(np.sum(np.abs(flux)
                               * np.abs(_at_gauss_points(v.values, xg))))
 
@@ -617,9 +641,11 @@ class TestPairBlocks:
         u = GridFunction.hat(-1.0, 1.0, n)
         ne = n - 1
         offsets, sizes = [], []
-        for x, blocks in fractional._pair_bands(0.5, u.spacing, u.values):
+        for x, blocks in fractional._pair_bands(np.array([0.5]), u.spacing,
+                                                u.values[None]):
             band = []
             for j0, kern, block, (du,) in blocks:
+                du, kern = du[0], kern[0]  # one state
                 nj = du.shape[1]
                 assert du.shape == (x.size ** 2, nj, ne - j0)
                 assert kern.shape == block.shape == (x.size ** 2, nj, 1)
@@ -636,8 +662,10 @@ class TestPairBlocks:
         # G''(0) = inf for p < 2, and inf * 0 is NaN: the padding of a
         # block is assigned 0, and every other entry is left as it is
         u = GridFunction.hat(-1.0, 1.0, 33)
-        for _, blocks in fractional._pair_bands(0.5, u.spacing, u.values):
+        for _, blocks in fractional._pair_bands(np.array([0.5]), u.spacing,
+                                                u.values[None]):
             for _, _, _, (du,) in blocks:
+                du = du[0]  # one state
                 nj, L = du.shape[1:]
                 out = fractional._drop_padding(np.full(du.shape, np.inf))
                 padding = np.arange(L) >= L - np.arange(nj)[:, None]
@@ -677,9 +705,11 @@ class TestBandWindows:
     def test_blocks_match_the_sliding_window(self, n, s, rng):
         u, v = random_state(rng, n), random_state(rng, n)
         h = u.spacing
+        s = np.reshape(s, -1)  # a lone order is one state
         for nodal in ((u.values,), (u.values, v.values)):
             offsets = 0
-            for x, blocks in fractional._pair_bands(s, h, *nodal):
+            for x, blocks in fractional._pair_bands(
+                    s, h, *(vals[None] for vals in nodal)):
                 for j0, kern, block, diffs in blocks:
                     nj = kern.shape[-2]
                     assert len(diffs) == len(nodal)
@@ -687,14 +717,15 @@ class TestBandWindows:
                         ref = window_block(s, h, vals, x, j0, nj)
                         assert same_bits(kern, ref[0])
                         assert same_bits(block, ref[1])
-                        assert same_bits(d, ref[2])
+                        assert same_bits(d[0], ref[2])
                     offsets += nj
             assert offsets == n - 2
 
     def test_one_element_has_no_pairs(self):
-        v = np.array([0.0, 1.0])
-        assert list(fractional._pair_bands(0.5, 2.0, v)) == []
-        assert list(fractional._pair_bands([0.5, 0.7], 2.0, v, v)) == []
+        v = np.array([[0.0, 1.0]])
+        assert list(fractional._pair_bands(np.array([0.5]), 2.0, v)) == []
+        assert list(fractional._pair_bands(np.array([0.5, 0.7]), 2.0,
+                                           v, v)) == []
 
 
 class TestBandTables:
@@ -702,8 +733,9 @@ class TestBandTables:
 
     def test_tables_are_read_only(self):
         u = GridFunction.hat(-1.0, 1.0, 129)
-        for s in (0.5, np.array([0.3, 0.9])):
-            for x, blocks in fractional._pair_bands(s, u.spacing, u.values):
+        for s in (np.array([0.5]), np.array([0.3, 0.9])):
+            for x, blocks in fractional._pair_bands(s, u.spacing,
+                                                    u.values[None]):
                 for _, kern, block, (du,) in blocks:
                     for table in (x, kern, block):
                         with pytest.raises(ValueError):
@@ -730,11 +762,12 @@ class TestBandTables:
         fractional_modular(G2, 0.5, u)
         misses = tables.cache_info().misses
         # the tables depend on (s, h, ne) only: a shifted interval, and
-        # the order as a 0-D array, share the entry
+        # the order as a 0-D array or as a list of one, share the entry
         fractional_modular(G2, 0.5, shifted)
         fractional_modular_with_gradient(G2, np.array(0.5), shifted)
+        fractional_modular(G2, [0.5], u)
         assert tables.cache_info().misses == misses
-        for s, w in ((0.6, u), ([0.5], u), ([0.5, 0.6], u),
+        for s, w in ((0.6, u), ([0.5, 0.6], u),
                      (0.5, GridFunction.hat(-1.0, 2.0, 33)),
                      (0.5, GridFunction.hat(-1.0, 1.0, 35))):
             fractional_modular(G2, s, w)
@@ -756,14 +789,17 @@ class TestFarField:
     def test_generic_profile_matches_exact_profile(self, G, profile, s):
         # 3 x hat puts the profile arguments on both sides of the kink at 1
         u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
-        val, _ = _far_field(G, s, u, want_grad=False)
+        val = _far_field(G, np.array([s]), u, u.values[None],
+                         want_grad=False)[0][0]
         assert val == pytest.approx(far_field_reference(profile, s, u),
                                     rel=1e-12)
 
     def test_closed_form_max_matches_generic_profile(self):
         u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
-        val, grad = _far_field(G23, 0.6, u, want_grad=True)
-        ref, ref_grad = _far_field(G23_PLAIN, 0.6, u, want_grad=True)
+        s, rows = np.array([0.6]), u.values[None]
+        val, grad = (a[0] for a in _far_field(G23, s, u, rows, True))
+        ref, ref_grad = (a[0] for a in _far_field(G23_PLAIN, s, u, rows,
+                                                  True))
         assert val == pytest.approx(ref, rel=1e-12)
         assert np.array_equal(grad, ref_grad)
 
@@ -775,7 +811,8 @@ class TestFarField:
         G = make_power_log(3.0)
         u = GridFunction.hat(-1.0, 1.0, 33) * 3.0
         eps = 1e-6
-        _, flux = _far_field(G, s, u, want_grad=True)
+        s = np.array([s])
+        flux = _far_field(G, s, u, u.values[None], want_grad=True)[1][0]
         x, _ = gauss_rule_01(fractional._ORDER)
         grad = np.zeros(u.node_count)
         _add_element_terms(grad, None, 1.0 - x, x, flux)
@@ -784,9 +821,8 @@ class TestFarField:
             vm = u.values.copy()
             vp[i] += eps
             vm[i] -= eps
-            fd = (_far_field(G, s, u.with_values(vp), False)[0]
-                  - _far_field(G, s, u.with_values(vm), False)[0]) \
-                / (2 * eps)
+            fd = (_far_field(G, s, u, vp[None], False)[0][0]
+                  - _far_field(G, s, u, vm[None], False)[0][0]) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-7, abs=1e-10)
 
 
@@ -839,7 +875,8 @@ class TestPairReduction:
         else:
             u = random_state(rng, n)
         for s in (0.1, 0.9):
-            pairs, _ = _distinct_pairs(G, s, u, want_grad=False)
+            pairs = _distinct_pairs(G, np.array([s]), u, u.values[None],
+                                    want_grad=False)[0][0]
             assert pairs == pytest.approx(block_first_pair_sum(G, s, u),
                                           rel=1e-14)
 
@@ -849,8 +886,9 @@ def pair_pass(G, s, u):
     is its upper triangle, with G''(0) = inf left as it falls."""
     hess = np.zeros((u.node_count, u.node_count))
     with np.errstate(invalid="ignore"):
-        val, grad = _distinct_pairs(G, s, u, True, hess)
-    return val, grad, hess
+        val, grad = _distinct_pairs(G, np.array([s]), u, u.values[None],
+                                    True, hess[None])
+    return val[0], grad[0], hess
 
 
 def pair_points(monkeypatch, G, s, u):
@@ -864,7 +902,7 @@ def pair_points(monkeypatch, G, s, u):
 
     with monkeypatch.context() as m:
         m.setattr(OrliczFunction, "__call__", counted)
-        _distinct_pairs(G, s, u, False)
+        _distinct_pairs(G, np.reshape(s, -1), u, u.values[None], False)
     return sum(points)
 
 
@@ -873,7 +911,7 @@ def rule_values(G, on, du, kern, block, n=1):
     `_distinct_pairs` evaluates them."""
     vals = [fractional._weighed(fractional._drop_padding(F(arg)), w[0])
             for F, arg, w in fractional._pair_rule(G, on, du, kern, block, n)]
-    return vals[0] if len(vals) == 1 else np.array(vals)
+    return vals[0] if len(vals) == 1 else np.concatenate(vals)
 
 
 def assert_same_pairs(got, ref):
@@ -940,8 +978,9 @@ class TestLeastPower:
     def test_pairs_match_generic_rule(self, scale):
         u = GridFunction.hat(-1.0, 1.0, 129) * scale
         orders = np.array([0.1, 0.5, 0.9, 0.995])
-        got, _ = _distinct_pairs(G23, orders, u, False)
-        ref = [_distinct_pairs(G23_PLAIN, s, u, False)[0] for s in orders]
+        got, _ = _distinct_pairs(G23, orders, u, u.values[None], False)
+        ref = [_distinct_pairs(G23_PLAIN, s, u, u.values[None], False)[0][0]
+               for s in orders[:, None]]
         assert got == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.995])
@@ -964,13 +1003,13 @@ class TestLeastPower:
         orders = np.array([0.1, 0.995])
         on, plain = fractional._power_on(G23), fractional._power_on(G23_PLAIN)
         split = 0
-        for bands in zip(*(fractional._pair_bands(s, h, u.values)
-                           for s in (orders, *orders))):
+        for bands in zip(*(fractional._pair_bands(s, h, u.values[None])
+                           for s in (orders, *orders[:, None]))):
             for multi, *ones in zip(*(blocks for _, blocks in bands)):
                 _, kern, block, (du,) = multi
                 got = rule_values(G23, on, du, kern, block)
                 assert np.array_equal(got, [rule_values(
-                    G23, on, d, k, b) for _, k, b, (d,) in ones])
+                    G23, on, d, k, b)[0] for _, k, b, (d,) in ones])
                 own = rule_values(G23_PLAIN, plain, du, kern, block)
                 split += got[0] != own[0] and got[1] == own[1]
         assert split > 0
@@ -980,26 +1019,29 @@ class TestLeastPower:
         h = 1.0 / 64.0
         below = np.array([0.3, 1.0, 0.999 * h ** (s - 1.0)])  # c < 1
         above = np.array([0.3, 2.0 * h ** (s - 1.0)])
-        assert _same_element(G23, s, h, below, False)[0] == \
-            _same_element(make_power(2.0), s, h, below, False)[0]
+
+        def value(G, m):
+            return _same_element(G, np.array([s]), h, m[None], False)[0][0]
+
+        assert value(G23, below) == value(make_power(2.0), below)
         for m in (below, above):
-            assert _same_element(G23, s, h, m, False)[0] == pytest.approx(
-                _same_element(G23_PLAIN, s, h, m, False)[0], rel=1e-11)
+            assert value(G23, m) == pytest.approx(value(G23_PLAIN, m),
+                                                  rel=1e-11)
 
     def test_same_element_derivatives_at_the_kink(self, monkeypatch):
         # h^(1-s) = 1/8 exactly: slope 8 gives c = 1, where the value takes
         # t^2's closed form and the derivatives keep G's own rule; a slope
         # just below takes t^2's closed form for all three outputs
-        h, s = 1.0 / 64.0, 0.5
-        at = np.array([0.3, -8.0])
-        below = np.array([0.3, -8.0 * (1.0 - 2.0 ** -20)])
+        h, s = 1.0 / 64.0, np.array([0.5])
+        at = np.array([[0.3, -8.0]])
+        below = np.array([[0.3, -8.0 * (1.0 - 2.0 ** -20)]])
         G2 = make_power(2.0)
 
         def outputs(G, m):
-            return _same_element(G, s, h, m, True, True)
+            return tuple(a[0] for a in _same_element(G, s, h, m, True, True))
 
-        assert _same_element(G23, s, h, at, False)[0] == \
-            _same_element(G2, s, h, at, False)[0]
+        assert _same_element(G23, s, h, at, False)[0][0] == \
+            _same_element(G2, s, h, at, False)[0][0]
         closed = [outputs(G23, m) for m in (at, below)]
         with monkeypatch.context() as patched:
             patched.setattr(fractional, "_power_on", lambda G: None)
@@ -1019,17 +1061,18 @@ class TestLeastPower:
         # value and G's own for its derivatives, whose G'(1) is t^3's 3;
         # an argument just below 1 takes t^2's rule for both
         on = fractional._power_on(G23)
-        kern, block = np.ones((1, 1, 1)), np.ones((1, 1, 1))
+        # one order, one row
+        kern, block = np.ones((1, 1, 1, 1)), np.ones((1, 1, 1))
         for top, rules in ((1.0, (G23.children[0], G23)),
                            (1.0 - 2.0 ** -52, (G23.children[0],) * 2)):
-            du = np.array([[[0.5, -top]]])
+            du = np.array([[[[0.5, -top]]]])
             for n, rule in zip((1, 2), rules):
                 [(F, arg, w)] = fractional._pair_rule(G23, on, du, kern,
                                                       block, n)
-                val = rule_values(G23, on, du, kern, block, n)
+                val = rule_values(G23, on, du, kern, block, n)[0]
                 assert F is rule and val == 0.25 + top * top
             slope = w[1] * F.deriv(arg)
-            assert slope[0, 0, 1] == (3.0 if top == 1.0 else 2.0 * top)
+            assert slope[0, 0, 0, 1] == (3.0 if top == 1.0 else 2.0 * top)
 
     def test_derivatives_skip_the_max_on_the_hat(self, monkeypatch):
         # on the hat at s = 0.7 every pair argument is below 1: each block
@@ -1085,9 +1128,10 @@ class TestSeparationGrading:
                 lambda x: (1.0 - x * x) * (0.5 + np.sin(3.0 * x)),
                 -1.0, 1.0, n)
         for s in (0.1, 0.5, 0.9, 0.99):
-            same, _ = _same_element(G, s, u.spacing, u.slopes,
-                                    want_grad=False)
-            far, _ = _far_field(G, s, u, want_grad=False)
+            same = _same_element(G, np.array([s]), u.spacing, u.slopes[None],
+                                 want_grad=False)[0][0]
+            far = _far_field(G, np.array([s]), u, u.values[None],
+                             want_grad=False)[0][0]
             ref = same + uniform_pair_sum(G, s, u) + far
             assert fractional_modular(G, s, u) == pytest.approx(ref, rel=1e-6)
 
