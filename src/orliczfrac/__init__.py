@@ -17,7 +17,6 @@ from .errors import (
 from .fractional import (
     fractional_modular,
     fractional_modular_with_gradient,
-    pairing_abs,
 )
 from .grid import (
     GridFunction,
@@ -67,7 +66,6 @@ from .solver import (
     GammaReport,
     SolveResult,
     StopReason,
-    apply_pointwise_eps,
     energy,
     energy_gradient,
     gamma_run,

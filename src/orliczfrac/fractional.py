@@ -76,9 +76,7 @@ elements e: h times the slope of e in (i), u at a Gauss point of e in
 (iii) and, summed per band, in (ii). One scatter, `_add_element_terms`,
 adds them all to the nodal gradient and Hessian, per state; only the
 pairs' cross terms, which couple two elements, go to the Hessian
-directly (`_add_diagonals`). The absolute pairing `pairing_abs` reads the
-first derivatives of the same pieces before any sum or scatter: per
-element slope, per pair difference and per far-field Gauss point.
+directly (`_add_diagonals`).
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run. In a block, each pair row of each offset is
@@ -253,37 +251,35 @@ def _band_tables(s, h, ne):
     return tuple(bands)
 
 
-def _pair_bands(s, h, *nodal):
+def _pair_bands(s, h, rows):
     """Distinct-element pairs of the uniform mesh, one band per Gauss order.
 
     Yields ``(x, blocks)`` per band of order q: its Gauss nodes on (0, 1)
     and an iterator over its blocks of the offsets j0 .. j0+nj-1, each
-    ``(j0, kern, block, diffs)``. Row a*q + b pairs node a of the right
+    ``(j0, kern, block, du)``. Row a*q + b pairs node a of the right
     element with node b of the left one, at dist = h (j + x_a - x_b).
     ``kern`` and ``block`` are the read-only tables dist**(-s), (k, q*q,
     nj, 1) for the k orders ``s``, and 2 h^2 w_a w_b / dist, (q*q, nj, 1),
-    of `_band_tables`. ``diffs`` holds per array of nodal rows (rows x
-    nodes) the (rows, q*q, nj, L) differences right minus left, L = ne -
+    of `_band_tables`. ``du`` holds, for the nodal ``rows`` (rows x
+    nodes), the (rows, q*q, nj, L) differences right minus left, L = ne -
     j0: entry [i, r, k, e] pairs left element e with right element e + j0
     + k, and is padding (`_drop_padding`) if e >= L - k. They are read
     from one zero-padded (q, 2 ne) buffer of Gauss-point values per row
     and band, so every operation on a pair row is a long contiguous loop.
     """
-    ne = nodal[0].shape[-1] - 1
+    ne = rows.shape[-1] - 1
     for x, blocks in _band_tables(tuple(s.tolist()), float(h), ne):
         q = x.size
-        rows = []
-        for v in nodal:
-            buf = np.zeros((len(v), q, 2 * ne))
-            buf[:, :, :ne] = _at_gauss_points(v, x).swapaxes(1, 2)
-            # view row (a, j) starts at node a's element j
-            rows.append(np.ndarray(buf.shape[:-1] + (ne, ne), float, buf, 0,
-                                   buf.strides + buf.strides[-1:]))
+        buf = np.zeros((len(rows), q, 2 * ne))
+        buf[:, :, :ne] = _at_gauss_points(rows, x).swapaxes(1, 2)
+        # view row (a, j) starts at node a's element j
+        W = np.ndarray(buf.shape[:-1] + (ne, ne), float, buf, 0,
+                       buf.strides + buf.strides[-1:])
         # (q, 1, nj, L) - (1, q, 1, L) per row
         yield x, ((j0, kern, block,
-                   [(W[:, :, None, j0:j0 + nj, :ne - j0]
-                     - W[:, None, :, :1, :ne - j0])
-                    .reshape(len(W), q * q, nj, ne - j0) for W in rows])
+                   (W[:, :, None, j0:j0 + nj, :ne - j0]
+                    - W[:, None, :, :1, :ne - j0])
+                   .reshape(len(W), q * q, nj, ne - j0))
                   for j0, nj, kern, block in blocks)
 
 
@@ -424,7 +420,7 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
         if hess is not None:
             hU = np.zeros((k, q, ne))
             fold = _hessian_fold(q)
-        for j0, kern, block, (du,) in blocks:
+        for j0, kern, block, du in blocks:
             # all states at once where they fit, and always orders that
             # share one row
             if len(du) == 1 or du.size <= _STACK_POINTS:
@@ -636,12 +632,6 @@ def _check_s(s):
     return orders
 
 
-def _check_one_s(s):
-    """`_check_s` for the paths that take one order only."""
-    if _check_s(s).ndim:
-        raise InvalidParameterError(f"need one fractional order, got {s}")
-
-
 def fractional_modular(G: OrliczFunction, s, u: GridFunction):
     """Fractional modular of a grid function for s in (0, 1).
 
@@ -662,37 +652,7 @@ def fractional_modular(G: OrliczFunction, s, u: GridFunction):
 def fractional_modular_with_gradient(G: OrliczFunction, s: float,
                                      u: GridFunction):
     """(value, nodal gradient) of the discrete fractional modular."""
-    _check_one_s(s)
+    if _check_s(s).ndim:
+        raise InvalidParameterError(f"need one fractional order, got {s}")
     return _core(G, s, u, want_grad=True)
 
-
-def pairing_abs(G: OrliczFunction, s: float, u: GridFunction,
-                v: GridFunction) -> float:
-    """Absolute-value dual pairing iint g(|D_s u|) |D_s v| dmu.
-
-    This majorizes the weak-form pairing and is the quantity bounded by
-    (p - 1) Phi_s(u) + Phi_s(v) through the Young inequality. Each piece of
-    the modular's rule contributes |d Phi_s(u)| times |v| at its own
-    quadrature values: the element slopes and the far-field Gauss points,
-    with the derivatives that `_same_element` and `_far_field` hand to
-    `_core`'s scatter, and the pair differences, where only the first
-    derivative of each `_pair_rule` is evaluated. The pairing and the
-    modular thus share one rule: the Young bound holds node by node, and
-    for v = u and G = t^p the pairing is p Phi_s(u) up to roundoff.
-    """
-    _check_one_s(s)
-    if (u.left, u.right, u.node_count) != (v.left, v.right, v.node_count):
-        raise InvalidInputError("u and v must share a mesh")
-    h, s = u.spacing, np.reshape(s, 1)  # one state: one order, one row
-    _, ders = _same_element(G, s, h, u.slopes[None], want_grad=True)
-    val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
-    on = _power_on(G)
-    for _, blocks in _pair_bands(s, h, u.values[None], v.values[None]):
-        for _, kern, block, (du, dv) in blocks:
-            [(F, arg, w)] = _pair_rule(G, on, du, kern, block, 2)
-            val += float(np.sum(w[1] * _drop_padding(F.deriv(arg))
-                                * np.abs(dv)))
-    _, flux = _far_field(G, s, u, u.values[None], want_grad=True)
-    V = _at_gauss_points(v.values, gauss_rule_01(_ORDER)[0]).T
-    val += float(np.sum(np.abs(flux) * np.abs(V)))
-    return val

@@ -365,13 +365,10 @@ class LimitDensity:
         looked up on every call (so a wrapper later installed on the class,
         such as a tracing span, sees them). The structural constants are
         inherited from the base function: the doubling ratio and the
-        exponent bound survive the averaging that defines the density, and
-        the small-slope constant is the value at 1 (the density is again a
-        growth function, so G(x)/x is monotone).
+        exponent bound survive the averaging that defines the density.
         """
         g = self.base
-        constants = (g.doubling_constant, g.upper_exponent,
-                     g.lower_exponent, self.value(1.0))
+        constants = (g.doubling_constant, g.upper_exponent, g.lower_exponent)
         return make_custom(lambda x: self.value(x), lambda x: self.deriv(x),
                            label=f"tilde({g.label}; n={self.dimension})",
                            constants=constants,

@@ -7,14 +7,11 @@ It stores the constants estimated at construction time:
     doubling_constant   C     sup G(2x)/G(x)
     upper_exponent      p     sup x*G'(x)/G(x)
     lower_exponent      q     log(C)/log(2)
-    small_slope_sup     gsup  sup_{0<x<1} G(x)/x
 
 C is read by `verify_orlicz` and by `properties` (the inequality battery
 and the transform suite), p by `properties`, q by `properties`, `limits`
 (the Poincare budget) and `limit_density` (the equivalence constants);
 `LimitDensity.as_orlicz` hands C, p and q on to the density it wraps.
-gsup and the flag ``normalized`` (G(1) = 1) are stored, and no module
-reads them.
 
 Factories cover the standard families (powers, powers with log weights,
 weighted sums, pointwise maxima, compositions); `make_custom` wraps arbitrary
@@ -60,8 +57,6 @@ class OrliczFunction:
     doubling_constant: float
     upper_exponent: float
     lower_exponent: float
-    small_slope_sup: float
-    normalized: bool
     label: str
     kinks: Tuple[float, ...] = ()
     children: Tuple["OrliczFunction", ...] = ()
@@ -111,7 +106,7 @@ def _screening_grid(n_points=_GRID_POINTS, kinks=()):
 
 
 def _estimate_from_callables(fn, dfn, kinks=()):
-    """Grid estimates of (C, p, q, gsup) with the 1.01 safety factor.
+    """Grid estimates of (C, p, q) with the 1.01 safety factor.
 
     Points where G vanishes (possible for degenerate inputs like t^p|log t|
     at t = 1) are skipped in the ratio suprema rather than producing inf.
@@ -130,15 +125,11 @@ def _estimate_from_callables(fn, dfn, kinks=()):
     doubling = float(np.max(g2x[pos] / gx[pos])) * _SAFETY
     upper = float(np.max(grid[pos] * dgx[pos] / gx[pos])) * _SAFETY
     lower = math.log(doubling) / math.log(2.0)
-
-    small = grid[grid < 1.0]
-    gsup = float(np.max(fn(small) / small))
-    gsup = max(gsup, float(fn(np.asarray(1.0))))
-    return doubling, upper, lower, gsup
+    return doubling, upper, lower
 
 
 def estimate_constants(G: OrliczFunction):
-    """Re-estimate (C, p, q, gsup) for G on the standard screening grid.
+    """Re-estimate (C, p, q) for G on the standard screening grid.
 
     This is the pure grid estimator (with safety factor); factories may store
     sharper exact constants when the family permits.
@@ -149,10 +140,9 @@ def estimate_constants(G: OrliczFunction):
 def _finalize(kind, params, fn, dfn, d2fn, label, kinks=(), children=(),
               exact=None):
     if exact is not None:
-        doubling, upper, lower, gsup = exact
+        doubling, upper, lower = exact
     else:
-        doubling, upper, lower, gsup = _estimate_from_callables(fn, dfn, kinks)
-    g1 = float(fn(np.asarray(1.0)))
+        doubling, upper, lower = _estimate_from_callables(fn, dfn, kinks)
     return OrliczFunction(
         kind=kind,
         params=tuple(float(v) for v in params),
@@ -162,8 +152,6 @@ def _finalize(kind, params, fn, dfn, d2fn, label, kinks=(), children=(),
         doubling_constant=doubling,
         upper_exponent=upper,
         lower_exponent=lower,
-        small_slope_sup=gsup,
-        normalized=abs(g1 - 1.0) <= 1e-12,
         label=label,
         kinks=tuple(kinks),
         children=tuple(children),
@@ -205,7 +193,7 @@ def make_power(p: float) -> OrliczFunction:
             return p * (p - 1.0) * _power(np.abs(x), p - 2.0)
 
     return _finalize("power", (p,), fn, dfn, d2fn, f"power({p:g})",
-                     exact=(2.0 ** p, p, p, 1.0))
+                     exact=(2.0 ** p, p, p))
 
 
 def _log_weight(kind, p, c):
@@ -377,7 +365,8 @@ def make_custom(fn, dfn=None, label="custom", kinks=(),
                 constants=None, d2fn=None) -> OrliczFunction:
     """Wrap raw callables; a missing derivative falls back to a central
     difference of the function, a missing second derivative to one of the
-    derivative. The modular's Hessian (`fractional._core`) is the
+    derivative; given ``constants`` (C, p, q), they are stored in place of
+    the grid estimates. The modular's Hessian (`fractional._core`) is the
     derivative of its gradient only where ``d2fn`` is the derivative of
     ``dfn``, itself that of ``fn``: its far field builds I'' from G and G',
     while its pairs call ``d2fn``."""

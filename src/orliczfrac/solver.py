@@ -13,7 +13,6 @@ term is the modular of the slope.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
@@ -21,13 +20,12 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from . import grid
-from ._quadrature import gauss_rule_01
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
     UniquenessWarning,
 )
-from .fractional import _SLOPE, _add_element_terms, _check_one_s, _core
+from .fractional import _SLOPE, _add_element_terms, _core
 from .grid import GridFunction, gradient_modular, modular
 from .limit_density import limit_density
 from .limits import _validate_s_list
@@ -453,49 +451,6 @@ def _solve_stack(problems, start):
                 results[i] = done.value
         live = [i for i in live if results[i] is None]
     return results
-
-
-def apply_pointwise_eps(G: OrliczFunction, s: float, u: GridFunction,
-                        x: float, eps: float) -> float:
-    """Truncated principal-value application of the nonlocal operator at x.
-
-    Integrates g(|u(x)-u(y)| / |x-y|^s) sign(u(x)-u(y)) |x-y|^(-1-s) over
-    |x-y| >= eps, with the zero extension of u; the part beyond the support
-    is reduced exactly to a growth-function evaluation.
-    """
-    if not 0.0 < eps < math.inf:
-        raise InvalidParameterError("truncation radius must be positive and "
-                                    "finite")
-    if not (u.left < x < u.right):
-        raise InvalidParameterError("evaluation point must lie in the domain")
-    _check_one_s(s)
-    ux = float(u(x))
-    xq, wq = gauss_rule_01(16)
-
-    def interior(lo, hi):
-        # integrate over y in (lo, hi): one Gauss pass over its mesh pieces
-        if hi <= lo:
-            return 0.0
-        nodes = u.nodes
-        cuts = np.concatenate([[lo], nodes[(lo < nodes) & (nodes < hi)], [hi]])
-        width = np.diff(cuts)
-        y = cuts[:-1, None] + width[:, None] * xq
-        du = ux - u(y)
-        r = np.abs(x - y)
-        f = G.deriv(np.abs(du) * r ** (-s)) * np.sign(du) * r ** (-1.0 - s)
-        return float(width @ (f @ wq))
-
-    val = interior(u.left, x - eps) + interior(x + eps, u.right)
-
-    def tail(r0):
-        if ux == 0.0:
-            return 0.0
-        c = abs(ux)
-        return math.copysign(float(G(c * r0 ** (-s))) / (s * c), ux)
-
-    val += tail(max(eps, u.right - x))   # y beyond the right end
-    val += tail(max(eps, x - u.left))    # y beyond the left end
-    return val
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from orliczfrac import (
     GridFunction,
     InvalidInputError,
     InvalidParameterError,
-    apply_pointwise_eps,
     bbm_curve,
     fractional_modular,
     fractional_modular_with_gradient,
@@ -16,7 +15,6 @@ from orliczfrac import (
     make_custom,
     make_power,
     make_power_log,
-    pairing_abs,
     solve,
 )
 from orliczfrac import fractional
@@ -108,26 +106,17 @@ class TestMultiOrder:
         with pytest.raises(InvalidParameterError):
             fractional_modular(G2, s, u)
 
-    # the gradient, pairing and pointwise-operator paths take one order;
-    # a 0-D array is one
+    # the gradient path takes one order; a 0-D array is one
     @pytest.mark.parametrize("s", [[0.5, 0.6], [0.5], np.array([0.5])])
     def test_derivative_paths_reject_a_sequence(self, s):
         u = GridFunction.hat(-1.0, 1.0, 17)
         with pytest.raises(InvalidParameterError):
             fractional_modular_with_gradient(G2, s, u)
-        with pytest.raises(InvalidParameterError):
-            pairing_abs(G2, s, u, u)
-        with pytest.raises(InvalidParameterError):
-            apply_pointwise_eps(G2, s, u, 0.25, 0.1)
 
     def test_derivative_paths_take_a_0d_order(self):
         u = GridFunction.hat(-1.0, 1.0, 17)
         val, _ = fractional_modular_with_gradient(G2, np.array(0.5), u)
         assert val == fractional_modular_with_gradient(G2, 0.5, u)[0]
-        assert pairing_abs(G2, np.array(0.5), u, u) == \
-            pairing_abs(G2, 0.5, u, u)
-        assert apply_pointwise_eps(G2, np.array(0.5), u, 0.25, 0.1) == \
-            apply_pointwise_eps(G2, 0.5, u, 0.25, 0.1)
 
     def test_curve_sweeps_the_pairs_once(self, monkeypatch):
         calls = []
@@ -557,23 +546,6 @@ def core_by_hand(monkeypatch, G, s, u):
     return val, grad, hess
 
 
-def pairing_by_hand(G, s, u, v):
-    """`pairing_abs` with the far-field flux per element and Gauss point."""
-    h, s = u.spacing, np.array([s])
-    ders = _same_element(G, s, h, u.slopes[None], want_grad=True)[1][0]
-    val = float(np.sum(np.abs(ders) * np.abs(v.slopes)))
-    on = fractional._power_on(G)
-    for _, blocks in fractional._pair_bands(s, h, u.values[None],
-                                            v.values[None]):
-        for _, kern, block, (du, dv) in blocks:
-            [(F, arg, w)] = fractional._pair_rule(G, on, du, kern, block, 2)
-            val += float(np.sum(w[1] * fractional._drop_padding(F.deriv(arg))
-                                * np.abs(dv)))
-    _, flux, _, xg = far_field_by_hand(G, s[0], u)
-    return val + float(np.sum(np.abs(flux)
-                              * np.abs(_at_gauss_points(v.values, xg))))
-
-
 class TestElementScatter:
     """Every element-local derivative reaches the nodes through
     `_add_element_terms`, with the bits of the scatters it replaced."""
@@ -587,50 +559,12 @@ class TestElementScatter:
         # 1.5 x a random state: G23's arguments fall on both sides of 1
         rng = np.random.default_rng(n)
         u = random_state(rng, n, amplitude=1.5)
-        v = random_state(rng, n)
         got = _core(G, s, u, want_grad=True, want_hess=True)
         ref = core_by_hand(monkeypatch, G, s, u)
         assert got[0] == ref[0]
         assert np.array_equal(got[1], ref[1])
         assert np.array_equal(got[2], ref[2])
         assert np.array_equal(_core(G, s, u, want_grad=True)[1], ref[1])
-        assert pairing_abs(G, s, u, v) == pairing_by_hand(G, s, u, v)
-
-    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
-                                   G23], ids=lambda G: G.label)
-    def test_pairing_evaluates_no_pair_value(self, G, monkeypatch, rng):
-        # `pairing_abs` reads G' on each pair stack and never G itself
-        u = random_state(rng, 33, amplitude=1.5)
-        v = random_state(rng, 33)
-        bands = fractional._pair_bands
-        stacks, calls = [], {"__call__": [], "deriv": []}
-
-        def seen(blocks):
-            for b in blocks:
-                stacks.append(b[3][0].shape)
-                yield b
-
-        def recorded(*args):
-            for x, blocks in bands(*args):
-                yield x, seen(blocks)
-
-        def counted(name):
-            method = getattr(OrliczFunction, name)
-
-            def wrapper(self, x):
-                calls[name].append(np.shape(x))
-                return method(self, x)
-            return wrapper
-
-        with monkeypatch.context() as m:
-            m.setattr(fractional, "_pair_bands", recorded)
-            for name in calls:
-                m.setattr(OrliczFunction, name, counted(name))
-            pairing_abs(G, 0.6, u, v)
-        assert len(stacks) > 1
-        assert not [shape for shape in calls["__call__"] if shape in stacks]
-        assert sorted(shape for shape in calls["deriv"]
-                      if shape in stacks) == sorted(stacks)
 
 
 class TestPairBlocks:
@@ -644,7 +578,7 @@ class TestPairBlocks:
         for x, blocks in fractional._pair_bands(np.array([0.5]), u.spacing,
                                                 u.values[None]):
             band = []
-            for j0, kern, block, (du,) in blocks:
+            for j0, kern, block, du in blocks:
                 du, kern = du[0], kern[0]  # one state
                 nj = du.shape[1]
                 assert du.shape == (x.size ** 2, nj, ne - j0)
@@ -664,7 +598,7 @@ class TestPairBlocks:
         u = GridFunction.hat(-1.0, 1.0, 33)
         for _, blocks in fractional._pair_bands(np.array([0.5]), u.spacing,
                                                 u.values[None]):
-            for _, _, _, (du,) in blocks:
+            for _, _, _, du in blocks:
                 du = du[0]  # one state
                 nj, L = du.shape[1:]
                 out = fractional._drop_padding(np.full(du.shape, np.inf))
@@ -706,18 +640,17 @@ class TestBandWindows:
         u, v = random_state(rng, n), random_state(rng, n)
         h = u.spacing
         s = np.reshape(s, -1)  # a lone order is one state
-        for nodal in ((u.values,), (u.values, v.values)):
+        for nodal in (u.values[None], np.vstack([u.values, v.values])):
             offsets = 0
-            for x, blocks in fractional._pair_bands(
-                    s, h, *(vals[None] for vals in nodal)):
-                for j0, kern, block, diffs in blocks:
+            for x, blocks in fractional._pair_bands(s, h, nodal):
+                for j0, kern, block, du in blocks:
                     nj = kern.shape[-2]
-                    assert len(diffs) == len(nodal)
-                    for d, vals in zip(diffs, nodal):
+                    assert len(du) == len(nodal)
+                    for d, vals in zip(du, nodal):
                         ref = window_block(s, h, vals, x, j0, nj)
                         assert same_bits(kern, ref[0])
                         assert same_bits(block, ref[1])
-                        assert same_bits(d[0], ref[2])
+                        assert same_bits(d, ref[2])
                     offsets += nj
             assert offsets == n - 2
 
@@ -725,7 +658,7 @@ class TestBandWindows:
         v = np.array([[0.0, 1.0]])
         assert list(fractional._pair_bands(np.array([0.5]), 2.0, v)) == []
         assert list(fractional._pair_bands(np.array([0.5, 0.7]), 2.0,
-                                           v, v)) == []
+                                           np.vstack([v, v]))) == []
 
 
 class TestBandTables:
@@ -736,7 +669,7 @@ class TestBandTables:
         for s in (np.array([0.5]), np.array([0.3, 0.9])):
             for x, blocks in fractional._pair_bands(s, u.spacing,
                                                     u.values[None]):
-                for _, kern, block, (du,) in blocks:
+                for _, kern, block, du in blocks:
                     for table in (x, kern, block):
                         with pytest.raises(ValueError):
                             table[...] = 0.0
@@ -1006,10 +939,10 @@ class TestLeastPower:
         for bands in zip(*(fractional._pair_bands(s, h, u.values[None])
                            for s in (orders, *orders[:, None]))):
             for multi, *ones in zip(*(blocks for _, blocks in bands)):
-                _, kern, block, (du,) = multi
+                _, kern, block, du = multi
                 got = rule_values(G23, on, du, kern, block)
                 assert np.array_equal(got, [rule_values(
-                    G23, on, d, k, b)[0] for _, k, b, (d,) in ones])
+                    G23, on, d, k, b)[0] for _, k, b, d in ones])
                 own = rule_values(G23_PLAIN, plain, du, kern, block)
                 split += got[0] != own[0] and got[1] == own[1]
         assert split > 0
@@ -1086,7 +1019,7 @@ class TestLeastPower:
 
         def seen(blocks):
             for b in blocks:
-                stacks.append(b[3][0].shape)
+                stacks.append(b[3].shape)
                 yield b
 
         def recorded(*args):

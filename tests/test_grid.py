@@ -9,7 +9,6 @@ from orliczfrac import (
     GridFunction,
     InvalidInputError,
     InvalidParameterError,
-    apply_pointwise_eps,
     fractional_modular,
     gradient_modular,
     luxemburg_norm,
@@ -363,11 +362,10 @@ class TestTruncate:
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
 @pytest.mark.parametrize("apply", [
-    lambda u, r: apply_pointwise_eps(G2, 0.5, u, 0.1, r),
     mollify,
     translate,
     truncate,
-], ids=["apply_pointwise_eps", "mollify", "translate", "truncate"])
+], ids=["mollify", "translate", "truncate"])
 def test_non_finite_radius_rejected(apply, radius):
     with pytest.raises(InvalidParameterError, match="finite"):
         apply(GridFunction.hat(-1.0, 1.0, 17), radius)

@@ -144,20 +144,6 @@ def test_kinked_growth_set_up_leaves_numpy_ma_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_pointwise_operator_leaves_numpy_ma_unloaded():
-    # the cuts of its truncated integral are sorted and distinct as built,
-    # so no np.unique (and no numpy.ma) is needed
-    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
-            "from orliczfrac import GridFunction, make_power; "
-            "from orliczfrac.solver import apply_pointwise_eps; "
-            "apply_pointwise_eps(make_power(2), 0.5, "
-            "GridFunction.hat(-1.0, 1.0, 33), 0.25, 0.1); "
-            "print('numpy.ma' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_solves_load_no_scipy(tmp_path):
     # the Newton and gradient directions solve in numpy alone (a chain
     # solve at s = 1, a dense one below it); a scipy solver here would add

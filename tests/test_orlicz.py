@@ -33,8 +33,6 @@ class TestPower:
         assert G.doubling_constant == pytest.approx(4.0)
         assert G.upper_exponent == pytest.approx(2.0)
         assert G.lower_exponent == pytest.approx(2.0)
-        assert G.small_slope_sup == pytest.approx(1.0)
-        assert G.normalized
 
     def test_normalization(self):
         assert make_power(1.5)(1.0) == pytest.approx(1.0)
@@ -232,7 +230,7 @@ class TestCombinations:
         dent = make_custom(
             lambda x: np.asarray(x, float) ** 2 * (1.0 + 0.5 * np.sin(
                 3.0 * np.minimum(np.asarray(x, float), 10.0))),
-            constants=(5.0, 3.0, 2.5, 1.5), label="dented")
+            constants=(5.0, 3.0, 2.5), label="dented")
         with pytest.raises(InvalidFunctionError):
             make_combination("max", [dent, make_power(3.0)])
 
@@ -264,15 +262,10 @@ class TestCombinations:
 
 class TestEstimateConstants:
     def test_cube_grid_estimates(self):
-        C, p, q, gsup = estimate_constants(make_power(3.0))
+        C, p, q = estimate_constants(make_power(3.0))
         assert C == pytest.approx(8.0 * 1.01, rel=1e-9)
         assert p == pytest.approx(3.0 * 1.01, rel=1e-9)
         assert q == pytest.approx(math.log2(8.08), rel=1e-9)
-        assert gsup == pytest.approx(1.0)
-
-    def test_small_slope_sup(self):
-        _, _, _, gsup = estimate_constants(make_power(2.0))
-        assert gsup == pytest.approx(1.0)
 
 
 class TestConjugate:
@@ -295,7 +288,7 @@ class TestConjugate:
         nearly_linear = make_custom(
             lambda x: np.asarray(x, float) * np.log1p(np.asarray(x, float))
             / np.log1p(1.0),
-            constants=(4.0, 2.0, 2.0, 1.0), label="log-linear")
+            constants=(4.0, 2.0, 2.0), label="log-linear")
         with pytest.raises(NumericOverflowError):
             conjugate(nearly_linear, 1e6)
 
@@ -310,7 +303,7 @@ class TestVerify:
 
     def test_degenerate_linear_fails_decay(self):
         lin = make_custom(lambda x: np.asarray(x, dtype=float),
-                          constants=(2.5, 1.01, 1.32, 1.0), label="identity")
+                          constants=(2.5, 1.01, 1.32), label="identity")
         report = verify_orlicz(lin)
         assert not report.h3.passed
 

@@ -10,17 +10,15 @@ from orliczfrac import (
     InvalidParameterError,
     StopReason,
     UniquenessWarning,
-    apply_pointwise_eps,
     energy,
     energy_gradient,
     fractional_modular,
+    fractional_modular_with_gradient,
     gamma_run,
     limit_density,
-    make_combination,
     make_custom,
     make_power,
     make_power_log,
-    pairing_abs,
     solve,
     weak_residual,
 )
@@ -198,7 +196,7 @@ class TestSolve:
         flat = make_custom(
             lambda x: np.asarray(x, float) ** 2,
             dfn=lambda x: 2.0 * np.minimum(np.asarray(x, float), 1.0),
-            constants=(4.0, 2.5, 2.0, 1.0), label="flattened-derivative")
+            constants=(4.0, 2.5, 2.0), label="flattened-derivative")
         prob = problem(0.5, n=17, G=flat)
         monkeypatch.setattr(solver, "_MAX_ITER", 2)
         with pytest.warns(UniquenessWarning):
@@ -406,107 +404,20 @@ class TestNewton:
         assert np.max(np.abs(res.u.values - ref.u.values)) <= 1e-8
 
 
-class TestPairingBound:
-    @pytest.mark.parametrize("s", [0.4, 0.7])
-    def test_young_bound(self, s, rng):
-        # |<A u, v>| with absolute values <= (p-1) Phi_s(u) + Phi_s(v)
-        prob = problem(s, n=33)
-        p = G2.upper_exponent
-        for _ in range(5):
-            u = random_state(prob, rng)
-            v = random_state(prob, rng)
-            lhs = pairing_abs(G2, s, u, v)
-            rhs = (p - 1.0) * fractional_modular(G2, s, u) \
-                + fractional_modular(G2, s, v)
-            assert lhs <= rhs * (1.0 + 1e-9)
-
-
-class TestPairingSharesTheModularRule:
-    # For G = t^p, g(a) a = p G(a) at every quadrature value, and the far
-    # field's profile I(w) = w^p / p has w I'(w) = p I(w); so a pairing that
-    # uses the modular's own rule gives exactly p Phi_s(u) for v = u.
+class TestEulerIdentity:
+    # For G = t^p the computed modular is homogeneous of degree p in u (every
+    # piece takes |u| to the p-th power, or I(w) = w^p / p in the far field)
+    # and the gradient is its exact derivative, so grad . u = p Phi_s(u).
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("n", [9, 33, 129])
-    def test_self_pairing_of_a_power(self, p, n):
+    def test_gradient_pairs_with_the_state(self, p, n, rng):
         G = make_power(p)
-        u = GridFunction.hat(-1.0, 1.0, n)
-        for s in (0.1, 0.5, 0.9, 0.99):
-            assert pairing_abs(G, s, u, u) == pytest.approx(
-                p * fractional_modular(G, s, u), rel=1e-12)
-
-    # Young's inequality g(a) b <= (p-1) G(a) + G(b) holds at every
-    # quadrature value, so it holds for the computed numbers up to roundoff.
-    @pytest.mark.parametrize("G", [
-        make_power_log(3.0),
-        make_combination("max", [make_power(2.0), make_power(3.0)]),
-        make_power(1.5),
-    ], ids=lambda G: G.label)
-    @pytest.mark.parametrize("s", [0.4, 0.7, 0.95])
-    def test_young_bound_to_roundoff(self, G, s, rng):
-        prob = problem(s, n=33)
-        p = G.upper_exponent
-        for _ in range(3):
-            u = random_state(prob, rng)
-            for v in (random_state(prob, rng), u):
-                lhs = pairing_abs(G, s, u, v)
-                rhs = (p - 1.0) * fractional_modular(G, s, u) \
-                    + fractional_modular(G, s, v)
-                assert lhs <= rhs * (1.0 + 1e-12)
-
-
-class TestPointwiseOperator:
-    def test_zero_function(self):
-        z = GridFunction.zeros(-1.0, 1.0, 33)
-        assert apply_pointwise_eps(G2, 0.5, z, 0.1, 0.05) == 0.0
-
-    def test_odd_symmetry_cancels(self):
-        u = GridFunction.hat(-1.0, 1.0, 129)
-        # about the peak the hat is even, so differences are antisymmetric
-        # in sign only through u(x)-u(y) >= 0; use an odd profile instead
-        odd = GridFunction.from_callable(
-            lambda x: np.sin(np.pi * x) * (1.0 - np.abs(x)),
-            -1.0, 1.0, 257)
-        val = apply_pointwise_eps(G2, 0.5, odd, 0.0, 0.05)
-        assert val == pytest.approx(0.0, abs=1e-8)
-
-    def test_cauchy_in_epsilon_at_hat_peak(self):
-        # at the corner the truncated values behave like C - c*eps^(1-2s),
-        # so successive differences shrink for s < 1/2 (at s = 1/2 exactly
-        # the corner makes the pointwise principal value log-divergent)
-        u = GridFunction.hat(-1.0, 1.0, 513)
-        vals = [apply_pointwise_eps(G2, 0.4, u, 0.0, e)
-                for e in (0.1, 0.05, 0.025)]
-        d1 = abs(vals[1] - vals[0])
-        d2 = abs(vals[2] - vals[1])
-        assert d2 < d1
-
-    def test_cauchy_in_epsilon_on_smooth_stretch(self):
-        # on a curved stretch what the window leaves out behaves like
-        # u''(x) eps^(2-2s): at s = 1/2 each halving of eps halves the step
-        # (0.200, then 0.100, for 1 - x^2)
-        def steps(u):
-            vals = [apply_pointwise_eps(G2, 0.5, u, 0.25, e)
-                    for e in (0.1, 0.05, 0.025)]
-            return abs(vals[1] - vals[0]), abs(vals[2] - vals[1]), vals[0]
-
-        d1, d2, _ = steps(GridFunction.from_callable(
-            lambda x: 1.0 - x ** 2, -1.0, 1.0, 513))
-        assert d2 < d1
-        # on the hat every window stays on one linear piece, so the two
-        # sides cancel exactly and the value moves only at roundoff
-        d1, d2, val = steps(GridFunction.hat(-1.0, 1.0, 513))
-        assert max(d1, d2) <= 1e-12 * abs(val)
-
-    def test_window_beyond_both_ends_is_two_tails(self):
-        # eps exceeds the distance to either end: no interior piece is left,
-        # and each side is G(c eps^-s) / (s c) with c = u(x)
-        u = GridFunction.hat(-1.0, 1.0, 33)
-        x, eps, s = 0.25, 2.0, 0.5
-        c = float(u(x))
-        val = apply_pointwise_eps(G3, s, u, x, eps)
-        assert val == pytest.approx(
-            2.0 * float(G3(c * eps ** -s)) / (s * c), rel=1e-15)
-        assert apply_pointwise_eps(G3, s, -1.0 * u, x, eps) == -val
+        hat = GridFunction.hat(-1.0, 1.0, n)
+        for u in (hat, random_state(problem(0.5, n=n), rng)):
+            for s in (0.1, 0.5, 0.9, 0.99):
+                val, grad = fractional_modular_with_gradient(G, s, u)
+                assert grad @ u.values == pytest.approx(p * val, rel=1e-12)
+                assert val == fractional_modular(G, s, u)
 
 
 class TestWarmStart:
