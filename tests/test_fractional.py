@@ -391,6 +391,31 @@ class TestGradient:
                   - fractional_modular(G23, s, u.with_values(vm))) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=atol)
 
+    # Phi_s(-u) = Phi_s(u): every piece reads |u(x) - u(y)|, or |u| in the
+    # far field, and takes its sign back only in the derivative
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
+    def test_even_value_odd_gradient(self, G, rng):
+        u = random_state(rng, n=33)
+        val, grad = fractional_modular_with_gradient(G, 0.6, u)
+        neg_val, neg_grad = fractional_modular_with_gradient(G, 0.6, u * -1.0)
+        assert neg_val == val
+        assert np.array_equal(neg_grad, -grad)
+
+    # x -> -x maps (-1, 1) to itself and keeps |x - y|, so a reflected state
+    # has the same modular and the reflected gradient, up to the order of
+    # the sums
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
+    def test_reflection_invariance(self, G, rng):
+        u = random_state(rng, n=33)
+        val, grad = fractional_modular_with_gradient(G, 0.6, u)
+        ref_val, ref_grad = fractional_modular_with_gradient(
+            G, 0.6, u.with_values(u.values[::-1]))
+        assert ref_val == pytest.approx(val, rel=1e-12)
+        np.testing.assert_allclose(ref_grad[::-1], grad, rtol=1e-11,
+                                   atol=1e-12 * np.max(np.abs(grad)))
+
     def test_zero_state_gradient_vanishes(self):
         z = GridFunction.zeros(-1.0, 1.0, 33)
         val, grad = fractional_modular_with_gradient(G2, 0.5, z)
@@ -565,6 +590,59 @@ class TestElementScatter:
         assert np.array_equal(got[1], ref[1])
         assert np.array_equal(got[2], ref[2])
         assert np.array_equal(_core(G, s, u, want_grad=True)[1], ref[1])
+
+
+class TestPairStackEvaluations:
+    """Each output reads on a pair stack only the derivatives it needs:
+    the value G, the gradient G and G', never G''."""
+
+    @staticmethod
+    def record(monkeypatch, G, s, u, want_grad):
+        """Shapes of the pair stacks that `_pair_bands` yields, and of the
+        arguments of each G, G' and G'' call, for one `_core` call."""
+        bands = fractional._pair_bands
+        stacks, calls = [], {"__call__": [], "deriv": [], "d2": []}
+
+        def seen(blocks):
+            for b in blocks:
+                stacks.append(b[3].shape)
+                yield b
+
+        def recorded(*args):
+            for x, blocks in bands(*args):
+                yield x, seen(blocks)
+
+        def counted(name):
+            method = getattr(OrliczFunction, name)
+
+            def wrapper(self, x):
+                calls[name].append(np.shape(x))
+                return method(self, x)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(fractional, "_pair_bands", recorded)
+            for name in calls:
+                m.setattr(OrliczFunction, name, counted(name))
+            _core(G, s, u, want_grad=want_grad)
+        assert len(stacks) > 1
+        return sorted(stacks), {name: sorted(x for x in shapes if x in stacks)
+                                for name, shapes in calls.items()}
+
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
+    def test_value_evaluates_no_derivative(self, G, monkeypatch, rng):
+        u = random_state(rng, 33, amplitude=1.5)
+        stacks, calls = self.record(monkeypatch, G, 0.6, u, False)
+        assert calls == {"__call__": stacks, "deriv": [], "d2": []}
+
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
+    def test_gradient_evaluates_no_second_derivative(self, G, monkeypatch,
+                                                      rng):
+        u = random_state(rng, 33, amplitude=1.5)
+        stacks, calls = self.record(monkeypatch, G, 0.6, u, True)
+        assert calls == {"__call__": stacks, "deriv": stacks, "d2": []}
 
 
 class TestPairBlocks:

@@ -16,6 +16,7 @@ from orliczfrac import (
     fractional_modular_with_gradient,
     gamma_run,
     limit_density,
+    make_combination,
     make_custom,
     make_power,
     make_power_log,
@@ -418,6 +419,42 @@ class TestEulerIdentity:
                 val, grad = fractional_modular_with_gradient(G, s, u)
                 assert grad @ u.values == pytest.approx(p * val, rel=1e-12)
                 assert val == fractional_modular(G, s, u)
+
+
+class TestYoungBound:
+    # The weak form pairs the gradient with a direction v:
+    # grad . v = iint g(|Du|) sgn(Du) Dv. Young's inequality
+    # g(a) b <= (p-1) G(a) + G(b), p the upper exponent, holds at every
+    # quadrature value, and the gradient is the exact derivative of the
+    # computed modular, so |grad . v| <= (p-1) Phi_s(u) + Phi_s(v) holds for
+    # the computed numbers up to roundoff.
+    @pytest.mark.parametrize("s", [0.4, 0.7])
+    def test_young_bound(self, s, rng):
+        prob = problem(s, n=33)
+        p = G2.upper_exponent
+        for _ in range(5):
+            u = random_state(prob, rng)
+            v = random_state(prob, rng)
+            _, grad = fractional_modular_with_gradient(G2, s, u)
+            rhs = (p - 1.0) * fractional_modular(G2, s, u) \
+                + fractional_modular(G2, s, v)
+            assert abs(grad @ v.values) <= rhs * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("G", [
+        make_power_log(3.0),
+        make_combination("max", [make_power(2.0), make_power(3.0)]),
+        make_power(1.5),
+    ], ids=lambda G: G.label)
+    @pytest.mark.parametrize("s", [0.4, 0.7, 0.95])
+    def test_young_bound_to_roundoff(self, G, s, rng):
+        prob = problem(s, n=33)
+        p = G.upper_exponent
+        for _ in range(3):
+            u = random_state(prob, rng)
+            val, grad = fractional_modular_with_gradient(G, s, u)
+            for v in (random_state(prob, rng), u):
+                rhs = (p - 1.0) * val + fractional_modular(G, s, v)
+                assert abs(grad @ v.values) <= rhs * (1.0 + 1e-12)
 
 
 class TestWarmStart:
