@@ -20,23 +20,29 @@ is split into three pieces:
        order 5, 3 at 4, 16 at 3, the rest at 2). A band of one order is
        walked in blocks of consecutive offsets, about `_BLOCK_POINTS` pair
        points each (309 blocks for the 1023 offsets of 1024 elements), with
-       one G, G', G'' call per block; the kernel tables dist**(-s) and
-       2 h^2 w_a w_b / dist of its blocks depend on (s, h, ne) only, and
-       are built once per key and kept, read-only, for the last two keys
-       (`_band_tables`). A block's rows are padded to its first offset's
-       length and the padding is set to 0 before any sum. Where G is t^p on
-       [0, T] (`_power_on`), G(|du| kern) = kern^p G(|du|): a block whose
-       arguments all lie there takes G on |du|, weighed by kern^p, for the
-       value, the gradient and the Hessian alike (`_pair_rule`); any other
-       block takes G's own rule, state by state if its states differ;
+       one jet of G per block, G(t, n) of the order n the outputs need
+       (the value n = 1, the gradient 2, the Hessian 3); the kernel tables
+       dist**(-s) and 2 h^2 w_a w_b / dist of its blocks, and the largest
+       dist**(-s) and dist**(1-s) of each block, depend on (s, h, ne) only,
+       and are built once per key and kept, read-only, for the last two
+       keys (`_band_tables`). A block's rows are padded to its first
+       offset's length and the padding is set to 0 before any sum. Where G
+       is t^p on [0, T] (`_power_on`), G(|du| kern) = kern^p G(|du|): a
+       block whose arguments all lie there takes G on |du|, weighed by
+       kern^p, for the value, the gradient and the Hessian alike
+       (`_pair_rule`); for T finite (a max of powers) a bound from u's
+       oscillation and Lipschitz constant decides that range per block,
+       and only a block it leaves open is scanned. Any other block takes
+       G's own rule, state by state if its states differ;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
-       needed. I is half the n = 1 limit density, so I, I' and I'' are
-       `limit_density(G, 1).value`, `.deriv` and `.deriv2` halved, at the
-       order-5 Gauss points of every element: the closed form or the
-       shared quadrature for I, as `LimitDensity` chooses, and the exact
-       derivatives of the profile, which need no quadrature. All of it is
-       one function, `_far_field`.
+       needed. I is half the n = 1 limit density, so I and I' (or I' and
+       I'', from one jet of G) are `limit_density(G, 1).value` and
+       `.deriv` halved, at the order-5 Gauss points of every element: the
+       closed form or the shared quadrature for I, as `LimitDensity`
+       chooses, and the exact derivatives of the profile, which need no
+       quadrature. All of it is one function, `_far_field`; `_core` builds
+       the density once for pieces (i) and (iii).
 
 Every piece has one shape: a 1-D array of k orders s and nodal rows on
 one mesh (`_nodal`), one row per order (the solver's lockstep ladder) or
@@ -47,8 +53,8 @@ the state k = 1; only `_core` takes a lone order, and it drops the axis
 again on return. Nothing in piece (ii) but the kernel table depends on s,
 so the pairs of all states share one pass: the table dist**(-s) has a
 leading axis over the orders, and each block forms |u(x) - u(y)| once per
-row and makes one G call on the stacked (states, pairs, offsets,
-elements) argument, or, where t^p's rule serves, on |du|, one row per
+row and asks one jet of G on the stacked (states, pairs, offsets,
+elements) argument, or, where t^p's rule serves, on du, one row per
 row. Pieces (i) and (iii) evaluate their arrays with the states axis in
 front. A piece's arrays for many states at once cost more per point than
 stacking saves in calls, so states with rows of their own go through each
@@ -130,24 +136,26 @@ def _pow(x, s, f):
     return np.stack([a ** p for a, p in zip(x, exps)])
 
 
-def _same_element(G, s, h, slopes, want_grad, want_hess=False):
+def _same_element(G, s, h, slopes, want_grad, want_hess=False, tilde=None):
     """Sum over elements of 2*int_0^h (h-t) G(|m| t^(1-s)) dt/t, and its
     derivative in m per element (or None); with ``want_hess`` also the
     second derivative per element, as a third entry. ``s`` holds k orders
     and ``slopes`` one row of slopes per order or one for all: every
     output has the states axis of k, and each state's entries are those
-    of its lone call.
+    of its lone call. ``tilde`` is `limit_density(G, 1)`, built here if
+    not given.
 
     With e = 1 - s, H = h^e and c = |m| H, t = h r gives a block
     (h/e) tilde_G(c) - 2h B(c), B(c) = int_0^1 G(c r^e) dr, and tilde_G
     the n = 1 limit density. Where G is t^p on [0, T] (`_power_on`) and
     every c of a state is <= T (< T with the derivatives), all three
-    outputs are t^p's closed form, coef |m|^p. Otherwise B and A(c) = B'(c)
-    = int_0^1 G'(c r^e) r^e dr take the profile's rule, cut where c r^e
-    crosses a kink. The m-derivative is (2hH/e) (G(c)/c - e A(c)); the
-    second one follows from c A'(c) = (G'(c) - (1+e) A(c)) / e, which
-    holds across kinks too. States whose rules differ (t^p's form on one,
-    or different numbers of kink cuts) are evaluated one by one.
+    outputs are t^p's closed form, coef |m|^p, from one jet of t^p on |m|.
+    Otherwise B and A(c) = B'(c) = int_0^1 G'(c r^e) r^e dr take the
+    profile's rule, cut where c r^e crosses a kink, from one jet of G on
+    its nodes. The m-derivative is (2hH/e) (G(c)/c - e A(c)); the second
+    one follows from c A'(c) = (G'(c) - (1+e) A(c)) / e, which holds across
+    kinks too. States whose rules differ (t^p's form on one, or different
+    numbers of kink cuts) are evaluated one by one.
     """
     m = np.abs(slopes)
     F, T = _power_on(G) or (None, -np.inf)  # -inf: no c takes t^p's form
@@ -174,29 +182,31 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False):
             top > k for k in set(G.kinks) if k > 0.0)).tolist())) > 1:
         rows = np.broadcast_to(slopes, (len(s), slopes.shape[-1]))
         parts = zip(*(_same_element(G, s[i:i + 1], h, rows[i:i + 1],
-                                    want_grad, want_hess)
+                                    want_grad, want_hess, tilde)
                       for i in range(len(s))))
         return tuple(None if p[0] is None else np.concatenate(p)
                      for p in parts)
     if closed[0]:
-        vals = coef * F(m)
-        ders = coef * F.deriv(m) * np.sign(slopes) if want_grad else None
+        g = F(m, 1 + want_grad + want_hess)
+        vals = coef * g[0]
+        ders = coef * g[1] * np.sign(slopes) if want_grad else None
         if want_hess:
-            return np.sum(vals, axis=-1), ders, coef * F.d2(m)
+            return np.sum(vals, axis=-1), ders, coef * g[2]
         return np.sum(vals, axis=-1), ders
 
-    tilde = limit_density(G, 1)
+    tilde = tilde or limit_density(G, 1)
     cuts = [_pow(t, s, lambda o: 1.0 / (1.0 - o))
             for t in _kink_cuts(c, G.kinks)]
     r, width, w = split_nodes(c.shape, cuts, 1.0)
     re = _pow(r, s, lambda o: 1.0 - o)
     arg = c[..., None, None] * re
-    smooth = np.sum(width * (G(arg) @ w), axis=-1)
+    g = G(arg, 1 + want_grad)
+    smooth = np.sum(width * (g[0] @ w), axis=-1)
     val = np.sum(fv * tilde.value(c) - 2.0 * h * smooth, axis=-1)
     if not want_grad:
         return val, None
     flux = tilde.deriv(c) / 2.0  # G(c)/c, 0 at c = 0
-    A = np.sum(width * ((G.deriv(arg) * re) @ w), axis=-1)
+    A = np.sum(width * ((g[1] * re) @ w), axis=-1)
     ders = f1 * (flux - e * A) * np.sign(slopes)
     if not want_hess:
         return val, ders
@@ -226,10 +236,13 @@ def _pair_orders(ne, order):
 @lru_cache(maxsize=2)
 def _band_tables(s, h, ne):
     """What `_pair_bands` yields but the differences, on ne elements of width
-    h: per band of order q, its Gauss nodes and blocks (j0, nj, kern, block)
-    of the most offsets that keep q*q*(ne - j0)*nj within `_BLOCK_POINTS`,
-    and at least one. Built once per key (s, h, ne), s a tuple of orders;
-    the last two keys are kept. Read-only."""
+    h: per band of order q, its Gauss nodes, its blocks (j0, nj, kern,
+    block) of the most offsets that keep q*q*(ne - j0)*nj within
+    `_BLOCK_POINTS`, and at least one, and the u-independent factors of
+    their bound (`_pair_bands`), a (2, k, blocks) array of the largest
+    dist**(-s) and dist**(1-s) per order and block. Built once per key
+    (s, h, ne), s a tuple of orders; the last two keys are kept.
+    Read-only."""
     q = _pair_orders(ne, _ORDER)
     ends = np.flatnonzero(np.diff(q, prepend=0, append=0)).tolist()
     bands = []
@@ -247,16 +260,21 @@ def _band_tables(s, h, ne):
             at = slice(j0 - lo - 1, j0 - lo - 1 + nj)
             blocks.append((j0, nj, kern[..., at, :], block[:, at]))
             j0 += nj
-        bands.append((x, tuple(blocks)))
+        # per offset, then per block of offsets: (2, orders, blocks)
+        peak = np.maximum.reduceat(
+            np.stack([kern, dist * kern]).max(axis=(2, 4)),
+            [j - lo - 1 for j, *_ in blocks], axis=-1)
+        peak.flags.writeable = False
+        bands.append((x, tuple(blocks), peak))
     return tuple(bands)
 
 
-def _pair_bands(s, h, rows):
+def _pair_bands(s, h, rows, bound=False):
     """Distinct-element pairs of the uniform mesh, one band per Gauss order.
 
     Yields ``(x, blocks)`` per band of order q: its Gauss nodes on (0, 1)
     and an iterator over its blocks of the offsets j0 .. j0+nj-1, each
-    ``(j0, kern, block, du)``. Row a*q + b pairs node a of the right
+    ``(j0, kern, block, du, reach)``. Row a*q + b pairs node a of the right
     element with node b of the left one, at dist = h (j + x_a - x_b).
     ``kern`` and ``block`` are the read-only tables dist**(-s), (k, q*q,
     nj, 1) for the k orders ``s``, and 2 h^2 w_a w_b / dist, (q*q, nj, 1),
@@ -266,21 +284,37 @@ def _pair_bands(s, h, rows):
     + k, and is padding (`_drop_padding`) if e >= L - k. They are read
     from one zero-padded (q, 2 ne) buffer of Gauss-point values per row
     and band, so every operation on a pair row is a long contiguous loop.
+
+    With ``bound``, ``reach`` is a float no smaller than any |du| kern of
+    the block's pairs in any state, the product as computed: per state the
+    least of u's oscillation times the largest kern and u's Lipschitz
+    constant times the largest dist**(1-s), plus 16 ulp of max |u| (the
+    rounding of a difference of two Gauss-point values) times the largest
+    kern, and 1e-12 relative above that for the rounding of the products.
+    Without it ``reach`` is inf.
     """
     ne = rows.shape[-1] - 1
-    for x, blocks in _band_tables(tuple(s.tolist()), float(h), ne):
+    if bound:  # per row, as a column
+        osc = np.ptp(rows, axis=-1, keepdims=True)
+        lip = np.abs(np.diff(rows)).max(axis=-1, keepdims=True) / h
+        slack = 2.0 ** -48 * np.abs(rows).max(axis=-1, keepdims=True)
+    for x, blocks, (kmax, lmax) in _band_tables(tuple(s.tolist()), float(h),
+                                                ne):
         q = x.size
         buf = np.zeros((len(rows), q, 2 * ne))
         buf[:, :, :ne] = _at_gauss_points(rows, x).swapaxes(1, 2)
         # view row (a, j) starts at node a's element j
         W = np.ndarray(buf.shape[:-1] + (ne, ne), float, buf, 0,
                        buf.strides + buf.strides[-1:])
+        reach = ((np.minimum(osc * kmax, lip * lmax) + slack * kmax)
+                 * (1.0 + 1e-12)).max(axis=0).tolist() if bound else \
+            [np.inf] * len(blocks)
         # (q, 1, nj, L) - (1, q, 1, L) per row
         yield x, ((j0, kern, block,
                    (W[:, :, None, j0:j0 + nj, :ne - j0]
                     - W[:, None, :, :1, :ne - j0])
-                   .reshape(len(W), q * q, nj, ne - j0))
-                  for j0, nj, kern, block in blocks)
+                   .reshape(len(W), q * q, nj, ne - j0), r)
+                  for (j0, nj, kern, block), r in zip(blocks, reach))
 
 
 @lru_cache(maxsize=64)
@@ -353,38 +387,38 @@ def _pair_rule(G, on, du, kern, block, n=1):
     """A block's rules, a list of (F, arg, w) with no F evaluated: its term
     in G^(i), i < n, is w[i] F^(i)(arg), its value per state the sum of
     w[0] F(arg). One rule serves all states, or each state has its own.
+    |du| is taken once: by t^p's jet, which is even, or here, in place of
+    ``du`` (with its padding set to 0 for the range test).
 
     ``on`` is `_power_on(G)`. Where G is t^p on [0, T], F = t^p and
-    G^(i)(|du| kern) kern^i = kern^p F^(i)(|du|): arg = |du| for all
-    orders, w[i] = block kern^p. A block takes this rule if each of its
-    arguments |du| kern is <= T, and for n > 1 if each is < T, since a
-    max's G' and G'' take the steeper branch at T. Otherwise one state
-    takes G's own rule, F = G, arg = |du| kern and w[i] = block kern^i;
-    several states (the orders of ``kern``, with a row of ``du`` each or
-    one for all) take their rules one by one, as when each is evaluated
-    alone.
+    G^(i)(|du| kern) kern^i = kern^p F^(i)(|du|): arg = du for all orders,
+    w[i] = block kern^p. A block takes this rule if each of its arguments
+    |du| kern is <= T, and for n > 1 if each is < T, since a max's G' and
+    G'' take the steeper branch at T. Otherwise one state takes G's own
+    rule, F = G, arg = |du| kern and w[i] = block kern^i; several states
+    (the orders of ``kern``, with a row of ``du`` each or one for all) take
+    their rules one by one, as when each is evaluated alone.
     """
-    arg = np.abs(du)
     if on is not None:
         F, T = on
         below = T == np.inf or (np.less if n > 1 else np.less_equal)(
-            kern[..., 0] * _drop_padding(arg).max(axis=-1), T)
+            kern[..., 0] * _drop_padding(np.abs(du, out=du)).max(axis=-1),
+            T)
         if below is True or below.all():
-            return [(F, arg, [block * kern ** F.params[0]] * n)]
+            return [(F, du, [block * kern ** F.params[0]] * n)]
         if len(below) > 1:
-            rows = np.broadcast_to(du, kern.shape[:1] + du.shape[1:])
             return [rule for i in range(len(below)) for rule in _pair_rule(
-                G, on, rows[i:i + 1], kern[i:i + 1], block, n)]
-    arg = arg * kern
-    return [(G, arg, list(accumulate([block] + [kern] * (n - 1),
-                                     np.multiply)))]
+                G, on, du[i:i + 1] if len(du) > 1 else du, kern[i:i + 1],
+                block, n)]
+    return [(G, np.abs(du, out=du) * kern,
+             list(accumulate([block] + [kern] * (n - 1), np.multiply)))]
 
 
-def _rule_terms(rules, i):
-    """w[i] F^(i)(arg), i = 1 or 2, of a block's rules, padding dropped:
-    one rule's array, or the states' joined along their axis."""
-    terms = [w[i] * _drop_padding((F.deriv if i == 1 else F.d2)(arg))
-             for F, arg, w in rules]
+def _rule_terms(jets, i):
+    """w[i] F^(i)(arg), i = 1 or 2, of a block's evaluated rules (F's jet
+    on arg, w), padding dropped: one rule's array, or the states' joined
+    along their axis."""
+    terms = [w[i] * _drop_padding(g[i]) for g, w in jets]
     return terms[0] if len(terms) == 1 else np.concatenate(terms)
 
 
@@ -395,11 +429,13 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
 
     `_power_on` is read once per call, and `_pair_rule` gives each block
     and state t^p's rule or G's own, for every output (`_pair_block`).
-    States with rows of their own are taken a chunk at a time per block
-    (`_state_chunks`, by the block's pair points): 4 states of full blocks
-    at once made a 4-order ladder at 129 nodes 1.2 times slower than its
-    sequential solves. Orders that share a row share each block's G
-    call.
+    Where t^p serves on [0, T] with T finite (a max of powers), a block
+    whose bound on |du| kern (`_pair_bands`) lies in that range takes t^p's
+    rule without a scan of its arguments. States with rows of their own
+    are taken a chunk at a time per block (`_state_chunks`, by the block's
+    pair points): 4 states of full blocks at once made a 4-order ladder at
+    129 nodes 1.2 times slower than its sequential solves. Orders that
+    share a row share each block's G call.
 
     The gradient is accumulated per element and Gauss point of a band and
     scattered to the nodes once per band (`_add_element_terms`); a block's
@@ -413,22 +449,28 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     on = _power_on(G)
     n = 1 + want_grad + (hess is not None)
     gU = hU = fold = None
-    for x, blocks in _pair_bands(s, mesh.spacing, rows):
+    for x, blocks in _pair_bands(s, mesh.spacing, rows,
+                                 on is not None and on[1] < np.inf):
         q = x.size
         if want_grad:
             gU = np.zeros((k, q, ne))
         if hess is not None:
             hU = np.zeros((k, q, ne))
             fold = _hessian_fold(q)
-        for j0, kern, block, du in blocks:
+        for j0, kern, block, du, reach in blocks:
+            # where the bound puts every |du| kern in t^p's range, t^p
+            # serves the block with no scan of its arguments
+            fits = on is not None and (reach < on[1] if n > 1
+                                       else reach <= on[1])
+            rule = (on[0], np.inf) if fits else on
             # all states at once where they fit, and always orders that
             # share one row
             if len(du) == 1 or du.size <= _STACK_POINTS:
-                _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU,
-                            hess)
+                _pair_block(G, rule, j0, kern, block, du, n, fold, val, gU,
+                            hU, hess)
                 continue
             for at in _state_chunks(len(du), du[0].size):  # views
-                _pair_block(G, on, j0, kern[at], block, du[at], n, fold,
+                _pair_block(G, rule, j0, kern[at], block, du[at], n, fold,
                             val[at], *(a if a is None else a[at]
                                        for a in (gU, hU, hess)))
         if want_grad:
@@ -441,10 +483,12 @@ def _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU, hess):
     ``gU`` (which needs ``n`` >= 2), its per-element first derivatives,
     and given ``hess`` its second ones, per state of their leading axis.
 
-    F(arg) is summed over the elements of each pair row and offset before
-    the row sums take their weight w[0]: no weighted copy of the stack is
-    made, and each state's sums are its own reductions, as for one state.
-    A pair contributes c = w[2] F''(arg) times the outer product of its
+    ``du`` is read for its signs where the gradient needs them, and each
+    rule of `_pair_rule` takes one jet of order n on its argument. F(arg)
+    is summed over the elements of each pair row and offset before the row
+    sums take their weight w[0]: no weighted copy of the stack is made,
+    and each state's sums are its own reductions, as for one state. A pair
+    contributes c = w[2] F''(arg) times the outer product of its
     difference's nodal weights to the Hessian. One matrix product per
     state (`_hessian_fold`) folds c into its sums per right and per left
     Gauss point, accumulated per element in ``hU`` like the gradient in
@@ -452,20 +496,21 @@ def _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU, hess):
     lands on diagonals j-1, j and j+1 of each offset j of the block through
     one strided view per moment (`_add_diagonals`).
     """
-    rules = _pair_rule(G, on, du, kern, block, n)
-    vals = [_weighed(_drop_padding(F(arg)), w[0]) for F, arg, w in rules]
+    sign = None if gU is None else np.sign(du)
+    jets = [(F(arg, n), w)
+            for F, arg, w in _pair_rule(G, on, du, kern, block, n)]
+    vals = [_weighed(_drop_padding(g[0]), w[0]) for g, w in jets]
     val += vals[0] if len(vals) == 1 else np.concatenate(vals)
     if gU is None:
         return
     q, lead = gU.shape[-2], gU.shape[:-2]
     nj, L = du.shape[-2:]
-    coef = (_rule_terms(rules, 1) * np.sign(du)).reshape(
-        lead + (q, q, nj, L))
+    coef = (_rule_terms(jets, 1) * sign).reshape(lead + (q, q, nj, L))
     gU[..., j0:] += _skew_sum(coef.sum(axis=-3))
     gU[..., :L] -= coef.sum(axis=(-4, -2))
     if hess is None:
         return
-    c = _rule_terms(rules, 2)
+    c = _rule_terms(jets, 2)
     folded = (fold @ c.reshape(lead + (q * q, -1))).reshape(
         lead + (-1, nj, L))
     hU[..., j0:] += _skew_sum(folded[..., :q, :, :])
@@ -512,16 +557,20 @@ def _add_element_terms(grad, hess, a, b, d1, d2=None):
         _add_diagonals(hess, 0, 1, (b * b) @ d2)
 
 
-def _far_field(G, s, mesh, rows, want_grad, want_hess=False):
+def _far_field(G, s, mesh, rows, want_grad, want_hess=False, tilde=None):
     """(iii) as `_same_element` gives (i), per state of the k orders ``s``
     and the nodal ``rows`` on ``mesh`` (`_nodal`): the value, its
     derivative in U, u at the order-5 Gauss points (states x points x
     elements), or None, and with ``want_hess`` the second one. Both sides
-    (partner beyond either end) take one evaluation of I = tilde_G / 2 and
-    its exact derivatives, as (elements x points) arrays, returned
-    transposed (views: same bits). The states are taken a chunk at a time
-    (`_state_chunks`), by their 2 x elements x 5 arguments."""
-    parts = [_far_terms(G, s[at], mesh, rows if len(rows) == 1 else rows[at],
+    (partner beyond either end) take one evaluation of I = tilde_G / 2,
+    ``tilde`` = `limit_density(G, 1)` (built here if not given), and one
+    of its exact derivatives, I' or both I' and I'' from one jet of G, as
+    (elements x points) arrays, returned transposed (views: same bits).
+    The states are taken a chunk at a time (`_state_chunks`), by their 2 x
+    elements x 5 arguments."""
+    tilde = tilde or limit_density(G, 1)
+    parts = [_far_terms(tilde, s[at], mesh,
+                        rows if len(rows) == 1 else rows[at],
                         want_grad, want_hess)
              for at in _state_chunks(len(s), 10 * (mesh.node_count - 1))]
     val, *ders = parts[0] if len(parts) == 1 else map(np.concatenate,
@@ -531,7 +580,7 @@ def _far_field(G, s, mesh, rows, want_grad, want_hess=False):
     return (val, *(d.swapaxes(-1, -2) for d in ders))
 
 
-def _far_terms(G, s, mesh, rows, want_grad, want_hess):
+def _far_terms(tilde, s, mesh, rows, want_grad, want_hess):
     """`_far_field` on one chunk of states: the value and, as asked, its
     first and second derivatives, as (elements x points) arrays."""
     h = mesh.spacing
@@ -543,7 +592,7 @@ def _far_terms(G, s, mesh, rows, want_grad, want_hess):
     # reciprocal: an array of them has the bits of each alone (`_pow`)
     kern = dist ** -s[:, None, None, None]
     U = _at_gauss_points(rows, xg)
-    arg, tilde = np.abs(U)[:, None] * kern, limit_density(G, 1)
+    arg = np.abs(U)[:, None] * kern
     if tilde.backing == "quadrature" and len(arg) > 1:
         # the profile's rule is per-point work on (points, pieces, nodes)
         # arrays: taken state by state, each cut at its own kinks
@@ -555,12 +604,11 @@ def _far_terms(G, s, mesh, rows, want_grad, want_hess):
     if not want_grad:
         return (val,)
     scale = scale[:, None, None]
-    d1 = scale * wg * np.sum(tilde.deriv(arg) / 2.0 * kern, axis=-3) \
-        * np.sign(U)
+    d1, *d2 = tilde.deriv(arg, 2) if want_hess else (tilde.deriv(arg),)
+    d1 = scale * wg * np.sum(d1 / 2.0 * kern, axis=-3) * np.sign(U)
     if not want_hess:
         return val, d1
-    return val, d1, scale * wg * np.sum(tilde.deriv2(arg) / 2.0 * kern * kern,
-                                        axis=-3)
+    return val, d1, scale * wg * np.sum(d2[0] / 2.0 * kern * kern, axis=-3)
 
 
 def _nodal(u):
@@ -596,13 +644,16 @@ def _core(G, s, u, want_grad, want_hess=False):
     hess = (np.zeros((len(s),) + (mesh.node_count,) * 2)
             if want_hess else None)
     xg, _ = gauss_rule_01(_ORDER)
+    tilde = limit_density(G, 1)
     # G''(0) = inf (t^p, p < 2) gives inf - inf = nan Hessian entries,
     # which the solver reads as "no Newton step here".
     with np.errstate(invalid="ignore") if want_hess else nullcontext():
         val, ders, *curv = _same_element(
-            G, s, h, (rows[:, 1:] - rows[:, :-1]) / h, want_grad, want_hess)
+            G, s, h, (rows[:, 1:] - rows[:, :-1]) / h, want_grad, want_hess,
+            tilde)
         pairs, grad = _distinct_pairs(G, s, mesh, rows, want_grad, hess)
-        far, *far_ders = _far_field(G, s, mesh, rows, want_grad, want_hess)
+        far, *far_ders = _far_field(G, s, mesh, rows, want_grad, want_hess,
+                                    tilde)
         if want_grad:
             # a node adds its far-field sum to the pairs'
             far_grad = np.zeros(grad.shape)

@@ -30,7 +30,7 @@ from .errors import (
     ToleranceNotMetError,
     UnsupportedDimensionError,
 )
-from .orlicz import OrliczFunction, make_custom
+from .orlicz import OrliczFunction, _finalize
 
 _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 # Tanh-sinh rule of the radial profile and of the sphere integral's pieces:
@@ -93,7 +93,9 @@ def sphere_log_moment(n: int, p: float) -> float:
 
 def sphere_integral(f, n: int, c, kinks) -> np.ndarray:
     """int over the unit sphere of f(c |w_n|) dS, elementwise for an array
-    c >= 0 and a vectorized f with derivative kinks at `kinks`.
+    c >= 0 and a vectorized f with derivative kinks at `kinks`. An f that
+    returns a tuple of arrays, several integrands from one evaluation,
+    gives the tuple of their integrals.
 
     n = 1: the sphere is the two points +-1, so the value is 2 f(c).
     n = 2, 3: the polar reductions 4 int_0^(pi/2) f(c sin t) dt and
@@ -103,9 +105,15 @@ def sphere_integral(f, n: int, c, kinks) -> np.ndarray:
     _check_dim(n)
     c = np.asarray(c, dtype=float)
     if n == 1:
-        return 2.0 * f(c)
+        return _each(f(c), lambda v: 2.0 * v)
     scale = 4.0 if n == 2 else 4.0 * math.pi
-    return scale * _kink_split_rule(f, c, kinks, polar=n == 2)
+    return _each(_kink_split_rule(f, c, kinks, polar=n == 2),
+                 lambda v: scale * v)
+
+
+def _each(vals, op):
+    """op on an array, or on each array of a tuple."""
+    return tuple(map(op, vals)) if isinstance(vals, tuple) else op(vals)
 
 
 def _kink_cuts(c, kinks):
@@ -136,7 +144,8 @@ def _kink_split_rule(f, c, kinks, polar):
     Split per entry where the argument crosses a kink, then the profile's
     tanh-sinh rule on every piece: its node clustering resolves algebraic
     and logarithmic behaviour at the ends. f is evaluated once, on all
-    pieces and entries together.
+    pieces and entries together (an f that returns a tuple gives one
+    integral per entry of it).
     """
     cuts = _kink_cuts(c, kinks)
     end = 1.0
@@ -144,7 +153,7 @@ def _kink_split_rule(f, c, kinks, polar):
         cuts, end = [np.arcsin(t) for t in cuts], 0.5 * math.pi
     t, width, w = split_nodes(c.shape, cuts, end)
     vals = f(c[..., None, None] * (np.sin(t) if polar else t))
-    return np.sum(width * (vals @ w), axis=-1)
+    return _each(vals, lambda v: np.sum(width * (v @ w), axis=-1))
 
 
 def _density_argument(a):
@@ -320,8 +329,9 @@ class LimitDensity:
     derivatives are always cheap: d/da tilde_G(a) = (1/a) int_S G(a |w_n|) dS
     is one sphere integral of G itself (2 G(a)/a in n = 1), and
     d^2/da^2 tilde_G(a) = (1/a^2) int_S (t G'(t) - G(t))|_{t = a |w_n|} dS
-    one of t G'(t) - G(t) (2 (a G'(a) - G(a)) / a^2 in n = 1), for all
-    entries at once.
+    one of t G'(t) - G(t) (2 (a G'(a) - G(a)) / a^2 in n = 1). Both come
+    from one jet G(t, 2) of the base on the sphere's arguments, for all
+    entries at once (`deriv` with n = 2).
     """
 
     base: OrliczFunction
@@ -338,41 +348,55 @@ class LimitDensity:
             return tilde_closed_form(kind, params, self.dimension, a)
         return tilde_eval(self.base, self.dimension, a)
 
-    def deriv(self, a):
-        a = np.asarray(a, dtype=float)
-        pos = a > 0.0
-        flux = sphere_integral(self.base, self.dimension, a, self.base.kinks)
-        return _scalar_or_array(
-            np.where(pos, flux / np.where(pos, a, 1.0), 0.0))
-
-    def deriv2(self, a):
+    def deriv(self, a, n=1):
+        """The first derivative at a (n = 1), or the pair of the first and
+        the second (n = 2) from one evaluation of the base's jet."""
         a = np.asarray(a, dtype=float)
         pos = a > 0.0
         G = self.base
-        curv = sphere_integral(lambda t: t * G.deriv(t) - G(t),
-                               self.dimension, a, G.kinks)
+
+        def integrands(t):  # G, and for n = 2 also t G'(t) - G(t)
+            g = G(t, n)
+            return (g[0],) if n == 1 else (g[0], t * g[1] - g[0])
+
+        flux, *curv = sphere_integral(integrands, self.dimension, a, G.kinks)
+        d1 = _scalar_or_array(np.where(pos, flux / np.where(pos, a, 1.0), 0.0))
+        if n == 1:
+            return d1
         # at a = 0 the limit is G''(0)/2 times int_S |w_n|^2 dS, read only
         # where some a is 0
         at_zero = 0.0 if pos.all() else (
             float(G.d2(0.0)) / 2.0 * sphere_moment(self.dimension, 2.0))
-        return _scalar_or_array(
-            np.where(pos, curv / np.where(pos, a * a, 1.0), at_zero))
+        return d1, _scalar_or_array(
+            np.where(pos, curv[0] / np.where(pos, a * a, 1.0), at_zero))
+
+    def deriv2(self, a):
+        return self.deriv(a, 2)[1]
 
     def as_orlicz(self) -> OrliczFunction:
         """Wrap as a growth function usable by modulars and the solver.
 
-        The wrapper hands whole arrays to `value`, `deriv` and `deriv2`,
-        looked up on every call (so a wrapper later installed on the class,
-        such as a tracing span, sees them). The structural constants are
-        inherited from the base function: the doubling ratio and the
-        exponent bound survive the averaging that defines the density.
+        The wrapper's jet hands whole arrays to `value` and `deriv`, looked
+        up on every call (so a wrapper later installed on the class, such
+        as a tracing span, sees them); its G' and G'' are one `deriv` call.
+        The structural constants are inherited from the base function: the
+        doubling ratio and the exponent bound survive the averaging that
+        defines the density.
         """
         g = self.base
         constants = (g.doubling_constant, g.upper_exponent, g.lower_exponent)
-        return make_custom(lambda x: self.value(x), lambda x: self.deriv(x),
-                           label=f"tilde({g.label}; n={self.dimension})",
-                           constants=constants,
-                           d2fn=lambda x: self.deriv2(x))
+
+        def jet(x, n):
+            out = [self.value(x)]
+            if n == 2:
+                out.append(self.deriv(x))
+            if n == 3:
+                out.extend(self.deriv(x, 2))
+            return out
+
+        return _finalize("custom", (), jet,
+                         f"tilde({g.label}; n={self.dimension})",
+                         exact=constants)
 
 
 def limit_density(G: OrliczFunction, n: int) -> LimitDensity:

@@ -14,8 +14,9 @@ and the transform suite), p by `properties`, q by `properties`, `limits`
 `LimitDensity.as_orlicz` hands C, p and q on to the density it wraps.
 
 Factories cover the standard families (powers, powers with log weights,
-weighted sums, pointwise maxima, compositions); `make_custom` wraps arbitrary
-callables for internal use.
+weighted sums, pointwise maxima, compositions), each with one jet that
+gives G and its first two derivatives from one pass; `make_custom` wraps
+arbitrary callables for internal use.
 """
 
 from __future__ import annotations
@@ -43,17 +44,19 @@ _GRID_LO, _GRID_HI = 1e-6, 1e6
 class OrliczFunction:
     """Immutable growth function with cached structural constants.
 
-    Instances are callable (vectorized over numpy arrays) and expose the
-    first and second derivatives through :meth:`deriv` and :meth:`d2`. At a
-    kink both take the branch on the same side. All operations are pure;
-    instances can be shared freely across threads.
+    Instances are callable, vectorized over numpy arrays of arguments
+    t >= 0: ``G(t)`` is the value, and ``G(t, n)`` the jet (G, G', G'')[:n]
+    of the first n - 1 derivatives, n = 1, 2 or 3, from one pass of the
+    family's ``jet``, which shares whatever the orders have in common (an
+    |t|, a mask, a log, a branch). Below 0 a power is even and a log
+    weight 0. :meth:`deriv` and :meth:`d2` read one entry of the jet. At a
+    kink both derivatives take the branch on the same side. All operations
+    are pure; instances can be shared freely across threads.
     """
 
     kind: str
     params: Tuple[float, ...]
-    fn: Callable[[np.ndarray], np.ndarray]
-    dfn: Callable[[np.ndarray], np.ndarray]
-    d2fn: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray, int], list]
     doubling_constant: float
     upper_exponent: float
     lower_exponent: float
@@ -61,14 +64,15 @@ class OrliczFunction:
     kinks: Tuple[float, ...] = ()
     children: Tuple["OrliczFunction", ...] = ()
 
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+    def __call__(self, x, n=None):
+        x = np.asarray(x, dtype=float)
+        return self.jet(x, 1)[0] if n is None else self.jet(x, n)
 
     def deriv(self, x):
-        return self.dfn(np.asarray(x, dtype=float))
+        return self.jet(np.asarray(x, dtype=float), 2)[1]
 
     def d2(self, x):
-        return self.d2fn(np.asarray(x, dtype=float))
+        return self.jet(np.asarray(x, dtype=float), 3)[2]
 
     def __repr__(self):
         return self.label
@@ -105,16 +109,16 @@ def _screening_grid(n_points=_GRID_POINTS, kinks=()):
     return grid
 
 
-def _estimate_from_callables(fn, dfn, kinks=()):
-    """Grid estimates of (C, p, q) with the 1.01 safety factor.
+def _estimate(jet, kinks=()):
+    """Grid estimates of (C, p, q) with the 1.01 safety factor, from the
+    jet of G.
 
     Points where G vanishes (possible for degenerate inputs like t^p|log t|
     at t = 1) are skipped in the ratio suprema rather than producing inf.
     """
     grid = _screening_grid(kinks=kinks)
-    gx = np.asarray(fn(grid), dtype=float)
-    g2x = np.asarray(fn(2.0 * grid), dtype=float)
-    dgx = np.asarray(dfn(grid), dtype=float)
+    gx, dgx = (np.asarray(v, dtype=float) for v in jet(grid, 2))
+    g2x = np.asarray(jet(2.0 * grid, 1)[0], dtype=float)
     if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(g2x))
             and np.all(np.isfinite(dgx))):
         raise InvalidFunctionError("non-finite evaluation on screening grid")
@@ -134,21 +138,18 @@ def estimate_constants(G: OrliczFunction):
     This is the pure grid estimator (with safety factor); factories may store
     sharper exact constants when the family permits.
     """
-    return _estimate_from_callables(G.fn, G.dfn, G.kinks)
+    return _estimate(G.jet, G.kinks)
 
 
-def _finalize(kind, params, fn, dfn, d2fn, label, kinks=(), children=(),
-              exact=None):
+def _finalize(kind, params, jet, label, kinks=(), children=(), exact=None):
     if exact is not None:
         doubling, upper, lower = exact
     else:
-        doubling, upper, lower = _estimate_from_callables(fn, dfn, kinks)
+        doubling, upper, lower = _estimate(jet, kinks)
     return OrliczFunction(
         kind=kind,
         params=tuple(float(v) for v in params),
-        fn=fn,
-        dfn=dfn,
-        d2fn=d2fn,
+        jet=jet,
         doubling_constant=doubling,
         upper_exponent=upper,
         lower_exponent=lower,
@@ -160,39 +161,43 @@ def _finalize(kind, params, fn, dfn, d2fn, label, kinks=(), children=(),
 
 def _power(a, e):
     """a ** e for a >= 0. An integral e from 0 to 4 is done by multiplication
-    (e = 4 by squaring a * a), several times cheaper than ``pow`` and within
-    2 ulp of it; any other e goes through ``**`` unchanged."""
+    (e = 4 by squaring a * a), in place after the first product, several
+    times cheaper than ``pow`` and within 2 ulp of it; any other e goes
+    through ``**`` unchanged. A 0-d ``a`` gives a numpy scalar, which
+    ``*=`` rebinds rather than writes."""
     if e == 0.0:
         return np.ones_like(a)
     if e == 1.0:
         return a
-    if e == 2.0:
-        return a * a
+    if e not in (2.0, 3.0, 4.0):
+        return a ** e
+    out = a * a
     if e == 3.0:
-        return a * a * a
-    if e == 4.0:
-        return np.square(a * a)
-    return a ** e
+        out *= a
+    elif e == 4.0:
+        out *= out
+    return out
 
 
 def make_power(p: float) -> OrliczFunction:
-    """G(t) = t**p for p > 1, with exact constants. G, G' and G'' take their
-    powers of |t| from `_power`, so for p = 2, 3 or 4 none calls ``pow``."""
+    """G(t) = |t|**p for p > 1, with exact constants. Each order of the
+    jet takes its power of |t| from `_power`, so for p = 2, 3 or 4 none
+    calls ``pow``."""
     if not (np.isfinite(p) and p > 1.0):
         raise InvalidParameterError(f"power exponent must be > 1, got {p}")
     p = float(p)
 
-    def fn(x):
-        return _power(np.abs(x), p)
+    def jet(t, n):
+        a = np.abs(t)  # G is even: one |t| for all orders
+        out = [_power(a, p)]
+        if n > 1:
+            out.append(p * _power(a, p - 1.0))
+        if n > 2:
+            with np.errstate(divide="ignore"):
+                out.append(p * (p - 1.0) * _power(a, p - 2.0))
+        return out
 
-    def dfn(x):
-        return p * _power(np.abs(x), p - 1.0)
-
-    def d2fn(x):
-        with np.errstate(divide="ignore"):
-            return p * (p - 1.0) * _power(np.abs(x), p - 2.0)
-
-    return _finalize("power", (p,), fn, dfn, d2fn, f"power({p:g})",
+    return _finalize("power", (p,), jet, f"power({p:g})",
                      exact=(2.0 ** p, p, p))
 
 
@@ -202,46 +207,38 @@ def _log_weight(kind, p, c):
     and G'' = t**(p-2) ((p-1) ((p c -+ 1) -+ p lg) -+ p), the upper signs
     below 1. At t = 0, G'' tends to 0 for p > 2 and to +inf for p <= 2.
 
-    G' and G'' take the sign sg = -1 below 1 and +1 above it into one
-    formula (c + sg lg for c -+ lg, and so on): x + (-y) rounds as x - y,
-    so each entry has the bits of the branch that applies, and one branch
-    is computed, not two. Where every t is positive, no mask is
-    applied."""
+    The jet takes one mask of t > 0 (none where every t is positive), one
+    log and one branch sign sg, -1 below 1 and +1 above it, for all its
+    orders. G' and G'' take sg into one formula (c + sg lg for c -+ lg,
+    and so on): x + (-y) rounds as x - y, so each entry has the bits of
+    the branch that applies, and one branch is computed, not two."""
     if not (np.isfinite(p) and p > 1.0):
         raise InvalidParameterError(f"{kind} exponent must be > 1, got {p}")
     p = float(p)
 
-    def positive(x):
-        """(x > 0 mask, or None if every entry is, x with 1 elsewhere, its
-        log: 0 elsewhere)"""
-        x = np.asarray(x, dtype=float)
-        m = x > 0.0
-        if m.all():
-            return None, x, np.log(x)
-        xm = np.where(m, x, 1.0)
-        return m, xm, np.log(xm)
-
     def masked(m, val, at_zero=0.0):
         return val if m is None else np.where(m, val, at_zero)
 
-    def fn(x):
-        m, xm, lg = positive(x)
-        return masked(m, _power(xm, p) * (np.abs(lg) + c))
+    def jet(t, n):
+        m = t > 0.0
+        if m.all():
+            m, tm = None, t
+        else:  # 1 off the mask, where the log is 0
+            tm = np.where(m, t, 1.0)
+        lg = np.log(tm)
+        out = [masked(m, _power(tm, p) * (np.abs(lg) + c))]
+        if n > 1:
+            sg = np.where(tm < 1.0, -1.0, 1.0)
+            out.append(masked(m, _power(tm, p - 1.0)
+                              * (p * (c + sg * lg) + sg)))
+        if n > 2:
+            out.append(masked(
+                m, _power(tm, p - 2.0)
+                * ((p - 1.0) * ((p * c + sg) + sg * (p * lg)) + sg * p),
+                0.0 if p > 2.0 else np.inf))
+        return out
 
-    def dfn(x):
-        m, xm, lg = positive(x)
-        sg = np.where(xm < 1.0, -1.0, 1.0)
-        return masked(m, _power(xm, p - 1.0) * (p * (c + sg * lg) + sg))
-
-    def d2fn(x):
-        m, xm, lg = positive(x)
-        sg = np.where(xm < 1.0, -1.0, 1.0)
-        return masked(m, _power(xm, p - 2.0)
-                      * ((p - 1.0) * ((p * c + sg) + sg * (p * lg)) + sg * p),
-                      0.0 if p > 2.0 else np.inf)
-
-    return _finalize(kind, (p,), fn, dfn, d2fn, f"{kind}({p:g})",
-                     kinks=(1.0,))
+    return _finalize(kind, (p,), jet, f"{kind}({p:g})", kinks=(1.0,))
 
 
 def make_power_log(p: float) -> OrliczFunction:
@@ -268,11 +265,11 @@ def make_combination(mode: str, parts: Sequence[OrliczFunction],
                      ) -> OrliczFunction:
     """Weighted sum or pointwise maximum of growth functions.
 
-    For ``mode='sum'`` the derivative is the exact weighted sum of the child
-    derivatives; for ``mode='max'`` it is the derivative of the attaining
-    branch (ties resolved toward the steeper branch, matching
-    right-continuity). A pointwise maximum that fails the monotonicity or
-    midpoint-convexity screening is rejected at construction.
+    For ``mode='sum'`` the jet is the weighted sum of the child jets; for
+    ``mode='max'`` the derivatives are those of the attaining branch (ties
+    resolved toward the steeper branch, matching right-continuity), picked
+    once for G' and G''. A pointwise maximum that fails the monotonicity
+    or midpoint-convexity screening is rejected at construction.
     """
     parts = tuple(parts)
     if not parts:
@@ -295,42 +292,34 @@ def make_combination(mode: str, parts: Sequence[OrliczFunction],
             raise InvalidParameterError("weights must not all vanish")
         live = [(w, ch) for w, ch in zip(weights, parts) if w > 0.0]
 
-        def fn(x):
-            return sum(w * ch.fn(x) for w, ch in live)
-
-        def dfn(x):
-            return sum(w * ch.dfn(x) for w, ch in live)
-
-        def d2fn(x):
-            return sum(w * ch.d2fn(x) for w, ch in live)
+        def jet(t, n):
+            jets = [(w, ch.jet(t, n)) for w, ch in live]
+            return [sum(w * g[i] for w, g in jets) for i in range(n)]
 
         label = "sum(" + ", ".join(
             f"{w:g}*{ch.label}" for w, ch in zip(weights, parts)) + ")"
-        return _finalize("weighted_sum", (), fn, dfn, d2fn, label, kinks=kinks,
+        return _finalize("weighted_sum", (), jet, label, kinks=kinks,
                          children=parts)
 
-    def fn(x):
-        return functools.reduce(np.maximum, [ch.fn(x) for ch in parts])
-
-    def attaining(x):
-        """Branch derivatives where the branch attains the max, else -inf."""
-        vals = [ch.fn(x) for ch in parts]
-        top = functools.reduce(np.maximum, vals)
-        floor = top - 1e-14 * np.maximum(top, 1.0)
-        return [np.where(val >= floor, ch.dfn(x), -np.inf)
-                for val, ch in zip(vals, parts)]
-
-    def dfn(x):
-        return functools.reduce(np.maximum, attaining(x))
-
-    def d2fn(x):
-        # the branch whose derivative dfn returns
-        pick = np.argmax(attaining(x), axis=0)
-        return np.choose(pick, [ch.d2fn(x) for ch in parts])
+    def jet(t, n):
+        jets = [ch.jet(t, n) for ch in parts]
+        top = functools.reduce(np.maximum, [g[0] for g in jets])
+        out = [top]
+        if n > 1:
+            # branch derivatives where the branch attains the max, else -inf
+            floor = top - 1e-14 * np.maximum(top, 1.0)
+            attaining = [np.where(g[0] >= floor, g[1], -np.inf)
+                         for g in jets]
+            out.append(functools.reduce(np.maximum, attaining))
+        if n > 2:
+            # the branch whose derivative G' takes
+            pick = np.argmax(attaining, axis=0)
+            out.append(np.choose(pick, [g[2] for g in jets]))
+        return out
 
     label = "max(" + ", ".join(ch.label for ch in parts) + ")"
     kinks = sorted(set(kinks) | set(_crossovers(parts)))
-    G = _finalize("pointwise_max", (), fn, dfn, d2fn, label, kinks=kinks,
+    G = _finalize("pointwise_max", (), jet, label, kinks=kinks,
                   children=parts)
     report = verify_orlicz(G)
     if not report.h1.passed:
@@ -341,22 +330,21 @@ def make_combination(mode: str, parts: Sequence[OrliczFunction],
 
 
 def compose(outer: OrliczFunction, inner: OrliczFunction) -> OrliczFunction:
-    """Composition outer(inner(t)); again a growth function."""
+    """Composition outer(inner(t)); again a growth function. Its jet is the
+    chain rule on one jet of each."""
 
-    def fn(x):
-        return outer.fn(np.asarray(inner.fn(x), dtype=float))
-
-    def dfn(x):
-        iv = np.asarray(inner.fn(x), dtype=float)
-        return outer.dfn(iv) * inner.dfn(x)
-
-    def d2fn(x):
-        iv = np.asarray(inner.fn(x), dtype=float)
-        di = inner.dfn(x)
-        return outer.d2fn(iv) * di * di + outer.dfn(iv) * inner.d2fn(x)
+    def jet(t, n):
+        gi = inner.jet(t, n)
+        go = outer.jet(np.asarray(gi[0], dtype=float), n)
+        out = [go[0]]
+        if n > 1:
+            out.append(go[1] * gi[1])
+        if n > 2:
+            out.append(go[2] * gi[1] * gi[1] + go[1] * gi[2])
+        return out
 
     label = f"compose({outer.label}, {inner.label})"
-    return _finalize("composition", (), fn, dfn, d2fn, label,
+    return _finalize("composition", (), jet, label,
                      kinks=sorted(set(outer.kinks) | set(inner.kinks)),
                      children=(outer, inner))
 
@@ -366,7 +354,8 @@ def make_custom(fn, dfn=None, label="custom", kinks=(),
     """Wrap raw callables; a missing derivative falls back to a central
     difference of the function, a missing second derivative to one of the
     derivative; given ``constants`` (C, p, q), they are stored in place of
-    the grid estimates. The modular's Hessian (`fractional._core`) is the
+    the grid estimates. The jet calls ``fn``, ``dfn`` and ``d2fn`` as its
+    order asks. The modular's Hessian (`fractional._core`) is the
     derivative of its gradient only where ``d2fn`` is the derivative of
     ``dfn``, itself that of ``fn``: its far field builds I'' from G and G',
     while its pairs call ``d2fn``."""
@@ -374,8 +363,12 @@ def make_custom(fn, dfn=None, label="custom", kinks=(),
         dfn = _central_difference(fn, 1e-6)
     if d2fn is None:
         d2fn = _central_difference(dfn, 1e-5)
-    return _finalize("custom", (), fn, dfn, d2fn, label, kinks=kinks,
-                     exact=constants)
+    calls = (fn, dfn, d2fn)
+
+    def jet(t, n):
+        return [f(t) for f in calls[:n]]
+
+    return _finalize("custom", (), jet, label, kinks=kinks, exact=constants)
 
 
 def _central_difference(f, rel):
@@ -394,17 +387,18 @@ def _crossovers(parts):
     if len(parts) < 2:
         return []
     grid = np.logspace(-4.0, 4.0, 400)
-    vals = np.stack([ch.fn(grid) for ch in parts])
+    vals = np.stack([ch.jet(grid, 1)[0] for ch in parts])
     top = np.argmax(vals, axis=0)
     out = []
     for i in range(len(grid) - 1):
         if top[i] != top[i + 1]:
             a, b = grid[i], grid[i + 1]
-            fa = parts[top[i]].fn
-            fb = parts[top[i + 1]].fn
+            fa = parts[top[i]].jet
+            fb = parts[top[i + 1]].jet
             for _ in range(80):
                 mid = 0.5 * (a + b)
-                if fa(np.asarray(mid)) >= fb(np.asarray(mid)):
+                at = np.asarray(mid)
+                if fa(at, 1)[0] >= fb(at, 1)[0]:
                     a = mid
                 else:
                     b = mid
@@ -425,7 +419,7 @@ def conjugate(G: OrliczFunction, a: float) -> float:
         return 0.0
 
     def h(t):
-        return a * t - float(G.fn(np.asarray(t, dtype=float)))
+        return a * t - float(G.jet(np.asarray(t, dtype=float), 1)[0])
 
     hi = 1.0
     val = h(hi)

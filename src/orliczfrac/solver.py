@@ -151,16 +151,17 @@ def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
     """(value, gradient[, Hessian]) of the seminorm term; with ``want_hess``
     the Hessian: dense for s < 1, at s = 1 the chain weights G''(|m|) / h."""
     if problem.s >= 1.0:
-        val = gradient_modular(problem.G, u)
         if not want_grad:
-            return val, None
+            return gradient_modular(problem.G, u), None
+        # one jet of G on |m| gives the value and the chain's weights
         m = u.slopes
-        dm = problem.G.deriv(np.abs(m)) * np.sign(m)
+        g = problem.G(np.abs(m), 2 + want_hess)
+        val = u.spacing * float(np.sum(g[0]))
         grad = np.zeros(u.node_count)
-        _add_element_terms(grad, None, *_SLOPE, dm[None])
+        _add_element_terms(grad, None, *_SLOPE, (g[1] * np.sign(m))[None])
         if not want_hess:
             return val, grad
-        return val, grad, problem.G.d2(np.abs(m)) / u.spacing
+        return val, grad, g[2] / u.spacing
     return _core(problem.G, problem.s, u, want_grad=want_grad,
                  want_hess=want_hess)
 

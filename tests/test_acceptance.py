@@ -16,7 +16,6 @@ from orliczfrac import (
     energy,
     energy_gradient,
     fractional_modular,
-    fractional_modular_with_gradient,
     gamma_run,
     make_combination,
     make_power,

@@ -36,9 +36,9 @@ from conftest import brute_force_seminorm
 G2 = make_power(2.0)
 G23 = make_combination("max", [make_power(2.0), make_power(3.0)])
 # the same function without a closed-form limit density
-G23_PLAIN = make_custom(G23.fn, G23.dfn, kinks=G23.kinks)
+G23_PLAIN = make_custom(G23, G23.deriv, kinks=G23.kinks)
 # ... and with its exact G'': a custom kind, so every piece takes G's own rule
-G23_EXACT = make_custom(G23.fn, G23.dfn, d2fn=G23.d2fn, kinks=G23.kinks)
+G23_EXACT = make_custom(G23, G23.deriv, d2fn=G23.d2, kinks=G23.kinks)
 
 
 def random_state(rng, n=33, amplitude=1.0):
@@ -276,7 +276,7 @@ class TestSameElementPiece:
         # t^p outside its family, with exact G' and G'': the generic branch
         # against the closed form, up to s = 0.9999
         closed = make_power(p)
-        plain = make_custom(closed.fn, closed.dfn, d2fn=closed.d2fn)
+        plain = make_custom(closed, closed.deriv, d2fn=closed.d2)
         for s in (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999):
             for h in (1.0 / 64.0, 1.0 / 512.0):
                 for m in (0.3, 1.3, 5.0, 40.0):
@@ -593,15 +593,19 @@ class TestElementScatter:
 
 
 class TestPairStackEvaluations:
-    """Each output reads on a pair stack only the derivatives it needs:
-    the value G, the gradient G and G', never G''."""
+    """Each output asks one jet of G per pair stack, of the order it needs:
+    the value n = 1, the gradient n = 2, never n = 3; G' and G'' are never
+    asked for on their own."""
 
     @staticmethod
-    def record(monkeypatch, G, s, u, want_grad):
-        """Shapes of the pair stacks that `_pair_bands` yields, and of the
-        arguments of each G, G' and G'' call, for one `_core` call."""
+    def record(monkeypatch, G, s, u, want_grad, want_hess=False):
+        """Shapes of the pair stacks that `_pair_bands` yields, and per G
+        call on one of them its (instance, shape, order n), for one
+        `_core` call; asserts that no `deriv` or `d2` call meets a
+        stack."""
         bands = fractional._pair_bands
-        stacks, calls = [], {"__call__": [], "deriv": [], "d2": []}
+        stacks, calls, alone = [], [], []
+        call = OrliczFunction.__call__
 
         def seen(blocks):
             for b in blocks:
@@ -612,37 +616,47 @@ class TestPairStackEvaluations:
             for x, blocks in bands(*args):
                 yield x, seen(blocks)
 
-        def counted(name):
+        def counted(self, x, n=None):
+            calls.append((self, np.shape(x), n))
+            return call(self, x, n)
+
+        def single(name):
             method = getattr(OrliczFunction, name)
 
             def wrapper(self, x):
-                calls[name].append(np.shape(x))
+                alone.append(np.shape(x))
                 return method(self, x)
             return wrapper
 
         with monkeypatch.context() as m:
             m.setattr(fractional, "_pair_bands", recorded)
-            for name in calls:
-                m.setattr(OrliczFunction, name, counted(name))
-            _core(G, s, u, want_grad=want_grad)
+            m.setattr(OrliczFunction, "__call__", counted)
+            for name in ("deriv", "d2"):
+                m.setattr(OrliczFunction, name, single(name))
+            _core(G, s, u, want_grad=want_grad, want_hess=want_hess)
         assert len(stacks) > 1
-        return sorted(stacks), {name: sorted(x for x in shapes if x in stacks)
-                                for name, shapes in calls.items()}
+        assert not [shape for shape in alone if shape in stacks]
+        return stacks, [c for c in calls if c[1] in stacks]
+
+    @classmethod
+    def orders(cls, monkeypatch, G, rng, want_grad):
+        """The orders n asked for on the pair stacks, after checking that
+        each stack gets one G call."""
+        u = random_state(rng, 33, amplitude=1.5)
+        stacks, calls = cls.record(monkeypatch, G, 0.6, u, want_grad)
+        assert sorted(shape for _, shape, _ in calls) == sorted(stacks)
+        return {n for _, _, n in calls}
 
     @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
                                    G23], ids=lambda G: G.label)
     def test_value_evaluates_no_derivative(self, G, monkeypatch, rng):
-        u = random_state(rng, 33, amplitude=1.5)
-        stacks, calls = self.record(monkeypatch, G, 0.6, u, False)
-        assert calls == {"__call__": stacks, "deriv": [], "d2": []}
+        assert self.orders(monkeypatch, G, rng, False) == {1}
 
     @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
                                    G23], ids=lambda G: G.label)
     def test_gradient_evaluates_no_second_derivative(self, G, monkeypatch,
                                                       rng):
-        u = random_state(rng, 33, amplitude=1.5)
-        stacks, calls = self.record(monkeypatch, G, 0.6, u, True)
-        assert calls == {"__call__": stacks, "deriv": stacks, "d2": []}
+        assert self.orders(monkeypatch, G, rng, True) == {2}
 
 
 class TestPairBlocks:
@@ -656,7 +670,7 @@ class TestPairBlocks:
         for x, blocks in fractional._pair_bands(np.array([0.5]), u.spacing,
                                                 u.values[None]):
             band = []
-            for j0, kern, block, du in blocks:
+            for j0, kern, block, du, _ in blocks:
                 du, kern = du[0], kern[0]  # one state
                 nj = du.shape[1]
                 assert du.shape == (x.size ** 2, nj, ne - j0)
@@ -676,7 +690,7 @@ class TestPairBlocks:
         u = GridFunction.hat(-1.0, 1.0, 33)
         for _, blocks in fractional._pair_bands(np.array([0.5]), u.spacing,
                                                 u.values[None]):
-            for _, _, _, du in blocks:
+            for _, _, _, du, _ in blocks:
                 du = du[0]  # one state
                 nj, L = du.shape[1:]
                 out = fractional._drop_padding(np.full(du.shape, np.inf))
@@ -721,7 +735,7 @@ class TestBandWindows:
         for nodal in (u.values[None], np.vstack([u.values, v.values])):
             offsets = 0
             for x, blocks in fractional._pair_bands(s, h, nodal):
-                for j0, kern, block, du in blocks:
+                for j0, kern, block, du, _ in blocks:
                     nj = kern.shape[-2]
                     assert len(du) == len(nodal)
                     for d, vals in zip(du, nodal):
@@ -747,11 +761,15 @@ class TestBandTables:
         for s in (np.array([0.5]), np.array([0.3, 0.9])):
             for x, blocks in fractional._pair_bands(s, u.spacing,
                                                     u.values[None]):
-                for _, kern, block, du in blocks:
+                for _, kern, block, du, _ in blocks:
                     for table in (x, kern, block):
                         with pytest.raises(ValueError):
                             table[...] = 0.0
                     du[...] = 0.0  # the differences are the caller's
+            for *_, peak in fractional._band_tables(tuple(s), u.spacing,
+                                                    128):
+                with pytest.raises(ValueError):
+                    peak[...] = 0.0
 
     def test_one_solve_builds_its_tables_once(self):
         tables = fractional._band_tables
@@ -903,18 +921,20 @@ def pair_pass(G, s, u):
 
 
 def pair_points(monkeypatch, G, s, u):
-    """Points at which the value of `_distinct_pairs` evaluates G."""
-    points = []
+    """Points at which the value of `_distinct_pairs` evaluates G, after
+    checking that each of its G calls asks for the value alone (n = 1)."""
+    calls = []
     call = OrliczFunction.__call__
 
-    def counted(self, x):
-        points.append(np.size(x))
-        return call(self, x)
+    def counted(self, x, n=None):
+        calls.append((np.size(x), n))
+        return call(self, x, n)
 
     with monkeypatch.context() as m:
         m.setattr(OrliczFunction, "__call__", counted)
         _distinct_pairs(G, np.reshape(s, -1), u, u.values[None], False)
-    return sum(points)
+    assert calls and {n for _, n in calls} == {1}
+    return sum(size for size, _ in calls)
 
 
 def rule_values(G, on, du, kern, block, n=1):
@@ -947,7 +967,7 @@ class TestHomogeneousPairs:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_matches_generic_rule(self, p, shape, s, rng):
         power = make_power(p)
-        plain = make_custom(power.fn, power.dfn, d2fn=power.d2fn)
+        plain = make_custom(power, power.deriv, d2fn=power.d2)
         if shape == "hat":
             u = GridFunction.hat(-1.0, 1.0, 129)
         else:
@@ -958,7 +978,7 @@ class TestHomogeneousPairs:
         # p = 1.5 on a plateau: equal nodal values give pairs with du = 0,
         # where G''(0) = inf on both rules
         power = make_power(1.5)
-        plain = make_custom(power.fn, power.dfn, d2fn=power.d2fn)
+        plain = make_custom(power, power.deriv, d2fn=power.d2)
         u = GridFunction.hat(-1.0, 1.0, 129)
         u = u.with_values(np.minimum(1.0, 3.0 * u.values))
         ref = pair_pass(plain, 0.7, u)
@@ -1017,10 +1037,10 @@ class TestLeastPower:
         for bands in zip(*(fractional._pair_bands(s, h, u.values[None])
                            for s in (orders, *orders[:, None]))):
             for multi, *ones in zip(*(blocks for _, blocks in bands)):
-                _, kern, block, du = multi
+                _, kern, block, du, _ = multi
                 got = rule_values(G23, on, du, kern, block)
                 assert np.array_equal(got, [rule_values(
-                    G23, on, d, k, b)[0] for _, k, b, d in ones])
+                    G23, on, d, k, b)[0] for _, k, b, d, _ in ones])
                 own = rule_values(G23_PLAIN, plain, du, kern, block)
                 split += got[0] != own[0] and got[1] == own[1]
         assert split > 0
@@ -1087,42 +1107,97 @@ class TestLeastPower:
 
     def test_derivatives_skip_the_max_on_the_hat(self, monkeypatch):
         # on the hat at s = 0.7 every pair argument is below 1: each block
-        # of a gradient + Hessian pass calls t^2's G' and G'' once, and no
-        # pair stack reaches the max's own
+        # of a gradient + Hessian pass asks t^2's jet of order 3 once, and
+        # no pair stack reaches the max's own
         u = GridFunction.hat(-1.0, 1.0, 129)
         low = G23.children[0]
-        bands = fractional._pair_bands
-        stacks = []
-        calls = {"deriv": [], "d2": []}
+        stacks, calls = TestPairStackEvaluations.record(
+            monkeypatch, G23, 0.7, u, True, want_hess=True)
+        assert sorted(shape for G, shape, n in calls
+                      if G is low and n == 3) == sorted(stacks)
+        assert len(calls) == len(stacks)
 
-        def seen(blocks):
-            for b in blocks:
-                stacks.append(b[3].shape)
-                yield b
 
-        def recorded(*args):
-            for x, blocks in bands(*args):
-                yield x, seen(blocks)
+def exact_range_test(monkeypatch):
+    """Patch `_band_tables` so that every factor of the pair blocks' bound
+    is +inf: no bound decides a block, and a max of powers scans each
+    block's arguments."""
+    tables = fractional._band_tables
 
-        def counted(name):
-            method = getattr(OrliczFunction, name)
+    def unbounded(*key):
+        return tuple((x, blocks, np.full_like(peak, np.inf))
+                     for x, blocks, peak in tables(*key))
 
-            def wrapper(self, x):
-                calls[name].append((self, np.shape(x)))
-                return method(self, x)
-            return wrapper
+    monkeypatch.setattr(fractional, "_band_tables", unbounded)
 
+
+def reaches(s, u):
+    """Every pair block's bound on |du| kern, and its exact maximum."""
+    out = []
+    for _, blocks in fractional._pair_bands(np.reshape(s, -1), u.spacing,
+                                            u.values[None], True):
+        for _, kern, _, du, reach in blocks:
+            top = kern[..., 0] * fractional._drop_padding(
+                np.abs(du)).max(axis=-1)
+            out.append((reach, top.max()))
+    return out
+
+
+class TestMaxBound:
+    """A max of powers decides t^p's range per pair block from a bound on
+    its arguments, from u's oscillation and Lipschitz constant, and scans
+    the block only where the bound does not decide: every output has the
+    bits of the scan everywhere."""
+
+    @staticmethod
+    def assert_same_as_scan(monkeypatch, s, u, want_hess):
+        got = _core(G23, s, u, want_grad=True, want_hess=want_hess)
         with monkeypatch.context() as m:
-            m.setattr(fractional, "_pair_bands", recorded)
-            for name in calls:
-                m.setattr(OrliczFunction, name, counted(name))
-            _core(G23, 0.7, u, want_grad=True, want_hess=True)
-        assert len(stacks) > 1
-        for name, args in calls.items():
-            assert sorted(shape for G, shape in args
-                          if G is low and shape in stacks) == sorted(stacks)
-            assert not [shape for G, shape in args
-                        if G is G23 and shape in stacks]
+            exact_range_test(m)
+            ref = _core(G23, s, u, want_grad=True, want_hess=want_hess)
+        for a, b in zip(got, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_hat_at_1025_nodes(self, monkeypatch):
+        # the bound decides all but the block where the pair distances
+        # cross 1
+        u = GridFunction.hat(-1.0, 1.0, 1025)
+        orders = np.array([0.9, 0.95, 0.99])
+        for s in orders:
+            bounds = reaches(s, u)
+            assert len(bounds) == 309
+            assert sum(r <= 1.0 for r, _ in bounds) == 308
+            assert all(r >= top for r, top in bounds)
+        got = _core(G23, orders, u, want_grad=False)[0]
+        with monkeypatch.context() as m:
+            exact_range_test(m)
+            assert got.tobytes() == _core(G23, orders, u, False)[0].tobytes()
+        self.assert_same_as_scan(monkeypatch, 0.9, u, want_hess=False)
+
+    @pytest.mark.parametrize("shape", ["hat of peak 2", "steep random"])
+    @pytest.mark.parametrize("s", [0.3, 0.9])
+    def test_where_the_scan_fails(self, shape, s, monkeypatch, rng):
+        if shape == "hat of peak 2":
+            u = GridFunction.hat(-1.0, 1.0, 129) * 2.0
+        else:
+            u = random_state(rng, 129, amplitude=3.0)
+        bounds = reaches(s, u)
+        assert all(r >= top for r, top in bounds)
+        assert any(top > 1.0 for _, top in bounds)
+        self.assert_same_as_scan(monkeypatch, s, u, want_hess=True)
+
+    def test_argument_at_the_kink(self, monkeypatch):
+        # on unit elements, u = 0, 1, 2 at the first nodes puts the pair of
+        # the middle Gauss points (x = 1/2) of elements 0 and 1 at dist 1
+        # and du 1: its argument is exactly 1, where the derivatives take
+        # t^3's branch
+        u = GridFunction(0.0, 6.0, [0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+        assert u.spacing == 1.0
+        _, blocks = next(fractional._pair_bands(np.array([0.6]), 1.0,
+                                                u.values[None]))
+        _, kern, _, du, _ = next(blocks)
+        assert np.abs(du[0, 12, 0, 0]) * kern[0, 12, 0, 0] == 1.0
+        self.assert_same_as_scan(monkeypatch, 0.6, u, want_hess=True)
 
 
 class TestSeparationGrading:

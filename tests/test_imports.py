@@ -167,3 +167,26 @@ def test_solves_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_cli_runs_leave_numpy_polynomial_unloaded(tmp_path):
+    # the Gauss-Legendre rules are built without numpy.polynomial, whose
+    # import is a measurable share of a CLI call's start-up
+    configs = {
+        "bbm": ("command = bbm\nG = max(power(2), power(3))\nnodes = 33\n"
+                "s_list = 0.9, 0.99\n"),
+        "solve": "command = solve\nG = power(3)\ns = 0.7\nnodes = 17\n",
+        "gamma": ("command = gamma\nG = power_log(3)\ns_list = 0.9,0.99\n"
+                  "nodes = 17\n"),
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "from orliczfrac.cli import main; "
+            f"runs = [main([c, '--config', {str(tmp_path)!r} + '/' + c "
+            f"+ '.cfg', '--out', {str(tmp_path)!r}]) for c in "
+            "('bbm', 'solve', 'gamma')]; "
+            "print(runs, 'numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] False"

@@ -81,7 +81,7 @@ class TestRandomCurves:
         (1-s) Phi_s <= 2 Phi(|u'|) + 4C(1-s)/s Phi(u), and consecutive
         entries satisfy the two-order comparison.
         """
-        from orliczfrac import fractional_modular, gradient_modular, modular
+        from orliczfrac import gradient_modular, modular
         from orliczfrac.properties import builtin_suite_functions
 
         builtins = builtin_suite_functions()

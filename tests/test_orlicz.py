@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,12 @@ from orliczfrac import (
     make_power_log,
     verify_orlicz,
 )
-from orliczfrac.orlicz import _power
+from orliczfrac.limit_density import (
+    limit_density,
+    sphere_integral,
+    sphere_moment,
+)
+from orliczfrac.orlicz import _central_difference, _power
 
 
 class TestPower:
@@ -195,6 +201,185 @@ class TestLogWeightBranches:
                 assert np.array_equal(got, want)
 
 
+def _pow_by_product(a, e):
+    """``_power`` as G, G' and G'' took it when each was its own callable:
+    e = 3 as a * a * a, e = 4 as np.square(a * a)."""
+    if e == 0.0:
+        return np.ones_like(a)
+    if e == 1.0:
+        return a
+    if e == 2.0:
+        return a * a
+    if e == 3.0:
+        return a * a * a
+    if e == 4.0:
+        return np.square(a * a)
+    return a ** e
+
+
+def _three_power(p):
+    """G, G', G'' of t^p as three callables, each taking |x|."""
+    def d2(x):
+        with np.errstate(divide="ignore"):
+            return p * (p - 1.0) * _pow_by_product(np.abs(x), p - 2.0)
+    return (lambda x: _pow_by_product(np.abs(x), p),
+            lambda x: p * _pow_by_product(np.abs(x), p - 1.0), d2)
+
+
+def _three_log_weight(p, c):
+    """G, G', G'' of t^p (|log t| + c) as three callables, each with its
+    own mask and log."""
+    def positive(x):
+        m = x > 0.0
+        if m.all():
+            return None, x, np.log(x)
+        xm = np.where(m, x, 1.0)
+        return m, xm, np.log(xm)
+
+    def masked(m, val, at_zero=0.0):
+        return val if m is None else np.where(m, val, at_zero)
+
+    def fn(x):
+        m, xm, lg = positive(x)
+        return masked(m, _pow_by_product(xm, p) * (np.abs(lg) + c))
+
+    def dfn(x):
+        m, xm, lg = positive(x)
+        sg = np.where(xm < 1.0, -1.0, 1.0)
+        return masked(m, _pow_by_product(xm, p - 1.0)
+                      * (p * (c + sg * lg) + sg))
+
+    def d2fn(x):
+        m, xm, lg = positive(x)
+        sg = np.where(xm < 1.0, -1.0, 1.0)
+        return masked(m, _pow_by_product(xm, p - 2.0)
+                      * ((p - 1.0) * ((p * c + sg) + sg * (p * lg)) + sg * p),
+                      0.0 if p > 2.0 else np.inf)
+
+    return fn, dfn, d2fn
+
+
+def _three_sum(parts):
+    """The weighted sum of (w, callables) pairs, order by order."""
+    return tuple((lambda x, i=i: sum(w * ref[i](x) for w, ref in parts))
+                 for i in range(3))
+
+
+def _three_max(refs):
+    """The pointwise max and the attaining branch's derivatives, each
+    order evaluating the branches' values anew."""
+    def fn(x):
+        return functools.reduce(np.maximum, [r[0](x) for r in refs])
+
+    def attaining(x):
+        vals = [r[0](x) for r in refs]
+        top = functools.reduce(np.maximum, vals)
+        floor = top - 1e-14 * np.maximum(top, 1.0)
+        return [np.where(v >= floor, r[1](x), -np.inf)
+                for v, r in zip(vals, refs)]
+
+    def d2fn(x):
+        pick = np.argmax(attaining(x), axis=0)
+        return np.choose(pick, [r[2](x) for r in refs])
+
+    return fn, lambda x: functools.reduce(np.maximum, attaining(x)), d2fn
+
+
+def _three_compose(outer, inner):
+    """The chain rule, each order evaluating the inner function anew."""
+    def dfn(x):
+        return outer[1](np.asarray(inner[0](x), dtype=float)) * inner[1](x)
+
+    def d2fn(x):
+        iv = np.asarray(inner[0](x), dtype=float)
+        di = inner[1](x)
+        return outer[2](iv) * di * di + outer[1](iv) * inner[2](x)
+
+    return (lambda x: outer[0](np.asarray(inner[0](x), dtype=float)), dfn,
+            d2fn)
+
+
+def _three_density(dens):
+    """`value` and the two derivatives of a limit density, each derivative
+    its own sphere integral of the base."""
+    G, n = dens.base, dens.dimension
+
+    def dfn(a):
+        pos = a > 0.0
+        flux = sphere_integral(G, n, a, G.kinks)
+        return np.where(pos, flux / np.where(pos, a, 1.0), 0.0)
+
+    def d2fn(a):
+        pos = a > 0.0
+        curv = sphere_integral(lambda t: t * G.deriv(t) - G(t), n, a,
+                               G.kinks)
+        at_zero = 0.0 if pos.all() else (
+            float(G.d2(0.0)) / 2.0 * sphere_moment(n, 2.0))
+        return np.where(pos, curv / np.where(pos, a * a, 1.0), at_zero)
+
+    return dens.value, dfn, d2fn
+
+
+def _jet_cases():
+    """(G, its G, G', G'' as three separate callables) per family."""
+    cube = (lambda t: np.abs(t) ** 3, lambda t: 3.0 * t * np.abs(t),
+            lambda t: 6.0 * np.abs(t))
+    fd1 = _central_difference(cube[0], 1e-6)
+    p2, p3, log3 = _three_power(2.0), _three_power(3.0), \
+        _three_log_weight(3.0, 1.0)
+    dens = limit_density(make_power_log(3.0), 1)
+    # n = 2: the derivatives integrate both moments over the sphere's rule
+    dens2 = limit_density(make_combination(
+        "max", [make_power(2.0), make_power(3.0)]), 2)
+    cases = [
+        (make_power(1.5), _three_power(1.5)),
+        (make_power(2.0), p2),
+        (make_power(3.0), p3),
+        (make_power(4.0), _three_power(4.0)),
+        (make_power_log(3.0), log3),
+        (make_power_abslog(2.0), _three_log_weight(2.0, 0.0)),
+        (make_combination("sum", [make_power(2.0), make_power(3.0)],
+                          [0.5, 2.0]), _three_sum([(0.5, p2), (2.0, p3)])),
+        (make_combination("max", [make_power(2.0), make_power(3.0)]),
+         _three_max([p2, p3])),
+        (make_combination("max", [make_power(2.0), make_power_log(3.0),
+                                  make_power(3.0)]),
+         _three_max([p2, log3, p3])),
+        (compose(make_power(2.0), make_power_log(3.0)),
+         _three_compose(p2, log3)),
+        (make_custom(*cube[:2], d2fn=cube[2], constants=(8.0, 3.0, 3.0)),
+         cube),
+        (make_custom(cube[0], constants=(8.0, 3.0, 3.0)),
+         (cube[0], fd1, _central_difference(fd1, 1e-5))),
+        (dens.as_orlicz(), _three_density(dens)),
+        (dens2.as_orlicz(), _three_density(dens2)),
+    ]
+    return [pytest.param(G, ref, id=G.label) for G, ref in cases]
+
+
+class TestJet:
+    """``G(t, n)`` gives (G, G', G'')[:n] from one pass, with the bits of
+    the three callables each family had before its jet, on arrays and on
+    0-d arguments, at 0, 1, 1e-300, 1e6 and the kinks (a max's crossover
+    points among them)."""
+
+    @pytest.mark.parametrize("G,ref", _jet_cases())
+    def test_same_bits_as_three_callables(self, G, ref):
+        x = np.concatenate([[0.0, 1.0, 1e-300, 1e6, 0.3, 2.5], G.kinks])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for t in (x, *map(np.asarray, (0.0, 1.0, 1e-300, 1e6, 2.5))):
+                want = [np.asarray(f(t)) for f in ref]
+                for n in (1, 2, 3):
+                    jet = G(t, n)
+                    assert len(jet) == n
+                    for got, w in zip(jet, want):
+                        got = np.asarray(got)
+                        assert got.shape == w.shape
+                        assert got.tobytes() == w.tobytes()
+                for got, w in zip((G(t), G.deriv(t), G.d2(t)), want):
+                    assert np.asarray(got).tobytes() == w.tobytes()
+
+
 class TestCombinations:
     def test_max_on_unit_interval(self):
         G = make_combination("max", [make_power(2.0), make_power(3.0)])
@@ -242,8 +427,8 @@ class TestCombinations:
         # the reference stacks the branches and applies the tie rule at once
         G = make_combination("max", parts)
         x = np.logspace(-3.0, 3.0, 4001)
-        vals = np.stack([ch.fn(x) for ch in parts])
-        ders = np.stack([ch.dfn(x) for ch in parts])
+        vals = np.stack([ch(x) for ch in parts])
+        ders = np.stack([ch.deriv(x) for ch in parts])
         top = np.max(vals, axis=0)
         on_top = vals >= top - 1e-14 * np.maximum(top, 1.0)
         assert np.array_equal(G(x), top)
