@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     InvalidParameterError,
+    NumericOverflowError,
     OrliczFracError,
     ToleranceNotMetError,
 )
@@ -62,6 +63,11 @@ _RHS = {"zero": 0.0, "sin": lambda x: np.sin(np.pi * x)}
 
 
 def _fmt(x):
+    """``x`` with 17 significant digits. Every number of an output file
+    passes here, so a non-finite one fails the run before any file holds
+    it."""
+    if not np.isfinite(x):
+        raise NumericOverflowError(f"non-finite result {x}")
     return f"{x:.17g}"
 
 
@@ -375,10 +381,15 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> List[Path]:
-    """Execute a parsed config; returns the list of files written."""
+    """Execute a parsed config; returns the list of files written.
+
+    An overflow or an invalid operation on the way warns of nothing: the
+    value it leaves is inf or NaN, which `_fmt` reports as a
+    NumericOverflowError before it reaches a file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.command](cfg, out_dir)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _RUNNERS[cfg.command](cfg, out_dir)
 
 
 def main(argv=None) -> int:

@@ -21,19 +21,22 @@ is split into three pieces:
        walked in blocks of consecutive offsets, about `_BLOCK_POINTS` pair
        points each (309 blocks for the 1023 offsets of 1024 elements), with
        one jet of G per block, G(t, n) of the order n the outputs need
-       (the value n = 1, the gradient 2, the Hessian 3); the kernel tables
-       dist**(-s) and 2 h^2 w_a w_b / dist of its blocks, and the largest
-       dist**(-s) and dist**(1-s) of each block, depend on (s, h, ne) only,
-       and are built once per key and kept, read-only, for the last two
-       keys (`_band_tables`). A block's rows are padded to its first
-       offset's length and the padding is set to 0 before any sum. Where G
-       is t^p on [0, T] (`_power_on`), G(|du| kern) = kern^p G(|du|): a
-       block whose arguments all lie there takes G on |du|, weighed by
-       kern^p, for the value, the gradient and the Hessian alike
-       (`_pair_rule`); for T finite (a max of powers) a bound from u's
-       oscillation and Lipschitz constant decides that range per block,
-       and only a block it leaves open is scanned. Any other block takes
-       G's own rule, state by state if its states differ;
+       (the value n = 1, the gradient 2, the Hessian 3). A block's rows
+       are padded to its first offset's length and the padding is set to
+       0 before any sum. Where G is t^p on [0, T] (`_power_on`),
+       G(|du| kern) = kern^p G(|du|): a block whose arguments all lie
+       there takes t^p's even jet on du, weighed by block kern^p, for the
+       value, the gradient and the Hessian alike (`_pair_rule`); for p =
+       2, 3 and 4 the value takes no |du| (`make_power`). For T finite (a
+       max of powers) a bound from u's oscillation and Lipschitz constant
+       decides that range per block, and only a block it leaves open is
+       scanned. Any other block takes G's own rule, state by state if its
+       states differ. What does not read u depends on (s, h, ne) and t^p's
+       exponent p only, and is built once per key (s, h, ne, p) and kept,
+       read-only, for the last two keys (`_band_tables`): the kernel table
+       dist**(-s) and the weights 2 h^2 w_a w_b / dist of each block,
+       t^p's weights block kern^p (none for G's own rule), and the largest
+       dist**(-s) and dist**(1-s) of each block;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I and I' (or I' and
@@ -234,15 +237,17 @@ def _pair_orders(ne, order):
 
 
 @lru_cache(maxsize=2)
-def _band_tables(s, h, ne):
+def _band_tables(s, h, ne, p=None):
     """What `_pair_bands` yields but the differences, on ne elements of width
     h: per band of order q, its Gauss nodes, its blocks (j0, nj, kern,
-    block) of the most offsets that keep q*q*(ne - j0)*nj within
+    block, weight) of the most offsets that keep q*q*(ne - j0)*nj within
     `_BLOCK_POINTS`, and at least one, and the u-independent factors of
     their bound (`_pair_bands`), a (2, k, blocks) array of the largest
-    dist**(-s) and dist**(1-s) per order and block. Built once per key
-    (s, h, ne), s a tuple of orders; the last two keys are kept.
-    Read-only."""
+    dist**(-s) and dist**(1-s) per order and block. ``weight`` is t^p's
+    pair weight block * kern**p (`_pair_rule`) for the exponent ``p`` of
+    `_power_on(G)`'s power, taken once on the whole band, and None for
+    p None, G's own rule. Built once per key (s, h, ne, p), s a tuple of
+    orders; the last two keys are kept. Read-only."""
     q = _pair_orders(ne, _ORDER)
     ends = np.flatnonzero(np.diff(q, prepend=0, append=0)).tolist()
     bands = []
@@ -252,54 +257,62 @@ def _band_tables(s, h, ne):
                     + np.subtract.outer(x, x).reshape(-1, 1, 1))
         kern = dist ** -np.reshape(s, (-1, 1, 1, 1))
         block = 2.0 * h * h * np.outer(w, w).reshape(-1, 1, 1) / dist
-        kern.flags.writeable = block.flags.writeable = False
-        blocks, j0 = [], lo + 1
-        while j0 <= hi:
-            nj = max(1, min(hi - j0 + 1,
-                            _BLOCK_POINTS // (x.size ** 2 * (ne - j0))))
-            at = slice(j0 - lo - 1, j0 - lo - 1 + nj)
-            blocks.append((j0, nj, kern[..., at, :], block[:, at]))
-            j0 += nj
+        weight = None if p is None else block * kern ** p
+        for table in (kern, block) if p is None else (kern, block, weight):
+            table.flags.writeable = False
+        starts, i = [], 0  # of the blocks, in offsets from lo + 1
+        while i < hi - lo:
+            starts.append(i)
+            i += max(1, min(hi - lo - i, _BLOCK_POINTS // (
+                x.size ** 2 * (ne - lo - 1 - i))))
+        blocks = tuple(
+            (lo + 1 + a, b - a, kern[:, :, a:b], block[:, a:b],
+             None if weight is None else weight[:, :, a:b])
+            for a, b in zip(starts, starts[1:] + [hi - lo]))
         # per offset, then per block of offsets: (2, orders, blocks)
-        peak = np.maximum.reduceat(
-            np.stack([kern, dist * kern]).max(axis=(2, 4)),
-            [j - lo - 1 for j, *_ in blocks], axis=-1)
+        peak = np.maximum.reduceat(np.stack(
+            [kern.max(axis=(1, 3)), (dist * kern).max(axis=(1, 3))]),
+            starts, axis=-1)
         peak.flags.writeable = False
-        bands.append((x, tuple(blocks), peak))
+        bands.append((x, blocks, peak))
     return tuple(bands)
 
 
-def _pair_bands(s, h, rows, bound=False):
+def _pair_bands(s, h, rows, on=None):
     """Distinct-element pairs of the uniform mesh, one band per Gauss order.
 
     Yields ``(x, blocks)`` per band of order q: its Gauss nodes on (0, 1)
     and an iterator over its blocks of the offsets j0 .. j0+nj-1, each
-    ``(j0, kern, block, du, reach)``. Row a*q + b pairs node a of the right
-    element with node b of the left one, at dist = h (j + x_a - x_b).
-    ``kern`` and ``block`` are the read-only tables dist**(-s), (k, q*q,
-    nj, 1) for the k orders ``s``, and 2 h^2 w_a w_b / dist, (q*q, nj, 1),
-    of `_band_tables`. ``du`` holds, for the nodal ``rows`` (rows x
-    nodes), the (rows, q*q, nj, L) differences right minus left, L = ne -
-    j0: entry [i, r, k, e] pairs left element e with right element e + j0
-    + k, and is padding (`_drop_padding`) if e >= L - k. They are read
-    from one zero-padded (q, 2 ne) buffer of Gauss-point values per row
-    and band, so every operation on a pair row is a long contiguous loop.
+    ``(j0, kern, block, weight, du, reach)``. Row a*q + b pairs node a of
+    the right element with node b of the left one, at dist = h (j + x_a -
+    x_b). ``kern`` and ``block`` are the read-only tables dist**(-s), (k,
+    q*q, nj, 1) for the k orders ``s``, and 2 h^2 w_a w_b / dist, (q*q,
+    nj, 1), of `_band_tables`; ``weight`` is its block kern**p, (k, q*q,
+    nj, 1), for ``on`` = `_power_on(G)` = (t^p, T), and None for ``on``
+    None. ``du`` holds, for the nodal ``rows`` (rows x nodes), the (rows,
+    q*q, nj, L) differences right minus left, L = ne - j0: entry [i, r, k,
+    e] pairs left element e with right element e + j0 + k, and is padding
+    (`_drop_padding`) if e >= L - k. They are read from one zero-padded
+    (q, 2 ne) buffer of Gauss-point values per row and band, so every
+    operation on a pair row is a long contiguous loop.
 
-    With ``bound``, ``reach`` is a float no smaller than any |du| kern of
-    the block's pairs in any state, the product as computed: per state the
-    least of u's oscillation times the largest kern and u's Lipschitz
-    constant times the largest dist**(1-s), plus 16 ulp of max |u| (the
-    rounding of a difference of two Gauss-point values) times the largest
-    kern, and 1e-12 relative above that for the rounding of the products.
-    Without it ``reach`` is inf.
+    For T finite (a max of powers), ``reach`` is a float no smaller than
+    any |du| kern of the block's pairs in any state, the product as
+    computed: per state the least of u's oscillation times the largest
+    kern and u's Lipschitz constant times the largest dist**(1-s), plus 16
+    ulp of max |u| (the rounding of a difference of two Gauss-point
+    values) times the largest kern, and 1e-12 relative above that for the
+    rounding of the products. Otherwise ``reach`` is inf.
     """
     ne = rows.shape[-1] - 1
+    bound = on is not None and on[1] < np.inf
     if bound:  # per row, as a column
         osc = np.ptp(rows, axis=-1, keepdims=True)
         lip = np.abs(np.diff(rows)).max(axis=-1, keepdims=True) / h
         slack = 2.0 ** -48 * np.abs(rows).max(axis=-1, keepdims=True)
-    for x, blocks, (kmax, lmax) in _band_tables(tuple(s.tolist()), float(h),
-                                                ne):
+    for x, blocks, (kmax, lmax) in _band_tables(
+            tuple(s.tolist()), float(h), ne,
+            None if on is None else on[0].params[0]):
         q = x.size
         buf = np.zeros((len(rows), q, 2 * ne))
         buf[:, :, :ne] = _at_gauss_points(rows, x).swapaxes(1, 2)
@@ -310,11 +323,11 @@ def _pair_bands(s, h, rows, bound=False):
                  * (1.0 + 1e-12)).max(axis=0).tolist() if bound else \
             [np.inf] * len(blocks)
         # (q, 1, nj, L) - (1, q, 1, L) per row
-        yield x, ((j0, kern, block,
+        yield x, ((j0, kern, block, weight,
                    (W[:, :, None, j0:j0 + nj, :ne - j0]
                     - W[:, None, :, :1, :ne - j0])
                    .reshape(len(W), q * q, nj, ne - j0), r)
-                  for (j0, nj, kern, block), r in zip(blocks, reach))
+                  for (j0, nj, kern, block, weight), r in zip(blocks, reach))
 
 
 @lru_cache(maxsize=64)
@@ -380,24 +393,26 @@ def _power_on(G):
 def _weighed(g, w):
     """A block's sum of w g per order, g without its padding: each pair row
     summed over its elements first, then weighed by w (rows x offsets x 1)."""
-    return (g.sum(axis=-1) * w[..., 0]).sum(axis=(-2, -1))
+    return np.add.reduce(np.add.reduce(g, -1) * w[..., 0], (-2, -1))
 
 
-def _pair_rule(G, on, du, kern, block, n=1):
-    """A block's rules, a list of (F, arg, w) with no F evaluated: its term
-    in G^(i), i < n, is w[i] F^(i)(arg), its value per state the sum of
-    w[0] F(arg). One rule serves all states, or each state has its own.
-    |du| is taken once: by t^p's jet, which is even, or here, in place of
-    ``du`` (with its padding set to 0 for the range test).
+def _pair_rule(G, on, du, kern, block, weight, n=1):
+    """A block's rule (F, arg, w) for all its states, with no F evaluated:
+    its term in G^(i), i < n, is w[i] F^(i)(arg), its value per state the
+    sum of w[0] F(arg); or None where its states take rules of their own.
+    |du| is taken at most once: by t^p's jet, which is even (and whose
+    value for p = 2, 3, 4 takes none), or here, in place of ``du`` (with
+    its padding set to 0 for the range test).
 
     ``on`` is `_power_on(G)`. Where G is t^p on [0, T], F = t^p and
     G^(i)(|du| kern) kern^i = kern^p F^(i)(|du|): arg = du for all orders,
-    w[i] = block kern^p. A block takes this rule if each of its arguments
-    |du| kern is <= T, and for n > 1 if each is < T, since a max's G' and
-    G'' take the steeper branch at T. Otherwise one state takes G's own
-    rule, F = G, arg = |du| kern and w[i] = block kern^i; several states
-    (the orders of ``kern``, with a row of ``du`` each or one for all) take
-    their rules one by one, as when each is evaluated alone.
+    w[i] = ``weight``, the table block kern^p. A block takes this rule if
+    each of its arguments |du| kern is <= T, and for n > 1 if each is < T,
+    since a max's G' and G'' take the steeper branch at T. Otherwise one
+    state takes G's own rule, F = G, arg = |du| kern and w[i] = block
+    kern^i, and several states (the orders of ``kern``, with a row of
+    ``du`` each or one for all) take their rules one by one, as when each
+    is evaluated alone.
     """
     if on is not None:
         F, T = on
@@ -405,21 +420,11 @@ def _pair_rule(G, on, du, kern, block, n=1):
             kern[..., 0] * _drop_padding(np.abs(du, out=du)).max(axis=-1),
             T)
         if below is True or below.all():
-            return [(F, du, [block * kern ** F.params[0]] * n)]
+            return F, du, (weight,) * n
         if len(below) > 1:
-            return [rule for i in range(len(below)) for rule in _pair_rule(
-                G, on, du[i:i + 1] if len(du) > 1 else du, kern[i:i + 1],
-                block, n)]
-    return [(G, np.abs(du, out=du) * kern,
-             list(accumulate([block] + [kern] * (n - 1), np.multiply)))]
-
-
-def _rule_terms(jets, i):
-    """w[i] F^(i)(arg), i = 1 or 2, of a block's evaluated rules (F's jet
-    on arg, w), padding dropped: one rule's array, or the states' joined
-    along their axis."""
-    terms = [w[i] * _drop_padding(g[i]) for g, w in jets]
-    return terms[0] if len(terms) == 1 else np.concatenate(terms)
+            return None
+    return (G, np.abs(du, out=du) * kern,
+            list(accumulate([block] + [kern] * (n - 1), np.multiply)))
 
 
 def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
@@ -449,68 +454,84 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     on = _power_on(G)
     n = 1 + want_grad + (hess is not None)
     gU = hU = fold = None
-    for x, blocks in _pair_bands(s, mesh.spacing, rows,
-                                 on is not None and on[1] < np.inf):
+    for x, blocks in _pair_bands(s, mesh.spacing, rows, on):
         q = x.size
         if want_grad:
             gU = np.zeros((k, q, ne))
         if hess is not None:
             hU = np.zeros((k, q, ne))
             fold = _hessian_fold(q)
-        for j0, kern, block, du, reach in blocks:
+        for j0, kern, block, weight, du, reach in blocks:
             # where the bound puts every |du| kern in t^p's range, t^p
             # serves the block with no scan of its arguments
             fits = on is not None and (reach < on[1] if n > 1
                                        else reach <= on[1])
             rule = (on[0], np.inf) if fits else on
+            states = (kern, weight, du, np.sign(du) if want_grad else None,
+                      val, gU, hU, hess)
             # all states at once where they fit, and always orders that
             # share one row
             if len(du) == 1 or du.size <= _STACK_POINTS:
-                _pair_block(G, rule, j0, kern, block, du, n, fold, val, gU,
-                            hU, hess)
+                _pair_block(G, rule, j0, block, n, fold, *states)
                 continue
-            for at in _state_chunks(len(du), du[0].size):  # views
-                _pair_block(G, rule, j0, kern[at], block, du[at], n, fold,
-                            val[at], *(a if a is None else a[at]
-                                       for a in (gU, hU, hess)))
+            for at in _state_chunks(len(du), du[0].size):
+                _pair_block(G, rule, j0, block, n, fold,
+                            *_state_views(at, *states))
         if want_grad:
             _add_element_terms(grad, hess, 1.0 - x, x, gU, hU)
     return val, grad
 
 
-def _pair_block(G, on, j0, kern, block, du, n, fold, val, gU, hU, hess):
-    """Add one block of offsets j0, j0 + 1, ... to ``val`` and, given
-    ``gU`` (which needs ``n`` >= 2), its per-element first derivatives,
-    and given ``hess`` its second ones, per state of their leading axis.
+def _state_views(at, kern, weight, du, sign, *sums):
+    """The per-state arguments of `_pair_block`, from ``kern`` on, as views
+    on the states ``at``: a ``du`` (and ``sign``) of one row serves all
+    states."""
+    row = slice(None) if len(du) == 1 else at
+    return (kern[at], None if weight is None else weight[at], du[row],
+            None if sign is None else sign[row],
+            *(None if a is None else a[at] for a in sums))
 
-    ``du`` is read for its signs where the gradient needs them, and each
-    rule of `_pair_rule` takes one jet of order n on its argument. F(arg)
-    is summed over the elements of each pair row and offset before the row
-    sums take their weight w[0]: no weighted copy of the stack is made,
-    and each state's sums are its own reductions, as for one state. A pair
-    contributes c = w[2] F''(arg) times the outer product of its
-    difference's nodal weights to the Hessian. One matrix product per
-    state (`_hessian_fold`) folds c into its sums per right and per left
-    Gauss point, accumulated per element in ``hU`` like the gradient in
-    ``gU``, and into its four hat-weight moments, the cross part, which
-    lands on diagonals j-1, j and j+1 of each offset j of the block through
-    one strided view per moment (`_add_diagonals`).
+
+def _pair_block(G, on, j0, block, n, fold, kern, weight, du, sign, val, gU,
+                hU, hess):
+    """Add one block of offsets j0, j0 + 1, ... to ``val`` and, given
+    ``gU`` (which needs ``n`` >= 2 and the signs ``sign`` of ``du``), its
+    per-element first derivatives, and given ``hess`` its second ones, per
+    state of their leading axis.
+
+    The rule of `_pair_rule` takes one jet of order n on its argument;
+    states with rules of their own take this function one by one, on their
+    views (`_state_views`). F(arg) is summed over the elements of each
+    pair row and offset before the row sums take their weight w[0]: no
+    weighted copy of the stack is made, and each state's sums are its own
+    reductions, as for one state. A pair contributes c = w[2] F''(arg)
+    times the outer product of its difference's nodal weights to the
+    Hessian. One matrix product per state (`_hessian_fold`) folds c into
+    its sums per right and per left Gauss point, accumulated per element
+    in ``hU`` like the gradient in ``gU``, and into its four hat-weight
+    moments, the cross part, which lands on diagonals j-1, j and j+1 of
+    each offset j of the block through one strided view per moment
+    (`_add_diagonals`).
     """
-    sign = None if gU is None else np.sign(du)
-    jets = [(F(arg, n), w)
-            for F, arg, w in _pair_rule(G, on, du, kern, block, n)]
-    vals = [_weighed(_drop_padding(g[0]), w[0]) for g, w in jets]
-    val += vals[0] if len(vals) == 1 else np.concatenate(vals)
+    rule = _pair_rule(G, on, du, kern, block, weight, n)
+    if rule is None:
+        for i in range(len(kern)):
+            _pair_block(G, on, j0, block, n, fold, *_state_views(
+                slice(i, i + 1), kern, weight, du, sign, val, gU, hU, hess))
+        return
+    F, arg, w = rule
+    g = F(arg, n)
+    val += _weighed(_drop_padding(g[0]), w[0])
     if gU is None:
         return
     q, lead = gU.shape[-2], gU.shape[:-2]
     nj, L = du.shape[-2:]
-    coef = (_rule_terms(jets, 1) * sign).reshape(lead + (q, q, nj, L))
+    coef = (w[1] * _drop_padding(g[1]) * sign).reshape(lead + (q, q, nj, L))
     gU[..., j0:] += _skew_sum(coef.sum(axis=-3))
     gU[..., :L] -= coef.sum(axis=(-4, -2))
     if hess is None:
         return
-    c = _rule_terms(jets, 2)
+    c = w[2] * _drop_padding(g[2])
     folded = (fold @ c.reshape(lead + (q * q, -1))).reshape(
         lead + (-1, nj, L))
     hU[..., j0:] += _skew_sum(folded[..., :q, :, :])

@@ -164,7 +164,9 @@ def _power(a, e):
     (e = 4 by squaring a * a), in place after the first product, several
     times cheaper than ``pow`` and within 2 ulp of it; any other e goes
     through ``**`` unchanged. A 0-d ``a`` gives a numpy scalar, which
-    ``*=`` rebinds rather than writes."""
+    ``*=`` rebinds rather than writes. For e = 2, 3 or 4, a may be
+    negative: |result| is then |a| ** e bit for bit (a * a is |a| * |a|),
+    up to the sign bit of a NaN."""
     if e == 0.0:
         return np.ones_like(a)
     if e == 1.0:
@@ -180,14 +182,19 @@ def _power(a, e):
 
 
 def make_power(p: float) -> OrliczFunction:
-    """G(t) = |t|**p for p > 1, with exact constants. Each order of the
-    jet takes its power of |t| from `_power`, so for p = 2, 3 or 4 none
-    calls ``pow``."""
-    if not (np.isfinite(p) and p > 1.0):
-        raise InvalidParameterError(f"power exponent must be > 1, got {p}")
+    """G(t) = |t|**p for 1 < p < 1024, with exact constants (2**p, the
+    doubling constant, overflows from p = 1024 on). Each order of the jet
+    takes its power of |t| from `_power`, so for p = 2, 3 or 4 none calls
+    ``pow``, and the value alone takes its power of t, with no pass for
+    |t| (|t^3| is |t|^3)."""
+    if not 1.0 < p < 1024.0:  # also rejects nan
+        raise InvalidParameterError(
+            f"power exponent must be > 1 and < 1024, got {p}")
     p = float(p)
 
     def jet(t, n):
+        if n == 1 and p in (2.0, 3.0, 4.0):
+            return [np.abs(_power(t, p)) if p == 3.0 else _power(t, p)]
         a = np.abs(t)  # G is even: one |t| for all orders
         out = [_power(a, p)]
         if n > 1:

@@ -304,6 +304,27 @@ class TestMain:
         assert "iteration budget" in capsys.readouterr().err
         assert "converged=0" in (tmp_path / "solve_summary.txt").read_text()
 
+    def test_overflowing_power_is_a_config_error(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "command = bbm\nG = power(1024)\n")
+        assert main(["bbm", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,text", [
+        ("bbm", "domain = 0, 1e-300\nnodes = 17\n"),
+        ("tilde", "n = 2\na_list = 1e300\n")], ids=["bbm", "tilde"])
+    def test_non_finite_result_exit_two(self, tmp_path, capsys, command,
+                                        text):
+        # the tiny domain gives nan modulars and an inf target, a = 1e300
+        # an inf tilde_G: no file is written
+        cfg = self._write(tmp_path,
+                          f"command = {command}\nG = power(2)\n{text}")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: non-finite result ")
+        assert list(out.iterdir()) == []
+
     def test_numeric_failure_exit_two(self, tmp_path, capsys):
         # the log-weight family without the +1 shift fails the monotonicity
         # screening, so `check` must exit with the numeric-failure status

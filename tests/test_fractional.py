@@ -199,10 +199,10 @@ class TestStatesAxis:
         rules = fractional._pair_rule
         split = []
 
-        def recorded(G, on, du, kern, block, n=1):
-            out = rules(G, on, du, kern, block, n)
+        def recorded(G, on, du, kern, block, weight, n=1):
+            out = rules(G, on, du, kern, block, weight, n)
             if len(du) > 1:
-                split.append(len(out) > 1)
+                split.append(out is None)
             return out
 
         states = [random_state(rng, 33, 0.01), random_state(rng, 33, 3.0)]
@@ -609,7 +609,7 @@ class TestPairStackEvaluations:
 
         def seen(blocks):
             for b in blocks:
-                stacks.append(b[3].shape)
+                stacks.append(b[4].shape)
                 yield b
 
         def recorded(*args):
@@ -670,7 +670,7 @@ class TestPairBlocks:
         for x, blocks in fractional._pair_bands(np.array([0.5]), u.spacing,
                                                 u.values[None]):
             band = []
-            for j0, kern, block, du, _ in blocks:
+            for j0, kern, block, _, du, _ in blocks:
                 du, kern = du[0], kern[0]  # one state
                 nj = du.shape[1]
                 assert du.shape == (x.size ** 2, nj, ne - j0)
@@ -690,7 +690,7 @@ class TestPairBlocks:
         u = GridFunction.hat(-1.0, 1.0, 33)
         for _, blocks in fractional._pair_bands(np.array([0.5]), u.spacing,
                                                 u.values[None]):
-            for _, _, _, du, _ in blocks:
+            for _, _, _, _, du, _ in blocks:
                 du = du[0]  # one state
                 nj, L = du.shape[1:]
                 out = fractional._drop_padding(np.full(du.shape, np.inf))
@@ -735,7 +735,7 @@ class TestBandWindows:
         for nodal in (u.values[None], np.vstack([u.values, v.values])):
             offsets = 0
             for x, blocks in fractional._pair_bands(s, h, nodal):
-                for j0, kern, block, du, _ in blocks:
+                for j0, kern, block, _, du, _ in blocks:
                     nj = kern.shape[-2]
                     assert len(du) == len(nodal)
                     for d, vals in zip(du, nodal):
@@ -761,7 +761,7 @@ class TestBandTables:
         for s in (np.array([0.5]), np.array([0.3, 0.9])):
             for x, blocks in fractional._pair_bands(s, u.spacing,
                                                     u.values[None]):
-                for _, kern, block, du, _ in blocks:
+                for _, kern, block, _, du, _ in blocks:
                     for table in (x, kern, block):
                         with pytest.raises(ValueError):
                             table[...] = 0.0
@@ -770,6 +770,34 @@ class TestBandTables:
                                                     128):
                 with pytest.raises(ValueError):
                     peak[...] = 0.0
+
+    @pytest.mark.parametrize("n", [3, 4, 33, 129, 1025])
+    @pytest.mark.parametrize("s", [(0.5,), (0.9, 0.95, 0.99)],
+                             ids=["1 order", "3 orders"])
+    @pytest.mark.parametrize("G", [make_power(1.5), G2, make_power(3.0),
+                                   make_power(4.0), G23],
+                             ids=lambda G: G.label)
+    def test_power_weights_are_built_once_per_band(self, G, s, n):
+        # t^p's weights, of G's least power for a max, are the blocks'
+        # block * kern**p bit for bit, read-only, and what t^p's rule
+        # weighs every output with; G's own rule gets none
+        F, _ = fractional._power_on(G)
+        p = F.params[0]
+        u = GridFunction.hat(-1.0, 1.0, n)
+        rows = u.values[None]
+        for x, blocks in fractional._pair_bands(np.array(s), u.spacing, rows,
+                                                (F, np.inf)):
+            for _, kern, block, weight, du, _ in blocks:
+                assert same_bits(weight, block * kern ** p)
+                with pytest.raises(ValueError):
+                    weight[...] = 0.0
+                for k in (1, 2, 3):
+                    rule, arg, w = fractional._pair_rule(
+                        G, (F, np.inf), du, kern, block, weight, k)
+                    assert rule is F and arg is du
+                    assert len(w) == k and all(a is weight for a in w)
+        for _, blocks in fractional._pair_bands(np.array(s), u.spacing, rows):
+            assert all(weight is None for _, _, _, weight, _, _ in blocks)
 
     def test_one_solve_builds_its_tables_once(self):
         tables = fractional._band_tables
@@ -937,12 +965,16 @@ def pair_points(monkeypatch, G, s, u):
     return sum(size for size, _ in calls)
 
 
-def rule_values(G, on, du, kern, block, n=1):
-    """A block's value (per order), from its `_pair_rule` rules as
-    `_distinct_pairs` evaluates them."""
-    vals = [fractional._weighed(fractional._drop_padding(F(arg)), w[0])
-            for F, arg, w in fractional._pair_rule(G, on, du, kern, block, n)]
-    return vals[0] if len(vals) == 1 else np.concatenate(vals)
+def rule_values(G, on, du, kern, block, weight, n=1):
+    """A block's value (per order), from its `_pair_rule` rule, or its
+    states' rules one by one, as `_distinct_pairs` evaluates them."""
+    rule = fractional._pair_rule(G, on, du, kern, block, weight, n)
+    if rule is None:
+        return np.concatenate([rule_values(
+            G, on, du[i:i + 1] if len(du) > 1 else du, kern[i:i + 1], block,
+            weight[i:i + 1], n) for i in range(len(kern))])
+    F, arg, w = rule
+    return fractional._weighed(fractional._drop_padding(F(arg)), w[0])
 
 
 def assert_same_pairs(got, ref):
@@ -1034,14 +1066,14 @@ class TestLeastPower:
         orders = np.array([0.1, 0.995])
         on, plain = fractional._power_on(G23), fractional._power_on(G23_PLAIN)
         split = 0
-        for bands in zip(*(fractional._pair_bands(s, h, u.values[None])
+        for bands in zip(*(fractional._pair_bands(s, h, u.values[None], on)
                            for s in (orders, *orders[:, None]))):
             for multi, *ones in zip(*(blocks for _, blocks in bands)):
-                _, kern, block, du, _ = multi
-                got = rule_values(G23, on, du, kern, block)
+                _, kern, block, weight, du, _ = multi
+                got = rule_values(G23, on, du, kern, block, weight)
                 assert np.array_equal(got, [rule_values(
-                    G23, on, d, k, b)[0] for _, k, b, d, _ in ones])
-                own = rule_values(G23_PLAIN, plain, du, kern, block)
+                    G23, on, d, k, b, w)[0] for _, k, b, w, d, _ in ones])
+                own = rule_values(G23_PLAIN, plain, du, kern, block, None)
                 split += got[0] != own[0] and got[1] == own[1]
         assert split > 0
 
@@ -1094,13 +1126,14 @@ class TestLeastPower:
         on = fractional._power_on(G23)
         # one order, one row
         kern, block = np.ones((1, 1, 1, 1)), np.ones((1, 1, 1))
+        weight = block * kern ** 2.0
         for top, rules in ((1.0, (G23.children[0], G23)),
                            (1.0 - 2.0 ** -52, (G23.children[0],) * 2)):
             du = np.array([[[[0.5, -top]]]])
             for n, rule in zip((1, 2), rules):
-                [(F, arg, w)] = fractional._pair_rule(G23, on, du, kern,
-                                                      block, n)
-                val = rule_values(G23, on, du, kern, block, n)[0]
+                F, arg, w = fractional._pair_rule(G23, on, du, kern, block,
+                                                  weight, n)
+                val = rule_values(G23, on, du, kern, block, weight, n)[0]
                 assert F is rule and val == 0.25 + top * top
             slope = w[1] * F.deriv(arg)
             assert slope[0, 0, 0, 1] == (3.0 if top == 1.0 else 2.0 * top)
@@ -1135,8 +1168,9 @@ def reaches(s, u):
     """Every pair block's bound on |du| kern, and its exact maximum."""
     out = []
     for _, blocks in fractional._pair_bands(np.reshape(s, -1), u.spacing,
-                                            u.values[None], True):
-        for _, kern, _, du, reach in blocks:
+                                            u.values[None],
+                                            fractional._power_on(G23)):
+        for _, kern, _, _, du, reach in blocks:
             top = kern[..., 0] * fractional._drop_padding(
                 np.abs(du)).max(axis=-1)
             out.append((reach, top.max()))
@@ -1195,7 +1229,7 @@ class TestMaxBound:
         assert u.spacing == 1.0
         _, blocks = next(fractional._pair_bands(np.array([0.6]), 1.0,
                                                 u.values[None]))
-        _, kern, _, du, _ = next(blocks)
+        _, kern, _, _, du, _ = next(blocks)
         assert np.abs(du[0, 12, 0, 0]) * kern[0, 12, 0, 0] == 1.0
         self.assert_same_as_scan(monkeypatch, 0.6, u, want_hess=True)
 

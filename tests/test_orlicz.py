@@ -49,6 +49,13 @@ class TestPower:
         with pytest.raises(InvalidParameterError):
             make_power(0.5)
 
+    @pytest.mark.parametrize("p", [1024.0, 1e300])
+    def test_rejects_an_overflowing_doubling_constant(self, p):
+        # the exact doubling constant 2**p is inf from p = 1024 on
+        with pytest.raises(InvalidParameterError):
+            make_power(p)
+        assert make_power(1023.5).doubling_constant == 2.0 ** 1023.5
+
 
 def _power_log_reference(p):
     """G, G', G'' of t**p (|log t| + 1) written with ``**``, zero at t <= 0
@@ -117,6 +124,25 @@ class TestIntegerPowers:
         with np.errstate(over="ignore", under="ignore"):
             for f in (G, G.deriv, G.d2):
                 assert np.array_equal(f(-self.X), f(self.X), equal_nan=True)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_value_alone_takes_no_abs(self, p):
+        # the value's jet takes t*t for |t|*|t|: the bits of _power(|t|, p),
+        # a numpy scalar for a 0-d argument as there
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200, np.inf, -np.inf,
+             np.nan],
+            rng.standard_normal(10 ** 5) * 10.0 ** rng.integers(-160, 160,
+                                                                 10 ** 5)])
+        G = make_power(p)
+        with np.errstate(over="ignore", under="ignore"):
+            for t in (x, np.float64(-1e200), np.asarray(-2.5),
+                      np.asarray(-0.0), np.asarray(np.nan)):
+                got, want = G(t), _power(np.abs(t), p)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("G,ref", [
         (make_power(2.5), _power_reference(2.5)),
