@@ -18,25 +18,31 @@ is split into three pieces:
        Bernstein-ellipse radius of the kernel singularity, is no larger
        than the order-5 bound at offset 2 (on 1024 elements: 2 offsets at
        order 5, 3 at 4, 16 at 3, the rest at 2). A band of one order is
-       walked in blocks of consecutive offsets, about `_BLOCK_POINTS` pair
-       points each (309 blocks for the 1023 offsets of 1024 elements), with
-       one jet of G per block, G(t, n) of the order n the outputs need
-       (the value n = 1, the gradient 2, the Hessian 3). A block's rows
-       are padded to its first offset's length and the padding is set to
-       0 before any sum. Where G is t^p on [0, T] (`_power_on`),
-       G(|du| kern) = kern^p G(|du|): a block whose arguments all lie
-       there takes t^p's even jet on du, weighed by block kern^p, for the
-       value, the gradient and the Hessian alike (`_pair_rule`); for p =
-       2, 3 and 4 the value takes no |du| (`make_power`). For T finite (a
-       max of powers) a bound from u's oscillation and Lipschitz constant
-       decides that range per block, and only a block it leaves open is
-       scanned. Any other block takes G's own rule, state by state if its
-       states differ. What does not read u depends on (s, h, ne) and t^p's
-       exponent p only, and is built once per key (s, h, ne, p) and kept,
-       read-only, for the last two keys (`_band_tables`): the kernel table
-       dist**(-s) and the weights 2 h^2 w_a w_b / dist of each block,
-       t^p's weights block kern^p (none for G's own rule), and the largest
-       dist**(-s) and dist**(1-s) of each block;
+       cut into blocks of consecutive offsets, about `_BLOCK_POINTS` =
+       2^13 pair points each (309 for the 1023 offsets of 1024 elements),
+       and runs of those into value blocks of at most `_VALUE_POINTS` =
+       2^14 points, or of one block (168 at 1024 elements). The value
+       takes one jet of G, G(t, 1), per value block; the gradient (n = 2)
+       and the Hessian (n = 3) take one jet G(t, n) per block of the
+       smaller size, whose derivative temporaries (signs, coefficients,
+       the Hessian fold) would outgrow the cache at the larger one. A
+       block's rows are padded to its first offset's length and the
+       padding is set to 0 before any sum; a derivative pass sums the rows
+       of its blocks as rows of their value block's length, so every pass
+       gives the value the same bits. Where G is t^p on [0, T]
+       (`_power_on`), G(|du| kern) = kern^p G(|du|): a block whose
+       arguments all lie there takes t^p's even jet on du, weighed by
+       block kern^p, for the value, the gradient and the Hessian alike
+       (`_pair_rule`); for p = 2, 3 and 4 the value takes no |du|
+       (`make_power`). For T finite (a max of powers) a bound from u's
+       oscillation and Lipschitz constant decides that range per value
+       block, and only a block it leaves open is scanned. Any other block
+       takes G's own rule, state by state if its states differ. What does
+       not read u depends on (s, h, ne) only, and is built once per key
+       and kept, read-only, for the last two keys (`_band_tables`): the
+       kernel table dist**(-s) and the weights 2 h^2 w_a w_b / dist of
+       each value block, the largest dist**(-s) and dist**(1-s) of each,
+       and, per exponent p asked for, t^p's weights block kern^p;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I and I' (or I' and
@@ -44,8 +50,12 @@ is split into three pieces:
        `.deriv` halved, at the order-5 Gauss points of every element: the
        closed form or the shared quadrature for I, as `LimitDensity`
        chooses, and the exact derivatives of the profile, which need no
-       quadrature. All of it is one function, `_far_field`; `_core` builds
-       the density once for pieces (i) and (iii).
+       quadrature. Where G is t^p on the range of a state's arguments
+       |U| dist**(-s), I(|U| kern) = kern^p I_p(|U|), as in (ii): t^p's
+       profile at |U| serves every order and both ends, times dist**(-s p)
+       per order, for the value, the gradient and the Hessian alike. All
+       of it is one function, `_far_field`; `_core` builds the density
+       once for pieces (i) and (iii).
 
 Every piece has one shape: a 1-D array of k orders s and nodal rows on
 one mesh (`_nodal`), one row per order (the solver's lockstep ladder) or
@@ -103,7 +113,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -114,7 +124,8 @@ from .limit_density import _kink_cuts, limit_density, split_nodes
 from .orlicz import OrliczFunction
 
 _ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
-_BLOCK_POINTS = 2 ** 13  # pair points (rows x elements) of a block of offsets
+_VALUE_POINTS = 2 ** 14  # pair points (rows x elements) of a value block
+_BLOCK_POINTS = 2 ** 13  # ... of a derivative pass's sub-block
 _STACK_POINTS = 2 ** 14  # points of a piece's array over a chunk of states
 _SLOPE = (np.broadcast_to(-1.0, 1), np.broadcast_to(1.0, 1))  # (a, b) of h*m
 
@@ -129,14 +140,16 @@ def _state_chunks(k, size):
 
 
 def _pow(x, s, f):
-    """x ** f(o) per order o of ``s`` along x's states axis. Each state's
-    power takes a Python float exponent, as in its lone call: numpy takes
-    a lone exponent of 0.5, 2 or -1 by sqrt, square or reciprocal, but an
-    array of exponents by pow, which can differ in the last bit."""
+    """x ** f(o) per order o of ``s`` along x's states axis, of one entry
+    per order or one for all. Each state's power takes a Python float
+    exponent, as in its lone call: numpy takes a lone exponent of 0.5, 2
+    or -1 by sqrt, square or reciprocal, but an array of exponents by pow,
+    which can differ in the last bit."""
     exps = [f(o) for o in s.tolist()]
     if len(exps) == 1:  # one state: no copy
         return x ** exps[0]
-    return np.stack([a ** p for a, p in zip(x, exps)])
+    return np.stack([a ** p for a, p in zip(
+        x if len(x) > 1 else [x[0]] * len(exps), exps)])
 
 
 def _same_element(G, s, h, slopes, want_grad, want_hess=False, tilde=None):
@@ -236,18 +249,56 @@ def _pair_orders(ne, order):
     return q
 
 
+def _split(rows, width, count, points):
+    """Bounds (a, b) of blocks of the consecutive offsets 0 .. count-1 of a
+    band, the rows of offset i ``width - i`` elements long: from a, the most
+    offsets that keep rows * (width - a) * (b - a) within ``points``, and at
+    least one."""
+    bounds, a = [], 0
+    while a < count:
+        b = a + max(1, min(count - a, points // (rows * (width - a))))
+        bounds.append((a, b))
+        a = b
+    return tuple(bounds)
+
+
+def _merge(rows, width, bounds, points):
+    """Runs of the consecutive blocks ``bounds`` of `_split`, each of the
+    most blocks that keep rows * (width - a) * (b - a) within ``points``,
+    and at least one."""
+    runs = []
+    for a, b in bounds:
+        if runs and rows * (width - runs[-1][0]) * (b - runs[-1][0]) <= points:
+            runs[-1] = (runs[-1][0], b)
+        else:
+            runs.append((a, b))
+    return runs
+
+
+@lru_cache(maxsize=1024)
+def _sub_blocks(rows, nj, width):
+    """Bounds (a, b) of the sub-blocks of a derivative pass in a value block
+    of nj offsets whose first row is ``width`` elements long (`_split` with
+    `_BLOCK_POINTS`): as `_split` is greedy and a value block starts and
+    ends at block bounds, these are the band's blocks inside it."""
+    return _split(rows, width, nj, _BLOCK_POINTS)
+
+
 @lru_cache(maxsize=2)
-def _band_tables(s, h, ne, p=None):
+def _band_tables(s, h, ne):
     """What `_pair_bands` yields but the differences, on ne elements of width
-    h: per band of order q, its Gauss nodes, its blocks (j0, nj, kern,
-    block, weight) of the most offsets that keep q*q*(ne - j0)*nj within
-    `_BLOCK_POINTS`, and at least one, and the u-independent factors of
-    their bound (`_pair_bands`), a (2, k, blocks) array of the largest
-    dist**(-s) and dist**(1-s) per order and block. ``weight`` is t^p's
-    pair weight block * kern**p (`_pair_rule`) for the exponent ``p`` of
-    `_power_on(G)`'s power, taken once on the whole band, and None for
-    p None, G's own rule. Built once per key (s, h, ne, p), s a tuple of
-    orders; the last two keys are kept. Read-only."""
+    h, as (bands, weights). Per band of order q, ``bands`` holds its Gauss
+    nodes; its value blocks (j0, nj, kern, block), runs of the band's
+    blocks of `_BLOCK_POINTS` pair points (`_split`) within
+    `_VALUE_POINTS`, or single blocks (`_merge`); the u-independent
+    factors of their bound (`_pair_bands`), a (2, k, blocks) array of the
+    largest dist**(-s) and dist**(1-s) per order and value block; and the
+    band's whole (kern, block) tables. ``weights`` starts empty:
+    `_power_weights` keeps in it, per exponent p of `_power_on(G)`'s power,
+    t^p's pair weights block * kern**p (`_pair_rule`). Built once per key
+    (s, h, ne), s a tuple of orders, whatever G; the last two keys are
+    kept, each with the weights of every exponent asked for on it.
+    Read-only but for the weights' dict."""
     q = _pair_orders(ne, _ORDER)
     ends = np.flatnonzero(np.diff(q, prepend=0, append=0)).tolist()
     bands = []
@@ -257,44 +308,59 @@ def _band_tables(s, h, ne, p=None):
                     + np.subtract.outer(x, x).reshape(-1, 1, 1))
         kern = dist ** -np.reshape(s, (-1, 1, 1, 1))
         block = 2.0 * h * h * np.outer(w, w).reshape(-1, 1, 1) / dist
-        weight = None if p is None else block * kern ** p
-        for table in (kern, block) if p is None else (kern, block, weight):
+        for table in (kern, block):
             table.flags.writeable = False
-        starts, i = [], 0  # of the blocks, in offsets from lo + 1
-        while i < hi - lo:
-            starts.append(i)
-            i += max(1, min(hi - lo - i, _BLOCK_POINTS // (
-                x.size ** 2 * (ne - lo - 1 - i))))
-        blocks = tuple(
-            (lo + 1 + a, b - a, kern[:, :, a:b], block[:, a:b],
-             None if weight is None else weight[:, :, a:b])
-            for a, b in zip(starts, starts[1:] + [hi - lo]))
+        layout = _merge(x.size ** 2, ne - lo - 1, _split(
+            x.size ** 2, ne - lo - 1, hi - lo, _BLOCK_POINTS), _VALUE_POINTS)
+        blocks = tuple((lo + 1 + a, b - a, kern[:, :, a:b], block[:, a:b])
+                       for a, b in layout)
         # per offset, then per block of offsets: (2, orders, blocks)
         peak = np.maximum.reduceat(np.stack(
             [kern.max(axis=(1, 3)), (dist * kern).max(axis=(1, 3))]),
-            starts, axis=-1)
+            [a for a, _ in layout], axis=-1)
         peak.flags.writeable = False
-        bands.append((x, blocks, peak))
-    return tuple(bands)
+        bands.append((x, blocks, peak, (kern, block)))
+    return tuple(bands), {}
 
 
-def _pair_bands(s, h, rows, on=None):
+def _power_weights(tables, p):
+    """t^p's pair weights block * kern**p of each value block of the
+    `_band_tables` entry ``tables``, per band: taken once per exponent p on
+    the band's whole tables and kept in the entry. Read-only."""
+    bands, weights = tables
+    if p not in weights:
+        per_band = []
+        for _, blocks, _, (kern, block) in bands:
+            weight = block * kern ** p
+            weight.flags.writeable = False
+            a = blocks[0][0]  # the band's first offset
+            per_band.append(tuple(weight[:, :, j0 - a:j0 - a + nj]
+                                  for j0, nj, _, _ in blocks))
+        weights[p] = tuple(per_band)
+    return weights[p]
+
+
+def _pair_bands(s, h, rows, on=None, n=1):
     """Distinct-element pairs of the uniform mesh, one band per Gauss order.
 
     Yields ``(x, blocks)`` per band of order q: its Gauss nodes on (0, 1)
-    and an iterator over its blocks of the offsets j0 .. j0+nj-1, each
-    ``(j0, kern, block, weight, du, reach)``. Row a*q + b pairs node a of
-    the right element with node b of the left one, at dist = h (j + x_a -
-    x_b). ``kern`` and ``block`` are the read-only tables dist**(-s), (k,
-    q*q, nj, 1) for the k orders ``s``, and 2 h^2 w_a w_b / dist, (q*q,
-    nj, 1), of `_band_tables`; ``weight`` is its block kern**p, (k, q*q,
-    nj, 1), for ``on`` = `_power_on(G)` = (t^p, T), and None for ``on``
-    None. ``du`` holds, for the nodal ``rows`` (rows x nodes), the (rows,
-    q*q, nj, L) differences right minus left, L = ne - j0: entry [i, r, k,
-    e] pairs left element e with right element e + j0 + k, and is padding
+    and an iterator over its value blocks (`_band_tables`) of the offsets
+    j0 .. j0+nj-1, each ``(j0, kern, block, weight, du, reach)``. Row
+    a*q + b pairs node a of the right element with node b of the left one,
+    at dist = h (j + x_a - x_b). ``kern`` and ``block`` are the read-only
+    tables dist**(-s), (k, q*q, nj, 1) for the k orders ``s``, and
+    2 h^2 w_a w_b / dist, (q*q, nj, 1), of `_band_tables`; ``weight`` is
+    block kern**p, (k, q*q, nj, 1), for ``on`` = `_power_on(G)` = (t^p,
+    T), kept with them (`_power_weights`), and None for ``on`` None.
+    ``du`` holds, for the nodal ``rows`` (rows x nodes), the (rows, q*q,
+    nj, L) differences right minus left, L = ne - j0: entry [i, r, k, e]
+    pairs left element e with right element e + j0 + k, and is padding
     (`_drop_padding`) if e >= L - k. They are read from one zero-padded
     (q, 2 ne) buffer of Gauss-point values per row and band, so every
-    operation on a pair row is a long contiguous loop.
+    operation on a pair row is a long contiguous loop. For a derivative
+    pass (``n`` > 1) ``du`` is a tuple of such arrays, one per sub-block of
+    the value block (`_sub_blocks`): a view of the block's differences
+    would make every elementwise operation on it a loop per row.
 
     For T finite (a max of powers), ``reach`` is a float no smaller than
     any |du| kern of the block's pairs in any state, the product as
@@ -310,9 +376,10 @@ def _pair_bands(s, h, rows, on=None):
         osc = np.ptp(rows, axis=-1, keepdims=True)
         lip = np.abs(np.diff(rows)).max(axis=-1, keepdims=True) / h
         slack = 2.0 ** -48 * np.abs(rows).max(axis=-1, keepdims=True)
-    for x, blocks, (kmax, lmax) in _band_tables(
-            tuple(s.tolist()), float(h), ne,
-            None if on is None else on[0].params[0]):
+    tables = _band_tables(tuple(s.tolist()), float(h), ne)
+    weights = (_power_weights(tables, on[0].params[0]) if on is not None
+               else repeat(repeat(None)))
+    for (x, blocks, (kmax, lmax), _), weight in zip(tables[0], weights):
         q = x.size
         buf = np.zeros((len(rows), q, 2 * ne))
         buf[:, :, :ne] = _at_gauss_points(rows, x).swapaxes(1, 2)
@@ -322,12 +389,17 @@ def _pair_bands(s, h, rows, on=None):
         reach = ((np.minimum(osc * kmax, lip * lmax) + slack * kmax)
                  * (1.0 + 1e-12)).max(axis=0).tolist() if bound else \
             [np.inf] * len(blocks)
-        # (q, 1, nj, L) - (1, q, 1, L) per row
-        yield x, ((j0, kern, block, weight,
-                   (W[:, :, None, j0:j0 + nj, :ne - j0]
-                    - W[:, None, :, :1, :ne - j0])
-                   .reshape(len(W), q * q, nj, ne - j0), r)
-                  for (j0, nj, kern, block, weight), r in zip(blocks, reach))
+
+        def diff(j0, nj):  # (q, 1, nj, L) - (1, q, 1, L) per row
+            return (W[:, :, None, j0:j0 + nj, :ne - j0]
+                    - W[:, None, :, :1, :ne - j0]).reshape(
+                        len(W), q * q, nj, ne - j0)
+
+        yield x, ((j0, kern, block, w, diff(j0, nj) if n == 1 else tuple(
+                   diff(j0 + a, b - a)
+                   for a, b in _sub_blocks(q * q, nj, ne - j0)), r)
+                  for (j0, nj, kern, block), w, r in zip(blocks, weight,
+                                                         reach))
 
 
 @lru_cache(maxsize=64)
@@ -390,10 +462,17 @@ def _power_on(G):
     return None
 
 
-def _weighed(g, w):
-    """A block's sum of w g per order, g without its padding: each pair row
-    summed over its elements first, then weighed by w (rows x offsets x 1)."""
-    return np.add.reduce(np.add.reduce(g, -1) * w[..., 0], (-2, -1))
+def _weighed(g, width, w):
+    """The weighed row sums of a block, (k, rows, offsets): each pair row of
+    g (..., rows, offsets, L), without its padding, summed over its
+    elements as a row of ``width`` >= L (zeros after L), then weighed by w
+    (rows x offsets x 1). Summed at one width, the rows of a value block and
+    of its derivative sub-blocks give the same bits."""
+    if g.shape[-1] < width:
+        rows = np.zeros(g.shape[:-1] + (width,))
+        rows[..., :g.shape[-1]] = g
+        g = rows
+    return np.add.reduce(g, -1) * w[..., 0]
 
 
 def _pair_rule(G, on, du, kern, block, weight, n=1):
@@ -442,7 +521,11 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     129 nodes 1.2 times slower than its sequential solves. Orders that
     share a row share each block's G call.
 
-    The gradient is accumulated per element and Gauss point of a band and
+    The value takes each value block whole. The gradient and the Hessian
+    take its sub-blocks (`_sub_blocks`), and sum their G rows at
+    the value block's row length (`_weighed`) before they weigh them and
+    sum the block, so that the value keeps the value pass's bits. The
+    gradient is accumulated per element and Gauss point of a band and
     scattered to the nodes once per band (`_add_element_terms`); a block's
     left elements take a sum over its offsets, its right elements a skewed
     one (`_skew_sum`). Given ``hess`` (the upper triangle of a nodal
@@ -454,7 +537,7 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     on = _power_on(G)
     n = 1 + want_grad + (hess is not None)
     gU = hU = fold = None
-    for x, blocks in _pair_bands(s, mesh.spacing, rows, on):
+    for x, blocks in _pair_bands(s, mesh.spacing, rows, on, n):
         q = x.size
         if want_grad:
             gU = np.zeros((k, q, ne))
@@ -467,70 +550,94 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
             fits = on is not None and (reach < on[1] if n > 1
                                        else reach <= on[1])
             rule = (on[0], np.inf) if fits else on
-            states = (kern, weight, du, np.sign(du) if want_grad else None,
-                      val, gU, hU, hess)
-            # all states at once where they fit, and always orders that
-            # share one row
-            if len(du) == 1 or du.size <= _STACK_POINTS:
-                _pair_block(G, rule, j0, block, n, fold, *states)
-                continue
-            for at in _state_chunks(len(du), du[0].size):
-                _pair_block(G, rule, j0, block, n, fold,
-                            *_state_views(at, *states))
+            nj, width = kern.shape[-2], ne - j0
+            # a derivative pass takes the block in sub-blocks, each under
+            # the block's bound, and sums the rows of each at the block's
+            # width
+            if n == 1 or len(du) == 1:
+                sums = _pair_part(G, rule, j0, width, n, fold, block, kern,
+                                  weight, du if n == 1 else du[0], gU, hU,
+                                  hess)
+            else:
+                sums = np.concatenate([_pair_part(
+                    G, rule, j0 + a, width, n, fold, block[:, a:b],
+                    kern[:, :, a:b],
+                    None if weight is None else weight[:, :, a:b], part,
+                    gU, hU, hess)
+                    for (a, b), part in zip(_sub_blocks(q * q, nj, width),
+                                            du)], axis=-1)
+            val += np.add.reduce(sums, (-2, -1))
         if want_grad:
             _add_element_terms(grad, hess, 1.0 - x, x, gU, hU)
     return val, grad
 
 
-def _state_views(at, kern, weight, du, sign, *sums):
+def _pair_part(G, on, j0, width, n, fold, block, kern, weight, du, gU, hU,
+               hess):
+    """`_pair_block` on all states of a block or sub-block, with the signs
+    of ``du`` for n > 1: at once where they fit, and always orders that
+    share one row, or else a chunk at a time (`_state_chunks`)."""
+    sign = np.sign(du) if n > 1 else None
+    if len(du) == 1 or du.size <= _STACK_POINTS:
+        return _pair_block(G, on, j0, width, n, fold, block, kern, weight,
+                           du, sign, gU, hU, hess)
+    return np.concatenate([
+        _pair_block(G, on, j0, width, n, fold, block, *_state_views(
+            at, kern, weight, du, sign, gU, hU, hess))
+        for at in _state_chunks(len(du), du[0].size)])
+
+
+def _state_views(at, kern, weight, du, sign, *outs):
     """The per-state arguments of `_pair_block`, from ``kern`` on, as views
     on the states ``at``: a ``du`` (and ``sign``) of one row serves all
     states."""
     row = slice(None) if len(du) == 1 else at
     return (kern[at], None if weight is None else weight[at], du[row],
             None if sign is None else sign[row],
-            *(None if a is None else a[at] for a in sums))
+            *(None if a is None else a[at] for a in outs))
 
 
-def _pair_block(G, on, j0, block, n, fold, kern, weight, du, sign, val, gU,
-                hU, hess):
-    """Add one block of offsets j0, j0 + 1, ... to ``val`` and, given
-    ``gU`` (which needs ``n`` >= 2 and the signs ``sign`` of ``du``), its
-    per-element first derivatives, and given ``hess`` its second ones, per
-    state of their leading axis.
+def _pair_block(G, on, j0, width, n, fold, block, kern, weight, du, sign,
+                gU, hU, hess):
+    """The weighed row sums (states x rows x offsets) of one block of
+    offsets j0, j0 + 1, ..., whose sum is its value, per state of their
+    leading axis; given ``gU`` (which needs ``n`` >= 2 and the signs
+    ``sign`` of ``du``), its per-element first derivatives are added to
+    it, and given ``hess`` its second ones.
 
     The rule of `_pair_rule` takes one jet of order n on its argument;
     states with rules of their own take this function one by one, on their
     views (`_state_views`). F(arg) is summed over the elements of each
-    pair row and offset before the row sums take their weight w[0]: no
-    weighted copy of the stack is made, and each state's sums are its own
-    reductions, as for one state. A pair contributes c = w[2] F''(arg)
-    times the outer product of its difference's nodal weights to the
-    Hessian. One matrix product per state (`_hessian_fold`) folds c into
-    its sums per right and per left Gauss point, accumulated per element
-    in ``hU`` like the gradient in ``gU``, and into its four hat-weight
-    moments, the cross part, which lands on diagonals j-1, j and j+1 of
-    each offset j of the block through one strided view per moment
-    (`_add_diagonals`).
+    pair row and offset, as a row of ``width``, its value block's (with
+    zeros after the block's own rows: `_weighed`), before the row sums take
+    their weight w[0]: no weighted copy of the stack is made, and each
+    state's sums are its own reductions, as for one state. A pair
+    contributes c = w[2] F''(arg) times the outer product of its
+    difference's nodal weights to the Hessian. One matrix product per state
+    (`_hessian_fold`) folds c into its sums per right and per left Gauss
+    point, accumulated per element in ``hU`` like the gradient in ``gU``,
+    and into its four hat-weight moments, the cross part, which lands on
+    diagonals j-1, j and j+1 of each offset j of the block through one
+    strided view per moment (`_add_diagonals`).
     """
     rule = _pair_rule(G, on, du, kern, block, weight, n)
     if rule is None:
-        for i in range(len(kern)):
-            _pair_block(G, on, j0, block, n, fold, *_state_views(
-                slice(i, i + 1), kern, weight, du, sign, val, gU, hU, hess))
-        return
+        return np.concatenate([
+            _pair_block(G, on, j0, width, n, fold, block, *_state_views(
+                slice(i, i + 1), kern, weight, du, sign, gU, hU, hess))
+            for i in range(len(kern))])
     F, arg, w = rule
     g = F(arg, n)
-    val += _weighed(_drop_padding(g[0]), w[0])
+    sums = _weighed(_drop_padding(g[0]), width, w[0])
     if gU is None:
-        return
+        return sums
     q, lead = gU.shape[-2], gU.shape[:-2]
     nj, L = du.shape[-2:]
     coef = (w[1] * _drop_padding(g[1]) * sign).reshape(lead + (q, q, nj, L))
     gU[..., j0:] += _skew_sum(coef.sum(axis=-3))
     gU[..., :L] -= coef.sum(axis=(-4, -2))
     if hess is None:
-        return
+        return sums
     c = w[2] * _drop_padding(g[2])
     folded = (fold @ c.reshape(lead + (q * q, -1))).reshape(
         lead + (-1, nj, L))
@@ -546,6 +653,7 @@ def _pair_block(G, on, j0, block, n, fold, kern, weight, du, sign, val, gU,
         # at j = 1 this term and its transpose share the diagonal
         cross[..., 1, 0, :] *= 2.0
     _add_diagonals(hess, j0 - 1, 1, cross[..., 1, :, :])
+    return sums
 
 
 def _add_diagonals(hess, k, row, vals):
@@ -590,7 +698,8 @@ def _far_field(G, s, mesh, rows, want_grad, want_hess=False, tilde=None):
     The states are taken a chunk at a time (`_state_chunks`), by their 2 x
     elements x 5 arguments."""
     tilde = tilde or limit_density(G, 1)
-    parts = [_far_terms(tilde, s[at], mesh,
+    on = _power_on(G)
+    parts = [_far_terms(tilde, on, s[at], mesh,
                         rows if len(rows) == 1 else rows[at],
                         want_grad, want_hess)
              for at in _state_chunks(len(s), 10 * (mesh.node_count - 1))]
@@ -601,35 +710,75 @@ def _far_field(G, s, mesh, rows, want_grad, want_hess=False, tilde=None):
     return (val, *(d.swapaxes(-1, -2) for d in ders))
 
 
-def _far_terms(tilde, s, mesh, rows, want_grad, want_hess):
+def _far_terms(tilde, on, s, mesh, rows, want_grad, want_hess):
     """`_far_field` on one chunk of states: the value and, as asked, its
-    first and second derivatives, as (elements x points) arrays."""
+    first and second derivatives, as (elements x points) arrays.
+
+    ``on`` is `_power_on(G)`. Where G is t^p on [0, T] and every argument
+    |U| dist**(-s) of a state lies there (below T for the derivatives),
+    I(|U| kern) kern^i = kern^p I_p^(i)(|U|), I_p t^p's profile: one
+    profile of t^p at |U| serves every order and both ends, times the sum
+    over the two ends of dist**(-s p), taken per order (`_pow`). For T
+    finite (a max of powers) the range is checked first, on the nearer
+    end's kernel with 1e-12 relative above the products, and states on
+    both sides of T are taken one by one. Any other state takes G's own
+    profile at |U| kern."""
     h = mesh.spacing
     xg, wg = gauss_rule_01(_ORDER)
     X = (mesh.left + h * np.arange(mesh.node_count - 1))[:, None] \
         + h * xg[None, :]
     dist = np.abs(np.subtract.outer([mesh.right, mesh.left], X))
-    # -s lies in (-1, 0), where numpy takes no exponent by sqrt, square or
-    # reciprocal: an array of them has the bits of each alone (`_pow`)
-    kern = dist ** -s[:, None, None, None]
     U = _at_gauss_points(rows, xg)
-    arg = np.abs(U)[:, None] * kern
+    scale = 2.0 * h / s
+    fits = on is not None
+    if fits and on[1] < np.inf:
+        # the nearer end has the larger kernel
+        top = (np.abs(U) * dist.min(axis=0) ** -s[:, None, None]).max(
+            axis=(-2, -1)) * (1.0 + 1e-12)
+        fits = (np.less if want_grad else np.less_equal)(top, on[1])
+        if len(s) > 1 and fits.any() and not fits.all():
+            parts = [_far_terms(tilde, on, s[i:i + 1], mesh,
+                                rows if len(rows) == 1 else rows[i:i + 1],
+                                want_grad, want_hess)
+                     for i in range(len(s))]
+            return tuple(map(np.concatenate, zip(*parts)))
+        fits = fits.all()
+    if fits:
+        F = on[0]
+        p = F.params[0]
+        tilde = tilde if tilde.base is F else limit_density(F, 1)
+        arg = np.abs(U)
+        kern = _pow(dist[None], s, lambda o: -o * p).sum(axis=-3)
+    else:
+        # -s lies in (-1, 0), where numpy takes no exponent by sqrt, square
+        # or reciprocal: an array of them has the bits of each alone
+        # (`_pow`)
+        kern = dist ** -s[:, None, None, None]
+        arg = np.abs(U)[:, None] * kern
     if tilde.backing == "quadrature" and len(arg) > 1:
         # the profile's rule is per-point work on (points, pieces, nodes)
         # arrays: taken state by state, each cut at its own kinks
         profile = np.stack([tilde.value(a) for a in arg])
     else:
         profile = tilde.value(arg)
-    scale = 2.0 * h / s
-    val = scale * np.sum(wg * (profile / 2.0), axis=(-3, -2, -1))
+    # per end and point, kern^p I_p(|U|) or I(|U| kern); G's own sums over
+    # both ends and all points at once
+    val = scale * (np.sum(wg * (profile / 2.0 * kern), axis=(-2, -1)) if fits
+                   else np.sum(wg * (profile / 2.0), axis=(-3, -2, -1)))
     if not want_grad:
         return (val,)
     scale = scale[:, None, None]
     d1, *d2 = tilde.deriv(arg, 2) if want_hess else (tilde.deriv(arg),)
-    d1 = scale * wg * np.sum(d1 / 2.0 * kern, axis=-3) * np.sign(U)
+    if fits:
+        d1 = d1 / 2.0 * kern
+        d2 = [d / 2.0 * kern for d in d2]
+    else:
+        d1 = np.sum(d1 / 2.0 * kern, axis=-3)
+        d2 = [np.sum(d / 2.0 * kern * kern, axis=-3) for d in d2]
+    d1 = scale * wg * d1 * np.sign(U)
     if not want_hess:
         return val, d1
-    return val, d1, scale * wg * np.sum(d2[0] / 2.0 * kern * kern, axis=-3)
+    return val, d1, scale * wg * d2[0]
 
 
 def _nodal(u):
@@ -710,11 +859,13 @@ def fractional_modular(G: OrliczFunction, s, u: GridFunction):
     A scalar ``s`` gives a float. A 1-D sequence of orders gives a float
     array with one entry per order, in the given order (repeats allowed),
     each bit-identical to the one-order value: the distinct-element pairs
-    of all orders share one pass, whose temporaries grow linearly with the
-    number of orders (about 0.2 MB per order and array at 1025 nodes; the
-    pair weights are applied to the row sums), except where G is t^p on a
-    range (`_power_on`): a block then evaluates t^p once for all orders, or
-    each order alone.
+    of all orders share one pass, in value blocks of at most 2^14 pair
+    points or of one offset, whose temporaries grow linearly with the
+    number of orders (per order and array at most 128 KB, or one offset's
+    points: 0.2 MB at 1025 nodes; the pair weights are applied to the row
+    sums), except where G is t^p on a range (`_power_on`): a block then
+    evaluates t^p once for all orders, or each order alone. The value has
+    the bits of the value that `fractional_modular_with_gradient` gives.
     """
     orders = _check_s(s)
     val = _core(G, orders, u, want_grad=False)[0]

@@ -18,6 +18,7 @@ from orliczfrac import (
     solve,
 )
 from orliczfrac import fractional
+from orliczfrac.properties import builtin_suite_functions
 from orliczfrac._quadrature import gauss_rule_01
 from orliczfrac.grid import _at_gauss_points
 from orliczfrac.limit_density import limit_density
@@ -214,6 +215,31 @@ class TestStatesAxis:
         for i, (s, u) in enumerate(zip([0.6, 0.9], states)):
             one = _core(G23, s, u, want_grad=True, want_hess=True)
             assert all(np.array_equal(a[i], b) for a, b in zip(got, one))
+
+    def test_states_take_their_own_rules_in_sub_blocks(self, rng,
+                                                       monkeypatch):
+        # a derivative pass whose states split on a sub-block after the
+        # first of its value block takes them one by one, each summed at
+        # the value block's row width: every state keeps its lone call's
+        # bits, and the value of its lone gradient pass
+        block, seen = fractional._pair_block, []
+
+        def recorded(G, on, j0, width, n, fold, blk, kern, weight, du,
+                     *rest):
+            seen.append((len(kern), du.shape[-1] < width))
+            return block(G, on, j0, width, n, fold, blk, kern, weight, du,
+                         *rest)
+
+        orders = np.array([0.6, 0.9])
+        states = [random_state(rng, 129, 0.01), random_state(rng, 129, 3.0)]
+        monkeypatch.setattr(fractional, "_pair_block", recorded)
+        got = _core(G23, orders, states, want_grad=True, want_hess=True)
+        monkeypatch.undo()
+        assert (1, True) in seen  # one state of a padded sub-block
+        for i, (s, u) in enumerate(zip(orders, states)):
+            one = _core(G23, s, u, want_grad=True, want_hess=True)
+            assert all(np.array_equal(a[i], b) for a, b in zip(got, one))
+            assert got[0][i] == _core(G23, s, u, want_grad=True)[0]
 
     def test_rows_are_built_once_per_call(self, rng, monkeypatch):
         # `_core` builds the (mesh, rows) pair once and hands it to every
@@ -518,14 +544,30 @@ def add_element_blocks(hess, a, b, W):
     fractional._add_diagonals(hess, 0, 1, (b * b) @ W)
 
 
-def far_field_by_hand(G, s, u):
+def far_field_by_hand(G, s, u, power=True):
     """(value, flux, curvature, Gauss nodes) of the far field, flux and
-    curvature per element and Gauss point (elements x points)."""
+    curvature per element and Gauss point (elements x points). With
+    ``power``, where G is t^p on the range of every argument, t^p's
+    profile at |U| times the sum over both ends of dist**(-s p); else G's
+    own profile at |U| dist**(-s) per end."""
     h = u.spacing
     xg, wg = gauss_rule_01(5)
     X = (u.left + h * np.arange(u.node_count - 1))[:, None] + h * xg[None, :]
-    kern = np.stack([u.right - X, X - u.left]) ** (-s)
+    dist = np.stack([u.right - X, X - u.left])
+    kern = dist ** (-s)
     U = _at_gauss_points(u.values, xg)
+    on = fractional._power_on(G)
+    if power and on is not None and \
+            np.max(np.abs(U) * kern) * (1.0 + 1e-12) < on[1]:
+        p = on[0].params[0]
+        tilde = limit_density(on[0], 1)
+        ends = np.sum(dist ** (-s * p), axis=0)
+        a = np.abs(U)
+        val = (2.0 * h / s) * float(np.sum(wg * (tilde.value(a) / 2.0
+                                                 * ends)))
+        dc = (2.0 * h / s) * wg * (tilde.deriv(a) / 2.0 * ends) * np.sign(U)
+        curv = (2.0 * h / s) * wg * (tilde.deriv2(a) / 2.0 * ends)
+        return val, dc, curv, xg
     tilde = limit_density(G, 1)
     prof = tilde.value(np.abs(U) * kern) / 2.0
     val = (2.0 * h / s) * float(np.sum(wg * prof))
@@ -608,8 +650,10 @@ class TestPairStackEvaluations:
         call = OrliczFunction.__call__
 
         def seen(blocks):
+            # a derivative pass evaluates a value block's sub-blocks
             for b in blocks:
-                stacks.append(b[4].shape)
+                stacks.extend(d.shape for d in (b[4] if want_grad
+                                                 else [b[4]]))
                 yield b
 
         def recorded(*args):
@@ -683,6 +727,70 @@ class TestPairBlocks:
             # the block-path tests above need bands of several blocks,
             # each of several offsets
             assert any(len(b) > 1 and min(b) > 1 for b in sizes)
+
+    @pytest.mark.parametrize("n", [3, 33, 129, 257, 1025])
+    def test_two_block_levels(self, n):
+        # value blocks tile each band's offsets once; a derivative pass's
+        # sub-blocks tile each value block, and together they are the
+        # band's blocks of `_BLOCK_POINTS`; a value block is a run of them
+        # within `_VALUE_POINTS` points, or a single one
+        ne = n - 1
+        q = _pair_orders(ne, fractional._ORDER)
+        bands = fractional._band_tables((0.5,), 2.0 / ne, ne)[0]
+        first = 1  # of the band
+        for x, blocks, _, _ in bands:
+            rows, count = x.size ** 2, int(np.sum(q == x.size))
+            j, subs = first, []
+            for j0, nj, _, _ in blocks:
+                assert j0 == j
+                width = ne - j0
+                parts = fractional._sub_blocks(rows, nj, width)
+                assert [a for a, _ in parts] == [0] + [b for _, b in
+                                                      parts[:-1]]
+                assert parts[-1][1] == nj
+                assert len(parts) == 1 or \
+                    rows * width * nj <= fractional._VALUE_POINTS
+                subs += [(j0 - first + a, j0 - first + b) for a, b in parts]
+                j += nj
+            assert j == first + count
+            assert tuple(subs) == fractional._split(
+                rows, ne - first, count, fractional._BLOCK_POINTS)
+            for a, b in subs:
+                assert b - a == 1 or rows * (ne - first - a) * (b - a) \
+                    <= fractional._BLOCK_POINTS
+            first += count
+        assert first == ne
+        if n == 1025:
+            assert sum(len(b[1]) for b in bands) == 168
+            assert sum(len(fractional._sub_blocks(
+                x.size ** 2, nj, ne - j0)) for x, blocks, _, _ in bands
+                for j0, nj, _, _ in blocks) == 309
+
+    @pytest.mark.parametrize("n", [33, 257])
+    def test_sub_block_rows_sum_at_the_value_width(self, n, rng):
+        # a derivative pass's differences of a sub-block are those of its
+        # value block; its G values, with an inf (G''(0) for p < 2) in
+        # their padding, summed as rows of the value block's width: the
+        # bits of the value block's own row sums, and no NaN
+        u = random_state(rng, n)
+        s, rows = np.array([0.7]), u.values[None]
+        for (x, blocks), (_, parts) in zip(
+                fractional._pair_bands(s, u.spacing, rows),
+                fractional._pair_bands(s, u.spacing, rows, n=2)):
+            for (j0, kern, block, _, du, _), sub in zip(blocks, parts):
+                nj, width = du.shape[-2:]
+                g = fractional._drop_padding(np.abs(du) ** 1.5)
+                whole = fractional._weighed(g, width, block)
+                subs = fractional._sub_blocks(x.size ** 2, nj, width)
+                assert len(sub[4]) == len(subs)
+                for (a, b), d in zip(subs, sub[4]):
+                    L = width - a
+                    assert same_bits(d, du[..., a:b, :L])
+                    padding = np.arange(L) >= L - np.arange(b - a)[:, None]
+                    part = np.where(padding, np.inf, np.abs(d) ** 1.5)
+                    got = fractional._weighed(
+                        fractional._drop_padding(part), width, block[:, a:b])
+                    assert same_bits(got, whole[..., a:b])
 
     def test_padding_is_zeroed_without_nan(self):
         # G''(0) = inf for p < 2, and inf * 0 is NaN: the padding of a
@@ -766,10 +874,11 @@ class TestBandTables:
                         with pytest.raises(ValueError):
                             table[...] = 0.0
                     du[...] = 0.0  # the differences are the caller's
-            for *_, peak in fractional._band_tables(tuple(s), u.spacing,
-                                                    128):
-                with pytest.raises(ValueError):
-                    peak[...] = 0.0
+            for _, _, peak, whole in fractional._band_tables(
+                    tuple(s), u.spacing, 128)[0]:
+                for table in (peak, *whole):
+                    with pytest.raises(ValueError):
+                        table[...] = 0.0
 
     @pytest.mark.parametrize("n", [3, 4, 33, 129, 1025])
     @pytest.mark.parametrize("s", [(0.5,), (0.9, 0.95, 0.99)],
@@ -798,6 +907,25 @@ class TestBandTables:
                     assert len(w) == k and all(a is weight for a in w)
         for _, blocks in fractional._pair_bands(np.array(s), u.spacing, rows):
             assert all(weight is None for _, _, _, weight, _, _ in blocks)
+
+    def test_growth_functions_share_one_build(self):
+        # the tables depend on (s, h, ne) alone: every growth function of
+        # the suite reads one build, and t^p's weights are kept in it per
+        # exponent, of a power or of a max's least power
+        tables = fractional._band_tables
+        tables.cache_clear()
+        u = GridFunction.hat(-1.0, 1.0, 129)
+        for G in builtin_suite_functions():
+            fractional_modular(G, 0.7, u)
+        info = tables.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits == len(builtin_suite_functions()) - 1
+        bands, weights = tables((0.7,), u.spacing, 128)
+        assert sorted(weights) == [1.5, 2.0, 3.0]
+        for p, per_band in weights.items():
+            for (_, blocks, _, _), band_weights in zip(bands, per_band):
+                for (_, _, kern, block), weight in zip(blocks, band_weights):
+                    assert same_bits(weight, block * kern ** p)
 
     def test_one_solve_builds_its_tables_once(self):
         tables = fractional._band_tables
@@ -881,6 +1009,89 @@ class TestFarField:
             fd = (_far_field(G, s, u, vp[None], False)[0][0]
                   - _far_field(G, s, u, vm[None], False)[0][0]) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-7, abs=1e-10)
+
+
+def assert_close(got, ref, rel):
+    """Entry by entry within ``rel`` of ``ref``, non-finite entries equal."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    finite = np.isfinite(ref)
+    assert np.array_equal(got[~finite], ref[~finite])
+    assert np.all(np.abs(got[finite] - ref[finite])
+                  <= rel * np.abs(ref[finite]))
+
+
+class TestHomogeneousFarField:
+    """Where G is t^p on the range of the far field's arguments, (iii)
+    takes t^p's profile at |U| once, times dist**(-s p) per order and end:
+    the profile at |U| dist**(-s) to roundoff."""
+
+    @staticmethod
+    def powers(monkeypatch, *args):
+        """`_far_field` on ``args``, and whether it took t^p's powers of
+        the distances (`_pow`, which no other branch of it calls)."""
+        calls, pow_ = [], fractional._pow
+        with monkeypatch.context() as m:
+            m.setattr(fractional, "_pow",
+                      lambda *a: calls.append(a) or pow_(*a))
+            out = _far_field(*args)
+        return out, bool(calls)
+
+    @pytest.mark.parametrize("n", [17, 129, 1025])
+    @pytest.mark.parametrize("G", [make_power(1.5), G2, make_power(3.0),
+                                   make_power(4.0), G23],
+                             ids=lambda G: G.label)
+    def test_matches_the_profile_at_the_argument(self, G, n, monkeypatch,
+                                                 rng):
+        # the hat keeps every far argument of the max below 1; a random
+        # state is taken by the pure powers only
+        states = [GridFunction.hat(-1.0, 1.0, n)]
+        if G is not G23:
+            states.append(random_state(rng, n))
+        orders = np.array([0.3, 0.9, 0.99])
+        for u in states:
+            for s in (orders[1:2], orders):
+                (val, flux, curv), power = self.powers(
+                    monkeypatch, G, s, u, u.values[None], True, True)
+                assert power
+                for i, o in enumerate(s):
+                    ref = far_field_by_hand(G, float(o), u, power=False)
+                    assert_close(val[i], ref[0], 1e-13)
+                    assert_close(flux[i], ref[1].T, 1e-13)
+                    assert_close(curv[i], ref[2].T, 1e-13)
+                value, power = self.powers(monkeypatch, G, s, u,
+                                           u.values[None], False)
+                assert power and np.array_equal(value[0], val)
+
+    def test_max_past_its_kink_takes_its_own_profile(self, monkeypatch):
+        # on the hat of peak 2 the far arguments pass 1: the max takes its
+        # own profile, with the bits it has without t^2's rule; a stack of
+        # that state and the hat gives each state its lone call's bits
+        hat = GridFunction.hat(-1.0, 1.0, 129)
+        u, s = hat * 2.0, np.array([0.6])
+        h = u.spacing
+        xg, _ = gauss_rule_01(5)
+        X = (u.left + h * np.arange(128))[:, None] + h * xg
+        assert np.max(np.abs(_at_gauss_points(u.values, xg))
+                      * (u.right - X) ** -0.6) > 1.0
+        for want_grad, want_hess in ((False, False), (True, False),
+                                     (True, True)):
+            args = (s, u, u.values[None], want_grad, want_hess)
+            got, power = self.powers(monkeypatch, G23, *args)
+            assert not power
+            with monkeypatch.context() as m:
+                m.setattr(fractional, "_power_on", lambda G: None)
+                ref = _far_field(G23, *args)
+            for a, b in zip(got, ref):
+                assert b is None and a is None or same_bits(a, b)
+            orders, rows = np.array([0.6, 0.9]), np.stack(
+                [u.values, hat.values])
+            both = _far_field(G23, orders, u, rows, want_grad, want_hess)
+            for i, v in enumerate((u, hat)):
+                one = _far_field(G23, orders[i:i + 1], u, v.values[None],
+                                 want_grad, want_hess)
+                for a, b in zip(both, one):
+                    assert b is None and a is None or same_bits(a[i:i + 1],
+                                                                b)
 
 
 def uniform_pair_sum(G, s, u, order=5):
@@ -974,7 +1185,8 @@ def rule_values(G, on, du, kern, block, weight, n=1):
             G, on, du[i:i + 1] if len(du) > 1 else du, kern[i:i + 1], block,
             weight[i:i + 1], n) for i in range(len(kern))])
     F, arg, w = rule
-    return fractional._weighed(fractional._drop_padding(F(arg)), w[0])
+    g = fractional._drop_padding(F(arg))
+    return np.add.reduce(fractional._weighed(g, g.shape[-1], w[0]), (-2, -1))
 
 
 def assert_same_pairs(got, ref):
@@ -1158,8 +1370,9 @@ def exact_range_test(monkeypatch):
     tables = fractional._band_tables
 
     def unbounded(*key):
-        return tuple((x, blocks, np.full_like(peak, np.inf))
-                     for x, blocks, peak in tables(*key))
+        bands, weights = tables(*key)
+        return tuple((x, blocks, np.full_like(peak, np.inf), whole)
+                     for x, blocks, peak, whole in bands), weights
 
     monkeypatch.setattr(fractional, "_band_tables", unbounded)
 
@@ -1199,8 +1412,8 @@ class TestMaxBound:
         orders = np.array([0.9, 0.95, 0.99])
         for s in orders:
             bounds = reaches(s, u)
-            assert len(bounds) == 309
-            assert sum(r <= 1.0 for r, _ in bounds) == 308
+            assert len(bounds) == 168  # value blocks
+            assert sum(r <= 1.0 for r, _ in bounds) == 167
             assert all(r >= top for r, top in bounds)
         got = _core(G23, orders, u, want_grad=False)[0]
         with monkeypatch.context() as m:

@@ -409,8 +409,8 @@ class TestEulerIdentity:
     # For G = t^p the computed modular is homogeneous of degree p in u (every
     # piece takes |u| to the p-th power, or I(w) = w^p / p in the far field)
     # and the gradient is its exact derivative, so grad . u = p Phi_s(u).
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("n", [9, 33, 129])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [9, 33, 129, 257, 1025])
     def test_gradient_pairs_with_the_state(self, p, n, rng):
         G = make_power(p)
         hat = GridFunction.hat(-1.0, 1.0, n)
@@ -419,6 +419,23 @@ class TestEulerIdentity:
                 val, grad = fractional_modular_with_gradient(G, s, u)
                 assert grad @ u.values == pytest.approx(p * val, rel=1e-12)
                 assert val == fractional_modular(G, s, u)
+
+    # The value pass sums the pairs in value blocks, the gradient and the
+    # Hessian passes in their sub-blocks, whose rows they pad to the value
+    # block's length: at 257 and 1025 nodes most value blocks hold two
+    # sub-blocks. Every entry point gives the value the same bits.
+    @pytest.mark.parametrize("G", [G15, G2, G3, make_power(4.0),
+                                   make_power_log(3.0)],
+                             ids=lambda G: G.label)
+    @pytest.mark.parametrize("n", [9, 129, 257, 1025])
+    def test_entry_points_share_the_value_bits(self, G, n, rng):
+        hat = GridFunction.hat(-1.0, 1.0, n)
+        for u in (hat, random_state(problem(0.5, n=n), rng)):
+            for s in (0.1, 0.9, 0.99):
+                val = fractional_modular(G, s, u)
+                assert fractional_modular_with_gradient(G, s, u)[0] == val
+                with np.errstate(invalid="ignore"):  # G''(0) = inf
+                    assert fractional._core(G, s, u, True, True)[0] == val
 
 
 class TestYoungBound:
