@@ -42,11 +42,9 @@ from .limit_density import (
 from .limits import (
     LimitCurve,
     PoincareReport,
-    SequenceLimitReport,
     bbm_curve,
     poincare_budget,
     poincare_check,
-    sequence_limit_demo,
 )
 from .orlicz import (
     OrliczFunction,

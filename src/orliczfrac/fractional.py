@@ -41,8 +41,9 @@ is split into three pieces:
        not read u depends on (s, h, ne) only, and is built once per key
        and kept, read-only, for the last two keys (`_band_tables`): the
        kernel table dist**(-s) and the weights 2 h^2 w_a w_b / dist of
-       each value block, the largest dist**(-s) and dist**(1-s) of each,
-       and, per exponent p asked for, t^p's weights block kern^p;
+       each value block, the bounds of its blocks of `_BLOCK_POINTS`, the
+       largest dist**(-s) and dist**(1-s) of each value block, and, per
+       exponent p asked for, t^p's weights block kern^p;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I and I' (or I' and
@@ -69,20 +70,24 @@ leading axis over the orders, and each block forms |u(x) - u(y)| once per
 row and asks one jet of G on the stacked (states, pairs, offsets,
 elements) argument, or, where t^p's rule serves, on du, one row per
 row. Pieces (i) and (iii) evaluate their arrays with the states axis in
-front. A piece's arrays for many states at once cost more per point than
-stacking saves in calls, so states with rows of their own go through each
-pair block, and all states through the far field, a chunk at a time, as
-many as fit in `_STACK_POINTS` points (`_state_chunks`); the far field's
-quadrature profile, per-point work on (points, pieces, nodes) arrays, is
-taken state by state. The blocks do not depend on the number of states.
-Three things would make a state's bits depend on its neighbours, and
-each is kept per state: a power whose exponent depends on the order is
-taken with that order's Python float exponent (`_pow`); a rule whose
-kink cuts differ between states (`_kinks_below`) evaluates those states
-one by one, since the number of cut pieces changes the BLAS
-kernel of its matrix-vector product; and a block or a same-element piece
-where t^p's rule serves some states but not others gives each state its
-own rule.
+front. The blocks do not depend on the number of states, and each state
+keeps the bits of its lone call: a power whose exponent depends on the
+order takes that order's Python float exponent (`_pow`), and each piece
+splits a stack in one place, by one rule, and takes each part as a stack
+of its own:
+
+  (i)   `_same_element`, one state at a time where the states' rules
+        differ (t^p's closed form on some, or numbers of kink cuts,
+        `_kink_cuts`, which change the BLAS kernel of the rule's
+        matrix-vector product);
+  (ii)  `_pair_block`, a chunk at a time (`_state_chunks`) where states
+        with rows of their own exceed `_STACK_POINTS` points, whose arrays
+        cost more per point than stacking saves in calls, else one state
+        at a time where `_pair_rule` gives them rules of their own;
+  (iii) `_far_field`, a chunk at a time likewise, else one state at a
+        time where a max's states lie on both sides of T; its quadrature
+        profile, per-point work on (points, pieces, nodes) arrays, is
+        taken state by state.
 
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed value (same rules, same nodes) in piece (ii),
@@ -265,40 +270,35 @@ def _split(rows, width, count, points):
 def _merge(rows, width, bounds, points):
     """Runs of the consecutive blocks ``bounds`` of `_split`, each of the
     most blocks that keep rows * (width - a) * (b - a) within ``points``,
-    and at least one."""
+    and at least one, as (a, b, parts): the run's bounds, and its blocks'
+    bounds from a."""
     runs = []
     for a, b in bounds:
         if runs and rows * (width - runs[-1][0]) * (b - runs[-1][0]) <= points:
-            runs[-1] = (runs[-1][0], b)
+            start, _, parts = runs[-1]
+            runs[-1] = (start, b, parts + ((a - start, b - start),))
         else:
-            runs.append((a, b))
+            runs.append((a, b, ((0, b - a),)))
     return runs
-
-
-@lru_cache(maxsize=1024)
-def _sub_blocks(rows, nj, width):
-    """Bounds (a, b) of the sub-blocks of a derivative pass in a value block
-    of nj offsets whose first row is ``width`` elements long (`_split` with
-    `_BLOCK_POINTS`): as `_split` is greedy and a value block starts and
-    ends at block bounds, these are the band's blocks inside it."""
-    return _split(rows, width, nj, _BLOCK_POINTS)
 
 
 @lru_cache(maxsize=2)
 def _band_tables(s, h, ne):
     """What `_pair_bands` yields but the differences, on ne elements of width
     h, as (bands, weights). Per band of order q, ``bands`` holds its Gauss
-    nodes; its value blocks (j0, nj, kern, block), runs of the band's
-    blocks of `_BLOCK_POINTS` pair points (`_split`) within
-    `_VALUE_POINTS`, or single blocks (`_merge`); the u-independent
-    factors of their bound (`_pair_bands`), a (2, k, blocks) array of the
-    largest dist**(-s) and dist**(1-s) per order and value block; and the
-    band's whole (kern, block) tables. ``weights`` starts empty:
-    `_power_weights` keeps in it, per exponent p of `_power_on(G)`'s power,
-    t^p's pair weights block * kern**p (`_pair_rule`). Built once per key
-    (s, h, ne), s a tuple of orders, whatever G; the last two keys are
-    kept, each with the weights of every exponent asked for on it.
-    Read-only but for the weights' dict."""
+    nodes; its value blocks (j0, nj, kern, block, parts), runs of the
+    band's blocks of `_BLOCK_POINTS` pair points (`_split`) within
+    `_VALUE_POINTS`, or single blocks (`_merge`), with ``parts`` the bounds
+    (a, b) of those blocks in the run, offsets j0 + a .. j0 + b - 1 (the
+    blocks of a derivative pass); the u-independent factors of their bound
+    (`_pair_bands`), a (2, k, blocks) array of the largest dist**(-s) and
+    dist**(1-s) per order and value block; and the band's whole (kern,
+    block) tables. ``weights`` starts empty: `_power_weights` keeps in it,
+    per exponent p of `_power_on(G)`'s power, t^p's pair weights
+    block * kern**p (`_pair_rule`). Built once per key (s, h, ne), s a
+    tuple of orders, whatever G; the last two keys are kept, each with the
+    weights of every exponent asked for on it. Read-only but for the
+    weights' dict."""
     q = _pair_orders(ne, _ORDER)
     ends = np.flatnonzero(np.diff(q, prepend=0, append=0)).tolist()
     bands = []
@@ -310,14 +310,14 @@ def _band_tables(s, h, ne):
         block = 2.0 * h * h * np.outer(w, w).reshape(-1, 1, 1) / dist
         for table in (kern, block):
             table.flags.writeable = False
-        layout = _merge(x.size ** 2, ne - lo - 1, _split(
+        runs = _merge(x.size ** 2, ne - lo - 1, _split(
             x.size ** 2, ne - lo - 1, hi - lo, _BLOCK_POINTS), _VALUE_POINTS)
-        blocks = tuple((lo + 1 + a, b - a, kern[:, :, a:b], block[:, a:b])
-                       for a, b in layout)
+        blocks = tuple((lo + 1 + a, b - a, kern[:, :, a:b], block[:, a:b],
+                        parts) for a, b, parts in runs)
         # per offset, then per block of offsets: (2, orders, blocks)
         peak = np.maximum.reduceat(np.stack(
             [kern.max(axis=(1, 3)), (dist * kern).max(axis=(1, 3))]),
-            [a for a, _ in layout], axis=-1)
+            [a for a, _, _ in runs], axis=-1)
         peak.flags.writeable = False
         bands.append((x, blocks, peak, (kern, block)))
     return tuple(bands), {}
@@ -335,7 +335,7 @@ def _power_weights(tables, p):
             weight.flags.writeable = False
             a = blocks[0][0]  # the band's first offset
             per_band.append(tuple(weight[:, :, j0 - a:j0 - a + nj]
-                                  for j0, nj, _, _ in blocks))
+                                  for j0, nj, *_ in blocks))
         weights[p] = tuple(per_band)
     return weights[p]
 
@@ -358,9 +358,11 @@ def _pair_bands(s, h, rows, on=None, n=1):
     (`_drop_padding`) if e >= L - k. They are read from one zero-padded
     (q, 2 ne) buffer of Gauss-point values per row and band, so every
     operation on a pair row is a long contiguous loop. For a derivative
-    pass (``n`` > 1) ``du`` is a tuple of such arrays, one per sub-block of
-    the value block (`_sub_blocks`): a view of the block's differences
-    would make every elementwise operation on it a loop per row.
+    pass (``n`` > 1) ``kern``, ``block``, ``weight`` and ``du`` are tuples,
+    one entry per block of `_BLOCK_POINTS` in the value block (its
+    ``parts`` in `_band_tables`), on that block's offsets: a view of the
+    value block's differences would make every elementwise operation on it
+    a loop per row.
 
     For T finite (a max of powers), ``reach`` is a float no smaller than
     any |du| kern of the block's pairs in any state, the product as
@@ -395,11 +397,12 @@ def _pair_bands(s, h, rows, on=None, n=1):
                     - W[:, None, :, :1, :ne - j0]).reshape(
                         len(W), q * q, nj, ne - j0)
 
-        yield x, ((j0, kern, block, w, diff(j0, nj) if n == 1 else tuple(
-                   diff(j0 + a, b - a)
-                   for a, b in _sub_blocks(q * q, nj, ne - j0)), r)
-                  for (j0, nj, kern, block), w, r in zip(blocks, weight,
-                                                         reach))
+        yield x, ((j0, kern, block, w, diff(j0, nj), r) if n == 1 else (
+                   j0, *zip(*((kern[:, :, a:b], block[:, a:b],
+                               None if w is None else w[:, :, a:b],
+                               diff(j0 + a, b - a)) for a, b in parts)), r)
+                  for (j0, nj, kern, block, parts), w, r in zip(
+                      blocks, weight, reach))
 
 
 @lru_cache(maxsize=64)
@@ -511,25 +514,22 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     state of the k orders ``s`` and the nodal ``rows`` on ``mesh``
     (`_nodal`).
 
-    `_power_on` is read once per call, and `_pair_rule` gives each block
-    and state t^p's rule or G's own, for every output (`_pair_block`).
-    Where t^p serves on [0, T] with T finite (a max of powers), a block
-    whose bound on |du| kern (`_pair_bands`) lies in that range takes t^p's
-    rule without a scan of its arguments. States with rows of their own
-    are taken a chunk at a time per block (`_state_chunks`, by the block's
-    pair points): 4 states of full blocks at once made a 4-order ladder at
-    129 nodes 1.2 times slower than its sequential solves. Orders that
-    share a row share each block's G call.
+    `_power_on` is read once per call. Where t^p serves on [0, T] with T
+    finite (a max of powers), a value block whose bound on |du| kern
+    (`_pair_bands`) lies in that range takes t^p's rule without a scan of
+    its arguments; any other block leaves the choice to `_pair_rule`.
 
-    The value takes each value block whole. The gradient and the Hessian
-    take its sub-blocks (`_sub_blocks`), and sum their G rows at
-    the value block's row length (`_weighed`) before they weigh them and
-    sum the block, so that the value keeps the value pass's bits. The
-    gradient is accumulated per element and Gauss point of a band and
-    scattered to the nodes once per band (`_add_element_terms`); a block's
-    left elements take a sum over its offsets, its right elements a skewed
-    one (`_skew_sum`). Given ``hess`` (the upper triangle of a nodal
-    matrix per state), the Hessian is added to it.
+    Each part of a value block is one `_pair_block` call, which splits
+    its states: the value takes the value block whole, the gradient and
+    the Hessian each of its blocks of `_BLOCK_POINTS` (`_pair_bands`),
+    under the value block's bound, and they sum their G rows at the value
+    block's row length (`_weighed`) before they weigh them and sum the
+    block, so that the value keeps the value pass's bits. The gradient is
+    accumulated per element and Gauss point of a band and scattered to the
+    nodes once per band (`_add_element_terms`); a block's left elements
+    take a sum over its offsets, its right elements a skewed one
+    (`_skew_sum`). Given ``hess`` (the upper triangle of a nodal matrix per
+    state), the Hessian is added to it.
     """
     k, ne = len(s), mesh.node_count - 1
     val = np.zeros(k)
@@ -550,41 +550,19 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
             fits = on is not None and (reach < on[1] if n > 1
                                        else reach <= on[1])
             rule = (on[0], np.inf) if fits else on
-            nj, width = kern.shape[-2], ne - j0
-            # a derivative pass takes the block in sub-blocks, each under
-            # the block's bound, and sums the rows of each at the block's
-            # width
-            if n == 1 or len(du) == 1:
-                sums = _pair_part(G, rule, j0, width, n, fold, block, kern,
-                                  weight, du if n == 1 else du[0], gU, hU,
-                                  hess)
-            else:
-                sums = np.concatenate([_pair_part(
-                    G, rule, j0 + a, width, n, fold, block[:, a:b],
-                    kern[:, :, a:b],
-                    None if weight is None else weight[:, :, a:b], part,
-                    gU, hU, hess)
-                    for (a, b), part in zip(_sub_blocks(q * q, nj, width),
-                                            du)], axis=-1)
+            if n == 1:  # the value block whole
+                sums = _pair_block(G, rule, ne - j0, n, fold, block, kern,
+                                   weight, du)
+            else:  # each of its blocks, at the value block's width
+                sums = [_pair_block(G, rule, ne - j0, n, fold, *part, gU=gU,
+                                    hU=hU, hess=hess)
+                        for part in zip(block, kern, weight, du)]
+                sums = sums[0] if len(sums) == 1 else np.concatenate(
+                    sums, axis=-1)
             val += np.add.reduce(sums, (-2, -1))
         if want_grad:
             _add_element_terms(grad, hess, 1.0 - x, x, gU, hU)
     return val, grad
-
-
-def _pair_part(G, on, j0, width, n, fold, block, kern, weight, du, gU, hU,
-               hess):
-    """`_pair_block` on all states of a block or sub-block, with the signs
-    of ``du`` for n > 1: at once where they fit, and always orders that
-    share one row, or else a chunk at a time (`_state_chunks`)."""
-    sign = np.sign(du) if n > 1 else None
-    if len(du) == 1 or du.size <= _STACK_POINTS:
-        return _pair_block(G, on, j0, width, n, fold, block, kern, weight,
-                           du, sign, gU, hU, hess)
-    return np.concatenate([
-        _pair_block(G, on, j0, width, n, fold, block, *_state_views(
-            at, kern, weight, du, sign, gU, hU, hess))
-        for at in _state_chunks(len(du), du[0].size)])
 
 
 def _state_views(at, kern, weight, du, sign, *outs):
@@ -597,35 +575,46 @@ def _state_views(at, kern, weight, du, sign, *outs):
             *(None if a is None else a[at] for a in outs))
 
 
-def _pair_block(G, on, j0, width, n, fold, block, kern, weight, du, sign,
-                gU, hU, hess):
-    """The weighed row sums (states x rows x offsets) of one block of
-    offsets j0, j0 + 1, ..., whose sum is its value, per state of their
-    leading axis; given ``gU`` (which needs ``n`` >= 2 and the signs
-    ``sign`` of ``du``), its per-element first derivatives are added to
-    it, and given ``hess`` its second ones.
+def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
+                gU=None, hU=None, hess=None):
+    """The weighed row sums (states x rows x offsets) of one block of the
+    offsets j0, j0 + 1, ..., whose rows of ``du`` are L = ne - j0 long, and
+    whose sum is its value, per state of their leading axis; given ``gU``
+    (which needs ``n`` >= 2), its per-element first derivatives are added
+    to it, and given ``hess`` its second ones.
 
-    The rule of `_pair_rule` takes one jet of order n on its argument;
-    states with rules of their own take this function one by one, on their
-    views (`_state_views`). F(arg) is summed over the elements of each
-    pair row and offset, as a row of ``width``, its value block's (with
-    zeros after the block's own rows: `_weighed`), before the row sums take
-    their weight w[0]: no weighted copy of the stack is made, and each
-    state's sums are its own reductions, as for one state. A pair
-    contributes c = w[2] F''(arg) times the outer product of its
-    difference's nodal weights to the Hessian. One matrix product per state
-    (`_hessian_fold`) folds c into its sums per right and per left Gauss
-    point, accumulated per element in ``hU`` like the gradient in ``gU``,
-    and into its four hat-weight moments, the cross part, which lands on
-    diagonals j-1, j and j+1 of each offset j of the block through one
-    strided view per moment (`_add_diagonals`).
+    The states are split here alone, into views (`_state_views`): a chunk
+    at a time (`_state_chunks`, by the block's pair points) where states
+    with rows of their own exceed `_STACK_POINTS` points (4 states of full
+    blocks at once made a 4-order ladder at 129 nodes 1.2 times slower than
+    its sequential solves), else one at a time where `_pair_rule` gives
+    them rules of their own. Orders that share a row share the block's G
+    call. The signs of ``du`` are taken once, before `_pair_rule` takes
+    |du| in place, and split with it.
+
+    The rule takes one jet of order n on its argument. F(arg) is summed
+    over the elements of each pair row and offset, as a row of ``width``,
+    its value block's (with zeros after the block's own rows: `_weighed`),
+    before the row sums take their weight w[0]: no weighted copy of the
+    stack is made, and each state's sums are its own reductions, as for
+    one state. A pair contributes c = w[2] F''(arg) times the outer
+    product of its difference's nodal weights to the Hessian. One matrix
+    product per state (`_hessian_fold`) folds c into its sums per right and
+    per left Gauss point, accumulated per element in ``hU`` like the
+    gradient in ``gU``, and into its four hat-weight moments, the cross
+    part, which lands on diagonals j-1, j and j+1 of each offset j of the
+    block through one strided view per moment (`_add_diagonals`).
     """
-    rule = _pair_rule(G, on, du, kern, block, weight, n)
+    if n > 1 and sign is None:
+        sign = np.sign(du)
+    stacked = len(du) > 1 and du.size > _STACK_POINTS
+    rule = None if stacked else _pair_rule(G, on, du, kern, block, weight, n)
     if rule is None:
         return np.concatenate([
-            _pair_block(G, on, j0, width, n, fold, block, *_state_views(
-                slice(i, i + 1), kern, weight, du, sign, gU, hU, hess))
-            for i in range(len(kern))])
+            _pair_block(G, on, width, n, fold, block, *_state_views(
+                at, kern, weight, du, sign, gU, hU, hess))
+            for at in (_state_chunks(len(du), du[0].size) if stacked else
+                       [slice(i, i + 1) for i in range(len(kern))])])
     F, arg, w = rule
     g = F(arg, n)
     sums = _weighed(_drop_padding(g[0]), width, w[0])
@@ -633,6 +622,7 @@ def _pair_block(G, on, j0, width, n, fold, block, kern, weight, du, sign,
         return sums
     q, lead = gU.shape[-2], gU.shape[:-2]
     nj, L = du.shape[-2:]
+    j0 = gU.shape[-1] - L
     coef = (w[1] * _drop_padding(g[1]) * sign).reshape(lead + (q, q, nj, L))
     gU[..., j0:] += _skew_sum(coef.sum(axis=-3))
     gU[..., :L] -= coef.sum(axis=(-4, -2))
@@ -695,54 +685,47 @@ def _far_field(G, s, mesh, rows, want_grad, want_hess=False, tilde=None):
     ``tilde`` = `limit_density(G, 1)` (built here if not given), and one
     of its exact derivatives, I' or both I' and I'' from one jet of G, as
     (elements x points) arrays, returned transposed (views: same bits).
-    The states are taken a chunk at a time (`_state_chunks`), by their 2 x
-    elements x 5 arguments."""
-    tilde = tilde or limit_density(G, 1)
-    on = _power_on(G)
-    parts = [_far_terms(tilde, on, s[at], mesh,
-                        rows if len(rows) == 1 else rows[at],
-                        want_grad, want_hess)
-             for at in _state_chunks(len(s), 10 * (mesh.node_count - 1))]
-    val, *ders = parts[0] if len(parts) == 1 else map(np.concatenate,
-                                                      zip(*parts))
-    if not want_grad:
-        return val, None
-    return (val, *(d.swapaxes(-1, -2) for d in ders))
 
-
-def _far_terms(tilde, on, s, mesh, rows, want_grad, want_hess):
-    """`_far_field` on one chunk of states: the value and, as asked, its
-    first and second derivatives, as (elements x points) arrays.
-
-    ``on`` is `_power_on(G)`. Where G is t^p on [0, T] and every argument
+    Where G is t^p on [0, T] (`_power_on`) and every argument
     |U| dist**(-s) of a state lies there (below T for the derivatives),
     I(|U| kern) kern^i = kern^p I_p^(i)(|U|), I_p t^p's profile: one
     profile of t^p at |U| serves every order and both ends, times the sum
     over the two ends of dist**(-s p), taken per order (`_pow`). For T
     finite (a max of powers) the range is checked first, on the nearer
-    end's kernel with 1e-12 relative above the products, and states on
-    both sides of T are taken one by one. Any other state takes G's own
-    profile at |U| kern."""
+    end's kernel with 1e-12 relative above the products. Any other state
+    takes G's own profile at |U| kern.
+
+    The states are split here alone: a chunk at a time (`_state_chunks`,
+    by their 2 x elements x 5 arguments), else one at a time where a
+    max's states lie on both sides of T."""
+    tilde = tilde or limit_density(G, 1)
+    on = _power_on(G)
     h = mesh.spacing
     xg, wg = gauss_rule_01(_ORDER)
     X = (mesh.left + h * np.arange(mesh.node_count - 1))[:, None] \
         + h * xg[None, :]
     dist = np.abs(np.subtract.outer([mesh.right, mesh.left], X))
     U = _at_gauss_points(rows, xg)
-    scale = 2.0 * h / s
+    chunks = _state_chunks(len(s), dist.size)
     fits = on is not None
-    if fits and on[1] < np.inf:
+    if fits and on[1] < np.inf and len(chunks) == 1:
         # the nearer end has the larger kernel
         top = (np.abs(U) * dist.min(axis=0) ** -s[:, None, None]).max(
             axis=(-2, -1)) * (1.0 + 1e-12)
         fits = (np.less if want_grad else np.less_equal)(top, on[1])
-        if len(s) > 1 and fits.any() and not fits.all():
-            parts = [_far_terms(tilde, on, s[i:i + 1], mesh,
-                                rows if len(rows) == 1 else rows[i:i + 1],
-                                want_grad, want_hess)
-                     for i in range(len(s))]
-            return tuple(map(np.concatenate, zip(*parts)))
+        if fits.any() and not fits.all():
+            chunks = [slice(i, i + 1) for i in range(len(s))]
         fits = fits.all()
+    if len(chunks) > 1:
+        # np.concatenate keeps its inputs' strides: the parts' transposed
+        # derivatives stack into the layout of a lone call's
+        parts = zip(*(_far_field(G, s[at], mesh,
+                                 rows if len(rows) == 1 else rows[at],
+                                 want_grad, want_hess, tilde)
+                      for at in chunks))
+        return tuple(None if p[0] is None else np.concatenate(p)
+                     for p in parts)
+    scale = 2.0 * h / s
     if fits:
         F = on[0]
         p = F.params[0]
@@ -766,7 +749,7 @@ def _far_terms(tilde, on, s, mesh, rows, want_grad, want_hess):
     val = scale * (np.sum(wg * (profile / 2.0 * kern), axis=(-2, -1)) if fits
                    else np.sum(wg * (profile / 2.0), axis=(-3, -2, -1)))
     if not want_grad:
-        return (val,)
+        return val, None
     scale = scale[:, None, None]
     d1, *d2 = tilde.deriv(arg, 2) if want_hess else (tilde.deriv(arg),)
     if fits:
@@ -776,9 +759,8 @@ def _far_terms(tilde, on, s, mesh, rows, want_grad, want_hess):
         d1 = np.sum(d1 / 2.0 * kern, axis=-3)
         d2 = [np.sum(d / 2.0 * kern * kern, axis=-3) for d in d2]
     d1 = scale * wg * d1 * np.sign(U)
-    if not want_hess:
-        return val, d1
-    return val, d1, scale * wg * d2[0]
+    d2 = [scale * wg * d for d in d2]
+    return (val, *(d.swapaxes(-1, -2) for d in [d1, *d2]))
 
 
 def _nodal(u):

@@ -2,9 +2,8 @@
 
 The central object is the curve s -> (1-s) * Phi_s(u), whose s->1 limit is
 the slope modular taken with the limit density of the growth function. The
-drivers here sample that curve, extrapolate it, check the scale-free
-Poincare ratio against its explicit budget, and exercise the
-limit-of-a-sequence inequality.
+drivers here sample that curve, extrapolate it, and check the scale-free
+Poincare ratio against its explicit budget.
 """
 
 from __future__ import annotations
@@ -119,47 +118,3 @@ def poincare_check(G: OrliczFunction, s, u: GridFunction):
                        budget=poincare_budget(G, o, u.right - u.left))
         for o, p in zip(np.ravel(orders).tolist(), phi.tolist()))
     return reports if orders.ndim else reports[0]
-
-
-@dataclass(frozen=True)
-class SequenceLimitReport:
-    """Uniform-bound and lower-semicontinuity diagnostics along a sequence."""
-
-    entries: Tuple[Tuple[float, float], ...]  # (s_k, (1-s_k) Phi_{s_k}(u_k))
-    target: float                             # slope modular of the base
-    sup_scaled: float
-    tail_min: float
-
-    @property
-    def liminf_margin(self):
-        return self.tail_min - self.target
-
-
-def sequence_limit_demo(G: OrliczFunction, base: GridFunction,
-                        s_list: Sequence[float],
-                        perturbation: GridFunction | None = None
-                        ) -> SequenceLimitReport:
-    """Evaluate (1-s_k) Phi_{s_k}(u_k) for u_k = base + perturbation/k.
-
-    Reports the uniform bound sup_k of the scaled modulars and the minimum
-    over the tail (second half of the sampled k), whose comparison with the
-    slope modular of the base function is the sampled lower-semicontinuity
-    inequality.
-    """
-    s_list = _validate_s_list(s_list)
-    if perturbation is None:
-        perturbation = GridFunction.zeros(base.left, base.right,
-                                          base.node_count)
-
-    entries = []
-    for k, s in enumerate(s_list, start=1):
-        u_k = base + perturbation * (1.0 / k)
-        entries.append((s, (1.0 - s) * fractional_modular(G, s, u_k)))
-
-    tilde = limit_density(G, 1).as_orlicz()
-    target = gradient_modular(tilde, base)
-    scaled = [y for _, y in entries]
-    tail = scaled[len(scaled) // 2:]
-    return SequenceLimitReport(entries=tuple(entries), target=float(target),
-                               sup_scaled=float(max(scaled)),
-                               tail_min=float(min(tail)))

@@ -190,15 +190,6 @@ def weak_residual(problem: DirichletProblem, u: GridFunction) -> float:
     return float(np.max(np.abs(g[1:-1]))) if len(g) > 2 else 0.0
 
 
-def _screen_strict_convexity(G):
-    xs = np.logspace(-6, 3, 64)
-    d = G.deriv(xs)
-    if np.any(np.diff(d) <= 0.0):
-        warnings.warn(
-            "derivative is not strictly increasing on the screening grid; "
-            "the minimizer may not be unique", UniquenessWarning)
-
-
 class _Energy:
     """The energy and its derivatives at interior values, with counts."""
 
@@ -209,8 +200,8 @@ class _Energy:
         self.hessians = 0
 
     def state(self, interior):
-        return self.problem.zero_state().with_values(
-            np.concatenate([[0.0], interior, [0.0]]))
+        return GridFunction(*self.problem.omega,
+                            np.concatenate([[0.0], interior, [0.0]]))
 
     def take(self, u, want_hess, val, grad, hess=None):
         """(E, interior gradient, sigma times the seminorm's Hessian (scaled
@@ -299,7 +290,12 @@ def _descent(energy_at, start):
     loop that runs it, `_solve_stack`, answers its requests, in the same
     rounds as those of other problems."""
     problem = energy_at.problem
-    _screen_strict_convexity(problem.G)
+    # one jet of G: G' on a screening grid, and G''(0)
+    _, d1, d2 = problem.G(np.append(np.logspace(-6, 3, 64), 0.0), 3)
+    if np.any(np.diff(d1[:-1]) <= 0.0):
+        warnings.warn(
+            "derivative is not strictly increasing on the screening grid; "
+            "the minimizer may not be unique", UniquenessWarning)
     ni = problem.mesh_nodes - 2
     h = (problem.omega[1] - problem.omega[0]) / (ni + 1)
     # For t^2 the energy is quadratic: one Newton step minimizes it.
@@ -308,7 +304,7 @@ def _descent(energy_at, start):
         v = np.zeros(ni)
         # G''(0) of 0 or infinity makes the Hessian at the zero state
         # singular or infinite, so it is not assembled there.
-        want_hess = 0.0 < float(problem.G.d2(0.0)) < np.inf
+        want_hess = 0.0 < float(d2[-1]) < np.inf
     else:
         problem._check_state(start)
         v = start.values[1:-1]

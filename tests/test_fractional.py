@@ -194,6 +194,38 @@ class TestStatesAxis:
                                 want_hess=True)
             assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
 
+    def test_far_field_chunks_take_their_own_rules(self, rng, monkeypatch):
+        # a budget of two states' far-field points: each chunk holds a
+        # state of the max whose arguments stay below T = 1 and one whose
+        # arguments pass it, and takes them one by one
+        n = 129
+        orders = np.array(self.ORDERS)
+        states = [random_state(rng, n, a) for a in (0.01, 3.0, 0.01, 3.0)]
+        modes = ((False, False), (True, False), (True, True))
+        far, sizes = fractional._far_field, []
+
+        def recorded(G, s, *args):
+            sizes.append(len(s))
+            return far(G, s, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(fractional, "_STACK_POINTS", 20 * (n - 1))
+            m.setattr(fractional, "_far_field", recorded)
+            got = [_core(G23, orders, states, want_grad=want_grad,
+                         want_hess=want_hess)
+                   for want_grad, want_hess in modes]
+        assert sizes == [4, 2, 1, 1, 2, 1, 1] * len(modes)
+        for out, (want_grad, want_hess) in zip(got, modes):
+            for i, (s, u) in enumerate(zip(orders, states)):
+                one = _core(G23, s, u, want_grad=want_grad,
+                            want_hess=want_hess)
+                assert len(out) == len(one)
+                for a, b in zip(out, one):
+                    if b is None:
+                        assert a is None
+                    else:
+                        assert np.array_equal(a[i], b)
+
     def test_states_take_their_own_pair_rules(self, rng, monkeypatch):
         # one state below the least power's range, one above it: some
         # blocks give each state its own rule, t^2's or G's
@@ -224,11 +256,11 @@ class TestStatesAxis:
         # bits, and the value of its lone gradient pass
         block, seen = fractional._pair_block, []
 
-        def recorded(G, on, j0, width, n, fold, blk, kern, weight, du,
-                     *rest):
+        def recorded(G, on, width, n, fold, blk, kern, weight, du, *rest,
+                     **outs):
             seen.append((len(kern), du.shape[-1] < width))
-            return block(G, on, j0, width, n, fold, blk, kern, weight, du,
-                         *rest)
+            return block(G, on, width, n, fold, blk, kern, weight, du,
+                         *rest, **outs)
 
         orders = np.array([0.6, 0.9])
         states = [random_state(rng, 129, 0.01), random_state(rng, 129, 3.0)]
@@ -741,10 +773,9 @@ class TestPairBlocks:
         for x, blocks, _, _ in bands:
             rows, count = x.size ** 2, int(np.sum(q == x.size))
             j, subs = first, []
-            for j0, nj, _, _ in blocks:
+            for j0, nj, _, _, parts in blocks:
                 assert j0 == j
                 width = ne - j0
-                parts = fractional._sub_blocks(rows, nj, width)
                 assert [a for a, _ in parts] == [0] + [b for _, b in
                                                       parts[:-1]]
                 assert parts[-1][1] == nj
@@ -762,34 +793,36 @@ class TestPairBlocks:
         assert first == ne
         if n == 1025:
             assert sum(len(b[1]) for b in bands) == 168
-            assert sum(len(fractional._sub_blocks(
-                x.size ** 2, nj, ne - j0)) for x, blocks, _, _ in bands
-                for j0, nj, _, _ in blocks) == 309
+            assert sum(len(parts) for _, blocks, _, _ in bands
+                       for *_, parts in blocks) == 309
 
     @pytest.mark.parametrize("n", [33, 257])
     def test_sub_block_rows_sum_at_the_value_width(self, n, rng):
-        # a derivative pass's differences of a sub-block are those of its
-        # value block; its G values, with an inf (G''(0) for p < 2) in
-        # their padding, summed as rows of the value block's width: the
-        # bits of the value block's own row sums, and no NaN
+        # a derivative pass's differences and tables of a sub-block are
+        # those of its value block; its G values, with an inf (G''(0) for
+        # p < 2) in their padding, summed as rows of the value block's
+        # width: the bits of the value block's own row sums, and no NaN
         u = random_state(rng, n)
         s, rows = np.array([0.7]), u.values[None]
-        for (x, blocks), (_, parts) in zip(
+        for (x, blocks), (_, parts), (_, entries, _, _) in zip(
                 fractional._pair_bands(s, u.spacing, rows),
-                fractional._pair_bands(s, u.spacing, rows, n=2)):
-            for (j0, kern, block, _, du, _), sub in zip(blocks, parts):
-                nj, width = du.shape[-2:]
+                fractional._pair_bands(s, u.spacing, rows, n=2),
+                fractional._band_tables((0.7,), u.spacing, n - 1)[0]):
+            for (j0, kern, block, _, du, _), sub, (*_, subs) in zip(
+                    blocks, parts, entries):
+                width = du.shape[-1]
                 g = fractional._drop_padding(np.abs(du) ** 1.5)
                 whole = fractional._weighed(g, width, block)
-                subs = fractional._sub_blocks(x.size ** 2, nj, width)
-                assert len(sub[4]) == len(subs)
-                for (a, b), d in zip(subs, sub[4]):
+                assert sub[0] == j0 and len(sub[4]) == len(subs)
+                for (a, b), k, blk, d in zip(subs, *sub[1:3], sub[4]):
                     L = width - a
                     assert same_bits(d, du[..., a:b, :L])
+                    assert same_bits(k, kern[:, :, a:b])
+                    assert same_bits(blk, block[:, a:b])
                     padding = np.arange(L) >= L - np.arange(b - a)[:, None]
                     part = np.where(padding, np.inf, np.abs(d) ** 1.5)
                     got = fractional._weighed(
-                        fractional._drop_padding(part), width, block[:, a:b])
+                        fractional._drop_padding(part), width, blk)
                     assert same_bits(got, whole[..., a:b])
 
     def test_padding_is_zeroed_without_nan(self):
@@ -924,7 +957,8 @@ class TestBandTables:
         assert sorted(weights) == [1.5, 2.0, 3.0]
         for p, per_band in weights.items():
             for (_, blocks, _, _), band_weights in zip(bands, per_band):
-                for (_, _, kern, block), weight in zip(blocks, band_weights):
+                for (_, _, kern, block, _), weight in zip(blocks,
+                                                          band_weights):
                     assert same_bits(weight, block * kern ** p)
 
     def test_one_solve_builds_its_tables_once(self):

@@ -9,7 +9,6 @@ from orliczfrac import (
     make_power,
     poincare_budget,
     poincare_check,
-    sequence_limit_demo,
 )
 from orliczfrac.properties import random_zero_trace
 
@@ -143,27 +142,3 @@ class TestPoincare:
         orders = [0.9, 0.3, 0.6, 0.3]
         reports = poincare_check(G2, orders, u)
         assert reports == tuple(poincare_check(G2, s, u) for s in orders)
-
-
-class TestSequenceDemo:
-    S_LIST = [0.3, 0.5, 0.65, 0.78, 0.88, 0.94, 0.97, 0.99]
-
-    def test_constant_sequence_matches_curve(self):
-        base = GridFunction.hat(-1.0, 1.0, 129)
-        rep = sequence_limit_demo(G2, base, self.S_LIST)
-        curve = bbm_curve(G2, base, self.S_LIST)
-        for (s1, y1), (s2, y2) in zip(rep.entries, curve.entries):
-            assert s1 == s2
-            # the curve's one multi-order call is bit-identical to the
-            # demo's one-order calls
-            assert y1 == y2
-
-    def test_uniform_bound_and_liminf_margin(self):
-        base = GridFunction.hat(-1.0, 1.0, 257)
-        bump = GridFunction.from_callable(
-            lambda x: 2.0 * np.maximum(0.0, 0.25 - np.abs(x + 0.3)),
-            -1.0, 1.0, 257)
-        rep = sequence_limit_demo(G2, base, self.S_LIST, bump)
-        assert np.isfinite(rep.sup_scaled)
-        assert rep.target == pytest.approx(2.0, rel=1e-9)
-        assert rep.liminf_margin >= -1e-3

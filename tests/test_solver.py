@@ -423,14 +423,18 @@ class TestEulerIdentity:
     # The value pass sums the pairs in value blocks, the gradient and the
     # Hessian passes in their sub-blocks, whose rows they pad to the value
     # block's length: at 257 and 1025 nodes most value blocks hold two
-    # sub-blocks. Every entry point gives the value the same bits.
+    # sub-blocks. Every entry point gives the value the same bits. The
+    # state of seed 1 pins the padding: summed at their own length, the
+    # sub-blocks' rows move its power_log(3) value at s = 0.1 by an ulp at
+    # 129 and 257 nodes.
     @pytest.mark.parametrize("G", [G15, G2, G3, make_power(4.0),
                                    make_power_log(3.0)],
                              ids=lambda G: G.label)
     @pytest.mark.parametrize("n", [9, 129, 257, 1025])
     def test_entry_points_share_the_value_bits(self, G, n, rng):
         hat = GridFunction.hat(-1.0, 1.0, n)
-        for u in (hat, random_state(problem(0.5, n=n), rng)):
+        for u in (hat, random_state(problem(0.5, n=n), rng),
+                  random_state(problem(0.5, n=n), np.random.default_rng(1))):
             for s in (0.1, 0.9, 0.99):
                 val = fractional_modular(G, s, u)
                 assert fractional_modular_with_gradient(G, s, u)[0] == val
