@@ -8,6 +8,7 @@ from orliczfrac import (
     GridFunction,
     InvalidInputError,
     InvalidParameterError,
+    OrliczFunction,
     StopReason,
     UniquenessWarning,
     energy,
@@ -202,6 +203,22 @@ class TestSolve:
         monkeypatch.setattr(solver, "_MAX_ITER", 2)
         with pytest.warns(UniquenessWarning):
             solve(prob)
+
+    def test_start_reads_one_jet(self, monkeypatch):
+        # the convexity screen's G' and the zero state's G''(0) come from
+        # one jet of G, not from deriv or d2; the solve keeps its bits
+        prob = problem(0.5, n=33, G=G15)
+        want = solve(prob)
+
+        def refused(self, x):
+            raise AssertionError("the solver read G through deriv or d2")
+
+        monkeypatch.setattr(OrliczFunction, "deriv", refused)
+        monkeypatch.setattr(OrliczFunction, "d2", refused)
+        got = solve(prob)
+        assert np.array_equal(got.u.values, want.u.values)
+        assert (got.iterations, got.evaluations, got.hessians) == (
+            want.iterations, want.evaluations, want.hessians)
 
 
 class TestNewton:
