@@ -73,21 +73,21 @@ row. Pieces (i) and (iii) evaluate their arrays with the states axis in
 front. The blocks do not depend on the number of states, and each state
 keeps the bits of its lone call: a power whose exponent depends on the
 order takes that order's Python float exponent (`_pow`), and each piece
-splits a stack in one place, by one rule, and takes each part as a stack
-of its own:
+splits a stack in one place, by one rule:
 
-  (i)   `_same_element`, one state at a time where the states' rules
-        differ (t^p's closed form on some, or numbers of kink cuts,
-        `_kink_cuts`, which change the BLAS kernel of the rule's
-        matrix-vector product);
+  (i)   `_same_element`, one state at a time (`_one_by_one`) where the
+        states' rules differ (t^p's closed form on some, or numbers of
+        kink cuts, `_kink_cuts`, which change the BLAS kernel of the
+        rule's matrix-vector product);
   (ii)  `_pair_block`, a chunk at a time (`_state_chunks`) where states
         with rows of their own exceed `_STACK_POINTS` points, whose arrays
         cost more per point than stacking saves in calls, else one state
         at a time where `_pair_rule` gives them rules of their own;
-  (iii) `_far_field`, a chunk at a time likewise, else one state at a
-        time where a max's states lie on both sides of T; its quadrature
-        profile, per-point work on (points, pieces, nodes) arrays, is
-        taken state by state.
+  (iii) `_far_field`, one state at a time (`_one_by_one`) only where a
+        max's states lie on both sides of T; a stack of any size is
+        otherwise one call, and a shared row takes t^p's profile once for
+        every order. Its quadrature profile, per-point work on (points,
+        pieces, nodes) arrays, is taken state by state.
 
 The gradient returned by the *_with_gradient entry point is the exact
 derivative of the computed value (same rules, same nodes) in piece (ii),
@@ -131,15 +131,15 @@ from .orlicz import OrliczFunction
 _ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
 _VALUE_POINTS = 2 ** 14  # pair points (rows x elements) of a value block
 _BLOCK_POINTS = 2 ** 13  # ... of a derivative pass's sub-block
-_STACK_POINTS = 2 ** 14  # points of a piece's array over a chunk of states
+_STACK_POINTS = 2 ** 14  # points of a pair block over a chunk of states
 _SLOPE = (np.broadcast_to(-1.0, 1), np.broadcast_to(1.0, 1))  # (a, b) of h*m
 
 
 def _state_chunks(k, size):
     """Slices of k states, each of as many states as keep ``size`` points
     each within `_STACK_POINTS`, and at least one. Past that budget, a
-    piece's temporaries cost more per point than stacking saves in
-    calls."""
+    pair block's temporaries cost more per point than stacking saves in
+    calls (`_pair_block`); the other pieces take no chunks."""
     per = max(1, _STACK_POINTS // size)
     return [slice(i, i + per) for i in range(0, k, per)]
 
@@ -155,6 +155,19 @@ def _pow(x, s, f):
         return x ** exps[0]
     return np.stack([a ** p for a, p in zip(
         x if len(x) > 1 else [x[0]] * len(exps), exps)])
+
+
+def _one_by_one(piece, G, s, at, rows, *rest):
+    """The outputs of ``piece`` (`_same_element` or `_far_field`) on the
+    k orders ``s`` and their ``rows`` (one per order, or one that serves
+    each), for states whose rules differ: taken one state at a time and
+    joined along the states axis."""
+    parts = zip(*(piece(G, s[i:i + 1], at,
+                        rows if len(rows) == 1 else rows[i:i + 1], *rest)
+                  for i in range(len(s))))
+    # np.concatenate keeps its inputs' strides: the parts' transposed
+    # derivatives stack into the layout of a lone call's
+    return tuple(None if p[0] is None else np.concatenate(p) for p in parts)
 
 
 def _same_element(G, s, h, slopes, want_grad, want_hess=False, tilde=None):
@@ -201,12 +214,8 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False, tilde=None):
     # and so the bits of their lone calls, only where they share this
     if len(s) > 1 and len(set(np.where(closed, -1, sum(
             top > k for k in set(G.kinks) if k > 0.0)).tolist())) > 1:
-        rows = np.broadcast_to(slopes, (len(s), slopes.shape[-1]))
-        parts = zip(*(_same_element(G, s[i:i + 1], h, rows[i:i + 1],
-                                    want_grad, want_hess, tilde)
-                      for i in range(len(s))))
-        return tuple(None if p[0] is None else np.concatenate(p)
-                     for p in parts)
+        return _one_by_one(_same_element, G, s, h, slopes, want_grad,
+                           want_hess, tilde)
     if closed[0]:
         g = F(m, 1 + want_grad + want_hess)
         vals = coef * g[0]
@@ -693,11 +702,15 @@ def _far_field(G, s, mesh, rows, want_grad, want_hess=False, tilde=None):
     over the two ends of dist**(-s p), taken per order (`_pow`). For T
     finite (a max of powers) the range is checked first, on the nearer
     end's kernel with 1e-12 relative above the products. Any other state
-    takes G's own profile at |U| kern.
+    takes G's own profile at |U| kern. Both rules are one expression: the
+    profile's argument has an end axis, of length 1 for t^p's, and I, I'
+    and I'' take the factors k0, k1 and k1 k2 on it before the sum over
+    the ends, k0 = k1 = the ends' sum of dist**(-s p) and k2 = 1 for
+    t^p's, k0 = 1 and k1 = k2 = dist**(-s) for G's own.
 
-    The states are split here alone: a chunk at a time (`_state_chunks`,
-    by their 2 x elements x 5 arguments), else one at a time where a
-    max's states lie on both sides of T."""
+    The states are split here alone, one at a time (`_one_by_one`) where
+    a max's states lie on both sides of T; any other stack is one call,
+    and a shared row's t^p profile serves every order."""
     tilde = tilde or limit_density(G, 1)
     on = _power_on(G)
     h = mesh.spacing
@@ -706,60 +719,48 @@ def _far_field(G, s, mesh, rows, want_grad, want_hess=False, tilde=None):
         + h * xg[None, :]
     dist = np.abs(np.subtract.outer([mesh.right, mesh.left], X))
     U = _at_gauss_points(rows, xg)
-    chunks = _state_chunks(len(s), dist.size)
     fits = on is not None
-    if fits and on[1] < np.inf and len(chunks) == 1:
+    if fits and on[1] < np.inf:
         # the nearer end has the larger kernel
         top = (np.abs(U) * dist.min(axis=0) ** -s[:, None, None]).max(
             axis=(-2, -1)) * (1.0 + 1e-12)
         fits = (np.less if want_grad else np.less_equal)(top, on[1])
         if fits.any() and not fits.all():
-            chunks = [slice(i, i + 1) for i in range(len(s))]
+            return _one_by_one(_far_field, G, s, mesh, rows, want_grad,
+                               want_hess, tilde)
         fits = fits.all()
-    if len(chunks) > 1:
-        # np.concatenate keeps its inputs' strides: the parts' transposed
-        # derivatives stack into the layout of a lone call's
-        parts = zip(*(_far_field(G, s[at], mesh,
-                                 rows if len(rows) == 1 else rows[at],
-                                 want_grad, want_hess, tilde)
-                      for at in chunks))
-        return tuple(None if p[0] is None else np.concatenate(p)
-                     for p in parts)
-    scale = 2.0 * h / s
+    # per end (or, for t^p, one axis of length 1 for both) and point, the
+    # output factors k0, k1, k2 of I, I' and I'': kern^p I_p(|U|) or
+    # I(|U| kern)
     if fits:
         F = on[0]
         p = F.params[0]
         tilde = tilde if tilde.base is F else limit_density(F, 1)
-        arg = np.abs(U)
-        kern = _pow(dist[None], s, lambda o: -o * p).sum(axis=-3)
+        arg = np.abs(U)[:, None]
+        k0 = k1 = _pow(dist[None], s, lambda o: -o * p).sum(
+            axis=-3, keepdims=True)
+        k2 = 1.0
     else:
         # -s lies in (-1, 0), where numpy takes no exponent by sqrt, square
         # or reciprocal: an array of them has the bits of each alone
         # (`_pow`)
-        kern = dist ** -s[:, None, None, None]
-        arg = np.abs(U)[:, None] * kern
+        k0, k1 = 1.0, dist ** -s[:, None, None, None]
+        k2 = k1
+        arg = np.abs(U)[:, None] * k1
     if tilde.backing == "quadrature" and len(arg) > 1:
         # the profile's rule is per-point work on (points, pieces, nodes)
         # arrays: taken state by state, each cut at its own kinks
         profile = np.stack([tilde.value(a) for a in arg])
     else:
         profile = tilde.value(arg)
-    # per end and point, kern^p I_p(|U|) or I(|U| kern); G's own sums over
-    # both ends and all points at once
-    val = scale * (np.sum(wg * (profile / 2.0 * kern), axis=(-2, -1)) if fits
-                   else np.sum(wg * (profile / 2.0), axis=(-3, -2, -1)))
+    scale = 2.0 * h / s
+    val = scale * np.sum(wg * (profile / 2.0 * k0), axis=(-3, -2, -1))
     if not want_grad:
         return val, None
     scale = scale[:, None, None]
     d1, *d2 = tilde.deriv(arg, 2) if want_hess else (tilde.deriv(arg),)
-    if fits:
-        d1 = d1 / 2.0 * kern
-        d2 = [d / 2.0 * kern for d in d2]
-    else:
-        d1 = np.sum(d1 / 2.0 * kern, axis=-3)
-        d2 = [np.sum(d / 2.0 * kern * kern, axis=-3) for d in d2]
-    d1 = scale * wg * d1 * np.sign(U)
-    d2 = [scale * wg * d for d in d2]
+    d1 = scale * wg * np.sum(d1 / 2.0 * k1, axis=-3) * np.sign(U)
+    d2 = [scale * wg * np.sum(d / 2.0 * k1 * k2, axis=-3) for d in d2]
     return (val, *(d.swapaxes(-1, -2) for d in [d1, *d2]))
 
 

@@ -106,8 +106,7 @@ def inequality_suite(G: OrliczFunction, n_samples: int = 1000,
     out.append(_tally("young", a * t, G(t) + conj_at_a))
 
     t = rng.uniform(1e-6, 20.0, n_samples)
-    conj_of_slope = np.array(
-        [conjugate(G, float(G.deriv(float(v)))) for v in t])
+    conj_of_slope = np.array([conjugate(G, float(d)) for d in G(t, 2)[1]])
     out.append(_tally("conjugate of derivative", conj_of_slope,
                       (p - 1.0) * G(t)))
     return out

@@ -113,6 +113,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("G = power(2)\n")
 
+    def test_missing_command_beside_an_error_that_names_one(self):
+        # "command" in another line's message does not stand for the key
+        with pytest.raises(ConfigError) as err:
+            parse_config("G = command(2)\n")
+        assert (0, "missing required key 'command'") in err.value.errors
+        assert any("unknown growth function 'command'" in msg
+                   for _, msg in err.value.errors)
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError) as err:
             parse_config("command = bbm\nwibble = 3\n")

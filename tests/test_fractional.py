@@ -21,7 +21,7 @@ from orliczfrac import fractional
 from orliczfrac.properties import builtin_suite_functions
 from orliczfrac._quadrature import gauss_rule_01
 from orliczfrac.grid import _at_gauss_points
-from orliczfrac.limit_density import limit_density
+from orliczfrac.limit_density import LimitDensity, limit_density
 from orliczfrac.fractional import (
     _add_element_terms,
     _core,
@@ -180,8 +180,7 @@ class TestStatesAxis:
     @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0)],
                              ids=lambda G: G.label)
     def test_chunks_of_states_keep_the_bits(self, G, rng, monkeypatch):
-        # a budget of one point takes every pair block and the far field
-        # state by state
+        # a budget of one point takes every pair block state by state
         orders = np.array(self.ORDERS)
         states = [random_state(rng, 129, a) for a in self.AMPLITUDES]
         for u in (states, states[0]):
@@ -195,9 +194,9 @@ class TestStatesAxis:
             assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
 
     def test_far_field_chunks_take_their_own_rules(self, rng, monkeypatch):
-        # a budget of two states' far-field points: each chunk holds a
-        # state of the max whose arguments stay below T = 1 and one whose
-        # arguments pass it, and takes them one by one
+        # the max's states alternate below T = 1 and past it: the far field
+        # takes no chunks of states, whatever the budget, and takes the
+        # four states one by one
         n = 129
         orders = np.array(self.ORDERS)
         states = [random_state(rng, n, a) for a in (0.01, 3.0, 0.01, 3.0)]
@@ -214,7 +213,7 @@ class TestStatesAxis:
             got = [_core(G23, orders, states, want_grad=want_grad,
                          want_hess=want_hess)
                    for want_grad, want_hess in modes]
-        assert sizes == [4, 2, 1, 1, 2, 1, 1] * len(modes)
+        assert sizes == [4, 1, 1, 1, 1] * len(modes)
         for out, (want_grad, want_hess) in zip(got, modes):
             for i, (s, u) in enumerate(zip(orders, states)):
                 one = _core(G23, s, u, want_grad=want_grad,
@@ -225,6 +224,46 @@ class TestStatesAxis:
                         assert a is None
                     else:
                         assert np.array_equal(a[i], b)
+
+    @pytest.mark.parametrize("G", [make_power(3.0), G23],
+                             ids=lambda G: G.label)
+    def test_far_field_takes_one_profile_for_a_shared_row(self, G,
+                                                          monkeypatch):
+        # three orders on the hat at 1025 nodes, as a bbm curve: t^p's
+        # profile at |U| serves all of them from one evaluation
+        calls = []
+        value = LimitDensity.value
+        monkeypatch.setattr(LimitDensity, "value",
+                            lambda self, a: calls.append(a) or value(self, a))
+        u = GridFunction.hat(-1.0, 1.0, 1025)
+        for want_grad, want_hess in ((False, False), (True, False),
+                                     (True, True)):
+            calls.clear()
+            _far_field(G, np.array([0.9, 0.95, 0.99]), u, u.values[None],
+                       want_grad, want_hess)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
+    def test_far_field_stacks_keep_the_bits_at_513_nodes(self, G, rng):
+        # more far-field points per state than 2^14 / 4: a stack of four
+        # states, a row each, and one of three orders on a shared row
+        n = 513
+        states = [random_state(rng, n, a) for a in self.AMPLITUDES]
+        rows = np.stack([u.values for u in states])
+        u = states[0]
+        for orders, stack in ((np.array(self.ORDERS), rows),
+                              (np.array(self.ORDERS[:3]), rows[:1])):
+            for want_grad, want_hess in ((False, False), (True, False),
+                                         (True, True)):
+                got = _far_field(G, orders, u, stack, want_grad, want_hess)
+                for i, s in enumerate(orders):
+                    one = _far_field(G, orders[i:i + 1], u,
+                                     stack[i % len(stack)][None], want_grad,
+                                     want_hess)
+                    for a, b in zip(got, one):
+                        assert b is None and a is None or same_bits(
+                            a[i:i + 1], b)
 
     def test_states_take_their_own_pair_rules(self, rng, monkeypatch):
         # one state below the least power's range, one above it: some
