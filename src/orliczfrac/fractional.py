@@ -243,7 +243,7 @@ def _same_element(G, s, h, slopes, want_grad, want_hess=False, tilde=None):
     pos = c > 0.0
     curv = f2 * (e1 * A - flux) / np.where(pos, c, 1.0)
     if not pos.all():  # the limit at c = 0, from G''(0)
-        curv = np.where(pos, curv, f0 * float(G.d2(0.0)) / e2)
+        curv = np.where(pos, curv, f0 * float(G(0.0, 3)[2]) / e2)
     return val, ders, curv
 
 
@@ -764,12 +764,16 @@ def _far_field(G, s, mesh, rows, want_grad, want_hess=False, tilde=None):
     return (val, *(d.swapaxes(-1, -2) for d in [d1, *d2]))
 
 
-def _nodal(u):
-    """(mesh, nodal rows) of ``u``: a GridFunction gives one row, which
-    every order shares; a sequence of GridFunctions on one mesh, the
-    states, one row each (states x nodes)."""
+def _nodal(u, k):
+    """(mesh, nodal rows) of ``u`` for k orders: a GridFunction, or a
+    sequence of one, gives one row, which every order shares; a sequence
+    of k GridFunctions on one mesh, the states, one row each (states x
+    nodes)."""
     if isinstance(u, GridFunction):
         return u, u.values[None]
+    if len(u) not in (1, k):
+        raise InvalidInputError(
+            f"need one state or one per order ({k}), got {len(u)}")
     mesh = u[0]
     if any((v.left, v.right, v.node_count)
            != (mesh.left, mesh.right, mesh.node_count) for v in u):
@@ -784,15 +788,15 @@ def _core(G, s, u, want_grad, want_hess=False):
     field, same element, each scattered by `_add_element_terms`.
 
     ``s`` is a 1-D array of k orders, and ``u`` one GridFunction, shared
-    by all orders, or a sequence of k states on one mesh, one per order
-    (`_nodal`). Every output then has a states axis of k, in front, and
-    each state's entries are bit-identical to its one-state call. One
-    order (0-D ``s``) at one GridFunction is the state k = 1, returned
-    without the axis.
+    by all orders, or a sequence of states on one mesh: k, one per order,
+    or one, shared (`_nodal`). Every output then has a states axis of k,
+    in front, and each state's entries are bit-identical to its one-state
+    call. One order (0-D ``s``) at one GridFunction is the state k = 1,
+    returned without the axis.
     """
     orders = np.asarray(s, dtype=float)
     lone, s = orders.ndim == 0, orders.reshape(-1)
-    mesh, rows = _nodal(u)
+    mesh, rows = _nodal(u, len(s))
     h = mesh.spacing
     hess = (np.zeros((len(s),) + (mesh.node_count,) * 2)
             if want_hess else None)

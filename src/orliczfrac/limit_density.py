@@ -325,13 +325,14 @@ class LimitDensity:
     """Limit density of a base growth function in dimension n.
 
     `backing` records whether values come from a closed form or quadrature.
-    `value`, `deriv` and `deriv2` take a float or an array (entrywise). The
+    `value` and `deriv` take a float or an array (entrywise). The
     derivatives are always cheap: d/da tilde_G(a) = (1/a) int_S G(a |w_n|) dS
     is one sphere integral of G itself (2 G(a)/a in n = 1), and
     d^2/da^2 tilde_G(a) = (1/a^2) int_S (t G'(t) - G(t))|_{t = a |w_n|} dS
     one of t G'(t) - G(t) (2 (a G'(a) - G(a)) / a^2 in n = 1). Both come
     from one jet G(t, 2) of the base on the sphere's arguments, for all
-    entries at once (`deriv` with n = 2).
+    entries at once (`deriv` with n = 2, whose second entry is the second
+    derivative).
     """
 
     base: OrliczFunction
@@ -366,12 +367,9 @@ class LimitDensity:
         # at a = 0 the limit is G''(0)/2 times int_S |w_n|^2 dS, read only
         # where some a is 0
         at_zero = 0.0 if pos.all() else (
-            float(G.d2(0.0)) / 2.0 * sphere_moment(self.dimension, 2.0))
+            float(G(0.0, 3)[2]) / 2.0 * sphere_moment(self.dimension, 2.0))
         return d1, _scalar_or_array(
             np.where(pos, curv[0] / np.where(pos, a * a, 1.0), at_zero))
-
-    def deriv2(self, a):
-        return self.deriv(a, 2)[1]
 
     def as_orlicz(self) -> OrliczFunction:
         """Wrap as a growth function usable by modulars and the solver.

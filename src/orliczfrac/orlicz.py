@@ -49,9 +49,10 @@ class OrliczFunction:
     of the first n - 1 derivatives, n = 1, 2 or 3, from one pass of the
     family's ``jet``, which shares whatever the orders have in common (an
     |t|, a mask, a log, a branch). Below 0 a power is even and a log
-    weight 0. :meth:`deriv` and :meth:`d2` read one entry of the jet. At a
-    kink both derivatives take the branch on the same side. All operations
-    are pure; instances can be shared freely across threads.
+    weight 0. :meth:`deriv` reads G' from the jet G(t, 2); G'' is read as
+    ``G(t, 3)[2]``. At a kink both derivatives take the branch on the same
+    side. All operations are pure; instances can be shared freely across
+    threads.
     """
 
     kind: str
@@ -70,9 +71,6 @@ class OrliczFunction:
 
     def deriv(self, x):
         return self.jet(np.asarray(x, dtype=float), 2)[1]
-
-    def d2(self, x):
-        return self.jet(np.asarray(x, dtype=float), 3)[2]
 
     def __repr__(self):
         return self.label

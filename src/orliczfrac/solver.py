@@ -26,7 +26,7 @@ from .errors import (
     UniquenessWarning,
 )
 from .fractional import _SLOPE, _add_element_terms, _core
-from .grid import GridFunction, gradient_modular, modular
+from .grid import GridFunction, modular
 from .limit_density import limit_density
 from .limits import _validate_s_list
 from .orlicz import OrliczFunction
@@ -151,12 +151,12 @@ def _seminorm_value_grad(problem, u, want_grad, want_hess=False):
     """(value, gradient[, Hessian]) of the seminorm term; with ``want_hess``
     the Hessian: dense for s < 1, at s = 1 the chain weights G''(|m|) / h."""
     if problem.s >= 1.0:
-        if not want_grad:
-            return gradient_modular(problem.G, u), None
         # one jet of G on |m| gives the value and the chain's weights
         m = u.slopes
-        g = problem.G(np.abs(m), 2 + want_hess)
+        g = problem.G(np.abs(m), 1 + want_grad + want_hess)
         val = u.spacing * float(np.sum(g[0]))
+        if not want_grad:
+            return val, None
         grad = np.zeros(u.node_count)
         _add_element_terms(grad, None, *_SLOPE, (g[1] * np.sign(m))[None])
         if not want_hess:
@@ -190,51 +190,36 @@ def weak_residual(problem: DirichletProblem, u: GridFunction) -> float:
     return float(np.max(np.abs(g[1:-1]))) if len(g) > 2 else 0.0
 
 
-class _Energy:
-    """The energy and its derivatives at interior values, with counts."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.F = problem.load_vector()
-        self.evaluations = 0
-        self.hessians = 0
-
-    def state(self, interior):
-        return GridFunction(*self.problem.omega,
-                            np.concatenate([[0.0], interior, [0.0]]))
-
-    def take(self, u, want_hess, val, grad, hess=None):
-        """(E, interior gradient, sigma times the seminorm's Hessian (scaled
-        in place) or None) at the state u, from the seminorm's value,
-        gradient and Hessian there; counts one evaluation, and one Hessian
-        if asked for (a Hessian assembled for other states of a stacked
-        call is not)."""
-        sigma = self.problem.sigma
-        self.evaluations += 1
-        self.hessians += int(want_hess)
-        E = sigma * val - float(self.F @ u.values)
-        g = (sigma * grad - self.F)[1:-1]
-        H = np.multiply(hess, sigma, out=hess) if want_hess else None
-        return E, g, H
+def _state(problem, interior):
+    """The state on the problem mesh with these interior values."""
+    return GridFunction(*problem.omega,
+                        np.concatenate([[0.0], interior, [0.0]]))
 
 
-def _energy_stack(energies, requests):
-    """Answer one request (interior values, want_hess) of each `_Energy` by
+def _energy_stack(problems, F, requests):
+    """Answer one request (interior values, want_hess) of each problem by
     one seminorm call: `_core` with each order and its state on a states
     axis, with the Hessian assembled if any request asks for one; a lone
     problem, which may have s = 1, through `_seminorm_value_grad`, as the
-    one state of its answer. Each answer has the bits of its lone call."""
-    states = [e.state(v) for e, (v, _) in zip(energies, requests)]
+    one state of its answer. Each answer is (E, interior gradient, sigma
+    times the seminorm's Hessian, scaled in place, or None if its request
+    did not ask for it), with F the load vector that the problems share,
+    and has the bits of its lone call."""
+    states = [_state(p, v) for p, (v, _) in zip(problems, requests)]
     want_hess = any(w for _, w in requests)
-    if len(energies) == 1:
+    if len(problems) == 1:
         out = [[o] for o in _seminorm_value_grad(
-            energies[0].problem, states[0], True, want_hess)]
+            problems[0], states[0], True, want_hess)]
     else:
-        out = _core(energies[0].problem.G,
-                    np.array([e.problem.s for e in energies]), states,
-                    want_grad=True, want_hess=want_hess)
-    return [e.take(u, w, *(o[i] for o in out)) for i, (e, u, (_, w))
-            in enumerate(zip(energies, states, requests))]
+        out = _core(problems[0].G, np.array([p.s for p in problems]),
+                    states, want_grad=True, want_hess=want_hess)
+    answers = []
+    for i, (p, u, (_, w)) in enumerate(zip(problems, states, requests)):
+        val, grad, *hess = (o[i] for o in out)
+        E = p.sigma * val - float(F @ u.values)
+        H = np.multiply(hess[0], p.sigma, out=hess[0]) if w else None
+        answers.append((E, (p.sigma * grad - F)[1:-1], H))
+    return answers
 
 
 def _newton_direction(H, g):
@@ -281,15 +266,14 @@ def _secant_step(v, d, gd):
     return None
 
 
-def _descent(energy_at, start):
-    """The Newton loop of `solve` (see there) for the problem of the
-    `_Energy` ``energy_at``, as a generator: it yields each evaluation it
-    needs as (interior values, want_hess), is sent back (E, interior
-    gradient, H or None), and returns the SolveResult. It evaluates
-    nothing itself: ``energy_at`` gives its states and counts, and the
-    loop that runs it, `_solve_stack`, answers its requests, in the same
-    rounds as those of other problems."""
-    problem = energy_at.problem
+def _descent(problem, start):
+    """The Newton loop of `solve` (see there) for ``problem``, as a
+    generator: it yields each evaluation it needs as (interior values,
+    want_hess), is sent back (E, interior gradient, H or None), and
+    returns the SolveResult, whose counts of evaluations and Hessians it
+    leaves at 0. It evaluates and counts nothing itself: the loop that
+    runs it, `_solve_stack`, answers its requests, in the same rounds as
+    those of other problems, and writes the counts."""
     # one jet of G: G' on a screening grid, and G''(0)
     _, d1, d2 = problem.G(np.append(np.logspace(-6, 3, 64), 0.0), 3)
     if np.any(np.diff(d1[:-1]) <= 0.0):
@@ -365,14 +349,12 @@ def _descent(energy_at, start):
             E, g, H = yield v, True
 
     return SolveResult(
-        u=energy_at.state(v),
+        u=_state(problem, v),
         energy=E,
         iterations=iterations,
         grad_norm=float(np.max(np.abs(g))),
         stop_reason=stop or StopReason.BUDGET,
         decrement=decrement,
-        evaluations=energy_at.evaluations,
-        hessians=energy_at.hessians,
         energy_history=tuple(history),
     )
 
@@ -417,7 +399,9 @@ def solve(problem: DirichletProblem,
     tolerance unless that was the exact step for t^2.
 
     The loop is the generator `_descent`, driven by `_solve_stack` for
-    this one problem: one seminorm call per evaluation.
+    this one problem: one seminorm call per evaluation, which
+    `_solve_stack` counts in `evaluations` and, where the loop asked for
+    the Hessian, in `hessians`.
     """
     return _solve_stack([problem], start)[0]
 
@@ -431,21 +415,27 @@ def _solve_stack(problems, start):
     (`_energy_stack`): a stacked `_core` call, its states on a leading
     axis, or the lone problem's own call; a problem leaves the stack when
     its `_descent` returns. This is vectorization, not concurrency: the
-    rounds run one after another.
+    rounds run one after another. The load vector, which the problems
+    share, is computed once; the loop counts each problem's evaluations
+    and the Hessians it asked for, and writes both into its result.
     """
-    energies = [_Energy(p) for p in problems]
-    runs = [_descent(e, start) for e in energies]
+    F = problems[0].load_vector()
+    runs = [_descent(p, start) for p in problems]
     requests = [next(r) for r in runs]
+    evaluations, hessians = [0] * len(runs), [0] * len(runs)
     results = [None] * len(runs)
     live = list(range(len(runs)))
     while live:
-        answers = _energy_stack([energies[i] for i in live],
+        answers = _energy_stack([problems[i] for i in live], F,
                                 [requests[i] for i in live])
         for i, answer in zip(live, answers):
+            evaluations[i] += 1
+            hessians[i] += requests[i][1]
             try:
                 requests[i] = runs[i].send(answer)
             except StopIteration as done:
-                results[i] = done.value
+                results[i] = replace(done.value, evaluations=evaluations[i],
+                                     hessians=hessians[i])
         live = [i for i in live if results[i] is None]
     return results
 

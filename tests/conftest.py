@@ -3,7 +3,8 @@
 The brute-force seminorm oracle deliberately uses a decomposition unrelated
 to the implementation's element blocks: midpoint Riemann in the position
 variable and log-midpoint Riemann in the separation variable, with the
-far-field handled by its own log grid.
+far-field handled by its own log grid. The exact t^2 modular of a P1 state
+is a Toeplitz quadratic form in the nodal values, with no quadrature.
 """
 
 import numpy as np
@@ -37,6 +38,50 @@ def brute_force_seminorm(G, s, u, nx=2000, nt=2400, tmin=1e-7, tmax=1e6):
         total += float(np.sum(G(np.abs(ux)[:, None] * r ** (-s))
                               * dlog_r[None, :] * dx))
     return total
+
+
+def square_kernel(s, size, dps=40):
+    """q(0), ..., q(size - 1) as mpmath numbers at ``dps`` digits:
+    q(k) = D4 |k|^(3-2s) / (s (1-2s) (2-2s) (3-2s)), with D4 the central
+    fourth difference f(k+2) - 4 f(k+1) + 6 f(k) - 4 f(k-1) + f(k-2).
+
+    The fourth difference cancels in float64 (to 0.42 relative at
+    s = 0.999 and k ~ 1000), hence mpmath. s = 1/2 is a removable
+    singularity, which this form does not take.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        s = mp.mpf(s)
+        e = 3 - 2 * s
+        f = [mp.mpf(abs(k)) ** e for k in range(-2, size + 2)]
+        den = s * (1 - 2 * s) * (2 - 2 * s) * (3 - 2 * s)
+        return [(f[k + 4] - 4 * f[k + 3] + 6 * f[k + 2] - 4 * f[k + 1]
+                 + f[k]) / den for k in range(size)]
+
+
+def exact_square_modular(u, s, dps=40):
+    """Phi_s(u) for G = t^2 and a P1 state u on a uniform mesh, zero
+    outside its interval, as an mpmath number:
+
+        Phi_s(u) = h^(1-2s) sum_ij c_i c_j q(i-j)    (`square_kernel`),
+
+    since Phi_s = 4 int_0^inf (R(0) - R(r)) r^(-1-2s) dr for u's
+    autocorrelation R, a hat's autocorrelation is the cubic B-spline
+    (1/12) D4 |t|^3, and the kernel maps |t|^3 to a multiple of
+    |t|^(3-2s). The double sum is taken over the nodal autocorrelation
+    a(k) = sum_i c_i c_(i+k) (float64; exact for dyadic nodal values such
+    as the hat's), so the mpmath part is O(N).
+    """
+    import mpmath as mp
+
+    c = u.values
+    a = np.correlate(c, c, "full")[c.size - 1:]
+    with mp.workdps(dps):
+        q = square_kernel(s, c.size, dps)
+        form = q[0] * a[0] + 2 * mp.fsum(qk * ak for qk, ak
+                                         in zip(q[1:], a[1:]))
+        return +(mp.mpf(u.spacing) ** (1 - 2 * mp.mpf(s)) * form)
 
 
 @pytest.fixture

@@ -39,7 +39,8 @@ G23 = make_combination("max", [make_power(2.0), make_power(3.0)])
 # the same function without a closed-form limit density
 G23_PLAIN = make_custom(G23, G23.deriv, kinks=G23.kinks)
 # ... and with its exact G'': a custom kind, so every piece takes G's own rule
-G23_EXACT = make_custom(G23, G23.deriv, d2fn=G23.d2, kinks=G23.kinks)
+G23_EXACT = make_custom(G23, G23.deriv, d2fn=lambda x: G23(x, 3)[2],
+                        kinks=G23.kinks)
 
 
 def random_state(rng, n=33, amplitude=1.0):
@@ -317,9 +318,9 @@ class TestStatesAxis:
         # piece, for one state and for a stack
         nodal, calls = fractional._nodal, []
 
-        def counted(u):
+        def counted(u, k):
             calls.append(u)
-            return nodal(u)
+            return nodal(u, k)
 
         monkeypatch.setattr(fractional, "_nodal", counted)
         states = [random_state(rng, 17), random_state(rng, 17)]
@@ -333,6 +334,22 @@ class TestStatesAxis:
         with pytest.raises(InvalidInputError):
             _core(G2, np.array([0.5, 0.6]),
                   [u, GridFunction.hat(-1.0, 2.0, 17)], want_grad=True)
+
+    def test_states_are_one_or_one_per_order(self, rng):
+        # a sequence of one state serves every order as its row; any other
+        # length but one state per order, none included, is refused
+        G, orders = make_power(3.0), np.array([0.5, 0.7, 0.9])
+        u, v = random_state(rng), random_state(rng)
+        with pytest.raises(InvalidInputError):
+            fractional_modular(G, [0.5], [u, u * 2.0])
+        with pytest.raises(InvalidInputError):
+            fractional_modular(G, 0.5, [])
+        for states in ([u, v], [], [u, v, u, v]):
+            with pytest.raises(InvalidInputError):
+                _core(G, orders, states, want_grad=False)
+        one = _core(G, orders, [u], want_grad=True, want_hess=True)
+        shared = _core(G, orders, u, want_grad=True, want_hess=True)
+        assert all(np.array_equal(a, b) for a, b in zip(one, shared))
 
 
 def power_log3_profile(w):
@@ -373,7 +390,8 @@ class TestSameElementPiece:
         # t^p outside its family, with exact G' and G'': the generic branch
         # against the closed form, up to s = 0.9999
         closed = make_power(p)
-        plain = make_custom(closed, closed.deriv, d2fn=closed.d2)
+        plain = make_custom(closed, closed.deriv,
+                            d2fn=lambda x: closed(x, 3)[2])
         for s in (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999):
             for h in (1.0 / 64.0, 1.0 / 512.0):
                 for m in (0.3, 1.3, 5.0, 40.0):
@@ -637,14 +655,14 @@ def far_field_by_hand(G, s, u, power=True):
         val = (2.0 * h / s) * float(np.sum(wg * (tilde.value(a) / 2.0
                                                  * ends)))
         dc = (2.0 * h / s) * wg * (tilde.deriv(a) / 2.0 * ends) * np.sign(U)
-        curv = (2.0 * h / s) * wg * (tilde.deriv2(a) / 2.0 * ends)
+        curv = (2.0 * h / s) * wg * (tilde.deriv(a, 2)[1] / 2.0 * ends)
         return val, dc, curv, xg
     tilde = limit_density(G, 1)
     prof = tilde.value(np.abs(U) * kern) / 2.0
     val = (2.0 * h / s) * float(np.sum(wg * prof))
     dprof = tilde.deriv(np.abs(U) * kern) / 2.0
     dc = (2.0 * h / s) * wg * np.sum(dprof * kern, axis=0) * np.sign(U)
-    curv = tilde.deriv2(np.abs(U) * kern) / 2.0
+    curv = tilde.deriv(np.abs(U) * kern, 2)[1] / 2.0
     curv = (2.0 * h / s) * wg * np.sum(curv * kern * kern, axis=0)
     return val, dc, curv, xg
 
@@ -714,11 +732,10 @@ class TestPairStackEvaluations:
     def record(monkeypatch, G, s, u, want_grad, want_hess=False):
         """Shapes of the pair stacks that `_pair_bands` yields, and per G
         call on one of them its (instance, shape, order n), for one
-        `_core` call; asserts that no `deriv` or `d2` call meets a
-        stack."""
+        `_core` call; asserts that no `deriv` call meets a stack."""
         bands = fractional._pair_bands
         stacks, calls, alone = [], [], []
-        call = OrliczFunction.__call__
+        call, deriv = OrliczFunction.__call__, OrliczFunction.deriv
 
         def seen(blocks):
             # a derivative pass evaluates a value block's sub-blocks
@@ -735,19 +752,14 @@ class TestPairStackEvaluations:
             calls.append((self, np.shape(x), n))
             return call(self, x, n)
 
-        def single(name):
-            method = getattr(OrliczFunction, name)
-
-            def wrapper(self, x):
-                alone.append(np.shape(x))
-                return method(self, x)
-            return wrapper
+        def single(self, x):
+            alone.append(np.shape(x))
+            return deriv(self, x)
 
         with monkeypatch.context() as m:
             m.setattr(fractional, "_pair_bands", recorded)
             m.setattr(OrliczFunction, "__call__", counted)
-            for name in ("deriv", "d2"):
-                m.setattr(OrliczFunction, name, single(name))
+            m.setattr(OrliczFunction, "deriv", single)
             _core(G, s, u, want_grad=want_grad, want_hess=want_hess)
         assert len(stacks) > 1
         assert not [shape for shape in alone if shape in stacks]
@@ -1284,7 +1296,8 @@ class TestHomogeneousPairs:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_matches_generic_rule(self, p, shape, s, rng):
         power = make_power(p)
-        plain = make_custom(power, power.deriv, d2fn=power.d2)
+        plain = make_custom(power, power.deriv,
+                            d2fn=lambda x: power(x, 3)[2])
         if shape == "hat":
             u = GridFunction.hat(-1.0, 1.0, 129)
         else:
@@ -1295,7 +1308,8 @@ class TestHomogeneousPairs:
         # p = 1.5 on a plateau: equal nodal values give pairs with du = 0,
         # where G''(0) = inf on both rules
         power = make_power(1.5)
-        plain = make_custom(power, power.deriv, d2fn=power.d2)
+        plain = make_custom(power, power.deriv,
+                            d2fn=lambda x: power(x, 3)[2])
         u = GridFunction.hat(-1.0, 1.0, 129)
         u = u.with_values(np.minimum(1.0, 3.0 * u.values))
         ref = pair_pass(plain, 0.7, u)

@@ -155,6 +155,7 @@ class TestSolve:
         res = solve(prob)
         assert res.stop_reason is stop
         assert res.weak_residual == weak_residual(prob, res.u)
+        assert res.energy == energy(prob, res.u)
 
     def test_boundary_stays_zero(self):
         res = solve(problem(0.5, n=65))
@@ -206,15 +207,14 @@ class TestSolve:
 
     def test_start_reads_one_jet(self, monkeypatch):
         # the convexity screen's G' and the zero state's G''(0) come from
-        # one jet of G, not from deriv or d2; the solve keeps its bits
+        # one jet of G, not from deriv; the solve keeps its bits
         prob = problem(0.5, n=33, G=G15)
         want = solve(prob)
 
         def refused(self, x):
-            raise AssertionError("the solver read G through deriv or d2")
+            raise AssertionError("the solver read G through deriv")
 
         monkeypatch.setattr(OrliczFunction, "deriv", refused)
-        monkeypatch.setattr(OrliczFunction, "d2", refused)
         got = solve(prob)
         assert np.array_equal(got.u.values, want.u.values)
         assert (got.iterations, got.evaluations, got.hessians) == (
@@ -362,6 +362,7 @@ class TestNewton:
         assert np.all(np.diff(E) <= eps * np.maximum(1.0, np.abs(E[:-1])))
         assert res.stop_reason is stop
         assert res.weak_residual == weak_residual(prob, res.u)
+        assert res.energy == energy(prob, res.u)
 
     # One weight of 0, x1e-14 or x1e14 (a rigid element, as G'' gives for
     # p < 2 near a zero slope) against a 60-digit solve: the flux form
@@ -576,6 +577,9 @@ class TestLockstepLadder:
                     res.hessians, res.stop_reason, res.energy_history) == \
                 (ref.energy, ref.iterations, ref.evaluations, ref.hessians,
                  ref.stop_reason, ref.energy_history)
+            assert res.energy == energy(replace(tmpl, s=entry.s), res.u)
+        local = replace(tmpl, s=1.0, G=limit_density(G, 1).as_orlicz())
+        assert report.local.energy == energy(local, report.local.u)
         # the local s = 1 solve makes no `_core` call
         rounds = max(e.result.evaluations for e in report.entries)
         assert len(calls) == rounds
@@ -584,10 +588,10 @@ class TestLockstepLadder:
     def test_a_round_assembles_hessians_only_if_asked(self, monkeypatch):
         asked, stack = [], solver._energy_stack
 
-        def recorded(energies, requests):
-            if energies[0].problem.s < 1.0:  # not the local solve's rounds
+        def recorded(problems, F, requests):
+            if problems[0].s < 1.0:  # not the local solve's rounds
                 asked.append([w for _, w in requests])
-            return stack(energies, requests)
+            return stack(problems, F, requests)
 
         monkeypatch.setattr(solver, "_energy_stack", recorded)
         report = gamma_run(problem(0.5, n=129, G=G15), [0.8, 0.9])
@@ -599,10 +603,10 @@ class TestLockstepLadder:
     def test_band_tables_built_once_per_set_of_orders(self, monkeypatch):
         keys, stack = [], solver._energy_stack
 
-        def recorded(energies, requests):
-            if energies[0].problem.s < 1.0:  # not the local solve's rounds
-                keys.append(tuple(e.problem.s for e in energies))
-            return stack(energies, requests)
+        def recorded(problems, F, requests):
+            if problems[0].s < 1.0:  # not the local solve's rounds
+                keys.append(tuple(p.s for p in problems))
+            return stack(problems, F, requests)
 
         monkeypatch.setattr(solver, "_energy_stack", recorded)
         tables = fractional._band_tables
