@@ -51,7 +51,6 @@ from .orlicz import (
     OrliczReport,
     compose,
     conjugate,
-    estimate_constants,
     make_combination,
     make_custom,
     make_power,

@@ -167,6 +167,8 @@ def _parse_floats(value, count=None):
     vals = tuple(float(p) for p in parts)
     if count is not None and len(vals) != count:
         raise ValueError(f"need exactly {count} comma-separated values")
+    if not vals:
+        raise ValueError("need at least one comma-separated value")
     return vals
 
 

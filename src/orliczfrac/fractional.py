@@ -38,12 +38,13 @@ is split into three pieces:
        oscillation and Lipschitz constant decides that range per value
        block, and only a block it leaves open is scanned. Any other block
        takes G's own rule, state by state if its states differ. What does
-       not read u depends on (s, h, ne) only, and is built once per key
-       and kept, read-only, for the last two keys (`_band_tables`): the
-       kernel table dist**(-s) and the weights 2 h^2 w_a w_b / dist of
-       each value block, the bounds of its blocks of `_BLOCK_POINTS`, the
-       largest dist**(-s) and dist**(1-s) of each value block, and, per
-       exponent p asked for, t^p's weights block kern^p;
+       not read u is built in one pass per key (s, h, ne, p), p the
+       exponent of t^p's rule or None for G's own, and kept per key,
+       read-only, for the last two keys (`_band_tables`): the kernel
+       table dist**(-s), the weights 2 h^2 w_a w_b / dist and t^p's
+       weights block kern^p of each value block, the bounds of its blocks
+       of `_BLOCK_POINTS` (one walk over the offsets, `_runs`), and the
+       largest dist**(-s) and dist**(1-s) of each value block;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I and I' (or I' and
@@ -118,7 +119,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -263,51 +264,41 @@ def _pair_orders(ne, order):
     return q
 
 
-def _split(rows, width, count, points):
-    """Bounds (a, b) of blocks of the consecutive offsets 0 .. count-1 of a
-    band, the rows of offset i ``width - i`` elements long: from a, the most
-    offsets that keep rows * (width - a) * (b - a) within ``points``, and at
-    least one."""
-    bounds, a = [], 0
+def _runs(rows, width, count):
+    """The value blocks (a, b, parts) of a band's consecutive offsets
+    0 .. count-1, whose rows at offset i are ``width - i`` elements long,
+    from one greedy walk. The walk cuts blocks: from its first offset a, a
+    block takes the most offsets that keep rows * (width - a) * (b - a)
+    within `_BLOCK_POINTS`, and at least one. A block joins the current
+    value block if the joined one, so measured from its own first offset,
+    stays within `_VALUE_POINTS`; else it starts one. ``parts`` holds a
+    value block's blocks, as bounds from its a: the blocks of a derivative
+    pass."""
+    runs, a = [], 0
     while a < count:
-        b = a + max(1, min(count - a, points // (rows * (width - a))))
-        bounds.append((a, b))
-        a = b
-    return tuple(bounds)
-
-
-def _merge(rows, width, bounds, points):
-    """Runs of the consecutive blocks ``bounds`` of `_split`, each of the
-    most blocks that keep rows * (width - a) * (b - a) within ``points``,
-    and at least one, as (a, b, parts): the run's bounds, and its blocks'
-    bounds from a."""
-    runs = []
-    for a, b in bounds:
-        if runs and rows * (width - runs[-1][0]) * (b - runs[-1][0]) <= points:
-            start, _, parts = runs[-1]
-            runs[-1] = (start, b, parts + ((a - start, b - start),))
+        b = a + max(1, min(count - a, _BLOCK_POINTS // (rows * (width - a))))
+        start = runs[-1][0] if runs else a
+        if runs and rows * (width - start) * (b - start) <= _VALUE_POINTS:
+            runs[-1] = (start, b, runs[-1][2] + ((a - start, b - start),))
         else:
             runs.append((a, b, ((0, b - a),)))
+        a = b
     return runs
 
 
 @lru_cache(maxsize=2)
-def _band_tables(s, h, ne):
+def _band_tables(s, h, ne, p):
     """What `_pair_bands` yields but the differences, on ne elements of width
-    h, as (bands, weights). Per band of order q, ``bands`` holds its Gauss
-    nodes; its value blocks (j0, nj, kern, block, parts), runs of the
-    band's blocks of `_BLOCK_POINTS` pair points (`_split`) within
-    `_VALUE_POINTS`, or single blocks (`_merge`), with ``parts`` the bounds
-    (a, b) of those blocks in the run, offsets j0 + a .. j0 + b - 1 (the
-    blocks of a derivative pass); the u-independent factors of their bound
+    h, for the orders ``s`` (a tuple) and t^p's exponent ``p`` (None for
+    G's own rule): per band of order q, (x, blocks, peak). ``x`` holds its
+    Gauss nodes; ``blocks`` its value blocks (j0, nj, kern, block, weight,
+    parts) of the offsets j0 .. j0 + nj - 1 (`_runs`), with ``weight``
+    t^p's pair weights block * kern**p (`_pair_rule`), or None, taken on
+    the band's whole tables and sliced like ``kern`` and ``block``; and
+    ``peak`` the u-independent factors of the blocks' bound
     (`_pair_bands`), a (2, k, blocks) array of the largest dist**(-s) and
-    dist**(1-s) per order and value block; and the band's whole (kern,
-    block) tables. ``weights`` starts empty: `_power_weights` keeps in it,
-    per exponent p of `_power_on(G)`'s power, t^p's pair weights
-    block * kern**p (`_pair_rule`). Built once per key (s, h, ne), s a
-    tuple of orders, whatever G; the last two keys are kept, each with the
-    weights of every exponent asked for on it. Read-only but for the
-    weights' dict."""
+    dist**(1-s) per order and value block. Built once per key (s, h, ne,
+    p), whatever else G is; the last two keys are kept. Read-only."""
     q = _pair_orders(ne, _ORDER)
     ends = np.flatnonzero(np.diff(q, prepend=0, append=0)).tolist()
     bands = []
@@ -317,36 +308,20 @@ def _band_tables(s, h, ne):
                     + np.subtract.outer(x, x).reshape(-1, 1, 1))
         kern = dist ** -np.reshape(s, (-1, 1, 1, 1))
         block = 2.0 * h * h * np.outer(w, w).reshape(-1, 1, 1) / dist
-        for table in (kern, block):
-            table.flags.writeable = False
-        runs = _merge(x.size ** 2, ne - lo - 1, _split(
-            x.size ** 2, ne - lo - 1, hi - lo, _BLOCK_POINTS), _VALUE_POINTS)
-        blocks = tuple((lo + 1 + a, b - a, kern[:, :, a:b], block[:, a:b],
-                        parts) for a, b, parts in runs)
+        weight = None if p is None else block * kern ** p
+        runs = _runs(x.size ** 2, ne - lo - 1, hi - lo)
         # per offset, then per block of offsets: (2, orders, blocks)
         peak = np.maximum.reduceat(np.stack(
             [kern.max(axis=(1, 3)), (dist * kern).max(axis=(1, 3))]),
             [a for a, _, _ in runs], axis=-1)
-        peak.flags.writeable = False
-        bands.append((x, blocks, peak, (kern, block)))
-    return tuple(bands), {}
-
-
-def _power_weights(tables, p):
-    """t^p's pair weights block * kern**p of each value block of the
-    `_band_tables` entry ``tables``, per band: taken once per exponent p on
-    the band's whole tables and kept in the entry. Read-only."""
-    bands, weights = tables
-    if p not in weights:
-        per_band = []
-        for _, blocks, _, (kern, block) in bands:
-            weight = block * kern ** p
-            weight.flags.writeable = False
-            a = blocks[0][0]  # the band's first offset
-            per_band.append(tuple(weight[:, :, j0 - a:j0 - a + nj]
-                                  for j0, nj, *_ in blocks))
-        weights[p] = tuple(per_band)
-    return weights[p]
+        for table in (kern, block, weight, peak):
+            if table is not None:
+                table.flags.writeable = False
+        blocks = tuple((lo + 1 + a, b - a, kern[:, :, a:b], block[:, a:b],
+                        None if weight is None else weight[:, :, a:b], parts)
+                       for a, b, parts in runs)
+        bands.append((x, blocks, peak))
+    return tuple(bands)
 
 
 def _pair_bands(s, h, rows, on=None, n=1):
@@ -360,7 +335,7 @@ def _pair_bands(s, h, rows, on=None, n=1):
     tables dist**(-s), (k, q*q, nj, 1) for the k orders ``s``, and
     2 h^2 w_a w_b / dist, (q*q, nj, 1), of `_band_tables`; ``weight`` is
     block kern**p, (k, q*q, nj, 1), for ``on`` = `_power_on(G)` = (t^p,
-    T), kept with them (`_power_weights`), and None for ``on`` None.
+    T), of the tables keyed by that p, and None for ``on`` None.
     ``du`` holds, for the nodal ``rows`` (rows x nodes), the (rows, q*q,
     nj, L) differences right minus left, L = ne - j0: entry [i, r, k, e]
     pairs left element e with right element e + j0 + k, and is padding
@@ -387,10 +362,9 @@ def _pair_bands(s, h, rows, on=None, n=1):
         osc = np.ptp(rows, axis=-1, keepdims=True)
         lip = np.abs(np.diff(rows)).max(axis=-1, keepdims=True) / h
         slack = 2.0 ** -48 * np.abs(rows).max(axis=-1, keepdims=True)
-    tables = _band_tables(tuple(s.tolist()), float(h), ne)
-    weights = (_power_weights(tables, on[0].params[0]) if on is not None
-               else repeat(repeat(None)))
-    for (x, blocks, (kmax, lmax), _), weight in zip(tables[0], weights):
+    for x, blocks, (kmax, lmax) in _band_tables(
+            tuple(s.tolist()), float(h), ne,
+            None if on is None else on[0].params[0]):
         q = x.size
         buf = np.zeros((len(rows), q, 2 * ne))
         buf[:, :, :ne] = _at_gauss_points(rows, x).swapaxes(1, 2)
@@ -410,8 +384,8 @@ def _pair_bands(s, h, rows, on=None, n=1):
                    j0, *zip(*((kern[:, :, a:b], block[:, a:b],
                                None if w is None else w[:, :, a:b],
                                diff(j0 + a, b - a)) for a, b in parts)), r)
-                  for (j0, nj, kern, block, parts), w, r in zip(
-                      blocks, weight, reach))
+                  for (j0, nj, kern, block, w, parts), r in zip(
+                      blocks, reach))
 
 
 @lru_cache(maxsize=64)

@@ -157,9 +157,10 @@ def _kink_split_rule(f, c, kinks, polar):
 
 
 def _density_argument(a):
-    """a as a float array, after checking that every entry is finite, >= 0."""
+    """a as a float array, after checking that every entry is finite, >= 0:
+    a NaN makes the least entry NaN, which fails the test too."""
     arr = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    if arr.size and not 0.0 <= arr.min() <= arr.max() < np.inf:
         raise InvalidParameterError(f"density argument must be >= 0: {a}")
     return arr
 
@@ -351,8 +352,9 @@ class LimitDensity:
 
     def deriv(self, a, n=1):
         """The first derivative at a (n = 1), or the pair of the first and
-        the second (n = 2) from one evaluation of the base's jet."""
-        a = np.asarray(a, dtype=float)
+        the second (n = 2) from one evaluation of the base's jet. ``a``
+        is checked as `value` checks it."""
+        a = _density_argument(a)
         pos = a > 0.0
         G = self.base
 

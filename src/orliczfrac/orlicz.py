@@ -130,15 +130,6 @@ def _estimate(jet, kinks=()):
     return doubling, upper, lower
 
 
-def estimate_constants(G: OrliczFunction):
-    """Re-estimate (C, p, q) for G on the standard screening grid.
-
-    This is the pure grid estimator (with safety factor); factories may store
-    sharper exact constants when the family permits.
-    """
-    return _estimate(G.jet, G.kinks)
-
-
 def _finalize(kind, params, jet, label, kinks=(), children=(), exact=None):
     if exact is not None:
         doubling, upper, lower = exact

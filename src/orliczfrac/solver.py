@@ -68,9 +68,6 @@ class DirichletProblem:
             return 1.0 - self.s
         return 1.0
 
-    def zero_state(self) -> GridFunction:
-        return GridFunction.zeros(*self.omega, self.mesh_nodes)
-
     def rhs_grid(self) -> GridFunction:
         """Right-hand side sampled to the mesh as a piecewise-linear function."""
         a, b = self.omega

@@ -126,6 +126,34 @@ class TestParseConfig:
             parse_config("command = bbm\nwibble = 3\n")
         assert any("wibble" in msg for _, msg in err.value.errors)
 
+    @pytest.mark.parametrize("command,key", [
+        ("tilde", "a_list"), ("bbm", "s_list"), ("poincare", "s_list"),
+        ("gamma", "s_list")])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_list_rejected(self, command, key, value):
+        # an empty list is an error on its line, not the default list or
+        # a header-only file
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = {command}\n{key} ={value}\n")
+        assert err.value.errors == [
+            (2, "need at least one comma-separated value")]
+
+    def test_line_without_equals_sign(self):
+        # the line is reported, and the key it failed to give is missing
+        with pytest.raises(ConfigError) as err:
+            parse_config("command\n")
+        assert err.value.errors == [
+            (1, "expected key = value, got 'command'"),
+            (0, "missing required key 'command'")]
+
+    @pytest.mark.parametrize("value,message", [
+        ("1", "need exactly 2 comma-separated values"),
+        ("1, -1", "domain must satisfy left < right")])
+    def test_bad_domain_rejected(self, value, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = bbm\ndomain = {value}\n")
+        assert err.value.errors == [(2, message)]
+
 
     @pytest.mark.parametrize("command", ["poincare", "check"])
     @pytest.mark.parametrize("count", ["0", "-3"])
@@ -273,6 +301,12 @@ class TestMain:
         cfg = self._write(tmp_path, "command = warp\n")
         assert main(["bbm", "--config", cfg]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_solve_without_s_exit_one(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "command = solve\nnodes = 17\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: solve needs the key 's'\n"
+        assert not list(tmp_path.glob("solve*"))
 
     def test_command_mismatch_exit_one(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "command = bbm\nnodes = 33\n")

@@ -819,12 +819,12 @@ class TestPairBlocks:
         # within `_VALUE_POINTS` points, or a single one
         ne = n - 1
         q = _pair_orders(ne, fractional._ORDER)
-        bands = fractional._band_tables((0.5,), 2.0 / ne, ne)[0]
+        bands = fractional._band_tables((0.5,), 2.0 / ne, ne, None)
         first = 1  # of the band
-        for x, blocks, _, _ in bands:
+        for x, blocks, _ in bands:
             rows, count = x.size ** 2, int(np.sum(q == x.size))
             j, subs = first, []
-            for j0, nj, _, _, parts in blocks:
+            for j0, nj, _, _, _, parts in blocks:
                 assert j0 == j
                 width = ne - j0
                 assert [a for a, _ in parts] == [0] + [b for _, b in
@@ -835,16 +835,24 @@ class TestPairBlocks:
                 subs += [(j0 - first + a, j0 - first + b) for a, b in parts]
                 j += nj
             assert j == first + count
-            assert tuple(subs) == fractional._split(
-                rows, ne - first, count, fractional._BLOCK_POINTS)
+            # each block is the most offsets from its first within
+            # `_BLOCK_POINTS`, and at least one
             for a, b in subs:
                 assert b - a == 1 or rows * (ne - first - a) * (b - a) \
                     <= fractional._BLOCK_POINTS
+                assert b - a == max(1, min(
+                    count - a, fractional._BLOCK_POINTS
+                    // (rows * (ne - first - a))))
+            # a value block could not take its next block
+            for (j0, nj, *_), (_, _, _, _, _, parts) in zip(blocks,
+                                                            blocks[1:]):
+                grown = nj + parts[0][1]
+                assert rows * (ne - j0) * grown > fractional._VALUE_POINTS
             first += count
         assert first == ne
         if n == 1025:
             assert sum(len(b[1]) for b in bands) == 168
-            assert sum(len(parts) for _, blocks, _, _ in bands
+            assert sum(len(parts) for _, blocks, _ in bands
                        for *_, parts in blocks) == 309
 
     @pytest.mark.parametrize("n", [33, 257])
@@ -855,10 +863,10 @@ class TestPairBlocks:
         # width: the bits of the value block's own row sums, and no NaN
         u = random_state(rng, n)
         s, rows = np.array([0.7]), u.values[None]
-        for (x, blocks), (_, parts), (_, entries, _, _) in zip(
+        for (x, blocks), (_, parts), (_, entries, _) in zip(
                 fractional._pair_bands(s, u.spacing, rows),
                 fractional._pair_bands(s, u.spacing, rows, n=2),
-                fractional._band_tables((0.7,), u.spacing, n - 1)[0]):
+                fractional._band_tables((0.7,), u.spacing, n - 1, None)):
             for (j0, kern, block, _, du, _), sub, (*_, subs) in zip(
                     blocks, parts, entries):
                 width = du.shape[-1]
@@ -946,7 +954,7 @@ class TestBandWindows:
 
 
 class TestBandTables:
-    """`_band_tables` holds the pair pass's tables per (s, h, ne)."""
+    """`_band_tables` holds the pair pass's tables per (s, h, ne, p)."""
 
     def test_tables_are_read_only(self):
         u = GridFunction.hat(-1.0, 1.0, 129)
@@ -958,11 +966,14 @@ class TestBandTables:
                         with pytest.raises(ValueError):
                             table[...] = 0.0
                     du[...] = 0.0  # the differences are the caller's
-            for _, _, peak, whole in fractional._band_tables(
-                    tuple(s), u.spacing, 128)[0]:
-                for table in (peak, *whole):
-                    with pytest.raises(ValueError):
-                        table[...] = 0.0
+            for p in (None, 3.0):
+                for _, blocks, peak in fractional._band_tables(
+                        tuple(s), u.spacing, 128, p):
+                    tables = [peak] + [t for _, _, *ts, _ in blocks
+                                       for t in ts if t is not None]
+                    for table in tables:
+                        with pytest.raises(ValueError):
+                            table[...] = 0.0
 
     @pytest.mark.parametrize("n", [3, 4, 33, 129, 1025])
     @pytest.mark.parametrize("s", [(0.5,), (0.9, 0.95, 0.99)],
@@ -993,24 +1004,31 @@ class TestBandTables:
             assert all(weight is None for _, _, _, weight, _, _ in blocks)
 
     def test_growth_functions_share_one_build(self):
-        # the tables depend on (s, h, ne) alone: every growth function of
-        # the suite reads one build, and t^p's weights are kept in it per
-        # exponent, of a power or of a max's least power
+        # the tables depend on (s, h, ne) and t^p's exponent: the growth
+        # functions of the suite that share an exponent, of a power or of
+        # a max's least power, or G's own rule (None), read one build, and
+        # t^p's weights are block * kern**p bit for bit
         tables = fractional._band_tables
         tables.cache_clear()
         u = GridFunction.hat(-1.0, 1.0, 129)
-        for G in builtin_suite_functions():
+
+        def exponent(G):
+            on = fractional._power_on(G)
+            return -1.0 if on is None else on[0].params[0]
+
+        suite = sorted(builtin_suite_functions(), key=exponent)
+        for G in suite:
             fractional_modular(G, 0.7, u)
         info = tables.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert info.hits == len(builtin_suite_functions()) - 1
-        bands, weights = tables((0.7,), u.spacing, 128)
-        assert sorted(weights) == [1.5, 2.0, 3.0]
-        for p, per_band in weights.items():
-            for (_, blocks, _, _), band_weights in zip(bands, per_band):
-                for (_, _, kern, block, _), weight in zip(blocks,
-                                                          band_weights):
-                    assert same_bits(weight, block * kern ** p)
+        assert info.misses == len({exponent(G) for G in suite}) == 4
+        assert info.hits == len(suite) - info.misses
+        for p in (1.5, 2.0, 3.0, None):
+            for _, blocks, _ in tables((0.7,), u.spacing, 128, p):
+                for _, _, kern, block, weight, _ in blocks:
+                    if p is None:
+                        assert weight is None
+                    else:
+                        assert same_bits(weight, block * kern ** p)
 
     def test_one_solve_builds_its_tables_once(self):
         tables = fractional._band_tables
@@ -1031,7 +1049,7 @@ class TestBandTables:
         assert shifted.spacing == u.spacing
         fractional_modular(G2, 0.5, u)
         misses = tables.cache_info().misses
-        # the tables depend on (s, h, ne) only: a shifted interval, and
+        # the tables depend on (s, h, ne, p) only: a shifted interval, and
         # the order as a 0-D array or as a list of one, share the entry
         fractional_modular(G2, 0.5, shifted)
         fractional_modular_with_gradient(G2, np.array(0.5), shifted)
@@ -1457,9 +1475,8 @@ def exact_range_test(monkeypatch):
     tables = fractional._band_tables
 
     def unbounded(*key):
-        bands, weights = tables(*key)
-        return tuple((x, blocks, np.full_like(peak, np.inf), whole)
-                     for x, blocks, peak, whole in bands), weights
+        return tuple((x, blocks, np.full_like(peak, np.inf))
+                     for x, blocks, peak in tables(*key))
 
     monkeypatch.setattr(fractional, "_band_tables", unbounded)
 

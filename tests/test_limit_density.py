@@ -264,6 +264,20 @@ class TestLimitDensityObject:
         assert dens.deriv(np.array([0.0, 0.5, 3.0]), 2)[1] == pytest.approx(
             [K, K, K], rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf,
+                                     np.array([0.5, -0.5])])
+    @pytest.mark.parametrize("G", [make_power(2.0), make_power_log(3.0)],
+                             ids=lambda G: G.label)
+    def test_derivative_rejects_what_the_value_rejects(self, G, bad):
+        # a negative, NaN or infinite argument is an error of every entry
+        # point, not a derivative of 0 or NaN
+        density = limit_density(G, 1)
+        with pytest.raises(InvalidParameterError):
+            density.value(bad)
+        for n in (1, 2):
+            with pytest.raises(InvalidParameterError):
+                density.deriv(bad, n)
+
     def test_wrapping_keeps_growth_interface(self):
         tilde = limit_density(make_power(2.0), 1).as_orlicz()
         x = np.array([0.0, 0.5, 2.0])

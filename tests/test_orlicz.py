@@ -12,7 +12,6 @@ from orliczfrac import (
     NumericOverflowError,
     compose,
     conjugate,
-    estimate_constants,
     make_combination,
     make_custom,
     make_power,
@@ -25,7 +24,7 @@ from orliczfrac.limit_density import (
     sphere_integral,
     sphere_moment,
 )
-from orliczfrac.orlicz import _central_difference, _power
+from orliczfrac.orlicz import _central_difference, _estimate, _power
 
 
 class TestPower:
@@ -475,7 +474,8 @@ class TestCombinations:
 
 class TestEstimateConstants:
     def test_cube_grid_estimates(self):
-        C, p, q = estimate_constants(make_power(3.0))
+        G = make_power(3.0)
+        C, p, q = _estimate(G.jet, G.kinks)
         assert C == pytest.approx(8.0 * 1.01, rel=1e-9)
         assert p == pytest.approx(3.0 * 1.01, rel=1e-9)
         assert q == pytest.approx(math.log2(8.08), rel=1e-9)

@@ -47,7 +47,8 @@ def random_state(prob, rng, amplitude=0.3):
 class TestEnergy:
     def test_zero_state(self):
         prob = problem(0.5)
-        assert energy(prob, prob.zero_state()) == 0.0
+        zero = GridFunction.zeros(*prob.omega, prob.mesh_nodes)
+        assert energy(prob, zero) == 0.0
 
     def test_positive_without_forcing(self, rng):
         prob = problem(0.5, rhs=0.0)
@@ -88,7 +89,8 @@ class TestEnergy:
 class TestGradient:
     def test_zero_state_is_minus_load(self):
         prob = problem(0.5, n=33)
-        g = energy_gradient(prob, prob.zero_state())
+        zero = GridFunction.zeros(*prob.omega, prob.mesh_nodes)
+        g = energy_gradient(prob, zero)
         assert g == pytest.approx(-prob.load_vector())
 
     @pytest.mark.parametrize("G", [G2, G3])
@@ -204,6 +206,22 @@ class TestSolve:
         monkeypatch.setattr(solver, "_MAX_ITER", 2)
         with pytest.warns(UniquenessWarning):
             solve(prob)
+
+    def test_line_search_stop(self):
+        # G' = -2t makes the energy's slope along the gradient step never
+        # rise: all 12 secant probes see it fall, the step is refused and
+        # the solve stops at the start, unconverged (G' is not increasing,
+        # which the start's screen reports)
+        G = make_custom(lambda t: np.asarray(t, float) ** 2,
+                        dfn=lambda t: -2.0 * np.asarray(t, float),
+                        d2fn=lambda t: np.full(np.shape(t), -2.0),
+                        constants=(4.0, 2.0, 2.0), label="falling-slope")
+        with pytest.warns(UniquenessWarning):
+            res = solve(problem(1.0, n=17, G=G))
+        assert res.stop_reason is StopReason.LINE_SEARCH
+        assert res.converged is False
+        assert (res.iterations, res.evaluations, res.hessians) == (0, 13, 0)
+        assert not np.any(res.u.values)
 
     def test_start_reads_one_jet(self, monkeypatch):
         # the convexity screen's G' and the zero state's G''(0) come from
@@ -508,7 +526,7 @@ class TestWarmStart:
 
     def test_start_on_another_mesh_rejected(self):
         with pytest.raises(InvalidInputError):
-            solve(problem(0.5, n=33), start=problem(0.5, n=17).zero_state())
+            solve(problem(0.5, n=33), start=GridFunction.zeros(0.0, 1.0, 17))
         with pytest.raises(InvalidInputError):
             solve(problem(0.5, n=17), start=GridFunction.zeros(0.0, 2.0, 17))
 
