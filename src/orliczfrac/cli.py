@@ -230,7 +230,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat key=value config; errors carry line numbers."""
     errors = []
     fields = {}
-    keys = set()  # every key read, valid or not
+    first = {}  # the line of every key read, valid or not
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -240,14 +240,17 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             if not eq:
                 raise ValueError(f"expected key = value, got {raw.strip()!r}")
-            keys.add(key)
+            if key in first:
+                raise ValueError(f"key {key!r} given twice (first on line "
+                                 f"{first[key]})")
+            first[key] = lineno
             if key not in _KEYS:
                 raise ValueError(f"unknown key {key!r}")
             field, convert = _KEYS[key]
             fields[field] = convert(value)
         except (ValueError, OrliczFracError) as exc:
             errors.append((lineno, str(exc)))
-    if "command" not in keys:
+    if "command" not in first:
         errors.append((0, "missing required key 'command'"))
     if errors:
         raise ConfigError(errors)

@@ -21,30 +21,33 @@ is split into three pieces:
        cut into blocks of consecutive offsets, about `_BLOCK_POINTS` =
        2^13 pair points each (309 for the 1023 offsets of 1024 elements),
        and runs of those into value blocks of at most `_VALUE_POINTS` =
-       2^14 points, or of one block (168 at 1024 elements). The value
-       takes one jet of G, G(t, 1), per value block; the gradient (n = 2)
-       and the Hessian (n = 3) take one jet G(t, n) per block of the
-       smaller size, whose derivative temporaries (signs, coefficients,
-       the Hessian fold) would outgrow the cache at the larger one. A
-       block's rows are padded to its first offset's length and the
-       padding is set to 0 before any sum; a derivative pass sums the rows
-       of its blocks as rows of their value block's length, so every pass
-       gives the value the same bits. Where G is t^p on [0, T]
-       (`_power_on`), G(|du| kern) = kern^p G(|du|): a block whose
-       arguments all lie there takes t^p's even jet on du, weighed by
-       block kern^p, for the value, the gradient and the Hessian alike
-       (`_pair_rule`); for p = 2, 3 and 4 the value takes no |du|
-       (`make_power`). For T finite (a max of powers) a bound from u's
-       oscillation and Lipschitz constant decides that range per value
-       block, and only a block it leaves open is scanned. Any other block
-       takes G's own rule, state by state if its states differ. What does
-       not read u is built in one pass per key (s, h, ne, p), p the
-       exponent of t^p's rule or None for G's own, and kept per key,
-       read-only, for the last two keys (`_band_tables`): the kernel
-       table dist**(-s), the weights 2 h^2 w_a w_b / dist and t^p's
-       weights block kern^p of each value block, the bounds of its blocks
-       of `_BLOCK_POINTS` (one walk over the offsets, `_runs`), and the
-       largest dist**(-s) and dist**(1-s) of each value block;
+       2^14 points, or of one block (168 at 1024 elements). The value of
+       each pair row is one BLAS ``ddot`` of two operands (`_row_dots`,
+       `_value_operands`), and no product array: G's values at the value
+       block's arguments and a ones row, one jet G(t, 1) per value block,
+       or, for t^p with p = 2, 3 or 4, (du, du), (du^2, |du|) or
+       (du^2, du^2), which call no jet at all. The gradient (n = 2) and the
+       Hessian (n = 3) take one jet G(t, n) per block of the smaller size,
+       whose derivative temporaries (signs, coefficients, the Hessian
+       fold) would outgrow the cache at the larger one, and the value's
+       row dots from the same operands. A block's rows are padded to its
+       first offset's length and the padding is set to 0 before any sum;
+       a derivative pass zero-pads its blocks' operands to their value
+       block's row length, so every pass gives the value the same bits.
+       Where G is t^p on [0, T] (`_power_on`), G(|du| kern) = kern^p
+       G(|du|): a block whose arguments all lie there takes t^p on du,
+       weighed by block kern^p, for the value, the gradient and the
+       Hessian alike (`_pair_rule`). For T finite (a max of powers) a
+       bound from u's oscillation and Lipschitz constant decides that
+       range per value block, and only a block it leaves open is scanned.
+       Any other block takes G's own rule, state by state if its states
+       differ. What does not read u is built in one pass per key (s, h, ne,
+       p), p the exponent of t^p's rule or None for G's own, and kept per
+       key, read-only, for the last two keys (`_band_tables`): the kernel
+       table dist**(-s), the weights 2 h^2 w_a w_b / dist and t^p's weights
+       block kern^p of each value block, the bounds of its blocks of
+       `_BLOCK_POINTS` (one walk over the offsets, `_runs`), and the largest
+       dist**(-s) and dist**(1-s) of each value block;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I and I' (or I' and
@@ -59,22 +62,22 @@ is split into three pieces:
        of it is one function, `_far_field`; `_core` builds the density
        once for pieces (i) and (iii).
 
-Every piece has one shape: a 1-D array of k orders s and nodal rows on
-one mesh (`_nodal`), one row per order (the solver's lockstep ladder) or
-one row that all orders share (the multi-order value of
-`fractional_modular`), and it gives the value, the gradient and the
-Hessian per state, on a leading states axis. One order at one vector is
-the state k = 1; only `_core` takes a lone order, and it drops the axis
-again on return. Nothing in piece (ii) but the kernel table depends on s,
-so the pairs of all states share one pass: the table dist**(-s) has a
-leading axis over the orders, and each block forms |u(x) - u(y)| once per
-row and asks one jet of G on the stacked (states, pairs, offsets,
-elements) argument, or, where t^p's rule serves, on du, one row per
-row. Pieces (i) and (iii) evaluate their arrays with the states axis in
-front. The blocks do not depend on the number of states, and each state
-keeps the bits of its lone call: a power whose exponent depends on the
-order takes that order's Python float exponent (`_pow`), and each piece
-splits a stack in one place, by one rule:
+Every piece has one shape: a 1-D array of k orders s and nodal rows on one
+mesh (`_nodal`), one row per order (the solver's lockstep ladder) or one
+row that all orders share (the multi-order value of `fractional_modular`),
+and it gives the value, the gradient and the Hessian per state, on a
+leading states axis. One order at one vector is the state k = 1; only
+`_core` takes a lone order, and it drops the axis again on return. Nothing
+in piece (ii) but the kernel table depends on s, so the pairs of all
+states share one pass: the table dist**(-s) has a leading axis over the
+orders, and each block forms |u(x) - u(y)| once per row and asks one jet
+of G on the stacked (states, pairs, offsets, elements) argument, or, where
+t^p's rule serves, takes du, one row per row, for every order. Pieces (i)
+and (iii) evaluate their arrays with the states axis in front. The blocks
+do not depend on the number of states, and each state keeps the bits of
+its lone call: a power whose exponent depends on the order takes that
+order's Python float exponent (`_pow`), and each piece splits a stack in
+one place, by one rule:
 
   (i)   `_same_element`, one state at a time (`_one_by_one`) where the
         states' rules differ (t^p's closed form on some, or numbers of
@@ -105,12 +108,16 @@ directly (`_add_diagonals`).
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run. In a block, each pair row of each offset is
-summed over its elements first (one contiguous reduction), then the row
-sums are weighted and summed over the rows and offsets of their state:
-reductions on each state's own rows, as when that state is evaluated
-alone, so every state's value, gradient and Hessian are bit-identical to
-its one-state call. The gradient and the Hessian sum a block's offsets per
-element, the right elements along the diagonals of a strided view
+summed over its elements first, as one ``ddot`` of two C-contiguous rows
+zero-padded to the value block's width, then the row sums are weighted and
+summed over the rows and offsets of their state. A row's ``ddot`` does not
+depend on its neighbours, so a row alone, in a block, in a sub-block or in
+a stack of states gives the same bits, and every state's value, gradient
+and Hessian are bit-identical to its one-state call. The layout matters:
+`np.vecdot` leaves BLAS on a zero-stride or strided operand (a broadcast
+ones row), and its sums then differ in the last bits, so the ones row is a
+real array (`_ones`). The gradient and the Hessian sum a block's offsets
+per element, the right elements along the diagonals of a strided view
 (`_skew_sum`). Blocks are independent and could be farmed out, provided
 the reduction order is preserved.
 """
@@ -134,6 +141,7 @@ _VALUE_POINTS = 2 ** 14  # pair points (rows x elements) of a value block
 _BLOCK_POINTS = 2 ** 13  # ... of a derivative pass's sub-block
 _STACK_POINTS = 2 ** 14  # points of a pair block over a chunk of states
 _SLOPE = (np.broadcast_to(-1.0, 1), np.broadcast_to(1.0, 1))  # (a, b) of h*m
+_DOTS = (2.0, 3.0, 4.0)  # p of the t^p whose pair values call no jet
 
 
 def _state_chunks(k, size):
@@ -448,26 +456,63 @@ def _power_on(G):
     return None
 
 
-def _weighed(g, width, w):
-    """The weighed row sums of a block, (k, rows, offsets): each pair row of
-    g (..., rows, offsets, L), without its padding, summed over its
-    elements as a row of ``width`` >= L (zeros after L), then weighed by w
-    (rows x offsets x 1). Summed at one width, the rows of a value block and
-    of its derivative sub-blocks give the same bits."""
-    if g.shape[-1] < width:
-        rows = np.zeros(g.shape[:-1] + (width,))
-        rows[..., :g.shape[-1]] = g
-        g = rows
-    return np.add.reduce(g, -1) * w[..., 0]
+@lru_cache(maxsize=16)
+def _ones(size):
+    """A read-only ones row of ``size``, a power of two, of which a value
+    row sum of G's values takes a C-contiguous slice (`_value_operands`):
+    a real array, since a zero-stride one takes `np.vecdot` off BLAS, and
+    a few rows serve every width."""
+    ones = np.ones(size)
+    ones.flags.writeable = False
+    return ones
+
+
+def _value_operands(p, arg, g, width):
+    """The operands (x, y) of a block's value row sums (`_row_dots`) under
+    the rule F at ``arg``: for F = t^p with p = 2, 3 or 4 (``p``, in
+    `_DOTS`; None for any other F), (arg, arg), (arg^2, |arg|) or
+    (arg^2, arg^2), whose products are F(arg), with the padding of ``arg``
+    set to 0 and |arg| taken in place, so that no jet ``g`` of F is
+    needed; else F's values g[0] without their padding, and a ones row of
+    ``width``."""
+    if p not in _DOTS:
+        ones = _ones(1 << (width - 1).bit_length())
+        return _drop_padding(g[0]), ones[:width]
+    arg = _drop_padding(arg)
+    if p == 2.0:
+        return arg, arg
+    sq = arg * arg
+    return sq, np.abs(arg, out=arg) if p == 3.0 else sq
+
+
+def _row_dots(x, y, width, w):
+    """The weighed row sums of a block, (..., rows, offsets): the dot
+    product of each pair row of x and y (..., rows, offsets, L), zero
+    padded to ``width`` >= L, weighed by w (rows x offsets x 1); y may be
+    one row of ``width`` for all. Each row is one BLAS ``ddot`` of
+    C-contiguous rows, with no product array, whose bits do not depend on
+    the row's neighbours: summed at one width, the rows of a value block
+    and of its derivative sub-blocks, of a stack of states and of each
+    state alone give the same bits."""
+    def padded(a):
+        if a.shape[-1] == width:
+            return a
+        rows = np.zeros(a.shape[:-1] + (width,))
+        rows[..., :a.shape[-1]] = a
+        return rows
+
+    X = padded(x)
+    return np.vecdot(X, X if y is x else padded(y)) * w[..., 0]
 
 
 def _pair_rule(G, on, du, kern, block, weight, n=1):
     """A block's rule (F, arg, w) for all its states, with no F evaluated:
     its term in G^(i), i < n, is w[i] F^(i)(arg), its value per state the
     sum of w[0] F(arg); or None where its states take rules of their own.
-    |du| is taken at most once: by t^p's jet, which is even (and whose
-    value for p = 2, 3, 4 takes none), or here, in place of ``du`` (with
-    its padding set to 0 for the range test).
+    |du| is taken by t^p's jet, which is even, by t^3's value operands
+    (`_value_operands`, in place; t^2's and t^4's take none), both in a
+    derivative pass of t^3, or here, in place of ``du`` (with its padding
+    set to 0 for the range test).
 
     ``on`` is `_power_on(G)`. Where G is t^p on [0, T], F = t^p and
     G^(i)(|du| kern) kern^i = kern^p F^(i)(|du|): arg = du for all orders,
@@ -505,9 +550,9 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     Each part of a value block is one `_pair_block` call, which splits
     its states: the value takes the value block whole, the gradient and
     the Hessian each of its blocks of `_BLOCK_POINTS` (`_pair_bands`),
-    under the value block's bound, and they sum their G rows at the value
-    block's row length (`_weighed`) before they weigh them and sum the
-    block, so that the value keeps the value pass's bits. The gradient is
+    under the value block's bound, and they sum their value rows at the
+    value block's row length (`_row_dots`) before they weigh them and sum
+    the block, so that the value keeps the value pass's bits. The gradient is
     accumulated per element and Gauss point of a band and scattered to the
     nodes once per band (`_add_element_terms`); a block's left elements
     take a sum over its offsets, its right elements a skewed one
@@ -575,18 +620,19 @@ def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
     call. The signs of ``du`` are taken once, before `_pair_rule` takes
     |du| in place, and split with it.
 
-    The rule takes one jet of order n on its argument. F(arg) is summed
-    over the elements of each pair row and offset, as a row of ``width``,
-    its value block's (with zeros after the block's own rows: `_weighed`),
-    before the row sums take their weight w[0]: no weighted copy of the
-    stack is made, and each state's sums are its own reductions, as for
-    one state. A pair contributes c = w[2] F''(arg) times the outer
+    The rule takes one jet of order n on its argument, none for the value of
+    t^p with p = 2, 3 or 4. F(arg) is summed over the elements of each pair
+    row and offset as one dot product of two operands (`_value_operands`),
+    rows of ``width``, its value block's (with zeros after the block's own
+    rows: `_row_dots`), before the row sums take their weight w[0]: no product
+    or weighted copy of the stack is made, and each state's sums are its own,
+    as for one state. A pair contributes c = w[2] F''(arg) times the outer
     product of its difference's nodal weights to the Hessian. One matrix
     product per state (`_hessian_fold`) folds c into its sums per right and
-    per left Gauss point, accumulated per element in ``hU`` like the
-    gradient in ``gU``, and into its four hat-weight moments, the cross
-    part, which lands on diagonals j-1, j and j+1 of each offset j of the
-    block through one strided view per moment (`_add_diagonals`).
+    per left Gauss point, accumulated per element in ``hU`` like the gradient
+    in ``gU``, and into its four hat-weight moments, the cross part, which
+    lands on diagonals j-1, j and j+1 of each offset j of the block through
+    one strided view per moment (`_add_diagonals`).
     """
     if n > 1 and sign is None:
         sign = np.sign(du)
@@ -599,8 +645,10 @@ def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
             for at in (_state_chunks(len(du), du[0].size) if stacked else
                        [slice(i, i + 1) for i in range(len(kern))])])
     F, arg, w = rule
-    g = F(arg, n)
-    sums = _weighed(_drop_padding(g[0]), width, w[0])
+    # t^p's exponent, or None for G's own rule
+    p = F.params[0] if on is not None and F is on[0] else None
+    g = F(arg, n) if n > 1 or p not in _DOTS else None
+    sums = _row_dots(*_value_operands(p, arg, g, width), width, w[0])
     if gU is None:
         return sums
     q, lead = gU.shape[-2], gU.shape[:-2]

@@ -138,6 +138,22 @@ class TestParseConfig:
         assert err.value.errors == [
             (2, "need at least one comma-separated value")]
 
+    @pytest.mark.parametrize("text,key,first", [
+        ("command = bbm\nnodes = 9\nnodes = 17\n", "nodes", 2),
+        # keys are case-insensitive
+        ("command = bbm\nG = power(2)\ng = power(3)\n", "g", 2),
+        ("command = bbm\ns_list = 0.5\n# twice\n  S_LIST = 0.6\n",
+         "s_list", 2),
+        ("command = bbm\ncommand = solve\n", "command", 1)],
+        ids=["nodes", "G and g", "S_LIST after a comment", "command"])
+    def test_repeated_key_rejected(self, text, key, first):
+        # a repeat is an error on its own line, not a silent override
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        last = len(text.splitlines())
+        assert err.value.errors == [
+            (last, f"key {key!r} given twice (first on line {first})")]
+
     def test_line_without_equals_sign(self):
         # the line is reported, and the key it failed to give is missing
         with pytest.raises(ConfigError) as err:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -777,7 +779,13 @@ class TestPairStackEvaluations:
     @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
                                    G23], ids=lambda G: G.label)
     def test_value_evaluates_no_derivative(self, G, monkeypatch, rng):
-        assert self.orders(monkeypatch, G, rng, False) == {1}
+        if G.kind == "power":
+            # t^p's value stacks take the row dots of du alone
+            # (`_value_operands`): no jet at all
+            u = random_state(rng, 33, amplitude=1.5)
+            assert self.record(monkeypatch, G, 0.6, u, False)[1] == []
+        else:
+            assert self.orders(monkeypatch, G, rng, False) == {1}
 
     @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0),
                                    G23], ids=lambda G: G.label)
@@ -858,11 +866,22 @@ class TestPairBlocks:
     @pytest.mark.parametrize("n", [33, 257])
     def test_sub_block_rows_sum_at_the_value_width(self, n, rng):
         # a derivative pass's differences and tables of a sub-block are
-        # those of its value block; its G values, with an inf (G''(0) for
-        # p < 2) in their padding, summed as rows of the value block's
-        # width: the bits of the value block's own row sums, and no NaN
+        # those of its value block; its value operands, t^p's of du for
+        # p = 2, 3, 4 or G values and a ones row (p None), with an inf in
+        # their padding (G''(0) for p < 2), summed as rows of the value
+        # block's width: the bits of the value block's own row sums, and
+        # no NaN
         u = random_state(rng, n)
         s, rows = np.array([0.7]), u.values[None]
+
+        def row_sums(p, d, width, blk):
+            nj, L = d.shape[-2:]
+            padding = np.arange(L) >= L - np.arange(nj)[:, None]
+            d = np.where(padding, np.inf, d)
+            g = None if p else [np.abs(d) ** 1.5]
+            return fractional._row_dots(*fractional._value_operands(
+                p, d, g, width), width, blk)
+
         for (x, blocks), (_, parts), (_, entries, _) in zip(
                 fractional._pair_bands(s, u.spacing, rows),
                 fractional._pair_bands(s, u.spacing, rows, n=2),
@@ -870,19 +889,17 @@ class TestPairBlocks:
             for (j0, kern, block, _, du, _), sub, (*_, subs) in zip(
                     blocks, parts, entries):
                 width = du.shape[-1]
-                g = fractional._drop_padding(np.abs(du) ** 1.5)
-                whole = fractional._weighed(g, width, block)
                 assert sub[0] == j0 and len(sub[4]) == len(subs)
-                for (a, b), k, blk, d in zip(subs, *sub[1:3], sub[4]):
-                    L = width - a
-                    assert same_bits(d, du[..., a:b, :L])
-                    assert same_bits(k, kern[:, :, a:b])
-                    assert same_bits(blk, block[:, a:b])
-                    padding = np.arange(L) >= L - np.arange(b - a)[:, None]
-                    part = np.where(padding, np.inf, np.abs(d) ** 1.5)
-                    got = fractional._weighed(
-                        fractional._drop_padding(part), width, blk)
-                    assert same_bits(got, whole[..., a:b])
+                for p in (None, 2.0, 3.0, 4.0):
+                    whole = row_sums(p, du, width, block)
+                    assert np.isfinite(whole).all()
+                    for (a, b), k, blk, d in zip(subs, *sub[1:3], sub[4]):
+                        L = width - a
+                        assert same_bits(d, du[..., a:b, :L])
+                        assert same_bits(k, kern[:, :, a:b])
+                        assert same_bits(blk, block[:, a:b])
+                        assert same_bits(row_sums(p, d, width, blk),
+                                         whole[..., a:b])
 
     def test_padding_is_zeroed_without_nan(self):
         # G''(0) = inf for p < 2, and inf * 0 is NaN: the padding of a
@@ -898,6 +915,79 @@ class TestPairBlocks:
                 assert np.array_equal(out == 0.0, np.broadcast_to(
                     padding, out.shape))
                 assert np.all(np.isinf(out[:, ~padding]))
+
+
+class TestRowDots:
+    """Each pair row's value is summed by one dot product of its operands
+    (`_value_operands`): du with itself for t^2, du^2 with |du| for t^3,
+    du^2 with itself for t^4, and G's values with a ones row for any other
+    G (`_row_dots`)."""
+
+    @staticmethod
+    def blocks(rng, states=1):
+        rows = np.stack([random_state(rng, 129).values
+                         for _ in range(states)])
+        for _, blocks in fractional._pair_bands(np.array([0.7] * states),
+                                                2.0 / 128, rows):
+            for _, _, block, _, du, _ in blocks:
+                yield block, fractional._drop_padding(du)
+
+    @staticmethod
+    def row_sums(p, du, block):
+        g = None if p else make_power_log(3.0)(np.abs(du), 1)
+        return fractional._row_dots(*fractional._value_operands(
+            p, du.copy(), g, du.shape[-1]), du.shape[-1], block)
+
+    @pytest.mark.parametrize("p", [None, 2.0, 3.0, 4.0])
+    def test_matches_an_exact_sum_per_row(self, p, rng):
+        # each row's sum within 1e-14 of math.fsum over its elements'
+        # values, G's (power_log(3) for p None) as G's jet gives them
+        G = make_power(p) if p else make_power_log(3.0)
+        for block, du in self.blocks(rng):
+            got = self.row_sums(p, du, block)
+            nj, L = du.shape[-2:]
+            values = G(np.abs(du))
+            ref = np.array([[[math.fsum(values[0, r, k, :L - k])
+                              * block[r, k, 0] for k in range(nj)]
+                             for r in range(du.shape[1])]])
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    @pytest.mark.parametrize("p", [None, 2.0, 3.0, 4.0])
+    def test_a_row_alone_has_its_bits_in_a_block_and_a_stack(self, p, rng):
+        for block, du in self.blocks(rng, states=2):
+            stack = self.row_sums(p, du, block)
+            for i in range(2):
+                assert same_bits(self.row_sums(p, du[i:i + 1], block),
+                                 stack[i:i + 1])
+                for r in (0, du.shape[1] - 1):
+                    for k in (0, du.shape[2] - 1):
+                        row = np.ascontiguousarray(du[i, r, k])
+                        one = self.row_sums(p, row[None, None, None],
+                                            block[r:r + 1, k:k + 1])
+                        assert one[0, 0, 0] == stack[i, r, k]
+
+    def test_ones_rows_are_cached_and_read_only(self, rng, monkeypatch):
+        # G's values take a C-contiguous slice of a cached ones row of the
+        # next power of two as their second operand
+        seen, dots = [], fractional._row_dots
+
+        def recorded(x, y, width, w):
+            seen.append((y, width))
+            return dots(x, y, width, w)
+
+        u = random_state(rng, 129)
+        monkeypatch.setattr(fractional, "_row_dots", recorded)
+        _distinct_pairs(make_power_log(3.0), np.array([0.7]), u,
+                        u.values[None], False)
+        assert seen
+        for y, width in seen:
+            assert y.shape == (width,) and y.strides == (8,)
+            assert y.base is fractional._ones(y.base.size)
+            assert y.base.size == 1 << (width - 1).bit_length()
+            assert np.array_equal(y, np.ones(width))
+            with pytest.raises(ValueError):
+                y[...] = 0.0
 
 
 def window_block(s, h, v, x, j0, nj):
@@ -1263,33 +1353,35 @@ def pair_pass(G, s, u):
 
 
 def pair_points(monkeypatch, G, s, u):
-    """Points at which the value of `_distinct_pairs` evaluates G, after
-    checking that each of its G calls asks for the value alone (n = 1)."""
-    calls = []
-    call = OrliczFunction.__call__
+    """Points of the first operands whose row dots (`_row_dots`) are the
+    value of `_distinct_pairs`, after checking that any G call it makes
+    asks for the value alone (n = 1)."""
+    calls, seen = [], []
+    call, dots = OrliczFunction.__call__, fractional._row_dots
 
     def counted(self, x, n=None):
-        calls.append((np.size(x), n))
+        calls.append(n)
         return call(self, x, n)
+
+    def recorded(x, y, width, w):
+        seen.append(x.size)
+        return dots(x, y, width, w)
 
     with monkeypatch.context() as m:
         m.setattr(OrliczFunction, "__call__", counted)
+        m.setattr(fractional, "_row_dots", recorded)
         _distinct_pairs(G, np.reshape(s, -1), u, u.values[None], False)
-    assert calls and {n for _, n in calls} == {1}
-    return sum(size for size, _ in calls)
+    assert set(calls) <= {1}
+    return sum(seen)
 
 
 def rule_values(G, on, du, kern, block, weight, n=1):
-    """A block's value (per order), from its `_pair_rule` rule, or its
-    states' rules one by one, as `_distinct_pairs` evaluates them."""
-    rule = fractional._pair_rule(G, on, du, kern, block, weight, n)
-    if rule is None:
-        return np.concatenate([rule_values(
-            G, on, du[i:i + 1] if len(du) > 1 else du, kern[i:i + 1], block,
-            weight[i:i + 1], n) for i in range(len(kern))])
-    F, arg, w = rule
-    g = fractional._drop_padding(F(arg))
-    return np.add.reduce(fractional._weighed(g, g.shape[-1], w[0]), (-2, -1))
+    """A block's value (per order) as `_distinct_pairs` evaluates it
+    (`_pair_block`): from its `_pair_rule` rule, or its states' rules one
+    by one, with the row sums of `_row_dots`."""
+    sums = fractional._pair_block(G, on, du.shape[-1], n, None, block, kern,
+                                  weight, du)
+    return np.add.reduce(sums, (-2, -1))
 
 
 def assert_same_pairs(got, ref):
@@ -1339,8 +1431,9 @@ class TestHomogeneousPairs:
                              ids=["power(3)", "max(power(2), power(3))",
                                   "power_log(3)"])
     def test_orders_share_the_power_points(self, G, factor, monkeypatch):
-        # a power's stack has no orders axis, nor has a max of powers whose
-        # arguments stay in [0, 1], as on the hat; any other G's has one
+        # a power's row dots have no orders axis, nor have a max of powers
+        # whose arguments stay in [0, 1], as on the hat; any other G's
+        # have one
         u = GridFunction.hat(-1.0, 1.0, 129)
         one = pair_points(monkeypatch, G, 0.9, u)
         three = pair_points(monkeypatch, G, np.array([0.9, 0.95, 0.99]), u)

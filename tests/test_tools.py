@@ -15,6 +15,7 @@ def load(name):
 
 
 digest = load("output_digest")
+accuracy = load("accuracy")
 
 
 class TestOutputCompare:
@@ -59,3 +60,20 @@ class TestOutputCompare:
         assert lines[1].split()[2:4] == ["Hessian", "0"]
         assert lines[2].split()[:2] == ["cli", "bbm"]
         assert float(lines[2].split()[2]) > 0.0
+
+
+class TestAccuracy:
+    def test_small_cases(self):
+        # one line per growth function of the stored hat table and mesh,
+        # and per mesh and order of the t^2 sweep; errors that are small,
+        # but not 0, and the same on a second run
+        hat = accuracy.hat_errors(nodes=(33,))
+        assert [label for label, _ in hat] == [
+            "hat max(power(2), power(3)), 33 nodes", "hat power(3), 33 nodes"]
+        square = accuracy.square_errors(nodes=(9,), orders=(0.7, 0.9),
+                                        states=2)
+        assert [label for label, _ in square] == [
+            "t^2 random, 9 nodes, s = 0.7", "t^2 random, 9 nodes, s = 0.9"]
+        assert all(0.0 < err < 1e-2 for _, err in hat + square)
+        assert accuracy.square_errors(nodes=(9,), orders=(0.7, 0.9),
+                                      states=2) == square
