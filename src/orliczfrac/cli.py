@@ -226,8 +226,10 @@ _KEYS = {
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a flat key=value config; errors carry line numbers."""
+def parse_config(text: str,
+                 command: Optional[str] = None) -> ExperimentConfig:
+    """Parse and validate a flat key=value config; errors carry line numbers.
+    Given ``command``, the config's ``command`` key must name it."""
     errors = []
     fields = {}
     first = {}  # the line of every key read, valid or not
@@ -252,6 +254,10 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append((lineno, str(exc)))
     if "command" not in first:
         errors.append((0, "missing required key 'command'"))
+    elif command is not None and fields.get("command", command) != command:
+        errors.append((first["command"], f"config command "
+                       f"{fields['command']!r} does not match CLI command "
+                       f"{command!r}"))
     if errors:
         raise ConfigError(errors)
     cfg = ExperimentConfig(**fields)
@@ -411,11 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.config).read_text())
-        if cfg.command != args.command:
-            raise ConfigError(
-                [(0, f"config command {cfg.command!r} does not match "
-                     f"CLI command {args.command!r}")])
+        cfg = parse_config(Path(args.config).read_text(), args.command)
         files = run(cfg, args.out)
     except (ConfigError, InvalidParameterError) as exc:
         sys.stderr.write(f"error: {exc}\n")

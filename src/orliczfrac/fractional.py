@@ -25,12 +25,16 @@ is split into three pieces:
        each pair row is one BLAS ``ddot`` of two operands (`_row_dots`,
        `_value_operands`), and no product array: G's values at the value
        block's arguments and a ones row, one jet G(t, 1) per value block,
-       or, for t^p with p = 2, 3 or 4, (du, du), (du^2, |du|) or
+       or, for t^p with p = 2, 3 or 4 (`_DOTS`), (du, du), (du^2, |du|) or
        (du^2, du^2), which call no jet at all. The gradient (n = 2) and the
-       Hessian (n = 3) take one jet G(t, n) per block of the smaller size,
-       whose derivative temporaries (signs, coefficients, the Hessian
-       fold) would outgrow the cache at the larger one, and the value's
-       row dots from the same operands. A block's rows are padded to its
+       Hessian (n = 3) take blocks of the smaller size, whose derivative
+       temporaries (coefficients, the Hessian fold) would outgrow the cache
+       at the larger one: G's own rule one jet G(t, n) per block, with the
+       signs of du, and t^p of `_DOTS` none, nor any sign: G' sign(du) and
+       G'' are p and p (p - 1) times du, du |du| or du^3 and 1, |du| or
+       du^2, from the value's operands, and the constants go on the weight
+       table. t^2's curvature is constant, so its Hessian folds the weight
+       table per offset, not its pairs. A block's rows are padded to its
        first offset's length and the padding is set to 0 before any sum;
        a derivative pass zero-pads its blocks' operands to their value
        block's row length, so every pass gives the value the same bits.
@@ -83,10 +87,9 @@ one place, by one rule:
         states' rules differ (t^p's closed form on some, or numbers of
         kink cuts, `_kink_cuts`, which change the BLAS kernel of the
         rule's matrix-vector product);
-  (ii)  `_pair_block`, a chunk at a time (`_state_chunks`) where states
-        with rows of their own exceed `_STACK_POINTS` points, whose arrays
-        cost more per point than stacking saves in calls, else one state
-        at a time where `_pair_rule` gives them rules of their own;
+  (ii)  `_pair_block`, one state at a time where `_pair_rule` gives
+        them rules of their own (a max whose states lie on both sides of
+        T in a block); a stack of any size is otherwise one call;
   (iii) `_far_field`, one state at a time (`_one_by_one`) only where a
         max's states lie on both sides of T; a stack of any size is
         otherwise one call, and a shared row takes t^p's profile once for
@@ -139,18 +142,8 @@ from .orlicz import OrliczFunction
 _ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
 _VALUE_POINTS = 2 ** 14  # pair points (rows x elements) of a value block
 _BLOCK_POINTS = 2 ** 13  # ... of a derivative pass's sub-block
-_STACK_POINTS = 2 ** 14  # points of a pair block over a chunk of states
 _SLOPE = (np.broadcast_to(-1.0, 1), np.broadcast_to(1.0, 1))  # (a, b) of h*m
 _DOTS = (2.0, 3.0, 4.0)  # p of the t^p whose pair values call no jet
-
-
-def _state_chunks(k, size):
-    """Slices of k states, each of as many states as keep ``size`` points
-    each within `_STACK_POINTS`, and at least one. Past that budget, a
-    pair block's temporaries cost more per point than stacking saves in
-    calls (`_pair_block`); the other pieces take no chunks."""
-    per = max(1, _STACK_POINTS // size)
-    return [slice(i, i + per) for i in range(0, k, per)]
 
 
 def _pow(x, s, f):
@@ -467,22 +460,33 @@ def _ones(size):
     return ones
 
 
-def _value_operands(p, arg, g, width):
+def _value_operands(p, arg, g, width, n=1):
     """The operands (x, y) of a block's value row sums (`_row_dots`) under
-    the rule F at ``arg``: for F = t^p with p = 2, 3 or 4 (``p``, in
-    `_DOTS`; None for any other F), (arg, arg), (arg^2, |arg|) or
-    (arg^2, arg^2), whose products are F(arg), with the padding of ``arg``
-    set to 0 and |arg| taken in place, so that no jet ``g`` of F is
-    needed; else F's values g[0] without their padding, and a ones row of
-    ``width``."""
+    the rule F at ``arg``, and for ``n`` > 1 the factors d1 and d2 (n = 3)
+    of its first and second derivatives: (x, y, d1[, d2]), all without
+    their padding.
+
+    For F = t^p with p = 2, 3 or 4 (``p``, in `_DOTS`; None for any other
+    F), the padding of ``arg`` is set to 0 and no jet ``g`` of F is
+    needed: x y = F(arg) from (arg, arg), (arg^2, |arg|) or (arg^2,
+    arg^2), |arg| taken in place, and F'(arg) sign(arg) = p d1, F''(arg)
+    = p (p - 1) d2 from d1 = arg, arg |arg| or arg^3 and d2 = 1 (None),
+    |arg| or arg^2, the operands' own arrays where they serve. Else x is
+    F's values g[0], y a ones row of ``width``, and d1, d2 are g[1], g[2],
+    F' and F''."""
     if p not in _DOTS:
         ones = _ones(1 << (width - 1).bit_length())
-        return _drop_padding(g[0]), ones[:width]
+        return (_drop_padding(g[0]), ones[:width],
+                *map(_drop_padding, g[1:n]))
     arg = _drop_padding(arg)
     if p == 2.0:
-        return arg, arg
+        return (arg, arg, arg, None)[:n + 1]
     sq = arg * arg
-    return sq, np.abs(arg, out=arg) if p == 3.0 else sq
+    if p == 4.0:
+        return (sq, sq) if n == 1 else (sq, sq, arg * sq, sq)[:n + 1]
+    # arg |arg| with arg's sign, before |arg| is taken in place
+    d1 = np.copysign(sq, arg) if n > 1 else None
+    return (sq, np.abs(arg, out=arg), d1, arg)[:n + 1]
 
 
 def _row_dots(x, y, width, w):
@@ -509,10 +513,10 @@ def _pair_rule(G, on, du, kern, block, weight, n=1):
     """A block's rule (F, arg, w) for all its states, with no F evaluated:
     its term in G^(i), i < n, is w[i] F^(i)(arg), its value per state the
     sum of w[0] F(arg); or None where its states take rules of their own.
-    |du| is taken by t^p's jet, which is even, by t^3's value operands
-    (`_value_operands`, in place; t^2's and t^4's take none), both in a
-    derivative pass of t^3, or here, in place of ``du`` (with its padding
-    set to 0 for the range test).
+    |du| is taken here, in place of ``du`` (with its padding set to 0 for
+    the range test), wherever G's own rule or a range test needs it; else
+    by t^p's jet, which is even, or, for p in `_DOTS`, by t^3's operands
+    (`_value_operands`, in place; t^2's and t^4's take none).
 
     ``on`` is `_power_on(G)`. Where G is t^p on [0, T], F = t^p and
     G^(i)(|du| kern) kern^i = kern^p F^(i)(|du|): arg = du for all orders,
@@ -593,10 +597,11 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     return val, grad
 
 
-def _state_views(at, kern, weight, du, sign, *outs):
-    """The per-state arguments of `_pair_block`, from ``kern`` on, as views
-    on the states ``at``: a ``du`` (and ``sign``) of one row serves all
+def _state_views(i, kern, weight, du, sign, *outs):
+    """The arguments of `_pair_block`, from ``kern`` on, of state i, as
+    views of one state: a ``du`` (and ``sign``) of one row serves all
     states."""
+    at = slice(i, i + 1)
     row = slice(None) if len(du) == 1 else at
     return (kern[at], None if weight is None else weight[at], du[row],
             None if sign is None else sign[row],
@@ -611,57 +616,68 @@ def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
     (which needs ``n`` >= 2), its per-element first derivatives are added
     to it, and given ``hess`` its second ones.
 
-    The states are split here alone, into views (`_state_views`): a chunk
-    at a time (`_state_chunks`, by the block's pair points) where states
-    with rows of their own exceed `_STACK_POINTS` points (4 states of full
-    blocks at once made a 4-order ladder at 129 nodes 1.2 times slower than
-    its sequential solves), else one at a time where `_pair_rule` gives
-    them rules of their own. Orders that share a row share the block's G
-    call. The signs of ``du`` are taken once, before `_pair_rule` takes
-    |du| in place, and split with it.
+    The states are split here alone, one at a time (`_state_views`) where
+    `_pair_rule` gives them rules of their own. Orders that share a row
+    share the block's G call. A derivative pass whose rule takes |du|
+    (G's own, a range-scanned max or t^p with p not in `_DOTS`) takes the
+    signs of ``du`` once, before `_pair_rule` takes |du| in place, and
+    splits them with it; t^p with p in `_DOTS` on [0, inf) takes none.
 
-    The rule takes one jet of order n on its argument, none for the value of
-    t^p with p = 2, 3 or 4. F(arg) is summed over the elements of each pair
-    row and offset as one dot product of two operands (`_value_operands`),
-    rows of ``width``, its value block's (with zeros after the block's own
-    rows: `_row_dots`), before the row sums take their weight w[0]: no product
-    or weighted copy of the stack is made, and each state's sums are its own,
-    as for one state. A pair contributes c = w[2] F''(arg) times the outer
-    product of its difference's nodal weights to the Hessian. One matrix
-    product per state (`_hessian_fold`) folds c into its sums per right and
-    per left Gauss point, accumulated per element in ``hU`` like the gradient
-    in ``gU``, and into its four hat-weight moments, the cross part, which
-    lands on diagonals j-1, j and j+1 of each offset j of the block through
-    one strided view per moment (`_add_diagonals`).
+    The rule takes one jet of order n on its argument, none at all for t^p
+    with p in `_DOTS`, whose value and derivative factors are products of
+    du (`_value_operands`). F(arg) is summed over the elements of each pair
+    row and offset as one dot product of two operands, rows of ``width``,
+    its value block's (with zeros after the block's own rows: `_row_dots`),
+    before the row sums take their weight w[0]: no product or weighted copy
+    of the stack is made, and each state's sums are its own, as for one
+    state. A pair's gradient term is w[1] d1 sign(du), and t^p's constants
+    p and p (p - 1) of d1 and d2 go on its weight table, not on its pairs.
+    A pair contributes c = w[2] d2 times the outer product of its
+    difference's nodal weights to the Hessian. One matrix product per state
+    (`_hessian_fold`) folds c into its sums per right and per left Gauss
+    point, accumulated per element in ``hU`` like the gradient in ``gU``,
+    and into its four hat-weight moments, the cross part, which lands on
+    diagonals j-1, j and j+1 of each offset j of the block through one
+    strided view per moment (`_add_diagonals`). t^2's c is w[2] on every
+    pair of an offset: the fold of w[2] alone, one column per offset,
+    stands for each of its elements.
     """
-    if n > 1 and sign is None:
+    if n > 1 and sign is None and not (
+            on is not None and on[1] == np.inf and on[0].params[0] in _DOTS):
         sign = np.sign(du)
-    stacked = len(du) > 1 and du.size > _STACK_POINTS
-    rule = None if stacked else _pair_rule(G, on, du, kern, block, weight, n)
+    rule = _pair_rule(G, on, du, kern, block, weight, n)
     if rule is None:
         return np.concatenate([
             _pair_block(G, on, width, n, fold, block, *_state_views(
-                at, kern, weight, du, sign, gU, hU, hess))
-            for at in (_state_chunks(len(du), du[0].size) if stacked else
-                       [slice(i, i + 1) for i in range(len(kern))])])
+                i, kern, weight, du, sign, gU, hU, hess))
+            for i in range(len(kern))])
     F, arg, w = rule
     # t^p's exponent, or None for G's own rule
     p = F.params[0] if on is not None and F is on[0] else None
-    g = F(arg, n) if n > 1 or p not in _DOTS else None
-    sums = _row_dots(*_value_operands(p, arg, g, width), width, w[0])
+    g = None if p in _DOTS else F(arg, n)
+    ops = _value_operands(p, arg, g, width, n)
+    sums = _row_dots(ops[0], ops[1], width, w[0])
     if gU is None:
         return sums
+    if p in _DOTS:  # F' = p d1 sign, F'' = p (p - 1) d2
+        w = (w[0], *(c * a for c, a in zip((p, p * (p - 1.0)), w[1:])))
     q, lead = gU.shape[-2], gU.shape[:-2]
     nj, L = du.shape[-2:]
     j0 = gU.shape[-1] - L
-    coef = (w[1] * _drop_padding(g[1]) * sign).reshape(lead + (q, q, nj, L))
+    coef = w[1] * ops[2]
+    if sign is not None:
+        coef *= sign
+    coef = coef.reshape(lead + (q, q, nj, L))
     gU[..., j0:] += _skew_sum(coef.sum(axis=-3))
     gU[..., :L] -= coef.sum(axis=(-4, -2))
     if hess is None:
         return sums
-    c = w[2] * _drop_padding(g[2])
-    folded = (fold @ c.reshape(lead + (q * q, -1))).reshape(
-        lead + (-1, nj, L))
+    if ops[3] is None:  # t^2: per offset, broadcast over its elements
+        folded = _drop_padding(np.repeat(
+            (fold @ w[2][..., 0])[..., None], L, axis=-1))
+    else:
+        folded = (fold @ (w[2] * ops[3]).reshape(lead + (q * q, -1))).reshape(
+            lead + (-1, nj, L))
     hU[..., j0:] += _skew_sum(folded[..., :q, :, :])
     hU[..., :L] += folded[..., q:2 * q, :, :].sum(axis=-2)
     # moment 2 r + l of cross pairs node r of the right element with node l

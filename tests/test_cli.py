@@ -325,8 +325,12 @@ class TestMain:
         assert not list(tmp_path.glob("solve*"))
 
     def test_command_mismatch_exit_one(self, tmp_path, capsys):
-        cfg = self._write(tmp_path, "command = bbm\nnodes = 33\n")
+        # the error cites the line of the config's command key
+        cfg = self._write(tmp_path, "nodes = 33\ncommand = bbm\n")
         assert main(["solve", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: config command 'bbm' does not match CLI command "
+            "'solve'\n")
 
     @pytest.mark.parametrize("line", ["rel_tol = 1e-6", "n_mesh = 33"])
     def test_removed_keys_rejected(self, tmp_path, capsys, line):

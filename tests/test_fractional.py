@@ -180,26 +180,9 @@ class TestStatesAxis:
                         assert a.shape[0] == k
                         assert np.array_equal(a[i], b)
 
-    @pytest.mark.parametrize("G", [make_power(3.0), make_power_log(3.0)],
-                             ids=lambda G: G.label)
-    def test_chunks_of_states_keep_the_bits(self, G, rng, monkeypatch):
-        # a budget of one point takes every pair block state by state
-        orders = np.array(self.ORDERS)
-        states = [random_state(rng, 129, a) for a in self.AMPLITUDES]
-        for u in (states, states[0]):
-            whole = _core(G, orders, u, want_grad=True, want_hess=True)
-            with monkeypatch.context() as m:
-                m.setattr(fractional, "_STACK_POINTS", 1)
-                assert fractional._state_chunks(4, 1) == [
-                    slice(i, i + 1) for i in range(4)]
-                chunked = _core(G, orders, u, want_grad=True,
-                                want_hess=True)
-            assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
-
     def test_far_field_chunks_take_their_own_rules(self, rng, monkeypatch):
         # the max's states alternate below T = 1 and past it: the far field
-        # takes no chunks of states, whatever the budget, and takes the
-        # four states one by one
+        # takes no chunks of states, and takes the four states one by one
         n = 129
         orders = np.array(self.ORDERS)
         states = [random_state(rng, n, a) for a in (0.01, 3.0, 0.01, 3.0)]
@@ -211,7 +194,6 @@ class TestStatesAxis:
             return far(G, s, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(fractional, "_STACK_POINTS", 20 * (n - 1))
             m.setattr(fractional, "_far_field", recorded)
             got = [_core(G23, orders, states, want_grad=want_grad,
                          want_hess=want_hess)
@@ -791,7 +773,13 @@ class TestPairStackEvaluations:
                                    G23], ids=lambda G: G.label)
     def test_gradient_evaluates_no_second_derivative(self, G, monkeypatch,
                                                       rng):
-        assert self.orders(monkeypatch, G, rng, True) == {2}
+        if G.kind == "power":
+            # t^3's derivative stacks take their factors from the value's
+            # operands (`_value_operands`): no jet at all
+            u = random_state(rng, 33, amplitude=1.5)
+            assert self.record(monkeypatch, G, 0.6, u, True)[1] == []
+        else:
+            assert self.orders(monkeypatch, G, rng, True) == {2}
 
 
 class TestPairBlocks:
@@ -1440,6 +1428,64 @@ class TestHomogeneousPairs:
         assert three == factor * one > 0
 
 
+class TestRuleParity:
+    """t^p's rule of a pair pass (`_pair_rule`) against G's own, for the
+    value, the gradient and the Hessian: t^p's derivative factors come from
+    the value's operands with no jet, a max's from the bound or a scan of
+    its arguments, and G's own rule takes the jet of G at |du| kern."""
+
+    ORDERS = np.array([0.3, 0.7, 0.9])
+
+    @staticmethod
+    def pass_of(G, s, rows, mesh, monkeypatch):
+        """(value, gradient, Hessian) of one `_distinct_pairs` call, the
+        growth function of every jet it asks, and the range end T of every
+        `_pair_block` call under t^p's rule."""
+        calls, rules = [], []
+        call, block = OrliczFunction.__call__, fractional._pair_block
+
+        def counted(self, x, n=None):
+            calls.append(self)
+            return call(self, x, n)
+
+        def recorded(G, on, *args, **kwargs):
+            if on is not None:
+                rules.append(on[1])
+            return block(G, on, *args, **kwargs)
+
+        hess = np.zeros((len(s), mesh.node_count, mesh.node_count))
+        with monkeypatch.context() as m:
+            m.setattr(OrliczFunction, "__call__", counted)
+            m.setattr(fractional, "_pair_block", recorded)
+            val, grad = _distinct_pairs(G, s, mesh, rows, True, hess)
+        return (val, grad, hess), calls, rules
+
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["distinct", "shared"])
+    @pytest.mark.parametrize("scale", [1.0, 0.05])
+    @pytest.mark.parametrize("n", [33, 129])
+    @pytest.mark.parametrize("G", [make_power(2.0), make_power(3.0),
+                                   make_power(4.0), G23],
+                             ids=lambda G: G.label)
+    def test_matches_own_rule(self, G, n, scale, shared, rng, monkeypatch):
+        states = [random_state(rng, n, scale) for _ in self.ORDERS]
+        rows = np.stack([u.values for u in states[:1 if shared else 3]])
+        got, calls, rules = self.pass_of(G, self.ORDERS, rows, states[0],
+                                         monkeypatch)
+        # t^p's derivative stacks ask no jet
+        assert not [F for F in calls if F.kind == "power"]
+        if G is G23:
+            # the bound decides some blocks of the small states, none of
+            # the large ones; the rest are scanned
+            assert (np.inf in rules) == (scale < 1.0)
+            assert any(T < np.inf for T in rules)
+        with monkeypatch.context() as m:
+            m.setattr(fractional, "_power_on", lambda G: None)
+            ref = self.pass_of(G, self.ORDERS, rows, states[0], m)[0]
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
 class TestLeastPower:
     """max(t^2, t^3) is t^2 on [0, 1]. Its value, gradient and Hessian take
     t^2's rules where every argument lies there (below 1 for the
@@ -1550,15 +1596,13 @@ class TestLeastPower:
 
     def test_derivatives_skip_the_max_on_the_hat(self, monkeypatch):
         # on the hat at s = 0.7 every pair argument is below 1: each block
-        # of a gradient + Hessian pass asks t^2's jet of order 3 once, and
-        # no pair stack reaches the max's own
+        # of a gradient + Hessian pass takes t^2's rule, whose factors come
+        # from the value's operands, so no pair stack asks a jet, t^2's
+        # or the max's own
         u = GridFunction.hat(-1.0, 1.0, 129)
-        low = G23.children[0]
         stacks, calls = TestPairStackEvaluations.record(
             monkeypatch, G23, 0.7, u, True, want_hess=True)
-        assert sorted(shape for G, shape, n in calls
-                      if G is low and n == 3) == sorted(stacks)
-        assert len(calls) == len(stacks)
+        assert stacks and calls == []
 
 
 def exact_range_test(monkeypatch):

@@ -441,6 +441,27 @@ class TestNewton:
         assert np.max(np.abs(res.u.values - ref.u.values)) <= 1e-8
 
 
+class TestBenchmarkCounts:
+    """The Newton counts of the cases that the benchmark's ``solve`` jobs
+    run (the CLI's domain (-1, 1), bbm scaling and rhs = constant(c)): a
+    change to the pair pass's bits must not change the work they time."""
+
+    @pytest.mark.parametrize("G,s,n,c,counts", [
+        (G2, 0.5, 129, 0.75, (1, 2, 1)),
+        (G2, 0.5, 129, 1.5, (1, 2, 1)),
+        (G2, 0.5, 257, 0.75, (1, 2, 1)),
+        (G2, 0.5, 257, 1.5, (1, 2, 1)),
+        (G3, 0.7, 129, 0.85, (6, 8, 5)),
+        (G3, 0.7, 129, 1.1, (6, 8, 5)),
+        (G3, 0.7, 129, 1.45, (6, 8, 5)),
+    ])
+    def test_solve_counts(self, G, s, n, c, counts):
+        res = solve(DirichletProblem(omega=(-1.0, 1.0), rhs=c, G=G, s=s,
+                                     mesh_nodes=n))
+        assert res.stop_reason is StopReason.TOLERANCE
+        assert (res.iterations, res.evaluations, res.hessians) == counts
+
+
 class TestEulerIdentity:
     # For G = t^p the computed modular is homogeneous of degree p in u (every
     # piece takes |u| to the p-th power, or I(w) = w^p / p in the far field)

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ def load(name):
 
 digest = load("output_digest")
 accuracy = load("accuracy")
+ab_time = load("ab_time")
 
 
 class TestOutputCompare:
@@ -77,3 +79,15 @@ class TestAccuracy:
         assert all(0.0 < err < 1e-2 for _, err in hat + square)
         assert accuracy.square_errors(nodes=(9,), orders=(0.7, 0.9),
                                       states=2) == square
+
+
+class TestAbTime:
+    def test_one_case_against_its_own_tree(self):
+        # two pairs of the smallest solve case, this tree against itself:
+        # one row, positive times, and the package copies unloaded after
+        rows = ab_time.compare(ab_time.SRC, 2, "solve power(2) 129")
+        assert [row[0] for row in rows] == ["solve power(2) 129"]
+        _, base, head, ratio, won, iqr = rows[0]
+        assert base > 0.0 and head > 0.0 and ratio == head / base
+        assert 0 <= won <= 2 and iqr >= 0.0
+        assert not [m for m in sys.modules if m.startswith("orliczfrac_ab_")]
