@@ -191,6 +191,24 @@ def _at_least(low, name):
     return check
 
 
+def _order(text):
+    """The key ``s``: one order in (0, 1], s = 1 the local problem."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"s must be in (0, 1], got {value}")
+    return value
+
+
+def _orders(text):
+    """The key ``s_list``: orders in (0, 1). Each command checks their
+    order itself, as ``poincare`` allows repeats."""
+    values = _parse_floats(text)
+    for value in values:
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"s_list entries must be in (0, 1), got {value}")
+    return values
+
+
 def _domain(text):
     a, b = _parse_floats(text, 2)
     if not a < b:
@@ -212,8 +230,8 @@ _KEYS = {
     "command": ("command", _one_of(str, _COMMANDS, "unknown command {!r}")),
     "g": ("g_spec", _spec(parse_growth)),
     "n": ("n", _one_of(int, (1, 2, 3), "n must be 1, 2 or 3")),
-    "s": ("s", float),
-    "s_list": ("s_list", _parse_floats),
+    "s": ("s", _order),
+    "s_list": ("s_list", _orders),
     "domain": ("domain", _domain),
     "nodes": ("nodes", _at_least(2, "nodes")),
     "rhs": ("rhs_spec", _spec(_parse_rhs)),

@@ -33,11 +33,16 @@ is split into three pieces:
        signs of du, and t^p of `_DOTS` none, nor any sign: G' sign(du) and
        G'' are p and p (p - 1) times du, du |du| or du^3 and 1, |du| or
        du^2, from the value's operands, and the constants go on the weight
-       table. t^2's curvature is constant, so its Hessian folds the weight
-       table per offset, not its pairs. A block's rows are padded to its
-       first offset's length and the padding is set to 0 before any sum;
-       a derivative pass zero-pads its blocks' operands to their value
-       block's row length, so every pass gives the value the same bits.
+       table. t^2's curvature is constant, so its Hessian is per offset,
+       not per pair: a block folds its weight table, one column per offset,
+       into a table of the band's offsets; an element's sums per Gauss
+       point are prefix sums of it over the offsets, and the cross moments
+       of all offsets make one Toeplitz interior, row 0 and the last column
+       (`_add_square_cross`), added once per call. A block's rows are
+       padded to its first offset's length and the padding is set to 0
+       before any sum; a derivative pass zero-pads its blocks' operands to
+       their value block's row length, so every pass gives the value the
+       same bits.
        Where G is t^p on [0, T] (`_power_on`), G(|du| kern) = kern^p
        G(|du|): a block whose arguments all lie there takes t^p on du,
        weighed by block kern^p, for the value, the gradient and the
@@ -107,7 +112,9 @@ elements e: h times the slope of e in (i), u at a Gauss point of e in
 (iii) and, summed per band, in (ii). One scatter, `_add_element_terms`,
 adds them all to the nodal gradient and Hessian, per state; only the
 pairs' cross terms, which couple two elements, go to the Hessian
-directly (`_add_diagonals`).
+directly (`_add_diagonals`, or t^2's `_add_square_cross`). At the zero
+state (`_zero_state`) the value and the gradient are 0 with no pass, and
+the Hessian is assembled alone (`_core`).
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run. In a block, each pair row of each offset is
@@ -121,8 +128,10 @@ and Hessian are bit-identical to its one-state call. The layout matters:
 ones row), and its sums then differ in the last bits, so the ones row is a
 real array (`_ones`). The gradient and the Hessian sum a block's offsets
 per element, the right elements along the diagonals of a strided view
-(`_skew_sum`). Blocks are independent and could be farmed out, provided
-the reduction order is preserved.
+(`_skew_sum`); t^2's Hessian sums its per-offset table per element and
+state along the offsets, which does not depend on how the offsets are cut
+into blocks or the states split. Blocks are independent and could be
+farmed out, provided the reduction order is preserved.
 """
 
 from __future__ import annotations
@@ -132,6 +141,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quadrature import gauss_rule_01
 from .errors import InvalidInputError, InvalidParameterError
@@ -544,7 +554,9 @@ def _pair_rule(G, on, du, kern, block, weight, n=1):
 def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks, per
     state of the k orders ``s`` and the nodal ``rows`` on ``mesh``
-    (`_nodal`).
+    (`_nodal`). Given ``hess`` but not ``want_grad``, the Hessian alone:
+    no value row sums and no gradient terms, and the value and gradient
+    are returned as zeros.
 
     `_power_on` is read once per call. Where t^p serves on [0, T] with T
     finite (a max of powers), a value block whose bound on |du| kern
@@ -561,14 +573,20 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     nodes once per band (`_add_element_terms`); a block's left elements
     take a sum over its offsets, its right elements a skewed one
     (`_skew_sum`). Given ``hess`` (the upper triangle of a nodal matrix per
-    state), the Hessian is added to it.
+    state), the Hessian is added to it. Under t^2's rule (t^2 or a max's
+    least power) the blocks leave one (2q + 4) column per offset in a
+    table of the band's offsets: an element's sums per Gauss point are
+    prefix sums of it over the offsets at which it pairs, and the cross
+    moments of every offset are added once per call (`_add_square_cross`).
     """
     k, ne = len(s), mesh.node_count - 1
     val = np.zeros(k)
-    grad = np.zeros((k, ne + 1)) if want_grad else None
     on = _power_on(G)
-    n = 1 + want_grad + (hess is not None)
-    gU = hU = fold = None
+    n = 3 if hess is not None else 1 + want_grad
+    grad = np.zeros((k, ne + 1)) if n > 1 else None
+    square = hess is not None and on is not None and on[0].params[0] == 2.0
+    cross = np.zeros((k, 4, ne + 2)) if square else None
+    gU = hU = fold = tab = None
     for x, blocks in _pair_bands(s, mesh.spacing, rows, on, n):
         q = x.size
         if want_grad:
@@ -576,6 +594,8 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
         if hess is not None:
             hU = np.zeros((k, q, ne))
             fold = _hessian_fold(q)
+            # t^2's folds per offset j (`_pair_block`) at index j, else 0
+            tab = np.zeros((k, 2 * q + 4, ne)) if square else None
         for j0, kern, block, weight, du, reach in blocks:
             # where the bound puts every |du| kern in t^p's range, t^p
             # serves the block with no scan of its arguments
@@ -587,14 +607,47 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
                                    weight, du)
             else:  # each of its blocks, at the value block's width
                 sums = [_pair_block(G, rule, ne - j0, n, fold, *part, gU=gU,
-                                    hU=hU, hess=hess)
+                                    hU=hU, hess=hess, tab=tab)
                         for part in zip(block, kern, weight, du)]
+                if not want_grad:  # the Hessian alone
+                    continue
                 sums = sums[0] if len(sums) == 1 else np.concatenate(
                     sums, axis=-1)
             val += np.add.reduce(sums, (-2, -1))
-        if want_grad:
+        if square:
+            # right element m pairs at the offsets j <= m, left element e
+            # at j <= ne - 1 - e
+            prefix = np.cumsum(tab[:, :2 * q], axis=-1)
+            hU += prefix[:, :q] + prefix[:, q:, ::-1]
+            cross[..., 1:-1] += tab[:, 2 * q:]
+        if n > 1:
             _add_element_terms(grad, hess, 1.0 - x, x, gU, hU)
+    if square and ne > 1:
+        _add_square_cross(hess, cross)
     return val, grad
+
+
+def _add_square_cross(hess, c):
+    """Add the cross moments c[..., 2 r + l, j + 1] of t^2's pairs at offset
+    j (`_pair_block`; 0 at j = 0 and past the offsets; c is changed) to the
+    upper triangle of ``hess``: the moment pairs node l of the left element
+    e with node r of the right one, e + j, so node e + l meets e + j + r.
+    As they do not depend on e, every interior entry at distance d takes
+    the Toeplitz t(d) = -(c0(d) + c3(d) + c2(d - 1) + c1(d + 1)), c1(1)
+    twice on the diagonal, where it meets its transpose; row 0, which no
+    node l = 1 reaches, takes -(c0(d) + c2(d - 1)), and the last column,
+    which no node r = 0 reaches, -(c3(d) + c2(d - 1))."""
+    ne = hess.shape[-1] - 1
+    c[..., 1, 2] *= 2.0
+    c0, c1, c2, c3 = np.moveaxis(c, -2, 0)
+    # t(0 .. ne - 2) after ne - 2 zeros: row i of the windows, reversed,
+    # holds t(j - i) at j >= i
+    t = np.zeros(c.shape[:-2] + (2 * ne - 3,))
+    t[..., ne - 2:] = -(c0[..., 1:-2] + c3[..., 1:-2] + c2[..., :-3]
+                        + c1[..., 2:-1])
+    hess[..., 1:-1, 1:-1] += sliding_window_view(t, ne - 1, -1)[..., ::-1, :]
+    hess[..., 0, 1:] -= c0[..., 2:] + c2[..., 1:-1]
+    hess[..., 1:-1, -1] -= (c3[..., 2:-1] + c2[..., 1:-2])[..., ::-1]
 
 
 def _state_views(i, kern, weight, du, sign, *outs):
@@ -609,16 +662,17 @@ def _state_views(i, kern, weight, du, sign, *outs):
 
 
 def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
-                gU=None, hU=None, hess=None):
+                gU=None, hU=None, hess=None, tab=None):
     """The weighed row sums (states x rows x offsets) of one block of the
     offsets j0, j0 + 1, ..., whose rows of ``du`` are L = ne - j0 long, and
     whose sum is its value, per state of their leading axis; given ``gU``
     (which needs ``n`` >= 2), its per-element first derivatives are added
-    to it, and given ``hess`` its second ones.
+    to it, and given ``hess`` (``n`` = 3) its second ones. Given ``hess``
+    but no ``gU``, the Hessian alone: no row sums (None) and no gradient.
 
     The states are split here alone, one at a time (`_state_views`) where
     `_pair_rule` gives them rules of their own. Orders that share a row
-    share the block's G call. A derivative pass whose rule takes |du|
+    share the block's G call. A gradient pass whose rule takes |du|
     (G's own, a range-scanned max or t^p with p not in `_DOTS`) takes the
     signs of ``du`` once, before `_pair_rule` takes |du| in place, and
     splits them with it; t^p with p in `_DOTS` on [0, inf) takes none.
@@ -639,45 +693,48 @@ def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
     and into its four hat-weight moments, the cross part, which lands on
     diagonals j-1, j and j+1 of each offset j of the block through one
     strided view per moment (`_add_diagonals`). t^2's c is w[2] on every
-    pair of an offset: the fold of w[2] alone, one column per offset,
-    stands for each of its elements.
+    pair of an offset, so its block adds nothing per pair: the fold of
+    w[2] alone, a (2q + 4) column per offset, goes to ``tab`` (states x
+    2q + 4 x offsets of the band) at its offsets, which `_distinct_pairs`
+    sums per element and per diagonal.
     """
-    if n > 1 and sign is None and not (
+    alone = gU is None and hess is not None
+    if gU is not None and sign is None and not (
             on is not None and on[1] == np.inf and on[0].params[0] in _DOTS):
         sign = np.sign(du)
     rule = _pair_rule(G, on, du, kern, block, weight, n)
     if rule is None:
-        return np.concatenate([
-            _pair_block(G, on, width, n, fold, block, *_state_views(
-                i, kern, weight, du, sign, gU, hU, hess))
-            for i in range(len(kern))])
+        sums = [_pair_block(G, on, width, n, fold, block, *_state_views(
+                    i, kern, weight, du, sign, gU, hU, hess, tab))
+                for i in range(len(kern))]
+        return None if alone else np.concatenate(sums)
     F, arg, w = rule
     # t^p's exponent, or None for G's own rule
     p = F.params[0] if on is not None and F is on[0] else None
     g = None if p in _DOTS else F(arg, n)
     ops = _value_operands(p, arg, g, width, n)
-    sums = _row_dots(ops[0], ops[1], width, w[0])
-    if gU is None:
+    sums = None if alone else _row_dots(ops[0], ops[1], width, w[0])
+    if gU is None and hess is None:
         return sums
     if p in _DOTS:  # F' = p d1 sign, F'' = p (p - 1) d2
         w = (w[0], *(c * a for c, a in zip((p, p * (p - 1.0)), w[1:])))
-    q, lead = gU.shape[-2], gU.shape[:-2]
     nj, L = du.shape[-2:]
-    j0 = gU.shape[-1] - L
-    coef = w[1] * ops[2]
-    if sign is not None:
-        coef *= sign
-    coef = coef.reshape(lead + (q, q, nj, L))
-    gU[..., j0:] += _skew_sum(coef.sum(axis=-3))
-    gU[..., :L] -= coef.sum(axis=(-4, -2))
+    q, ne = (gU if hU is None else hU).shape[-2:]
+    lead, j0 = kern.shape[:1], ne - L
+    if gU is not None:
+        coef = w[1] * ops[2]
+        if sign is not None:
+            coef *= sign
+        coef = coef.reshape(lead + (q, q, nj, L))
+        gU[..., j0:] += _skew_sum(coef.sum(axis=-3))
+        gU[..., :L] -= coef.sum(axis=(-4, -2))
     if hess is None:
         return sums
-    if ops[3] is None:  # t^2: per offset, broadcast over its elements
-        folded = _drop_padding(np.repeat(
-            (fold @ w[2][..., 0])[..., None], L, axis=-1))
-    else:
-        folded = (fold @ (w[2] * ops[3]).reshape(lead + (q * q, -1))).reshape(
-            lead + (-1, nj, L))
+    if ops[3] is None:  # t^2: per offset, placed at its offsets
+        tab[..., j0:j0 + nj] = fold @ w[2][..., 0]
+        return sums
+    folded = (fold @ (w[2] * ops[3]).reshape(lead + (q * q, -1))).reshape(
+        lead + (-1, nj, L))
     hU[..., j0:] += _skew_sum(folded[..., :q, :, :])
     hU[..., :L] += folded[..., q:2 * q, :, :].sum(axis=-2)
     # moment 2 r + l of cross pairs node r of the right element with node l
@@ -715,8 +772,9 @@ def _add_element_terms(grad, hess, a, b, d1, d2=None):
     on the nodes (e, e+1) to the upper triangle of ``hess``, per state of
     their leading axes: (a, b) = (1 - x, x) at points x of the elements,
     or (-1, 1) for h times the slope."""
-    grad[..., :-1] += a @ d1
-    grad[..., 1:] += b @ d1
+    if d1 is not None:
+        grad[..., :-1] += a @ d1
+        grad[..., 1:] += b @ d1
     if d2 is not None:
         _add_diagonals(hess, 0, 0, (a * a) @ d2)
         _add_diagonals(hess, 1, 0, (a * b) @ d2)
@@ -819,6 +877,12 @@ def _nodal(u, k):
     return mesh, np.stack([v.values for v in u])
 
 
+def _zero_state(G, rows):
+    """Whether the nodal ``rows`` are G's zero state: every row 0, and
+    G(0) = 0, asked only then."""
+    return not rows.any() and G(0.0) == 0.0
+
+
 def _core(G, s, u, want_grad, want_hess=False):
     """(value, nodal gradient or None) of the discrete modular; with
     ``want_hess`` (which needs ``want_grad``) also its nodal Hessian, a
@@ -831,10 +895,23 @@ def _core(G, s, u, want_grad, want_hess=False):
     in front, and each state's entries are bit-identical to its one-state
     call. One order (0-D ``s``) at one GridFunction is the state k = 1,
     returned without the axis.
+
+    At the zero state (every row 0, and G(0) = 0, which is asked only
+    then: the solver's start), the value is 0.0 and the gradient +0.0, the
+    bits that every piece gives there, and no pass computes them. With
+    ``want_hess`` the Hessian alone is assembled: the same-element piece
+    and the far field run as at any state, and their zeros are the value
+    and the gradient; the pairs make no value row sums and no gradient
+    terms (`_distinct_pairs`).
     """
     orders = np.asarray(s, dtype=float)
     lone, s = orders.ndim == 0, orders.reshape(-1)
     mesh, rows = _nodal(u, len(s))
+    at = 0 if lone else slice(None)  # one order drops the states axis
+    zero = _zero_state(G, rows)
+    if zero and not want_hess:
+        return np.zeros(len(s))[at], (
+            np.zeros((len(s), mesh.node_count))[at] if want_grad else None)
     h = mesh.spacing
     hess = (np.zeros((len(s),) + (mesh.node_count,) * 2)
             if want_hess else None)
@@ -846,7 +923,8 @@ def _core(G, s, u, want_grad, want_hess=False):
         val, ders, *curv = _same_element(
             G, s, h, (rows[:, 1:] - rows[:, :-1]) / h, want_grad, want_hess,
             tilde)
-        pairs, grad = _distinct_pairs(G, s, mesh, rows, want_grad, hess)
+        pairs, grad = _distinct_pairs(G, s, mesh, rows,
+                                      want_grad and not zero, hess)
         far, *far_ders = _far_field(G, s, mesh, rows, want_grad, want_hess,
                                     tilde)
         if want_grad:
@@ -856,7 +934,6 @@ def _core(G, s, u, want_grad, want_hess=False):
             grad += far_grad
             _add_element_terms(grad, hess, *_SLOPE, ders[:, None, :] / h,
                                *(c[:, None, :] / (h * h) for c in curv))
-    at = 0 if lone else slice(None)  # one order drops the states axis
     val = val[at] + (pairs[at] + far[at])
     if not want_grad:
         return val, None

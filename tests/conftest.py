@@ -42,20 +42,30 @@ def brute_force_seminorm(G, s, u, nx=2000, nt=2400, tmin=1e-7, tmax=1e6):
 
 def square_kernel(s, size, dps=40):
     """q(0), ..., q(size - 1) as mpmath numbers at ``dps`` digits:
-    q(k) = D4 |k|^(3-2s) / (s (1-2s) (2-2s) (3-2s)), with D4 the central
-    fourth difference f(k+2) - 4 f(k+1) + 6 f(k) - 4 f(k-1) + f(k-2).
+    q(k) = D4 f(k) / (s (2-2s) (3-2s)), with D4 the central fourth
+    difference f(k+2) - 4 f(k+1) + 6 f(k) - 4 f(k-1) + f(k-2) and
+    f(k) = k^2 expm1((1-2s) log|k|) / (1-2s), f(0) = 0. As D4 k^2 = 0, this
+    is D4 |k|^(3-2s) / (s (1-2s) (2-2s) (3-2s)), whose s = 1/2 is a
+    removable singularity: there f(k) = k^2 log|k|, the limit, and expm1
+    keeps the orders near 1/2 accurate.
 
     The fourth difference cancels in float64 (to 0.42 relative at
-    s = 0.999 and k ~ 1000), hence mpmath. s = 1/2 is a removable
-    singularity, which this form does not take.
+    s = 0.999 and k ~ 1000), hence mpmath.
     """
     import mpmath as mp
 
     with mp.workdps(dps):
         s = mp.mpf(s)
-        e = 3 - 2 * s
-        f = [mp.mpf(abs(k)) ** e for k in range(-2, size + 2)]
-        den = s * (1 - 2 * s) * (2 - 2 * s) * (3 - 2 * s)
+        e = 1 - 2 * s
+
+        def f(k):
+            if k == 0:
+                return mp.mpf(0)
+            log = mp.log(abs(k))
+            return k * k * (log if e == 0 else mp.expm1(e * log) / e)
+
+        f = [f(k) for k in range(-2, size + 2)]
+        den = s * (2 - 2 * s) * (3 - 2 * s)
         return [(f[k + 4] - 4 * f[k + 3] + 6 * f[k + 2] - 4 * f[k + 1]
                  + f[k]) / den for k in range(size)]
 

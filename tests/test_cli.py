@@ -193,6 +193,33 @@ class TestParseConfig:
             (3, f"{key} must be >= {low}, got {value}")]
 
 
+    @pytest.mark.parametrize("value", ["nan", "1.5", "0", "-0.25", "inf"])
+    def test_order_outside_its_range_cites_its_line(self, value):
+        # s = 1 is the local problem; anything else outside (0, 1] is an
+        # error on the key's line, not a library error with no line
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = solve\nG = power(2)\ns = {value}\n")
+        assert err.value.errors == [
+            (3, f"s must be in (0, 1], got {float(value)}")]
+        assert parse_config("command = solve\ns = 1\n").s == 1.0
+
+    @pytest.mark.parametrize("command", ["bbm", "poincare", "gamma"])
+    @pytest.mark.parametrize("value,bad", [
+        ("0.5, 1", 1.0), ("0, 0.5", 0.0), ("0.9, nan", float("nan")),
+        ("0.5, 1.5, 0.7", 1.5)])
+    def test_order_list_entry_outside_its_range_cites_its_line(
+            self, command, value, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command = {command}\ns_list = {value}\n")
+        assert err.value.errors == [
+            (2, f"s_list entries must be in (0, 1), got {bad}")]
+
+    def test_repeated_orders_are_left_to_the_command(self):
+        # poincare takes repeats; bbm and gamma refuse them when they run
+        cfg = parse_config("command = poincare\ns_list = 0.5, 0.5\n")
+        assert cfg.s_list == (0.5, 0.5)
+
+
 class TestRunners:
     def test_tilde_csv(self, tmp_path):
         cfg = parse_config(
@@ -331,6 +358,17 @@ class TestMain:
         assert capsys.readouterr().err == (
             "error: line 2: config command 'bbm' does not match CLI command "
             "'solve'\n")
+
+    @pytest.mark.parametrize("command,line", [
+        ("solve", "s = nan"), ("solve", "s = 1.5"), ("solve", "s = 0"),
+        ("gamma", "s_list = 0.6, 1")])
+    def test_rejected_order_exit_one(self, tmp_path, capsys, command, line):
+        cfg = self._write(tmp_path, f"command = {command}\nnodes = 17\n"
+                                    f"{line}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob(f"{command}*"))
 
     @pytest.mark.parametrize("line", ["rel_tol = 1e-6", "n_mesh = 33"])
     def test_removed_keys_rejected(self, tmp_path, capsys, line):

@@ -29,7 +29,7 @@ def load_reference():
     return module
 
 
-@pytest.mark.parametrize("s", [0.3, 0.7, 0.9, 0.99])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 0.9, 0.99])
 @pytest.mark.parametrize("n", [33, 129])
 def test_hat_matches_the_separation_variable_reference(n, s):
     value, _ = load_reference().scaled_modular_hat(2, s)
@@ -37,6 +37,18 @@ def test_hat_matches_the_separation_variable_reference(n, s):
         got = (1 - mp.mpf(s)) * exact_square_modular(
             GridFunction.hat(-1.0, 1.0, n), s)
         assert abs(got / value - 1) <= 1e-12
+
+
+def test_half_is_the_limit_of_its_neighbours():
+    # s = 1/2, the order of the t^2 solve jobs, is a removable singularity
+    # of D4 |k|^(3-2s) / (1-2s): the kernel takes its limit D4 k^2 log|k|,
+    # and the orders beside it agree to their distance
+    half = square_kernel(0.5, 8)
+    with mp.workdps(40):
+        top = max(abs(q) for q in half)
+        for s in (0.5 - 1e-9, 0.5 + 1e-9):
+            assert all(abs(a - b) <= 1e-8 * top
+                       for a, b in zip(square_kernel(s, 8), half))
 
 
 def test_scaled_kernel_tends_to_the_p1_stiffness():

@@ -609,6 +609,165 @@ class TestHessian:
             0.5 * u.values @ hess @ u.values, rel=1e-12)
 
 
+class TestSquareHessian:
+    """t^2's pair Hessian is formed per offset: its blocks add nothing per
+    pair, and a per-offset table gives each element's sums and one
+    Toeplitz interior, row 0 and the last column. The modular is then
+    exactly quadratic: H u = grad Phi(u) and u^T H u = 2 Phi(u)."""
+
+    SIZES = [2, 3, 4, 5, 9, 33, 129, 257]
+    ORDERS = (0.1, 0.5, 0.9, 0.99)
+
+    @staticmethod
+    def state(rng, n):
+        # nonzero boundary values: row 0 and the last column take part
+        return GridFunction(-1.0, 1.0, rng.normal(size=n))
+
+    @staticmethod
+    def assert_quadratic(val, grad, hess, v):
+        assert np.array_equal(hess, hess.T)
+        assert np.max(np.abs(hess @ v - grad)) <= \
+            1e-12 * np.max(np.abs(grad))
+        assert v @ hess @ v == pytest.approx(2.0 * val, rel=1e-12)
+
+    @pytest.mark.parametrize("s", ORDERS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_identities(self, n, s):
+        u = self.state(np.random.default_rng(n), n)
+        self.assert_quadratic(*_core(G2, s, u, True, True), u.values)
+
+    @pytest.mark.parametrize("orders", [ORDERS[:3], ORDERS[1:]],
+                             ids=["0.1-0.9", "0.5-0.99"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_stacks_keep_each_state_bits(self, n, orders):
+        rng = np.random.default_rng(n)
+        states = [self.state(rng, n) for _ in orders]
+        got = _core(G2, np.array(orders), states, True, True)
+        for i, (s, u) in enumerate(zip(orders, states)):
+            one = _core(G2, s, u, True, True)
+            assert all(same_bits(a[i], b) for a, b in zip(got, one))
+            self.assert_quadratic(*one, u.values)
+
+    @pytest.mark.parametrize("case", ["t^2", "t^2 zero state", "max on hat"])
+    def test_blocks_add_no_cross_terms(self, case, monkeypatch):
+        # under t^2's rule a block's Hessian is its per-offset table: no
+        # strided cross view (`_add_diagonals`), no skewed sum (`_skew_sum`)
+        # and no repeat over the elements, beyond the gradient's own
+        G, u = G2, random_state(np.random.default_rng(5), 129)
+        if case == "t^2 zero state":
+            u = u.with_values(0.0 * u.values)
+        elif case == "max on hat":  # every pair argument below 1
+            G, u = G23, GridFunction.hat(-1.0, 1.0, 129)
+        block = fractional._pair_block
+        counts = {"_add_diagonals": 0, "_skew_sum": 0, "repeat": 0}
+        inside = []
+
+        def spy(name, f):
+            def counted(*args, **kwargs):
+                counts[name] += bool(inside)
+                return f(*args, **kwargs)
+            return counted
+
+        def recorded(*args, **kwargs):
+            inside.append(True)
+            try:
+                return block(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(fractional, "_pair_block", recorded)
+        for name in ("_add_diagonals", "_skew_sum"):
+            monkeypatch.setattr(fractional, name,
+                                spy(name, getattr(fractional, name)))
+        monkeypatch.setattr(np, "repeat", spy("repeat", np.repeat))
+        _core(G, 0.7, u, True)
+        gradient = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        _core(G, 0.7, u, True, True)
+        assert counts == gradient
+        assert counts["_add_diagonals"] == counts["repeat"] == 0
+        if case == "t^2 zero state":  # no gradient pass either
+            assert counts["_skew_sum"] == 0
+
+
+class TestZeroState:
+    """At the zero state (every row 0, G(0) = 0) `_core` makes no value or
+    gradient pass: the value is 0.0 and the gradient +0.0, and with
+    ``want_hess`` the Hessian alone is assembled, with the full pass's
+    bits."""
+
+    MODES = [(False, False), (True, False), (True, True)]
+
+    @staticmethod
+    def full_pass(monkeypatch, G, s, u, *modes):
+        with monkeypatch.context() as m:
+            m.setattr(fractional, "_zero_state", lambda G, rows: False)
+            return _core(G, s, u, *modes)
+
+    @staticmethod
+    def row_dots(monkeypatch):
+        calls, dots = [], fractional._row_dots
+        monkeypatch.setattr(fractional, "_row_dots",
+                            lambda *a: calls.append(a) or dots(*a))
+        return calls
+
+    @pytest.mark.parametrize("modes", MODES, ids=["value", "grad", "hess"])
+    @pytest.mark.parametrize("orders", [0.6, (0.3, 0.6, 0.9)],
+                             ids=["1 order", "3 orders"])
+    @pytest.mark.parametrize("G", builtin_suite_functions(),
+                             ids=lambda G: G.label)
+    def test_no_pass_and_the_full_pass_bits(self, G, orders, modes,
+                                            monkeypatch):
+        z = GridFunction.zeros(-1.0, 1.0, 33)
+        s = np.array(orders)
+        u = z if s.ndim == 0 else [z] * len(s)
+        calls = self.row_dots(monkeypatch)
+        got = _core(G, s, u, *modes)
+        assert calls == []
+        full = self.full_pass(monkeypatch, G, s, u, *modes)
+        assert calls
+        assert len(got) == len(full)
+        assert np.all(got[0] == 0.0) and not np.any(np.signbit(got[0]))
+        if modes[0]:
+            assert np.all(got[1] == 0.0) and not np.any(np.signbit(got[1]))
+        for a, b in zip(got, full):
+            assert b is None and a is None or same_bits(np.asarray(a),
+                                                        np.asarray(b))
+        if G.label == "power(1.5)" and modes[1]:  # G''(0) = inf
+            assert np.isnan(got[2]).any() and np.isinf(got[2]).any()
+
+    def test_nonzero_at_zero_takes_the_full_pass(self, monkeypatch):
+        G = make_custom(lambda t: 1.0 + t * t, lambda t: 2.0 * t,
+                        d2fn=lambda t: 2.0 + 0.0 * t)
+        z = GridFunction.zeros(-1.0, 1.0, 17)
+        calls = self.row_dots(monkeypatch)
+        for modes in self.MODES:
+            calls.clear()
+            got = _core(G, 0.6, z, *modes)
+            assert calls and got[0] > 0.0
+            full = self.full_pass(monkeypatch, G, 0.6, z, *modes)
+            assert all(b is None and a is None or same_bits(
+                np.asarray(a), np.asarray(b)) for a, b in zip(got, full))
+
+    @pytest.mark.parametrize("G", [G2, make_power(3.0), G23],
+                             ids=lambda G: G.label)
+    def test_a_stack_with_one_zero_row_takes_the_full_pass(self, G, rng,
+                                                          monkeypatch):
+        # the stack is not the zero state; its zero row keeps the bits of
+        # its lone call, which is
+        states = [GridFunction.zeros(-1.0, 1.0, 33), random_state(rng, 33)]
+        orders = np.array([0.6, 0.9])
+        calls = self.row_dots(monkeypatch)
+        for modes in self.MODES:
+            calls.clear()
+            got = _core(G, orders, states, *modes)
+            assert calls
+            for i, (s, u) in enumerate(zip(orders, states)):
+                one = _core(G, s, u, *modes)
+                assert all(b is None and a is None or same_bits(
+                    np.asarray(a[i]), np.asarray(b)) for a, b in zip(got, one))
+
+
 def add_element_blocks(hess, a, b, W):
     """The Hessian part of the element scatter, as written out before
     `_add_element_terms`."""
@@ -1114,10 +1273,11 @@ class TestBandTables:
         result = solve(DirichletProblem(omega=(0.0, 1.0), rhs=1.0,
                                         G=make_power(3.0), s=0.7,
                                         scaling="bbm_scaled", mesh_nodes=33))
-        # each evaluation of the solve makes one pair pass
+        # each evaluation of the solve but the first, at the zero state,
+        # which asks no Hessian of t^3 (G''(0) = 0), makes one pair pass
         assert result.evaluations > 2
         info = tables.cache_info()
-        assert (info.misses, info.hits) == (1, result.evaluations - 1)
+        assert (info.misses, info.hits) == (1, result.evaluations - 2)
 
     def test_keys(self):
         tables = fractional._band_tables

@@ -11,8 +11,10 @@ script), and the process is pinned to one CPU where
 ``os.sched_setaffinity`` exists. Each case is a fixed CLI config, run
 through each package's ``cli.parse_config`` and ``cli.run`` as the CLI
 would run it: the three ``solve`` jobs of the benchmark's ``solve``
-workload, a three-order ``bbm`` curve at 1025 nodes for ``power(3)`` and
-for the max, and a 17-node ``gamma``. A pair runs the case once per side,
+workload, a ``solve`` of the max of t^2 and t^3 at 257 nodes (the other
+built-in G whose solve asks a Hessian at the zero start), a three-order
+``bbm`` curve at 1025 nodes for ``power(3)`` and for the max, and a
+17-node ``gamma``. A pair runs the case once per side,
 the side that goes first alternating, and each run starts with the pair
 tables of its own package cleared (``fractional._band_tables``), as in a
 fresh process.
@@ -45,6 +47,8 @@ CASES = {
     "solve power(2) 129": _SOLVE.format("power(2)", 0.5, 129, 1.1),
     "solve power(2) 257": _SOLVE.format("power(2)", 0.5, 257, 1.1),
     "solve power(3) 129": _SOLVE.format("power(3)", 0.7, 129, 1.1),
+    "solve max(power(2), power(3)) 257": _SOLVE.format(
+        "max(power(2), power(3))", 0.7, 257, 1.1),
     "bbm power(3) 1025": _BBM.format("power(3)"),
     "bbm max(power(2), power(3)) 1025": _BBM.format(
         "max(power(2), power(3))"),
