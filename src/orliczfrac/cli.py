@@ -276,6 +276,10 @@ def parse_config(text: str,
         errors.append((first["command"], f"config command "
                        f"{fields['command']!r} does not match CLI command "
                        f"{command!r}"))
+    # s = 1 is solve's local problem; poincare reads s only without s_list
+    if fields.get("command") == "poincare" and fields.get("s") == 1.0 \
+            and "s_list" not in first:
+        errors.append((first["s"], "poincare needs s in (0, 1), got 1.0"))
     if errors:
         raise ConfigError(errors)
     cfg = ExperimentConfig(**fields)

@@ -18,45 +18,41 @@ is split into three pieces:
        Bernstein-ellipse radius of the kernel singularity, is no larger
        than the order-5 bound at offset 2 (on 1024 elements: 2 offsets at
        order 5, 3 at 4, 16 at 3, the rest at 2). A band of one order is
-       cut into blocks of consecutive offsets, about `_BLOCK_POINTS` =
-       2^13 pair points each (309 for the 1023 offsets of 1024 elements),
-       and runs of those into value blocks of at most `_VALUE_POINTS` =
-       2^14 points, or of one block (168 at 1024 elements). The value of
-       each pair row is one BLAS ``ddot`` of two operands (`_row_dots`,
-       `_value_operands`), and no product array: G's values at the value
-       block's arguments and a ones row, one jet G(t, 1) per value block,
-       or, for t^p with p = 2, 3 or 4 (`_DOTS`), (du, du), (du^2, |du|) or
-       (du^2, du^2), which call no jet at all. The gradient (n = 2) and the
-       Hessian (n = 3) take blocks of the smaller size, whose derivative
-       temporaries (coefficients, the Hessian fold) would outgrow the cache
-       at the larger one: G's own rule one jet G(t, n) per block, with the
-       signs of du, and t^p of `_DOTS` none, nor any sign: G' sign(du) and
-       G'' are p and p (p - 1) times du, du |du| or du^3 and 1, |du| or
-       du^2, from the value's operands, and the constants go on the weight
-       table. t^2's curvature is constant, so its Hessian is per offset,
-       not per pair: a block folds its weight table, one column per offset,
-       into a table of the band's offsets; an element's sums per Gauss
-       point are prefix sums of it over the offsets, and the cross moments
-       of all offsets make one Toeplitz interior, row 0 and the last column
+       cut into blocks of consecutive offsets, each of at most
+       `_BLOCK_POINTS` = 2^14 pair points or of one offset (156 for the
+       1023 offsets of 1024 elements), and the value (n = 1), the gradient
+       (n = 2) and the Hessian (n = 3) passes all take these blocks. The
+       value of each pair row is one BLAS ``ddot`` of two operands
+       (`_row_dots`, `_value_operands`), and no product array: G's values
+       at the block's arguments and a ones row, from one jet G(t, n) per
+       block, or, for t^p with p = 2, 3 or 4 (`_DOTS`), (du, du), (du^2,
+       |du|) or (du^2, du^2), which call no jet at all. The derivatives of
+       G's own rule come from the same jet, with the signs of du, and those
+       of t^p of `_DOTS` from no jet and no sign: G' sign(du) and G'' are p
+       and p (p - 1) times du, du |du| or du^3 and 1, |du| or du^2, from
+       the value's operands, and the constants go on the weight table.
+       t^2's curvature is constant, so its Hessian is per offset, not per
+       pair: a block folds its weight table, one column per offset, into a
+       table of the band's offsets; an element's sums per Gauss point are
+       prefix sums of it over the offsets, and the cross moments of all
+       offsets make one Toeplitz interior, row 0 and the last column
        (`_add_square_cross`), added once per call. A block's rows are
        padded to its first offset's length and the padding is set to 0
-       before any sum; a derivative pass zero-pads its blocks' operands to
-       their value block's row length, so every pass gives the value the
-       same bits.
+       before any sum.
        Where G is t^p on [0, T] (`_power_on`), G(|du| kern) = kern^p
        G(|du|): a block whose arguments all lie there takes t^p on du,
        weighed by block kern^p, for the value, the gradient and the
        Hessian alike (`_pair_rule`). For T finite (a max of powers) a
        bound from u's oscillation and Lipschitz constant decides that
-       range per value block, and only a block it leaves open is scanned.
+       range per block, and only a block it leaves open is scanned.
        Any other block takes G's own rule, state by state if its states
        differ. What does not read u is built in one pass per key (s, h, ne,
        p), p the exponent of t^p's rule or None for G's own, and kept per
        key, read-only, for the last two keys (`_band_tables`): the kernel
        table dist**(-s), the weights 2 h^2 w_a w_b / dist and t^p's weights
-       block kern^p of each value block, the bounds of its blocks of
-       `_BLOCK_POINTS` (one walk over the offsets, `_runs`), and the largest
-       dist**(-s) and dist**(1-s) of each value block;
+       block kern^p of each block, the blocks' bounds (one walk over the
+       offsets, `_runs`), and the largest dist**(-s) and dist**(1-s) of
+       each block;
   (iii) the far field (one point outside the support), which reduces exactly
        to the radial profile I(w) = int_0^w G(v)/v dv -- no cutoff is
        needed. I is half the n = 1 limit density, so I and I' (or I' and
@@ -118,12 +114,13 @@ the Hessian is assembled alone (`_core`).
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run. In a block, each pair row of each offset is
-summed over its elements first, as one ``ddot`` of two C-contiguous rows
-zero-padded to the value block's width, then the row sums are weighted and
-summed over the rows and offsets of their state. A row's ``ddot`` does not
-depend on its neighbours, so a row alone, in a block, in a sub-block or in
-a stack of states gives the same bits, and every state's value, gradient
-and Hessian are bit-identical to its one-state call. The layout matters:
+summed over its elements first, as one ``ddot`` of two C-contiguous rows,
+then the row sums are weighted and summed over the rows and offsets of
+their state. Every pass takes the same blocks, so it gives the value the
+same bits. A row's ``ddot`` does not depend on its neighbours, so a row
+alone, in a block or in a stack of states gives the same bits, and every
+state's value, gradient and Hessian are bit-identical to its one-state
+call. The layout matters:
 `np.vecdot` leaves BLAS on a zero-stride or strided operand (a broadcast
 ones row), and its sums then differ in the last bits, so the ones row is a
 real array (`_ones`). The gradient and the Hessian sum a block's offsets
@@ -150,8 +147,7 @@ from .limit_density import _kink_cuts, limit_density, split_nodes
 from .orlicz import OrliczFunction
 
 _ORDER = 5  # Gauss order of the far field and of the pairs at offsets 1, 2
-_VALUE_POINTS = 2 ** 14  # pair points (rows x elements) of a value block
-_BLOCK_POINTS = 2 ** 13  # ... of a derivative pass's sub-block
+_BLOCK_POINTS = 2 ** 14  # pair points (rows x elements) of a pair block
 _SLOPE = (np.broadcast_to(-1.0, 1), np.broadcast_to(1.0, 1))  # (a, b) of h*m
 _DOTS = (2.0, 3.0, 4.0)  # p of the t^p whose pair values call no jet
 
@@ -276,23 +272,15 @@ def _pair_orders(ne, order):
 
 
 def _runs(rows, width, count):
-    """The value blocks (a, b, parts) of a band's consecutive offsets
-    0 .. count-1, whose rows at offset i are ``width - i`` elements long,
-    from one greedy walk. The walk cuts blocks: from its first offset a, a
-    block takes the most offsets that keep rows * (width - a) * (b - a)
-    within `_BLOCK_POINTS`, and at least one. A block joins the current
-    value block if the joined one, so measured from its own first offset,
-    stays within `_VALUE_POINTS`; else it starts one. ``parts`` holds a
-    value block's blocks, as bounds from its a: the blocks of a derivative
-    pass."""
+    """The blocks (a, b) of a band's consecutive offsets 0 .. count-1, whose
+    rows at offset i are ``width - i`` elements long, from one greedy walk:
+    from its first offset a, a block takes the most offsets that keep
+    rows * (width - a) * (b - a) within `_BLOCK_POINTS`, and at least
+    one."""
     runs, a = [], 0
     while a < count:
         b = a + max(1, min(count - a, _BLOCK_POINTS // (rows * (width - a))))
-        start = runs[-1][0] if runs else a
-        if runs and rows * (width - start) * (b - start) <= _VALUE_POINTS:
-            runs[-1] = (start, b, runs[-1][2] + ((a - start, b - start),))
-        else:
-            runs.append((a, b, ((0, b - a),)))
+        runs.append((a, b))
         a = b
     return runs
 
@@ -302,14 +290,14 @@ def _band_tables(s, h, ne, p):
     """What `_pair_bands` yields but the differences, on ne elements of width
     h, for the orders ``s`` (a tuple) and t^p's exponent ``p`` (None for
     G's own rule): per band of order q, (x, blocks, peak). ``x`` holds its
-    Gauss nodes; ``blocks`` its value blocks (j0, nj, kern, block, weight,
-    parts) of the offsets j0 .. j0 + nj - 1 (`_runs`), with ``weight``
-    t^p's pair weights block * kern**p (`_pair_rule`), or None, taken on
-    the band's whole tables and sliced like ``kern`` and ``block``; and
-    ``peak`` the u-independent factors of the blocks' bound
-    (`_pair_bands`), a (2, k, blocks) array of the largest dist**(-s) and
-    dist**(1-s) per order and value block. Built once per key (s, h, ne,
-    p), whatever else G is; the last two keys are kept. Read-only."""
+    Gauss nodes; ``blocks`` its blocks (j0, nj, kern, block, weight) of
+    the offsets j0 .. j0 + nj - 1 (`_runs`), with ``weight`` t^p's pair
+    weights block * kern**p (`_pair_rule`), or None, taken on the band's
+    whole tables and sliced like ``kern`` and ``block``; and ``peak`` the
+    u-independent factors of the blocks' bound (`_pair_bands`), a (2, k,
+    blocks) array of the largest dist**(-s) and dist**(1-s) per order and
+    block. Built once per key (s, h, ne, p), whatever else G is; the last
+    two keys are kept. Read-only."""
     q = _pair_orders(ne, _ORDER)
     ends = np.flatnonzero(np.diff(q, prepend=0, append=0)).tolist()
     bands = []
@@ -324,22 +312,22 @@ def _band_tables(s, h, ne, p):
         # per offset, then per block of offsets: (2, orders, blocks)
         peak = np.maximum.reduceat(np.stack(
             [kern.max(axis=(1, 3)), (dist * kern).max(axis=(1, 3))]),
-            [a for a, _, _ in runs], axis=-1)
+            [a for a, _ in runs], axis=-1)
         for table in (kern, block, weight, peak):
             if table is not None:
                 table.flags.writeable = False
         blocks = tuple((lo + 1 + a, b - a, kern[:, :, a:b], block[:, a:b],
-                        None if weight is None else weight[:, :, a:b], parts)
-                       for a, b, parts in runs)
+                        None if weight is None else weight[:, :, a:b])
+                       for a, b in runs)
         bands.append((x, blocks, peak))
     return tuple(bands)
 
 
-def _pair_bands(s, h, rows, on=None, n=1):
+def _pair_bands(s, h, rows, on=None):
     """Distinct-element pairs of the uniform mesh, one band per Gauss order.
 
     Yields ``(x, blocks)`` per band of order q: its Gauss nodes on (0, 1)
-    and an iterator over its value blocks (`_band_tables`) of the offsets
+    and an iterator over its blocks (`_band_tables`) of the offsets
     j0 .. j0+nj-1, each ``(j0, kern, block, weight, du, reach)``. Row
     a*q + b pairs node a of the right element with node b of the left one,
     at dist = h (j + x_a - x_b). ``kern`` and ``block`` are the read-only
@@ -352,12 +340,8 @@ def _pair_bands(s, h, rows, on=None, n=1):
     pairs left element e with right element e + j0 + k, and is padding
     (`_drop_padding`) if e >= L - k. They are read from one zero-padded
     (q, 2 ne) buffer of Gauss-point values per row and band, so every
-    operation on a pair row is a long contiguous loop. For a derivative
-    pass (``n`` > 1) ``kern``, ``block``, ``weight`` and ``du`` are tuples,
-    one entry per block of `_BLOCK_POINTS` in the value block (its
-    ``parts`` in `_band_tables`), on that block's offsets: a view of the
-    value block's differences would make every elementwise operation on it
-    a loop per row.
+    operation on a pair row is a long contiguous loop. The value, the
+    gradient and the Hessian passes all take these blocks.
 
     For T finite (a max of powers), ``reach`` is a float no smaller than
     any |du| kern of the block's pairs in any state, the product as
@@ -391,12 +375,8 @@ def _pair_bands(s, h, rows, on=None, n=1):
                     - W[:, None, :, :1, :ne - j0]).reshape(
                         len(W), q * q, nj, ne - j0)
 
-        yield x, ((j0, kern, block, w, diff(j0, nj), r) if n == 1 else (
-                   j0, *zip(*((kern[:, :, a:b], block[:, a:b],
-                               None if w is None else w[:, :, a:b],
-                               diff(j0 + a, b - a)) for a, b in parts)), r)
-                  for (j0, nj, kern, block, w, parts), r in zip(
-                      blocks, reach))
+        yield x, ((j0, kern, block, w, diff(j0, nj), r)
+                  for (j0, nj, kern, block, w), r in zip(blocks, reach))
 
 
 @lru_cache(maxsize=64)
@@ -470,7 +450,7 @@ def _ones(size):
     return ones
 
 
-def _value_operands(p, arg, g, width, n=1):
+def _value_operands(p, arg, g, n=1):
     """The operands (x, y) of a block's value row sums (`_row_dots`) under
     the rule F at ``arg``, and for ``n`` > 1 the factors d1 and d2 (n = 3)
     of its first and second derivatives: (x, y, d1[, d2]), all without
@@ -482,9 +462,10 @@ def _value_operands(p, arg, g, width, n=1):
     arg^2), |arg| taken in place, and F'(arg) sign(arg) = p d1, F''(arg)
     = p (p - 1) d2 from d1 = arg, arg |arg| or arg^3 and d2 = 1 (None),
     |arg| or arg^2, the operands' own arrays where they serve. Else x is
-    F's values g[0], y a ones row of ``width``, and d1, d2 are g[1], g[2],
-    F' and F''."""
+    F's values g[0], y a ones row of the rows' length, and d1, d2 are
+    g[1], g[2], F' and F''."""
     if p not in _DOTS:
+        width = arg.shape[-1]
         ones = _ones(1 << (width - 1).bit_length())
         return (_drop_padding(g[0]), ones[:width],
                 *map(_drop_padding, g[1:n]))
@@ -499,24 +480,15 @@ def _value_operands(p, arg, g, width, n=1):
     return (sq, np.abs(arg, out=arg), d1, arg)[:n + 1]
 
 
-def _row_dots(x, y, width, w):
+def _row_dots(x, y, w):
     """The weighed row sums of a block, (..., rows, offsets): the dot
-    product of each pair row of x and y (..., rows, offsets, L), zero
-    padded to ``width`` >= L, weighed by w (rows x offsets x 1); y may be
-    one row of ``width`` for all. Each row is one BLAS ``ddot`` of
-    C-contiguous rows, with no product array, whose bits do not depend on
-    the row's neighbours: summed at one width, the rows of a value block
-    and of its derivative sub-blocks, of a stack of states and of each
-    state alone give the same bits."""
-    def padded(a):
-        if a.shape[-1] == width:
-            return a
-        rows = np.zeros(a.shape[:-1] + (width,))
-        rows[..., :a.shape[-1]] = a
-        return rows
-
-    X = padded(x)
-    return np.vecdot(X, X if y is x else padded(y)) * w[..., 0]
+    product of each pair row of x and y (..., rows, offsets, L), weighed by
+    w (rows x offsets x 1); y may be one row of L for all. Each row is one
+    BLAS ``ddot`` of C-contiguous rows, with no product array, whose bits
+    do not depend on the row's neighbours: the rows of a block in each
+    pass, of a stack of states and of each state alone give the same
+    bits."""
+    return np.vecdot(x, y) * w[..., 0]
 
 
 def _pair_rule(G, on, du, kern, block, weight, n=1):
@@ -559,16 +531,13 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     are returned as zeros.
 
     `_power_on` is read once per call. Where t^p serves on [0, T] with T
-    finite (a max of powers), a value block whose bound on |du| kern
+    finite (a max of powers), a block whose bound on |du| kern
     (`_pair_bands`) lies in that range takes t^p's rule without a scan of
     its arguments; any other block leaves the choice to `_pair_rule`.
 
-    Each part of a value block is one `_pair_block` call, which splits
-    its states: the value takes the value block whole, the gradient and
-    the Hessian each of its blocks of `_BLOCK_POINTS` (`_pair_bands`),
-    under the value block's bound, and they sum their value rows at the
-    value block's row length (`_row_dots`) before they weigh them and sum
-    the block, so that the value keeps the value pass's bits. The gradient is
+    Each block is one `_pair_block` call, which splits its states, in
+    every pass: the value, the gradient and the Hessian take the same
+    blocks, so every pass gives the value the same bits. The gradient is
     accumulated per element and Gauss point of a band and scattered to the
     nodes once per band (`_add_element_terms`); a block's left elements
     take a sum over its offsets, its right elements a skewed one
@@ -587,7 +556,7 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     square = hess is not None and on is not None and on[0].params[0] == 2.0
     cross = np.zeros((k, 4, ne + 2)) if square else None
     gU = hU = fold = tab = None
-    for x, blocks in _pair_bands(s, mesh.spacing, rows, on, n):
+    for x, blocks in _pair_bands(s, mesh.spacing, rows, on):
         q = x.size
         if want_grad:
             gU = np.zeros((k, q, ne))
@@ -602,18 +571,10 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
             fits = on is not None and (reach < on[1] if n > 1
                                        else reach <= on[1])
             rule = (on[0], np.inf) if fits else on
-            if n == 1:  # the value block whole
-                sums = _pair_block(G, rule, ne - j0, n, fold, block, kern,
-                                   weight, du)
-            else:  # each of its blocks, at the value block's width
-                sums = [_pair_block(G, rule, ne - j0, n, fold, *part, gU=gU,
-                                    hU=hU, hess=hess, tab=tab)
-                        for part in zip(block, kern, weight, du)]
-                if not want_grad:  # the Hessian alone
-                    continue
-                sums = sums[0] if len(sums) == 1 else np.concatenate(
-                    sums, axis=-1)
-            val += np.add.reduce(sums, (-2, -1))
+            sums = _pair_block(G, rule, n, fold, block, kern, weight, du,
+                               gU=gU, hU=hU, hess=hess, tab=tab)
+            if sums is not None:  # None: the Hessian alone
+                val += np.add.reduce(sums, (-2, -1))
         if square:
             # right element m pairs at the offsets j <= m, left element e
             # at j <= ne - 1 - e
@@ -661,8 +622,8 @@ def _state_views(i, kern, weight, du, sign, *outs):
             *(None if a is None else a[at] for a in outs))
 
 
-def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
-                gU=None, hU=None, hess=None, tab=None):
+def _pair_block(G, on, n, fold, block, kern, weight, du, sign=None, gU=None,
+                hU=None, hess=None, tab=None):
     """The weighed row sums (states x rows x offsets) of one block of the
     offsets j0, j0 + 1, ..., whose rows of ``du`` are L = ne - j0 long, and
     whose sum is its value, per state of their leading axis; given ``gU``
@@ -680,8 +641,7 @@ def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
     The rule takes one jet of order n on its argument, none at all for t^p
     with p in `_DOTS`, whose value and derivative factors are products of
     du (`_value_operands`). F(arg) is summed over the elements of each pair
-    row and offset as one dot product of two operands, rows of ``width``,
-    its value block's (with zeros after the block's own rows: `_row_dots`),
+    row and offset as one dot product of two operands (`_row_dots`),
     before the row sums take their weight w[0]: no product or weighted copy
     of the stack is made, and each state's sums are its own, as for one
     state. A pair's gradient term is w[1] d1 sign(du), and t^p's constants
@@ -704,7 +664,7 @@ def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
         sign = np.sign(du)
     rule = _pair_rule(G, on, du, kern, block, weight, n)
     if rule is None:
-        sums = [_pair_block(G, on, width, n, fold, block, *_state_views(
+        sums = [_pair_block(G, on, n, fold, block, *_state_views(
                     i, kern, weight, du, sign, gU, hU, hess, tab))
                 for i in range(len(kern))]
         return None if alone else np.concatenate(sums)
@@ -712,8 +672,8 @@ def _pair_block(G, on, width, n, fold, block, kern, weight, du, sign=None,
     # t^p's exponent, or None for G's own rule
     p = F.params[0] if on is not None and F is on[0] else None
     g = None if p in _DOTS else F(arg, n)
-    ops = _value_operands(p, arg, g, width, n)
-    sums = None if alone else _row_dots(ops[0], ops[1], width, w[0])
+    ops = _value_operands(p, arg, g, n)
+    sums = None if alone else _row_dots(ops[0], ops[1], w[0])
     if gU is None and hess is None:
         return sums
     if p in _DOTS:  # F' = p d1 sign, F'' = p (p - 1) d2
@@ -961,11 +921,11 @@ def fractional_modular(G: OrliczFunction, s, u: GridFunction):
     A scalar ``s`` gives a float. A 1-D sequence of orders gives a float
     array with one entry per order, in the given order (repeats allowed),
     each bit-identical to the one-order value: the distinct-element pairs
-    of all orders share one pass, in value blocks of at most 2^14 pair
-    points or of one offset, whose temporaries grow linearly with the
-    number of orders (per order and array at most 128 KB, or one offset's
-    points: 0.2 MB at 1025 nodes; the pair weights are applied to the row
-    sums), except where G is t^p on a range (`_power_on`): a block then
+    of all orders share one pass, in blocks of at most 2^14 pair points
+    or of one offset, whose temporaries grow linearly with the number of
+    orders (per order and array at most 128 KB, or one offset's points:
+    0.2 MB at 1025 nodes; the pair weights are applied to the row sums),
+    except where G is t^p on a range (`_power_on`): a block then
     evaluates t^p once for all orders, or each order alone. The value has
     the bits of the value that `fractional_modular_with_gradient` gives.
     """

@@ -214,6 +214,14 @@ class TestParseConfig:
         assert err.value.errors == [
             (2, f"s_list entries must be in (0, 1), got {bad}")]
 
+    def test_poincare_order_one_cites_its_line(self):
+        # poincare reads s where no s_list is given, and needs it in (0, 1)
+        with pytest.raises(ConfigError) as err:
+            parse_config("command = poincare\nG = power(2)\ns = 1\n")
+        assert err.value.errors == [(3, "poincare needs s in (0, 1), got 1.0")]
+        cfg = parse_config("command = poincare\ns = 1\ns_list = 0.5\n")
+        assert cfg.s_list == (0.5,)
+
     def test_repeated_orders_are_left_to_the_command(self):
         # poincare takes repeats; bbm and gamma refuse them when they run
         cfg = parse_config("command = poincare\ns_list = 0.5, 0.5\n")
@@ -361,7 +369,7 @@ class TestMain:
 
     @pytest.mark.parametrize("command,line", [
         ("solve", "s = nan"), ("solve", "s = 1.5"), ("solve", "s = 0"),
-        ("gamma", "s_list = 0.6, 1")])
+        ("gamma", "s_list = 0.6, 1"), ("poincare", "s = 1")])
     def test_rejected_order_exit_one(self, tmp_path, capsys, command, line):
         cfg = self._write(tmp_path, f"command = {command}\nnodes = 17\n"
                                     f"{line}\n")

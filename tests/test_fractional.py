@@ -272,31 +272,6 @@ class TestStatesAxis:
             one = _core(G23, s, u, want_grad=True, want_hess=True)
             assert all(np.array_equal(a[i], b) for a, b in zip(got, one))
 
-    def test_states_take_their_own_rules_in_sub_blocks(self, rng,
-                                                       monkeypatch):
-        # a derivative pass whose states split on a sub-block after the
-        # first of its value block takes them one by one, each summed at
-        # the value block's row width: every state keeps its lone call's
-        # bits, and the value of its lone gradient pass
-        block, seen = fractional._pair_block, []
-
-        def recorded(G, on, width, n, fold, blk, kern, weight, du, *rest,
-                     **outs):
-            seen.append((len(kern), du.shape[-1] < width))
-            return block(G, on, width, n, fold, blk, kern, weight, du,
-                         *rest, **outs)
-
-        orders = np.array([0.6, 0.9])
-        states = [random_state(rng, 129, 0.01), random_state(rng, 129, 3.0)]
-        monkeypatch.setattr(fractional, "_pair_block", recorded)
-        got = _core(G23, orders, states, want_grad=True, want_hess=True)
-        monkeypatch.undo()
-        assert (1, True) in seen  # one state of a padded sub-block
-        for i, (s, u) in enumerate(zip(orders, states)):
-            one = _core(G23, s, u, want_grad=True, want_hess=True)
-            assert all(np.array_equal(a[i], b) for a, b in zip(got, one))
-            assert got[0][i] == _core(G23, s, u, want_grad=True)[0]
-
     def test_rows_are_built_once_per_call(self, rng, monkeypatch):
         # `_core` builds the (mesh, rows) pair once and hands it to every
         # piece, for one state and for a stack
@@ -881,10 +856,8 @@ class TestPairStackEvaluations:
         call, deriv = OrliczFunction.__call__, OrliczFunction.deriv
 
         def seen(blocks):
-            # a derivative pass evaluates a value block's sub-blocks
             for b in blocks:
-                stacks.extend(d.shape for d in (b[4] if want_grad
-                                                 else [b[4]]))
+                stacks.append(b[4].shape)
                 yield b
 
         def recorded(*args):
@@ -967,86 +940,54 @@ class TestPairBlocks:
             assert any(len(b) > 1 and min(b) > 1 for b in sizes)
 
     @pytest.mark.parametrize("n", [3, 33, 129, 257, 1025])
-    def test_two_block_levels(self, n):
-        # value blocks tile each band's offsets once; a derivative pass's
-        # sub-blocks tile each value block, and together they are the
-        # band's blocks of `_BLOCK_POINTS`; a value block is a run of them
-        # within `_VALUE_POINTS` points, or a single one
+    def test_one_block_layout(self, n):
+        # the blocks tile each band's offsets once, and each holds the most
+        # offsets from its first that stay within `_BLOCK_POINTS`, and at
+        # least one
         ne = n - 1
+        points = fractional._BLOCK_POINTS
         q = _pair_orders(ne, fractional._ORDER)
         bands = fractional._band_tables((0.5,), 2.0 / ne, ne, None)
         first = 1  # of the band
         for x, blocks, _ in bands:
             rows, count = x.size ** 2, int(np.sum(q == x.size))
-            j, subs = first, []
-            for j0, nj, _, _, _, parts in blocks:
-                assert j0 == j
-                width = ne - j0
-                assert [a for a, _ in parts] == [0] + [b for _, b in
-                                                      parts[:-1]]
-                assert parts[-1][1] == nj
-                assert len(parts) == 1 or \
-                    rows * width * nj <= fractional._VALUE_POINTS
-                subs += [(j0 - first + a, j0 - first + b) for a, b in parts]
+            j = first
+            for j0, nj, *_ in blocks:
+                assert j0 == j and nj >= 1
+                assert nj == 1 or rows * (ne - j0) * nj <= points
+                # the band ends, or the next offset would not fit
+                assert j0 + nj == first + count or \
+                    rows * (ne - j0) * (nj + 1) > points
                 j += nj
             assert j == first + count
-            # each block is the most offsets from its first within
-            # `_BLOCK_POINTS`, and at least one
-            for a, b in subs:
-                assert b - a == 1 or rows * (ne - first - a) * (b - a) \
-                    <= fractional._BLOCK_POINTS
-                assert b - a == max(1, min(
-                    count - a, fractional._BLOCK_POINTS
-                    // (rows * (ne - first - a))))
-            # a value block could not take its next block
-            for (j0, nj, *_), (_, _, _, _, _, parts) in zip(blocks,
-                                                            blocks[1:]):
-                grown = nj + parts[0][1]
-                assert rows * (ne - j0) * grown > fractional._VALUE_POINTS
             first += count
         assert first == ne
         if n == 1025:
-            assert sum(len(b[1]) for b in bands) == 168
-            assert sum(len(parts) for _, blocks, _ in bands
-                       for *_, parts in blocks) == 309
+            assert sum(len(b[1]) for b in bands) == 156
 
-    @pytest.mark.parametrize("n", [33, 257])
-    def test_sub_block_rows_sum_at_the_value_width(self, n, rng):
-        # a derivative pass's differences and tables of a sub-block are
-        # those of its value block; its value operands, t^p's of du for
-        # p = 2, 3, 4 or G values and a ones row (p None), with an inf in
-        # their padding (G''(0) for p < 2), summed as rows of the value
-        # block's width: the bits of the value block's own row sums, and
-        # no NaN
-        u = random_state(rng, n)
-        s, rows = np.array([0.7]), u.values[None]
+    @pytest.mark.parametrize("G", [G2, make_power(3.0), make_power_log(3.0),
+                                   G23], ids=lambda G: G.label)
+    def test_every_pass_takes_the_same_blocks(self, G, rng, monkeypatch):
+        # the value, the gradient and the Hessian pass of `_core` each see
+        # the band tables' blocks (j0, nj), in the same order
+        u = random_state(rng, 257)
+        ne = u.node_count - 1
+        block, seen = fractional._pair_block, []
 
-        def row_sums(p, d, width, blk):
-            nj, L = d.shape[-2:]
-            padding = np.arange(L) >= L - np.arange(nj)[:, None]
-            d = np.where(padding, np.inf, d)
-            g = None if p else [np.abs(d) ** 1.5]
-            return fractional._row_dots(*fractional._value_operands(
-                p, d, g, width), width, blk)
+        def recorded(G, on, n, fold, blk, kern, weight, du, *rest, **outs):
+            seen.append((ne - du.shape[-1], du.shape[-2]))
+            return block(G, on, n, fold, blk, kern, weight, du, *rest,
+                         **outs)
 
-        for (x, blocks), (_, parts), (_, entries, _) in zip(
-                fractional._pair_bands(s, u.spacing, rows),
-                fractional._pair_bands(s, u.spacing, rows, n=2),
-                fractional._band_tables((0.7,), u.spacing, n - 1, None)):
-            for (j0, kern, block, _, du, _), sub, (*_, subs) in zip(
-                    blocks, parts, entries):
-                width = du.shape[-1]
-                assert sub[0] == j0 and len(sub[4]) == len(subs)
-                for p in (None, 2.0, 3.0, 4.0):
-                    whole = row_sums(p, du, width, block)
-                    assert np.isfinite(whole).all()
-                    for (a, b), k, blk, d in zip(subs, *sub[1:3], sub[4]):
-                        L = width - a
-                        assert same_bits(d, du[..., a:b, :L])
-                        assert same_bits(k, kern[:, :, a:b])
-                        assert same_bits(blk, block[:, a:b])
-                        assert same_bits(row_sums(p, d, width, blk),
-                                         whole[..., a:b])
+        monkeypatch.setattr(fractional, "_pair_block", recorded)
+        passes = []
+        for modes in ((False, False), (True, False), (True, True)):
+            seen.clear()
+            _core(G, 0.7, u, *modes)
+            passes.append(list(seen))
+        tables = [(j0, nj) for _, blocks, _ in fractional._band_tables(
+            (0.7,), u.spacing, ne, None) for j0, nj, *_ in blocks]
+        assert passes == [tables] * 3
 
     def test_padding_is_zeroed_without_nan(self):
         # G''(0) = inf for p < 2, and inf * 0 is NaN: the padding of a
@@ -1083,7 +1024,7 @@ class TestRowDots:
     def row_sums(p, du, block):
         g = None if p else make_power_log(3.0)(np.abs(du), 1)
         return fractional._row_dots(*fractional._value_operands(
-            p, du.copy(), g, du.shape[-1]), du.shape[-1], block)
+            p, du.copy(), g), block)
 
     @pytest.mark.parametrize("p", [None, 2.0, 3.0, 4.0])
     def test_matches_an_exact_sum_per_row(self, p, rng):
@@ -1119,9 +1060,9 @@ class TestRowDots:
         # next power of two as their second operand
         seen, dots = [], fractional._row_dots
 
-        def recorded(x, y, width, w):
-            seen.append((y, width))
-            return dots(x, y, width, w)
+        def recorded(x, y, w):
+            seen.append((y, x.shape[-1]))
+            return dots(x, y, w)
 
         u = random_state(rng, 129)
         monkeypatch.setattr(fractional, "_row_dots", recorded)
@@ -1206,7 +1147,7 @@ class TestBandTables:
             for p in (None, 3.0):
                 for _, blocks, peak in fractional._band_tables(
                         tuple(s), u.spacing, 128, p):
-                    tables = [peak] + [t for _, _, *ts, _ in blocks
+                    tables = [peak] + [t for _, _, *ts in blocks
                                        for t in ts if t is not None]
                     for table in tables:
                         with pytest.raises(ValueError):
@@ -1261,7 +1202,7 @@ class TestBandTables:
         assert info.hits == len(suite) - info.misses
         for p in (1.5, 2.0, 3.0, None):
             for _, blocks, _ in tables((0.7,), u.spacing, 128, p):
-                for _, _, kern, block, weight, _ in blocks:
+                for _, _, kern, block, weight in blocks:
                     if p is None:
                         assert weight is None
                     else:
@@ -1511,9 +1452,9 @@ def pair_points(monkeypatch, G, s, u):
         calls.append(n)
         return call(self, x, n)
 
-    def recorded(x, y, width, w):
+    def recorded(x, y, w):
         seen.append(x.size)
-        return dots(x, y, width, w)
+        return dots(x, y, w)
 
     with monkeypatch.context() as m:
         m.setattr(OrliczFunction, "__call__", counted)
@@ -1527,8 +1468,7 @@ def rule_values(G, on, du, kern, block, weight, n=1):
     """A block's value (per order) as `_distinct_pairs` evaluates it
     (`_pair_block`): from its `_pair_rule` rule, or its states' rules one
     by one, with the row sums of `_row_dots`."""
-    sums = fractional._pair_block(G, on, du.shape[-1], n, None, block, kern,
-                                  weight, du)
+    sums = fractional._pair_block(G, on, n, None, block, kern, weight, du)
     return np.add.reduce(sums, (-2, -1))
 
 
@@ -1813,8 +1753,8 @@ class TestMaxBound:
         orders = np.array([0.9, 0.95, 0.99])
         for s in orders:
             bounds = reaches(s, u)
-            assert len(bounds) == 168  # value blocks
-            assert sum(r <= 1.0 for r, _ in bounds) == 167
+            assert len(bounds) == 156  # blocks
+            assert sum(r <= 1.0 for r, _ in bounds) == 155
             assert all(r >= top for r, top in bounds)
         got = _core(G23, orders, u, want_grad=False)[0]
         with monkeypatch.context() as m:

@@ -477,13 +477,11 @@ class TestEulerIdentity:
                 assert grad @ u.values == pytest.approx(p * val, rel=1e-12)
                 assert val == fractional_modular(G, s, u)
 
-    # The value pass sums the pairs in value blocks, the gradient and the
-    # Hessian passes in their sub-blocks, whose rows they pad to the value
-    # block's length: at 257 and 1025 nodes most value blocks hold two
-    # sub-blocks. Every entry point gives the value the same bits. The
-    # state of seed 1 pins the padding: summed at their own length, the
-    # sub-blocks' rows move its power_log(3) value at s = 0.1 by an ulp at
-    # 129 and 257 nodes.
+    # The value, the gradient and the Hessian passes sum the pairs in the
+    # same blocks, each row at its own length, so every entry point gives
+    # the value the same bits. The state of seed 1 is kept: a pass that
+    # summed the rows of smaller blocks at their own length moved its
+    # power_log(3) value at s = 0.1 by an ulp at 129 and 257 nodes.
     @pytest.mark.parametrize("G", [G15, G2, G3, make_power(4.0),
                                    make_power_log(3.0)],
                              ids=lambda G: G.label)

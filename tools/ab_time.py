@@ -12,12 +12,13 @@ script), and the process is pinned to one CPU where
 through each package's ``cli.parse_config`` and ``cli.run`` as the CLI
 would run it: the three ``solve`` jobs of the benchmark's ``solve``
 workload, a ``solve`` of the max of t^2 and t^3 at 257 nodes (the other
-built-in G whose solve asks a Hessian at the zero start), a three-order
-``bbm`` curve at 1025 nodes for ``power(3)`` and for the max, and a
-17-node ``gamma``. A pair runs the case once per side,
-the side that goes first alternating, and each run starts with the pair
-tables of its own package cleared (``fractional._band_tables``), as in a
-fresh process.
+built-in G whose solve asks a Hessian at the zero start), ``solve`` jobs
+of ``power_log(3)`` at 129 and 513 nodes (Hessians of G's own rule, one
+jet per pair block), a three-order ``bbm`` curve at 1025 nodes for
+``power(3)`` and for the max, and a 17-node ``gamma``. A pair runs the
+case once per side, the side that goes first alternating, and each run
+starts with the pair tables of its own package cleared
+(``fractional._band_tables``), as in a fresh process.
 
 Per case it prints each side's median seconds, the ratio of this
 checkout's median to the base's, the pairs this checkout won and the
@@ -49,6 +50,8 @@ CASES = {
     "solve power(3) 129": _SOLVE.format("power(3)", 0.7, 129, 1.1),
     "solve max(power(2), power(3)) 257": _SOLVE.format(
         "max(power(2), power(3))", 0.7, 257, 1.1),
+    "solve power_log(3) 129": _SOLVE.format("power_log(3)", 0.7, 129, 1.1),
+    "solve power_log(3) 513": _SOLVE.format("power_log(3)", 0.7, 513, 1.1),
     "bbm power(3) 1025": _BBM.format("power(3)"),
     "bbm max(power(2), power(3)) 1025": _BBM.format(
         "max(power(2), power(3))"),
