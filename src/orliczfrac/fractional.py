@@ -38,7 +38,11 @@ is split into three pieces:
        offsets make one Toeplitz interior, row 0 and the last column
        (`_add_square_cross`), added once per call. A block's rows are
        padded to its first offset's length and the padding is set to 0
-       before any sum.
+       before any sum. A block writes no array but its own and du, and du
+       only by taking |du| in place, as states that share a row read it
+       in turn: its gradient factor (t^3's du |du|, t^4's du^3, a jet's
+       G') takes its weight in place where it has a row per state and,
+       once summed, holds the Hessian's factor.
        Where G is t^p on [0, T] (`_power_on`), G(|du| kern) = kern^p
        G(|du|): a block whose arguments all lie there takes t^p on du,
        weighed by block kern^p, for the value, the gradient and the
@@ -110,7 +114,10 @@ adds them all to the nodal gradient and Hessian, per state; only the
 pairs' cross terms, which couple two elements, go to the Hessian
 directly (`_add_diagonals`, or t^2's `_add_square_cross`). At the zero
 state (`_zero_state`) the value and the gradient are 0 with no pass, and
-the Hessian is assembled alone (`_core`).
+the Hessian is assembled alone (`_core`); under t^2's rule its pairs fold
+the weight tables alone, with no difference formed (`_distinct_pairs`).
+`_core` symmetrizes the Hessian in place, with no N x N temporary
+(`_symmetrize`).
 
 Evaluation is sequential with a fixed reduction order, so results are
 bit-identical from run to run. In a block, each pair row of each offset is
@@ -526,9 +533,12 @@ def _pair_rule(G, on, du, kern, block, weight, n=1):
 def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     """(ii): value (and nodal gradient) of the distinct-element blocks, per
     state of the k orders ``s`` and the nodal ``rows`` on ``mesh``
-    (`_nodal`). Given ``hess`` but not ``want_grad``, the Hessian alone:
-    no value row sums and no gradient terms, and the value and gradient
-    are returned as zeros.
+    (`_nodal`). Given ``hess`` but not ``want_grad``, the Hessian alone,
+    which `_core` asks at the zero state only: no value row sums and no
+    gradient terms, and the value and gradient are returned as zeros.
+    Under t^2's rule it reads the weight tables alone (`_band_tables`),
+    folding 2 weight per block as `_pair_block` does, with the same bits:
+    no difference, no padding and no `_pair_block` call.
 
     `_power_on` is read once per call. Where t^p serves on [0, T] with T
     finite (a max of powers), a block whose bound on |du| kern
@@ -556,7 +566,11 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
     square = hess is not None and on is not None and on[0].params[0] == 2.0
     cross = np.zeros((k, 4, ne + 2)) if square else None
     gU = hU = fold = tab = None
-    for x, blocks in _pair_bands(s, mesh.spacing, rows, on):
+    # t^2's Hessian alone (the zero state) needs the weight tables, no du
+    tables = square and not want_grad
+    bands = (_band_tables(tuple(s.tolist()), float(mesh.spacing), ne, 2.0)
+             if tables else _pair_bands(s, mesh.spacing, rows, on))
+    for x, blocks, *_ in bands:
         q = x.size
         if want_grad:
             gU = np.zeros((k, q, ne))
@@ -565,16 +579,20 @@ def _distinct_pairs(G, s, mesh, rows, want_grad, hess=None):
             fold = _hessian_fold(q)
             # t^2's folds per offset j (`_pair_block`) at index j, else 0
             tab = np.zeros((k, 2 * q + 4, ne)) if square else None
-        for j0, kern, block, weight, du, reach in blocks:
-            # where the bound puts every |du| kern in t^p's range, t^p
-            # serves the block with no scan of its arguments
-            fits = on is not None and (reach < on[1] if n > 1
-                                       else reach <= on[1])
-            rule = (on[0], np.inf) if fits else on
-            sums = _pair_block(G, rule, n, fold, block, kern, weight, du,
-                               gU=gU, hU=hU, hess=hess, tab=tab)
-            if sums is not None:  # None: the Hessian alone
-                val += np.add.reduce(sums, (-2, -1))
+        if tables:  # w[2] = 2 weight, as `_pair_block` folds it
+            for j0, nj, _, _, weight in blocks:
+                tab[..., j0:j0 + nj] = fold @ (2.0 * weight)[..., 0]
+        else:
+            for j0, kern, block, weight, du, reach in blocks:
+                # where the bound puts every |du| kern in t^p's range, t^p
+                # serves the block with no scan of its arguments
+                fits = on is not None and (reach < on[1] if n > 1
+                                           else reach <= on[1])
+                rule = (on[0], np.inf) if fits else on
+                sums = _pair_block(G, rule, n, fold, block, kern, weight,
+                                   du, gU=gU, hU=hU, hess=hess, tab=tab)
+                if sums is not None:  # None: the Hessian alone
+                    val += np.add.reduce(sums, (-2, -1))
         if square:
             # right element m pairs at the offsets j <= m, left element e
             # at j <= ne - 1 - e
@@ -657,6 +675,14 @@ def _pair_block(G, on, n, fold, block, kern, weight, du, sign=None, gU=None,
     w[2] alone, a (2q + 4) column per offset, goes to ``tab`` (states x
     2q + 4 x offsets of the band) at its offsets, which `_distinct_pairs`
     sums per element and per diagonal.
+
+    ``du`` is written only where |du| is taken in place (`_pair_rule`,
+    `_value_operands`), as states that share its row read it in turn. The
+    gradient factor d1 that the block makes itself (all but t^2's, which
+    is du) takes its weight w[1] in place where it has a row per state,
+    else the product is a new array; once summed, that buffer takes the
+    Hessian's factor w[2] d2, and the fold's cross moments are negated in
+    place.
     """
     alone = gU is None and hess is not None
     if gU is not None and sign is None and not (
@@ -681,8 +707,11 @@ def _pair_block(G, on, n, fold, block, kern, weight, du, sign=None, gU=None,
     nj, L = du.shape[-2:]
     q, ne = (gU if hU is None else hU).shape[-2:]
     lead, j0 = kern.shape[:1], ne - L
+    # d1 is the block's own but for t^2 (du): it takes its weight in place,
+    # where it has a row per state, and then holds the Hessian's factor
+    own = ops[2] if p != 2.0 and len(ops[2]) == len(kern) else None
     if gU is not None:
-        coef = w[1] * ops[2]
+        own = coef = np.multiply(w[1], ops[2], out=own)
         if sign is not None:
             coef *= sign
         coef = coef.reshape(lead + (q, q, nj, L))
@@ -693,13 +722,14 @@ def _pair_block(G, on, n, fold, block, kern, weight, du, sign=None, gU=None,
     if ops[3] is None:  # t^2: per offset, placed at its offsets
         tab[..., j0:j0 + nj] = fold @ w[2][..., 0]
         return sums
-    folded = (fold @ (w[2] * ops[3]).reshape(lead + (q * q, -1))).reshape(
-        lead + (-1, nj, L))
+    folded = (fold @ np.multiply(w[2], ops[3], out=own).reshape(
+        lead + (q * q, -1))).reshape(lead + (-1, nj, L))
     hU[..., j0:] += _skew_sum(folded[..., :q, :, :])
     hU[..., :L] += folded[..., q:2 * q, :, :].sum(axis=-2)
     # moment 2 r + l of cross pairs node r of the right element with node l
     # of the left one
-    cross = -folded[..., 2 * q:, :, :]
+    cross = np.negative(folded[..., 2 * q:, :, :],
+                        out=folded[..., 2 * q:, :, :])
     _add_diagonals(hess, j0, 0, cross[..., 0, :, :])
     _add_diagonals(hess, j0, 1, cross[..., 3, :, :])
     _add_diagonals(hess, j0 + 1, 0, cross[..., 2, :, :])
@@ -862,7 +892,9 @@ def _core(G, s, u, want_grad, want_hess=False):
     ``want_hess`` the Hessian alone is assembled: the same-element piece
     and the far field run as at any state, and their zeros are the value
     and the gradient; the pairs make no value row sums and no gradient
-    terms (`_distinct_pairs`).
+    terms (`_distinct_pairs`), and t^2's fold its weight tables alone.
+    The upper triangle assembled, `_symmetrize` copies it to the lower one
+    in place, with the bits of adding its transpose.
     """
     orders = np.asarray(s, dtype=float)
     lone, s = orders.ndim == 0, orders.reshape(-1)
@@ -899,8 +931,32 @@ def _core(G, s, u, want_grad, want_hess=False):
         return val, None
     if not want_hess:
         return val, grad[at]
-    hess += np.swapaxes(np.triu(hess, 1), -1, -2)
+    _symmetrize(hess)
     return val, grad[at], hess[at]
+
+
+@lru_cache(maxsize=8)
+def _lower(n):
+    """A read-only (n, n) mask of the strict lower triangle."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _symmetrize(hess):
+    """Copy the upper triangle of ``hess`` (..., n, n), 0 below it, to the
+    lower one, in place, in blocks of 64 rows: a block's entries left
+    of its diagonal block from the columns above it, and the diagonal
+    block's from its own upper triangle, through a temporary of that block
+    alone. The bits of ``hess += triu(hess, 1)^T``, which adds +0.0 to
+    every entry it does not copy and so changes none: ``hess`` is summed
+    from +0.0, and such a sum is never -0.0."""
+    n = hess.shape[-1]
+    for a in range(0, n, 64):
+        b = min(a + 64, n)
+        hess[..., a:b, :a] = hess[..., :a, a:b].swapaxes(-1, -2)
+        diag = hess[..., a:b, a:b]
+        np.copyto(diag, diag.swapaxes(-1, -2), where=_lower(b - a))
 
 
 def _check_s(s):

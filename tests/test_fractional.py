@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -742,6 +743,61 @@ class TestZeroState:
                 assert all(b is None and a is None or same_bits(
                     np.asarray(a[i]), np.asarray(b)) for a, b in zip(got, one))
 
+    @pytest.mark.parametrize("orders", [0.6, (0.3, 0.6, 0.9)],
+                             ids=["1 order", "3 orders"])
+    @pytest.mark.parametrize("n", [33, 257])
+    @pytest.mark.parametrize("G", [G2, G23], ids=lambda G: G.label)
+    def test_square_hessian_reads_the_weight_tables_alone(self, G, n, orders,
+                                                          monkeypatch):
+        # under t^2's rule the zero state's pair Hessian folds the weight
+        # tables: it forms no difference (`_pair_bands`) and pads nothing
+        # (`_drop_padding`)
+        z = GridFunction.zeros(-1.0, 1.0, n)
+        s = np.array(orders)
+        u = z if s.ndim == 0 else [z] * len(s)
+        calls = []
+        for name in ("_pair_bands", "_drop_padding"):
+            def spy(*args, name=name, f=getattr(fractional, name)):
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(fractional, name, spy)
+        got = _core(G, s, u, True, True)
+        assert calls == []
+        full = self.full_pass(monkeypatch, G, s, u, True, True)
+        assert "_pair_bands" in calls
+        assert all(same_bits(np.asarray(a), np.asarray(b))
+                   for a, b in zip(got, full))
+
+
+class TestHessianMemory:
+    """A Hessian pass holds the Hessian and a few arrays of a pair block's
+    size at a time. Its peak traced memory (`tracemalloc`, numpy's arrays
+    included) at 257 nodes, after a first call that builds the cached pair
+    tables, stays under the Hessian's bytes plus ``arrays`` arrays of
+    `_BLOCK_POINTS` floats."""
+
+    @pytest.mark.parametrize("G, zero, arrays", [
+        (make_power(3.0), False, 7), (G2, True, 3)],
+        ids=["power(3)", "power(2) zero state"])
+    def test_peak_traced_memory(self, G, zero, arrays):
+        n = 257
+        u = random_state(np.random.default_rng(3), n)
+        if zero:
+            u = u.with_values(0.0 * u.values)
+        _core(G, 0.7, u, True, True)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _core(G, 0.7, u, True, True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 8 * (n * n + arrays * fractional._BLOCK_POINTS)
+
 
 def add_element_blocks(hess, a, b, W):
     """The Hessian part of the element scatter, as written out before
@@ -1003,6 +1059,39 @@ class TestPairBlocks:
                 assert np.array_equal(out == 0.0, np.broadcast_to(
                     padding, out.shape))
                 assert np.all(np.isinf(out[:, ~padding]))
+
+    @pytest.mark.parametrize("G, shared", [
+        (G23, True), (G2, False), (make_power(3.0), False),
+        (make_power(4.0), False), (make_power_log(3.0), False)],
+        ids=["max, shared row", "power(2)", "power(3)", "power(4)",
+             "power_log(3)"])
+    def test_derivative_calls_write_du_only_as_its_abs(self, G, shared, rng):
+        # a block's gradient and Hessian call takes |du| in place where its
+        # rule reads it (t^3's operands, G's own rule, a max's range test)
+        # and writes nothing else to du's pairs: states that share a row,
+        # here with rules of their own, read it after one another
+        n, orders = 129, np.array([0.3, 0.9])
+        rows = (random_state(rng, n, 0.05).values[None] if shared else
+                np.stack([random_state(rng, n).values for _ in orders]))
+        ne, on = n - 1, fractional._power_on(G)
+        split = []
+        for x, blocks in fractional._pair_bands(orders, 2.0 / ne, rows, on):
+            q = x.size
+            outs = dict(gU=np.zeros((2, q, ne)), hU=np.zeros((2, q, ne)),
+                        hess=np.zeros((2, n, n)),
+                        tab=np.zeros((2, 2 * q + 4, ne)))
+            for _, kern, block, weight, du, _ in blocks:
+                before = du.copy()
+                split.append(fractional._pair_rule(
+                    G, on, du.copy(), kern, block, weight, 3) is None)
+                fractional._pair_block(G, on, 3, fractional._hessian_fold(q),
+                                       block, kern, weight, du, **outs)
+                nj, L = du.shape[-2:]
+                pairs = np.arange(L) < L - np.arange(nj)[:, None]
+                want = before if G.label in ("power(2)", "power(4)") \
+                    else np.abs(before)
+                assert np.array_equal(du[..., pairs], want[..., pairs])
+        assert any(split) == shared
 
 
 class TestRowDots:

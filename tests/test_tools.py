@@ -87,7 +87,11 @@ class TestAbTime:
         # one row, positive times, and the package copies unloaded after
         rows = ab_time.compare(ab_time.SRC, 2, "solve power(2) 129")
         assert [row[0] for row in rows] == ["solve power(2) 129"]
-        _, base, head, ratio, won, iqr = rows[0]
+        _, base, head, ratio, won, iqr, *faults = rows[0]
         assert base > 0.0 and head > 0.0 and ratio == head / base
         assert 0 <= won <= 2 and iqr >= 0.0
+        # each side's median minor page faults, or None without `resource`
+        assert len(faults) == 2 and all(
+            f is None if ab_time.resource is None else f >= 0
+            for f in faults)
         assert not [m for m in sys.modules if m.startswith("orliczfrac_ab_")]

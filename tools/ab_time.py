@@ -21,8 +21,18 @@ starts with the pair tables of its own package cleared
 (``fractional._band_tables``), as in a fresh process.
 
 Per case it prints each side's median seconds, the ratio of this
-checkout's median to the base's, the pairs this checkout won and the
-interquartile range of the base's runs. Printed only: no gate.
+checkout's median to the base's, the pairs this checkout won, the
+interquartile range of the base's runs and each side's median minor page
+faults per run (``resource.getrusage(RUSAGE_SELF).ru_minflt`` around each
+run; "-" where ``resource`` does not exist). Printed only: no gate.
+
+One interpreter understates a fresh worker's page faults: its heap holds
+what both trees and the earlier runs left, while a benchmark worker runs
+one tree's jobs in a fresh process. ``solve power(3) 129``, run in a fresh
+interpreter after the two ``power(2)`` solves (the benchmark's job order),
+made about 1175 minor faults with pair temporaries that crossed glibc's
+mmap threshold, and 0 here; with them this tool read that case 1.14-1.22x
+of the tree before them while the benchmark's ``solve`` read 0.99x.
 """
 
 import os
@@ -39,6 +49,11 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
+
+try:
+    import resource  # noqa: E402
+except ImportError:  # not on every platform
+    resource = None
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -85,19 +100,30 @@ def one_cpu():
         os.sched_setaffinity(0, allowed)
 
 
+def minor_faults():
+    """This process's minor page faults so far, or None without
+    ``resource``."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt \
+        if resource else None
+
+
 def run_once(side, config, out):
-    """Seconds of one CLI run of ``config`` by ``side``, a pair (cli,
-    fractional), after clearing its pair tables."""
+    """(seconds, minor page faults or None) of one CLI run of ``config`` by
+    ``side``, a pair (cli, fractional), after clearing its pair tables."""
     cli, fractional = side
     fractional._band_tables.cache_clear()
+    faults = minor_faults()
     start = perf_counter()
     cli.run(cli.parse_config(config), out)
-    return perf_counter() - start
+    seconds = perf_counter() - start
+    return seconds, None if faults is None else minor_faults() - faults
 
 
 def compare(base_src, pairs, case=""):
-    """(case, base median, head median, ratio, pairs won, base IQR) per
-    case whose name holds ``case``, from ``pairs`` alternating pairs."""
+    """(case, base median, head median, ratio, pairs won, base IQR, base
+    median faults, head median faults) per case whose name holds ``case``,
+    from ``pairs`` alternating pairs; the faults are None without
+    ``resource``."""
     names = [name for name in CASES if case in name]
     if not names:
         raise SystemExit(f"error: no case matches {case!r}")
@@ -108,18 +134,22 @@ def compare(base_src, pairs, case=""):
                      load(SRC, "orliczfrac_ab_head", tmp)]
             rows = []
             for name in names:
-                times = ([], [])
+                times, faults = ([], []), ([], [])
                 for i in range(pairs):
                     order = (0, 1) if i % 2 == 0 else (1, 0)
                     for side in order:
-                        times[side].append(run_once(
-                            sides[side], CASES[name], Path(tmp) / "out"))
+                        seconds, count = run_once(
+                            sides[side], CASES[name], Path(tmp) / "out")
+                        times[side].append(seconds)
+                        faults[side].append(count)
                 base, head = (statistics.median(t) for t in times)
                 won = sum(h < b for b, h in zip(*times))
                 q1, _, q3 = (statistics.quantiles(times[0], n=4)
                              if pairs > 1 else (0.0, 0.0, 0.0))
                 iqr = q3 - q1
-                rows.append((name, base, head, head / base, won, iqr))
+                rows.append((name, base, head, head / base, won, iqr, *(
+                    None if resource is None else statistics.median(f)
+                    for f in faults)))
         finally:
             sys.path.remove(tmp)
             for module in list(sys.modules):
@@ -139,10 +169,12 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
     rows = compare(args.base_src, args.pairs, args.case)
     print(f"{'case':34} {'base s':>9} {'this s':>9} {'ratio':>6} "
-          f"{'won':>7} {'base IQR':>9}")
-    for name, base, head, ratio, won, iqr in rows:
+          f"{'won':>7} {'base IQR':>9} {'base flt':>9} {'this flt':>9}")
+    for name, base, head, ratio, won, iqr, *faults in rows:
+        flt = " ".join("        -" if f is None else f"{f:9.0f}"
+                       for f in faults)
         print(f"{name:34} {base:9.4f} {head:9.4f} {ratio:6.3f} "
-              f"{won:3d}/{args.pairs:<3d} {iqr:9.4f}")
+              f"{won:3d}/{args.pairs:<3d} {iqr:9.4f} {flt}")
 
 
 if __name__ == "__main__":
